@@ -31,15 +31,19 @@
 # bench_serve load generator must sustain its latency/QPS contract
 # (refreshing BENCH_serve.json). Stage 2g is the bytecode-VM gate: the
 # differential suite (ctest -L vm) proves the VM backend bit-identical
-# to the AST interpreter over the full corpus, and bench_vm fails the
-# build if the VM's dynamic-stage sweep is less than 5x faster than the
-# interp reference or any fingerprint diverges (refreshing
-# BENCH_vm.json). Stage 3 rebuilds
+# to the AST interpreter over the full corpus, the golden suite (also
+# ctest -L vm) holds both backends to the committed runtime
+# fingerprints in tests/golden/runtime_fingerprints.txt, and bench_vm
+# fails the build if the VM's dynamic-stage sweep is less than 5x
+# faster than the interp reference or any fingerprint diverges
+# (refreshing BENCH_vm.json). Stage 3 rebuilds
 # under ThreadSanitizer (-DDRBML_SANITIZE=thread) and runs the
 # `parallel`-labelled suites -- the thread pool, the memoized artifact
 # caches, the parallel experiment executor, the lint and repair
-# fan-outs, and the observability layer -- so the infrastructure this
-# repo uses to find data races is itself checked for data races.
+# fan-outs, the observability layer, and the scheduler's quiet-yield
+# state on both the thread and the (ucontext) fiber substrate via the
+# golden suite -- so the infrastructure this repo uses to find data
+# races is itself checked for data races.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -130,13 +134,17 @@ rm -rf "$serve_tmp"
 # BENCH_serve.json artifact.
 build/bench/bench_serve --out BENCH_serve.json | tail -n 2
 
-echo "== stage 2g: bytecode-VM differential gate =="
-# The VM differential suite proves the bytecode backend bit-identical to
-# the AST walker on every corpus entry (verdicts, decision traces,
-# witnesses), and bench_vm enforces the performance contract: the VM on
-# its fiber scheduling substrate must execute the dynamic-stage sweep at
-# least 5x faster than the interp reference, with every (entry, seed)
-# fingerprint identical. Refreshes the committed BENCH_vm.json artifact.
+echo "== stage 2g: bytecode-VM differential + golden gate =="
+# ctest -L vm runs two suites. The VM differential suite proves the
+# bytecode backend bit-identical to the AST walker on every corpus entry
+# (verdicts, decision traces, witnesses); the golden suite checks both
+# backends against the committed tests/golden/runtime_fingerprints.txt
+# (corpus + 200 synth kernels x {uniform, pct} x 3 seeds, plus a PCT
+# exploration each), which catches a change both backends share.
+# bench_vm enforces the performance contract: the VM on its fiber
+# scheduling substrate must execute the dynamic-stage sweep at least 5x
+# faster than the interp reference, with every (entry, seed) fingerprint
+# identical. Refreshes the committed BENCH_vm.json artifact.
 (cd build && ctest -L vm --output-on-failure)
 build/bench/bench_vm --out BENCH_vm.json --min-speedup 5 | tail -n 2
 
@@ -150,6 +158,6 @@ cmake -B build-tsan -S . -DDRBML_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j --target \
   parallel_test parallel_determinism_test detector_differential_test \
   explore_test metamorphic_test lint_test repair_test obs_test \
-  vm_differential_test
+  vm_differential_test runtime_golden_test
 (cd build-tsan && ctest -L parallel --output-on-failure)
 echo "== all checks passed =="

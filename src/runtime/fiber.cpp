@@ -9,6 +9,19 @@
 #include <sys/mman.h>
 #endif
 
+#if DRBML_FIBER_TSAN
+// ThreadSanitizer's fiber API (sanitizer/tsan_interface.h). Without it
+// every fiber would share its OS thread's sanitizer state: the frames a
+// finished fiber leaves on the shared shadow call stack are never
+// popped, and the stack depot grows with every run.
+extern "C" {
+void* __tsan_get_current_fiber(void);
+void* __tsan_create_fiber(unsigned flags);
+void __tsan_destroy_fiber(void* fiber);
+void __tsan_switch_to_fiber(void* fiber, unsigned flags);
+}
+#endif
+
 namespace drbml::runtime {
 
 namespace {
@@ -74,6 +87,11 @@ extern "C" [[noreturn]] void drbml_fiber_trampoline() {
 }
 
 Fiber::~Fiber() {
+#if DRBML_FIBER_TSAN
+  if (stack_ != nullptr && tsan_fiber_ != nullptr) {
+    __tsan_destroy_fiber(tsan_fiber_);
+  }
+#endif
 #if DRBML_FIBER_ASM || DRBML_FIBER_UCONTEXT
   if (stack_ != nullptr) release_stack(stack_);
 #endif
@@ -161,10 +179,19 @@ void Fiber::start(Entry entry, void* arg) {
   uc_.uc_stack.ss_size = kStackBytes;
   uc_.uc_link = nullptr;  // entries never return through the trampoline
   makecontext(&uc_, reinterpret_cast<void (*)()>(&drbml_fiber_trampoline), 0);
+#if DRBML_FIBER_TSAN
+  if (tsan_fiber_ == nullptr) tsan_fiber_ = __tsan_create_fiber(0);
+#endif
 }
 
 void Fiber::transfer(Fiber& from, Fiber& to) {
   if (to.entry_ != nullptr) t_starting = &to;
+#if DRBML_FIBER_TSAN
+  // An adopted save slot stands for whichever context suspends into it
+  // (the thread that called run_team, or an outer team's worker fiber).
+  if (from.stack_ == nullptr) from.tsan_fiber_ = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(to.tsan_fiber_, 0);  // 0: the switch synchronizes
+#endif
   if (swapcontext(&from.uc_, &to.uc_) != 0) std::abort();
 }
 

@@ -14,19 +14,33 @@
 //   - bare x86-64 SysV switch: saves the callee-saved registers plus the
 //     FP control words and swaps stack pointers (fiber.cpp, top-level
 //     asm). Used in plain builds.
-//   - ucontext_t swapcontext: used under Thread/AddressSanitizer, whose
-//     runtime interceptors understand swapcontext and keep shadow stacks
-//     coherent across the switch. Also the portable fallback off x86-64.
+//   - ucontext_t swapcontext: used under Thread/AddressSanitizer, which
+//     understand it (AddressSanitizer intercepts swapcontext; under
+//     ThreadSanitizer every fiber gets its own sanitizer context through
+//     the __tsan fiber API, so its shadow call stack is freed with it
+//     and each switch is a happens-before edge). Also the portable
+//     fallback off x86-64.
 // On platforms with neither, supported() is false and the scheduler
 // stays on the reference thread substrate.
 #pragma once
 
 #include <cstddef>
 
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+#if defined(__SANITIZE_THREAD__)
+#define DRBML_FIBER_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define DRBML_FIBER_TSAN 1
+#endif
+#endif
+#ifndef DRBML_FIBER_TSAN
+#define DRBML_FIBER_TSAN 0
+#endif
+
+#if DRBML_FIBER_TSAN || defined(__SANITIZE_ADDRESS__)
 #define DRBML_FIBER_SANITIZED 1
 #elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+#if __has_feature(address_sanitizer)
 #define DRBML_FIBER_SANITIZED 1
 #endif
 #endif
@@ -90,6 +104,11 @@ class Fiber {
   void* sp_ = nullptr;
 #elif DRBML_FIBER_UCONTEXT
   ucontext_t uc_{};
+#endif
+#if DRBML_FIBER_TSAN
+  // ThreadSanitizer's context for this fiber: created by start(), the
+  // calling context's for an adopted save slot.
+  void* tsan_fiber_ = nullptr;
 #endif
 };
 

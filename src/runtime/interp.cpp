@@ -13,6 +13,7 @@
 #include <optional>
 #include <set>
 #include <string_view>
+#include <unordered_map>
 
 #include "minic/printer.hpp"
 #include "obs/catalog.hpp"
@@ -532,16 +533,16 @@ class Interp {
   }
 
   void report_race(const AccessStamp& prev, char prev_op,
-                   const std::string& cur_text, SourceLoc cur_loc,
+                   const std::string* cur_text, SourceLoc cur_loc,
                    char cur_op, const MemObject& obj) {
     if (static_cast<int>(report_.pairs.size()) >= opts_.max_pairs) return;
     analysis::RaceAccess a;
-    a.expr_text = prev.text;
+    a.expr_text = *prev.text;
     a.var_name = obj.decl != nullptr ? obj.decl->name : obj.name;
     a.loc = prev.loc;
     a.op = prev_op;
     analysis::RaceAccess b;
-    b.expr_text = cur_text;
+    b.expr_text = *cur_text;
     b.var_name = a.var_name;
     b.loc = cur_loc;
     b.op = cur_op;
@@ -578,15 +579,25 @@ class Interp {
     return cur->loc.valid() ? cur->loc : expr.loc;
   }
 
+  /// The walker's source spelling of an access, rendered once per
+  /// expression per run; the returned string lives as long as the run.
+  const std::string* access_text(const Expr& expr) {
+    auto [it, inserted] = access_texts_.try_emplace(&expr);
+    if (inserted) it->second = expr_to_string(expr);
+    return &it->second;
+  }
+
   void on_read(ThreadCtx& ctx, ObjRef ref, const Expr& expr) {
-    on_read_at(ctx, ref, expr_to_string(expr), access_loc(expr));
+    on_read_at(ctx, ref, access_text(expr), access_loc(expr));
   }
 
   void on_write(ThreadCtx& ctx, ObjRef ref, const Expr& expr) {
-    on_write_at(ctx, ref, expr_to_string(expr), access_loc(expr));
+    on_write_at(ctx, ref, access_text(expr), access_loc(expr));
   }
 
-  void on_read_at(ThreadCtx& ctx, ObjRef ref, const std::string& text,
+  /// Instrumented read of `ref`. `text` must outlive the run (see
+  /// AccessStamp).
+  void on_read_at(ThreadCtx& ctx, ObjRef ref, const std::string* text,
                   SourceLoc loc) {
     note_step(ctx);
     mem_.check_bounds(ref);
@@ -601,21 +612,19 @@ class Interp {
     // per-tid map first so the shared-mode write check can find it.
     if (!cell.reads.shared() && cell.reads.epoch().valid() &&
         cell.reads.epoch().tid != ctx.tid) {
-      cell.last_reads[cell.reads.epoch().tid] = std::move(cell.read_stamp);
+      cell.last_reads[cell.reads.epoch().tid] = cell.read_stamp;
     }
     cell.reads.record(ctx.tid, ctx.vc.get(ctx.tid));
-    AccessStamp stamp;
-    stamp.text = text;
-    stamp.loc = loc;
-    stamp.tid = ctx.tid;
+    const AccessStamp stamp{text, loc, ctx.tid};
     if (cell.reads.shared()) {
-      cell.last_reads[ctx.tid] = std::move(stamp);
+      cell.last_reads[ctx.tid] = stamp;
     } else {
-      cell.read_stamp = std::move(stamp);
+      cell.read_stamp = stamp;
     }
   }
 
-  void on_write_at(ThreadCtx& ctx, ObjRef ref, const std::string& text,
+  /// Instrumented write of `ref`; `text` as for on_read_at.
+  void on_write_at(ThreadCtx& ctx, ObjRef ref, const std::string* text,
                    SourceLoc loc) {
     note_step(ctx);
     mem_.check_bounds(ref);
@@ -641,11 +650,7 @@ class Interp {
       }
     }
     cell.write = Epoch{ctx.tid, ctx.vc.get(ctx.tid)};
-    AccessStamp stamp;
-    stamp.text = text;
-    stamp.loc = loc;
-    stamp.tid = ctx.tid;
-    cell.last_write = std::move(stamp);
+    cell.last_write = AccessStamp{text, loc, ctx.tid};
     cell.reads.clear();
     cell.last_reads.clear();
   }
@@ -1223,6 +1228,9 @@ class Interp {
   std::map<std::pair<int, std::int64_t>, LockState> global_locks_;
   std::map<std::string, LockState> global_critical_;
   std::map<const void*, int> ws_visit_counts_;  // per ws-loop encounters
+  /// Walker access texts (access_text); node-based, so AccessStamps can
+  /// point into it for the whole run.
+  std::unordered_map<const Expr*, std::string> access_texts_;
   std::uint64_t rand_state_ = 0x853c49e6748fea9bULL;
   /// Compiled bytecode for tu_ (VM backend), or null (AST walker).
   const bc::Module* module_ = nullptr;

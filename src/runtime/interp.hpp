@@ -17,6 +17,9 @@
 //   - Task constructs execute inline at the spawn point under a fresh
 //     logical thread id (fork/join edges preserved; taskwait and depend
 //     clauses add the corresponding edges).
+//   - One run allocates at most Memory::kMaxRunElements (2^20) elements
+//     in total; the allocation that would cross the cap faults with
+//     "allocation too large for the interpreter".
 #pragma once
 
 #include <cstdint>

@@ -6,57 +6,34 @@ int Memory::allocate(std::string name, const minic::VarDecl* decl,
                      std::vector<std::int64_t> dims, std::int64_t count,
                      Value init, bool thread_local_object) {
   if (count < 0) throw RuntimeFault("negative allocation size");
-  if (count > (1 << 24)) {
+  if (count > kMaxRunElements - allocated_elements_) {
     throw RuntimeFault("allocation too large for the interpreter: " +
                        std::to_string(count));
   }
+  allocated_elements_ += count;
   MemObject obj;
   obj.name = std::move(name);
   obj.decl = decl;
   obj.dims = std::move(dims);
   obj.data.assign(static_cast<std::size_t>(count), init);
-  obj.shadow.assign(static_cast<std::size_t>(count), ShadowCell{});
+  if (!thread_local_object) {
+    obj.shadow.assign(static_cast<std::size_t>(count), ShadowCell{});
+  }
   obj.thread_local_object = thread_local_object;
   objects_.push_back(std::move(obj));
   return static_cast<int>(objects_.size()) - 1;
 }
 
-MemObject& Memory::object(int id) {
-  if (id < 0 || static_cast<std::size_t>(id) >= objects_.size()) {
-    throw RuntimeFault("invalid object id");
-  }
-  return objects_[static_cast<std::size_t>(id)];
+void Memory::invalid_object() { throw RuntimeFault("invalid object id"); }
+
+void Memory::use_after_free(const MemObject& obj) {
+  throw RuntimeFault("use after free of '" + obj.name + "'");
 }
 
-const MemObject& Memory::object(int id) const {
-  if (id < 0 || static_cast<std::size_t>(id) >= objects_.size()) {
-    throw RuntimeFault("invalid object id");
-  }
-  return objects_[static_cast<std::size_t>(id)];
-}
-
-void Memory::check(ObjRef ref) const {
-  const MemObject& obj = object(ref.object);
-  if (obj.freed) {
-    throw RuntimeFault("use after free of '" + obj.name + "'");
-  }
-  if (ref.offset < 0 || ref.offset >= obj.size()) {
-    throw RuntimeFault("out-of-bounds access to '" + obj.name + "' at index " +
-                       std::to_string(ref.offset) + " (size " +
-                       std::to_string(obj.size()) + ")");
-  }
-}
-
-Value Memory::load(ObjRef ref) const {
-  check(ref);
-  return objects_[static_cast<std::size_t>(ref.object)]
-      .data[static_cast<std::size_t>(ref.offset)];
-}
-
-void Memory::store(ObjRef ref, Value v) {
-  check(ref);
-  objects_[static_cast<std::size_t>(ref.object)]
-      .data[static_cast<std::size_t>(ref.offset)] = v;
+void Memory::out_of_bounds(const MemObject& obj, ObjRef ref) {
+  throw RuntimeFault("out-of-bounds access to '" + obj.name + "' at index " +
+                     std::to_string(ref.offset) + " (size " +
+                     std::to_string(obj.size()) + ")");
 }
 
 }  // namespace drbml::runtime

@@ -15,8 +15,13 @@
 namespace drbml::runtime {
 
 /// Provenance of the last accesses to one element, for race reporting.
+///
+/// `text` points at the access's source spelling in storage that outlives
+/// the run: the bytecode module's AccessSite pool, an AST VarDecl name, a
+/// static literal, or the walker's per-run interned texts. A stamp never
+/// owns a string; report_race copies the text only for a reported pair.
 struct AccessStamp {
-  std::string text;  // source spelling of the access expression
+  const std::string* text = nullptr;
   minic::SourceLoc loc;
   int tid = -1;
 
@@ -39,6 +44,8 @@ struct MemObject {
   std::string name;
   const minic::VarDecl* decl = nullptr;  // null for heap allocations
   std::vector<Value> data;
+  /// One cell per element; empty for thread-local objects, which the
+  /// detector never checks.
   std::vector<ShadowCell> shadow;
   std::vector<std::int64_t> dims;  // row-major dimensions (empty = scalar)
   bool elem_float = false;         // elements coerce to double on store
@@ -52,31 +59,65 @@ struct MemObject {
   }
 };
 
-/// The interpreter heap/stack store.
+/// The interpreter heap/stack store of one run.
 class Memory {
  public:
+  /// Cap on the elements one run may allocate in total, so a program
+  /// cannot exhaust the host's memory (an element with its shadow cell
+  /// costs about 160 bytes).
+  static constexpr std::int64_t kMaxRunElements = 1 << 20;
+
   /// Allocates an object with `count` elements, all initialized to `init`.
+  /// Throws RuntimeFault when the run's total would exceed kMaxRunElements.
   int allocate(std::string name, const minic::VarDecl* decl,
                std::vector<std::int64_t> dims, std::int64_t count,
                Value init, bool thread_local_object);
 
-  [[nodiscard]] MemObject& object(int id);
-  [[nodiscard]] const MemObject& object(int id) const;
+  [[nodiscard]] MemObject& object(int id) {
+    if (id < 0 || static_cast<std::size_t>(id) >= objects_.size()) {
+      invalid_object();
+    }
+    return objects_[static_cast<std::size_t>(id)];
+  }
+  [[nodiscard]] const MemObject& object(int id) const {
+    if (id < 0 || static_cast<std::size_t>(id) >= objects_.size()) {
+      invalid_object();
+    }
+    return objects_[static_cast<std::size_t>(id)];
+  }
 
-  [[nodiscard]] Value load(ObjRef ref) const;
-  void store(ObjRef ref, Value v);
+  [[nodiscard]] Value load(ObjRef ref) const {
+    return check(ref).data[static_cast<std::size_t>(ref.offset)];
+  }
+  void store(ObjRef ref, Value v) {
+    check(ref);
+    objects_[static_cast<std::size_t>(ref.object)]
+        .data[static_cast<std::size_t>(ref.offset)] = v;
+  }
 
   /// Throws RuntimeFault on freed objects or out-of-range offsets.
-  void check_bounds(ObjRef ref) const { check(ref); }
+  void check_bounds(ObjRef ref) const { (void)check(ref); }
 
   [[nodiscard]] std::size_t object_count() const noexcept {
     return objects_.size();
   }
 
  private:
-  void check(ObjRef ref) const;
+  const MemObject& check(ObjRef ref) const {
+    const MemObject& obj = object(ref.object);
+    if (obj.freed) use_after_free(obj);
+    if (ref.offset < 0 || ref.offset >= obj.size()) out_of_bounds(obj, ref);
+    return obj;
+  }
+
+  // Fault-message helpers, kept out of line so the inline checks above
+  // stay small.
+  [[noreturn]] static void invalid_object();
+  [[noreturn]] static void use_after_free(const MemObject& obj);
+  [[noreturn]] static void out_of_bounds(const MemObject& obj, ObjRef ref);
 
   std::vector<MemObject> objects_;
+  std::int64_t allocated_elements_ = 0;
 };
 
 }  // namespace drbml::runtime

@@ -86,6 +86,7 @@ void CoopScheduler::maybe_release_barrier() {
       if (s == State::AtBarrier) s = State::Ready;
     }
     ++barrier_generation_;
+    touch();
   }
 }
 
@@ -96,6 +97,7 @@ std::unique_lock<std::mutex> CoopScheduler::guard() {
 
 void CoopScheduler::switch_from(std::unique_lock<std::mutex>& lock, int me,
                                 bool forced) {
+  touch();
   const int next = decider_ != nullptr ? decide_next(me, forced)
                                        : pick_runnable(me);
   if (next == -1) {
@@ -150,10 +152,15 @@ void CoopScheduler::yield_point() {
   }
   ++yields_;
   if (decider_ != nullptr) {
+    // Quiet stretch: the decider's last "no" holds until quiet_until_
+    // unless the token holder or the ready set changed since.
+    if (version_ == quiet_version_ && steps_ < quiet_until_) return;
     // Policy-routed preemption: the decider sees the current step and the
     // runnable peers and decides whether to take the token away.
     if (!decider_->should_preempt(steps_, t_worker_index,
                                   ready_peers(t_worker_index))) {
+      quiet_version_ = version_;
+      quiet_until_ = decider_->quiet_until(steps_);
       return;
     }
   } else if (yields_ % static_cast<std::uint64_t>(preempt_every_) != 0) {
@@ -174,6 +181,7 @@ void CoopScheduler::barrier_wait() {
   const int me = t_worker_index;
   const std::uint64_t gen = barrier_generation_;
   states_[static_cast<std::size_t>(me)] = State::AtBarrier;
+  touch();
   maybe_release_barrier();
   if (barrier_generation_ != gen) {
     // Barrier released immediately (we were last); keep the token.
@@ -192,6 +200,7 @@ void CoopScheduler::block_until(const std::function<bool()>& ready) {
     if (t_worker_index >= 0 &&
         t_worker_index < static_cast<int>(spinning_.size())) {
       spinning_[static_cast<std::size_t>(t_worker_index)] = 0;
+      touch();
     }
     if (counted) {
       --waiting_;
@@ -235,6 +244,7 @@ void CoopScheduler::block_until(const std::function<bool()>& ready) {
       counted = true;
     }
     spinning_[static_cast<std::size_t>(t_worker_index)] = 1;
+    touch();
     // If every live worker is blocked (waiting here or stuck at a barrier
     // that cannot release), no predicate can ever change: deadlock.
     int at_barrier = 0;
@@ -284,6 +294,7 @@ void CoopScheduler::run_team(std::vector<std::function<void()>> workers) {
   waiting_ = 0;
   spin_rounds_ = 0;
   spinning_.assign(static_cast<std::size_t>(n), 0);
+  touch();  // no quiet stretch carries over from a previous team
   trace_.clear();
   if (decider_ != nullptr && n > 0) decider_->begin(n);
 
@@ -322,6 +333,7 @@ void CoopScheduler::run_team_threads(
       {
         std::unique_lock<std::mutex> lock(mu_);
         states_[static_cast<std::size_t>(i)] = State::Done;
+        touch();
         --live_;
         maybe_release_barrier();
         if (!aborting_) {
@@ -426,6 +438,7 @@ void CoopScheduler::fiber_worker_main(int i) {
   }
   // Completion bookkeeping, mirroring the thread substrate's exit block.
   states_[static_cast<std::size_t>(i)] = State::Done;
+  touch();
   --live_;
   maybe_release_barrier();
   int next = -1;

@@ -92,6 +92,16 @@ class SchedDecider {
   virtual bool should_preempt(std::uint64_t step, int current,
                               const std::vector<int>& ready_peers) = 0;
 
+  /// Called right after should_preempt(step, ...) returned false: the
+  /// first step at which should_preempt could return true, provided the
+  /// running worker and the ready set stay as they were. The scheduler
+  /// skips the query (and building its peer list) at yield points before
+  /// that step until one of them changes. The default, `step + 1`, asks
+  /// again at every yield point.
+  [[nodiscard]] virtual std::uint64_t quiet_until(std::uint64_t step) const {
+    return step + 1;
+  }
+
   /// Picks the next worker from `ready` (never empty, ascending indices).
   /// `current` is the worker giving up the token (-1 for the initial
   /// grant); `forced` mirrors ScheduleDecision::forced.
@@ -205,6 +215,10 @@ class CoopScheduler {
 
   void record(bool forced, int target);
 
+  /// Pre: lock held. Marks a change to the worker states, the spinning
+  /// set or the token holder, which ends any quiet stretch.
+  void touch() noexcept { ++version_; }
+
   std::mutex mu_;
   std::condition_variable cv_;
   std::vector<State> states_;
@@ -221,6 +235,11 @@ class CoopScheduler {
   int waiting_ = 0;           // workers inside block_until
   std::uint64_t spin_rounds_ = 0;  // consecutive all-blocked rounds
   SchedDecider* decider_ = nullptr;
+  // Quiet-yield state: while version_ == quiet_version_ and steps_ <
+  // quiet_until_, the decider's last answer (no preemption) still holds.
+  std::uint64_t version_ = 0;
+  std::uint64_t quiet_version_ = 0;
+  std::uint64_t quiet_until_ = 0;
   bool recording_ = false;
   RegionTrace trace_;
   std::vector<char> spinning_;  // workers currently inside block_until

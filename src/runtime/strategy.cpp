@@ -1,6 +1,7 @@
 #include "runtime/strategy.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace drbml::runtime {
 
@@ -47,6 +48,14 @@ bool PctDecider::should_preempt(std::uint64_t step, int current,
   return demoted || best > priorities_[static_cast<std::size_t>(current)];
 }
 
+std::uint64_t PctDecider::quiet_until(std::uint64_t step) const {
+  // should_preempt(step) fired every change point <= step.
+  (void)step;
+  return fired_ < change_points_.size()
+             ? change_points_[fired_]
+             : std::numeric_limits<std::uint64_t>::max();
+}
+
 int PctDecider::pick(const std::vector<int>& ready, int current,
                      std::uint64_t step, bool forced) {
   (void)current;
@@ -78,6 +87,13 @@ bool ReplayDecider::should_preempt(std::uint64_t step, int current,
   skip_stale(step);
   return pos_ < trace_.size() && !trace_[pos_].forced &&
          trace_[pos_].step == step;
+}
+
+std::uint64_t ReplayDecider::quiet_until(std::uint64_t step) const {
+  // should_preempt(step) skipped the stale entries, so trace_[pos_] (if
+  // any) is at `step` or later.
+  return pos_ < trace_.size() ? std::max(step + 1, trace_[pos_].step)
+                              : std::numeric_limits<std::uint64_t>::max();
 }
 
 int ReplayDecider::pick(const std::vector<int>& ready, int current,

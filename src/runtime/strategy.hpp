@@ -34,6 +34,9 @@ class PctDecider : public SchedDecider {
   void begin(int workers) override;
   bool should_preempt(std::uint64_t step, int current,
                       const std::vector<int>& ready_peers) override;
+  /// The next unfired change point: until then priorities only move at
+  /// switches, so a "no" stays a "no".
+  [[nodiscard]] std::uint64_t quiet_until(std::uint64_t step) const override;
   int pick(const std::vector<int>& ready, int current, std::uint64_t step,
            bool forced) override;
   [[nodiscard]] bool filter_spinners() const override { return true; }
@@ -59,6 +62,9 @@ class ReplayDecider : public SchedDecider {
   void begin(int workers) override;
   bool should_preempt(std::uint64_t step, int current,
                       const std::vector<int>& ready_peers) override;
+  /// The step of the next trace entry: only a voluntary entry at exactly
+  /// the current step can preempt.
+  [[nodiscard]] std::uint64_t quiet_until(std::uint64_t step) const override;
   int pick(const std::vector<int>& ready, int current, std::uint64_t step,
            bool forced) override;
 

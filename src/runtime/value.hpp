@@ -16,14 +16,18 @@ struct ObjRef {
 };
 
 /// A dynamically typed scalar: integer, floating, or pointer.
+///
+/// Sixteen bytes: the first word holds the kind and, for pointers, the
+/// object id; the second holds the integer, the double, or the pointer's
+/// element offset. The payload is a union read only through the
+/// kind-checked accessors below.
 class Value {
  public:
-  enum class Kind { Int, Double, Ptr };
+  enum class Kind : std::int32_t { Int, Double, Ptr };
 
   Value() = default;
   static Value of_int(std::int64_t v) {
     Value x;
-    x.kind_ = Kind::Int;
     x.i_ = v;
     return x;
   }
@@ -36,7 +40,8 @@ class Value {
   static Value of_ptr(ObjRef p) {
     Value x;
     x.kind_ = Kind::Ptr;
-    x.p_ = p;
+    x.object_ = p.object;
+    x.i_ = p.offset;
     return x;
   }
 
@@ -48,7 +53,7 @@ class Value {
     switch (kind_) {
       case Kind::Int: return i_;
       case Kind::Double: return static_cast<std::int64_t>(d_);
-      case Kind::Ptr: return p_.valid() ? 1 : 0;
+      case Kind::Ptr: return object_ >= 0 ? 1 : 0;
     }
     return 0;
   }
@@ -56,18 +61,18 @@ class Value {
     switch (kind_) {
       case Kind::Int: return static_cast<double>(i_);
       case Kind::Double: return d_;
-      case Kind::Ptr: return p_.valid() ? 1.0 : 0.0;
+      case Kind::Ptr: return object_ >= 0 ? 1.0 : 0.0;
     }
     return 0.0;
   }
   [[nodiscard]] ObjRef as_ptr() const noexcept {
-    return kind_ == Kind::Ptr ? p_ : ObjRef{};
+    return kind_ == Kind::Ptr ? ObjRef{object_, i_} : ObjRef{};
   }
   [[nodiscard]] bool truthy() const noexcept {
     switch (kind_) {
       case Kind::Int: return i_ != 0;
       case Kind::Double: return d_ != 0.0;
-      case Kind::Ptr: return p_.valid();
+      case Kind::Ptr: return object_ >= 0;
     }
     return false;
   }
@@ -77,18 +82,22 @@ class Value {
       case Kind::Int: return std::to_string(i_);
       case Kind::Double: return std::to_string(d_);
       case Kind::Ptr:
-        return p_.valid() ? "&obj" + std::to_string(p_.object) + "[" +
-                                std::to_string(p_.offset) + "]"
-                          : "nullptr";
+        return object_ >= 0 ? "&obj" + std::to_string(object_) + "[" +
+                                  std::to_string(i_) + "]"
+                            : "nullptr";
     }
     return "?";
   }
 
  private:
   Kind kind_ = Kind::Int;
-  std::int64_t i_ = 0;
-  double d_ = 0.0;
-  ObjRef p_;
+  std::int32_t object_ = -1;  // Ptr only
+  union {
+    std::int64_t i_ = 0;  // Int; Ptr: element offset
+    double d_;            // Double
+  };
 };
+
+static_assert(sizeof(Value) == 16, "Value must stay two words");
 
 }  // namespace drbml::runtime

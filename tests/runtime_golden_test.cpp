@@ -19,11 +19,11 @@
 //   build/tests/runtime_golden_test --regenerate
 //
 // which rewrites it from the VM backend and exits.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <string_view>

@@ -115,6 +115,31 @@ TEST(Interp, InfiniteLoopHitsStepLimit) {
   EXPECT_TRUE(r.faulted);
 }
 
+TEST(Interp, RunAllocationCapFaults) {
+  // Each array fits the per-run element cap alone; together they exceed
+  // it, so the second declaration faults instead of growing the host.
+  for (Backend backend : {Backend::Interp, Backend::Vm}) {
+    RunOptions opts;
+    opts.backend = backend;
+    auto r = run_src(
+        "int main() { int a[600000]; int b[600000]; a[0] = 1; b[0] = 2; "
+        "return a[0] + b[0]; }",
+        opts);
+    EXPECT_TRUE(r.faulted);
+    EXPECT_EQ(r.fault_message,
+              "allocation too large for the interpreter: 600000");
+  }
+}
+
+TEST(Interp, ThousandElementProgramRuns) {
+  auto r = run_src(
+      "int main() { int a[1000]; int s = 0; for (int i = 0; i < 1000; i++) "
+      "a[i] = i; for (int i = 0; i < 1000; i++) s += a[i]; printf(\"%d\", "
+      "s); return 0; }");
+  EXPECT_FALSE(r.faulted) << r.fault_message;
+  EXPECT_EQ(r.output, "499500");
+}
+
 TEST(Interp, PointerArithmetic) {
   auto r = run_src(
       "int main() { int a[5]; for (int i = 0; i < 5; i++) a[i] = i * i; "

@@ -1,6 +1,7 @@
 // Unit tests for the cooperative deterministic scheduler, exercised
 // directly (without the interpreter): token passing, barriers, blocking,
-// deadlock detection, abort propagation, and determinism.
+// deadlock detection, abort propagation, determinism, and the
+// SchedDecider::quiet_until contract.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,7 +9,9 @@
 #include <vector>
 
 #include "runtime/sched.hpp"
+#include "runtime/strategy.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace drbml::runtime {
 namespace {
@@ -210,6 +213,187 @@ TEST(Scheduler, LiveCountTracksCompletion) {
   });
   sched.run_team(std::move(fns));
   EXPECT_EQ(live_at_end, 1);  // only this worker was still live
+}
+
+// ---- SchedDecider::quiet_until contract ---------------------------------
+
+/// Forwards every hook to `inner` but keeps the default quiet_until, so
+/// the scheduler asks should_preempt at every yield point.
+class AlwaysAsk : public SchedDecider {
+ public:
+  explicit AlwaysAsk(SchedDecider& inner) : inner_(inner) {}
+  void begin(int workers) override { inner_.begin(workers); }
+  bool should_preempt(std::uint64_t step, int current,
+                      const std::vector<int>& ready_peers) override {
+    return inner_.should_preempt(step, current, ready_peers);
+  }
+  int pick(const std::vector<int>& ready, int current, std::uint64_t step,
+           bool forced) override {
+    return inner_.pick(ready, current, step, forced);
+  }
+  [[nodiscard]] bool filter_spinners() const override {
+    return inner_.filter_spinners();
+  }
+
+ private:
+  SchedDecider& inner_;
+};
+
+/// Counts preemption queries; preempts every fifth step.
+class CountingDecider : public SchedDecider {
+ public:
+  void begin(int workers) override { (void)workers; }
+  bool should_preempt(std::uint64_t step, int current,
+                      const std::vector<int>& ready_peers) override {
+    (void)current;
+    (void)ready_peers;
+    ++asked;
+    return step % 5 == 0;
+  }
+  int pick(const std::vector<int>& ready, int current, std::uint64_t step,
+           bool forced) override {
+    (void)current;
+    (void)step;
+    (void)forced;
+    return ready.back();
+  }
+  int asked = 0;
+};
+
+TEST(QuietUntil, DefaultDeciderIsAskedAtEveryYieldPoint) {
+  for (bool fibers : {false, true}) {
+    CoopScheduler sched(31, 1);
+    sched.set_fibers(fibers);
+    CountingDecider decider;
+    sched.set_decider(&decider);
+    int yields = 0;
+    std::vector<std::function<void()>> fns;
+    for (int i = 0; i < 3; ++i) {
+      fns.push_back([&, i] {
+        for (int k = 0; k < 20 + 7 * i; ++k) {
+          ++yields;
+          sched.yield_point();
+        }
+      });
+    }
+    sched.run_team(std::move(fns));
+    EXPECT_EQ(yields, 81);
+    EXPECT_EQ(decider.asked, yields) << "fibers=" << fibers;
+  }
+}
+
+struct TeamOutcome {
+  RegionTrace trace;
+  std::uint64_t steps = 0;
+  std::string error;
+
+  friend bool operator==(const TeamOutcome&, const TeamOutcome&) = default;
+};
+
+/// Runs a seeded synthetic team under `decider`: 2-5 workers doing yield
+/// loops of random length in rounds, team-wide barriers after some
+/// rounds, workers 1.. blocking until worker 0 has published the current
+/// round, and workers that finish after fewer rounds than the rest.
+TeamOutcome run_synthetic_team(std::uint64_t seed, SchedDecider& decider,
+                               bool fibers) {
+  Rng rng(seed);
+  const int n = static_cast<int>(rng.between(2, 5));
+  const int rounds = static_cast<int>(rng.between(2, 6));
+  std::vector<bool> barrier_after(static_cast<std::size_t>(rounds));
+  for (int r = 0; r < rounds; ++r) {
+    barrier_after[static_cast<std::size_t>(r)] = rng.chance(0.4);
+  }
+  struct Plan {
+    int rounds = 0;
+    std::vector<int> before, after;  // yields around the blocking wait
+    std::vector<bool> waits;
+  };
+  std::vector<Plan> plans(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    Plan& p = plans[static_cast<std::size_t>(i)];
+    p.rounds = rng.chance(0.3) ? static_cast<int>(rng.between(1, rounds))
+                               : rounds;
+    for (int r = 0; r < rounds; ++r) {
+      p.before.push_back(static_cast<int>(rng.between(0, 12)));
+      p.after.push_back(static_cast<int>(rng.between(0, 12)));
+      p.waits.push_back(i > 0 && rng.chance(0.5));
+    }
+  }
+
+  CoopScheduler sched(seed, 3);
+  sched.set_fibers(fibers);
+  sched.set_decider(&decider);
+  sched.set_recording(true);
+  sched.set_step_limit(100'000);
+  int published = -1;  // worker 0's round; 1 << 20 once it finished
+  std::vector<std::function<void()>> fns;
+  for (int i = 0; i < n; ++i) {
+    fns.push_back([&, i] {
+      const Plan& p = plans[static_cast<std::size_t>(i)];
+      for (int r = 0; r < p.rounds; ++r) {
+        const auto ri = static_cast<std::size_t>(r);
+        if (i == 0) published = r;
+        for (int k = 0; k < p.before[ri]; ++k) sched.yield_point();
+        if (p.waits[ri]) sched.block_until([&] { return published >= r; });
+        for (int k = 0; k < p.after[ri]; ++k) sched.yield_point();
+        if (barrier_after[ri]) sched.barrier_wait();
+      }
+      if (i == 0) published = 1 << 20;
+    });
+  }
+  TeamOutcome out;
+  try {
+    sched.run_team(std::move(fns));
+  } catch (const RuntimeFault& e) {
+    out.error = e.what();
+  }
+  out.trace = sched.take_trace();
+  out.steps = sched.steps();
+  return out;
+}
+
+/// A replay trace with every third decision dropped, the kind of
+/// subsequence the witness minimizer feeds back.
+RegionTrace thinned(const RegionTrace& trace) {
+  RegionTrace out;
+  for (std::size_t k = 0; k < trace.size(); ++k) {
+    if (k % 3 != 1) out.push_back(trace[k]);
+  }
+  return out;
+}
+
+TEST(QuietUntil, QuietDecidersMatchAlwaysAskedOnes) {
+  int completed = 0;
+  for (bool fibers : {true, false}) {
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " fibers=" + std::to_string(fibers));
+      const int depth = 2 + static_cast<int>(seed % 3);
+      const std::uint64_t expected = 20 + 7 * (seed % 11);
+
+      PctDecider quiet_pct(seed * 77, depth, expected);
+      const TeamOutcome pct = run_synthetic_team(seed, quiet_pct, fibers);
+      PctDecider inner_pct(seed * 77, depth, expected);
+      AlwaysAsk asked_pct(inner_pct);
+      EXPECT_EQ(pct, run_synthetic_team(seed, asked_pct, fibers));
+      if (pct.error.empty()) ++completed;
+
+      for (const RegionTrace& trace : {pct.trace, thinned(pct.trace)}) {
+        ReplayDecider quiet_replay(trace);
+        const TeamOutcome replay =
+            run_synthetic_team(seed, quiet_replay, fibers);
+        ReplayDecider inner_replay(trace);
+        AlwaysAsk asked_replay(inner_replay);
+        EXPECT_EQ(replay, run_synthetic_team(seed, asked_replay, fibers));
+      }
+      // A full trace replays the recorded schedule.
+      ReplayDecider full(pct.trace);
+      EXPECT_EQ(run_synthetic_team(seed, full, fibers), pct);
+    }
+  }
+  // The teams must mostly run to completion, or the comparison would only
+  // cover deadlock prefixes.
+  EXPECT_GT(completed, 100);
 }
 
 }  // namespace
