@@ -4,11 +4,9 @@
 // probabilistic guarantee bounds the per-schedule hit rate at
 // 1/(n*k^(d-1)) for an order-dependent race of depth d), and the
 // OnlyHere column shows the races only one strategy exposes.
-#include <cstdint>
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "drb/corpus.hpp"
 #include "explore/explore.hpp"
 
 int main(int argc, char** argv) {
@@ -31,41 +29,5 @@ int main(int argc, char** argv) {
       "order-dependent, so uniform's single legacy walk misses it);\n"
       "WitnessDec sums minimized-witness decision counts -- order-\n"
       "independent races minimize to the empty trace.\n");
-
-  // Per-backend timing rows, measured in the engine's throughput regime:
-  // racy entries exit at the first detected race after a schedule or
-  // two, so the sustained schedules/sec the explorer can push comes from
-  // the no-race half of the corpus at full budget (plateau cut off). The
-  // digest -- schedules run, steps executed, coverage hashes -- must be
-  // bit-identical across backends.
-  explore::ExploreOptions tp = base;
-  tp.max_schedules = 24;
-  tp.plateau_window = 0;
-  const int backend_rc = bench::print_backend_rows(
-      "exploration throughput (no-race corpus, uniform + PCT, "
-      "24 schedules/entry)",
-      [&] {
-        // RunOptions snapshots default_backend() at construction; re-read
-        // it here so each print_backend_rows pass actually switches.
-        tp.run.backend = runtime::default_backend();
-        std::uint64_t schedules = 0;
-        std::uint64_t steps = 0;
-        std::uint64_t coverage = 0;
-        for (explore::Strategy strategy :
-             {explore::Strategy::Uniform, explore::Strategy::Pct}) {
-          tp.strategy = strategy;
-          for (const drb::CorpusEntry& e : drb::corpus()) {
-            if (e.race) continue;
-            const explore::ExploreResult r =
-                explore::explore_source(drb::drb_code(e), tp);
-            schedules += static_cast<std::uint64_t>(r.schedules_run);
-            for (const auto& s : r.schedules) steps += s.steps;
-            coverage += r.coverage.size();
-          }
-        }
-        return "schedules=" + std::to_string(schedules) +
-               " steps=" + std::to_string(steps) +
-               " coverage=" + std::to_string(coverage);
-      });
-  return rc == 0 && backend_rc == 0 ? rc : 3;
+  return rc;
 }

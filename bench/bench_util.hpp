@@ -11,7 +11,6 @@
 #include "eval/experiments.hpp"
 #include "llm/model.hpp"
 #include "obs/obs.hpp"
-#include "runtime/interp.hpp"
 #include "support/parallel.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
@@ -136,52 +135,6 @@ int print_with_speedup(RenderFn&& render) {
       "serial/parallel outputs %s\n",
       serial_ms, jobs, parallel_ms,
       parallel_ms > 0.0 ? serial_ms / parallel_ms : 0.0,
-      identical ? "identical" : "DIFFER (BUG)");
-  return identical ? 0 : 3;
-}
-
-/// Runs `render()` once under each execution backend (interp, then vm),
-/// restores the previous default, and prints per-backend timing rows
-/// plus a byte-identity check of the two renderings. The dynamic
-/// detector is the only backend-sensitive stage, so the delta isolates
-/// what the bytecode VM and its fiber scheduling substrate buy the
-/// enclosing workload. Caches are cleared before each run (the artifact
-/// cache keys on the backend, so a warm run would measure memoization).
-template <typename RenderFn>
-int print_backend_rows(const char* what, RenderFn&& render) {
-  using Clock = std::chrono::steady_clock;
-  auto cold = [] {
-    eval::artifact_cache().clear();
-    llm::clear_feature_cache();
-  };
-  const runtime::Backend before = runtime::default_backend();
-  constexpr runtime::Backend kOrder[2] = {runtime::Backend::Interp,
-                                          runtime::Backend::Vm};
-  constexpr const char* kNames[2] = {"interp", "vm"};
-  double wall_ms[2] = {0, 0};
-  std::string outputs[2];
-  for (int k = 0; k < 2; ++k) {
-    runtime::set_default_backend(kOrder[k]);
-    cold();
-    const auto t0 = Clock::now();
-    outputs[k] = render();
-    wall_ms[k] =
-        std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-  }
-  runtime::set_default_backend(before);
-  cold();
-
-  TextTable t({"Backend", "Wall (ms)", "Output"});
-  for (int k = 0; k < 2; ++k) {
-    t.add_row({kNames[k], format_double(wall_ms[k], 1), outputs[k]});
-  }
-  std::printf("\n%s", t.render().c_str());
-  const bool identical = outputs[0] == outputs[1];
-  std::printf(
-      "[backend] %s: interp %.1f ms | vm %.1f ms | speedup %.2fx | "
-      "outputs %s\n",
-      what, wall_ms[0], wall_ms[1],
-      wall_ms[1] > 0.0 ? wall_ms[0] / wall_ms[1] : 0.0,
       identical ? "identical" : "DIFFER (BUG)");
   return identical ? 0 : 3;
 }

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus the race-check-the-race-checkers pass.
+# Tier-1 verification plus the sanitizer passes.
 #
-#   scripts/check.sh            full suite + TSan parallel suite
-#   scripts/check.sh --fast     full suite only (skip the TSan build)
+#   scripts/check.sh            full suite + TSan parallel suite + ASan/UBSan
+#   scripts/check.sh --fast     full suite only (skip the sanitizer builds)
 #
 # Stage 1 is the repository's tier-1 gate: configure, build, run every
 # test. Stage 2 is the self-lint gate: the OpenMP correctness linter
@@ -29,21 +29,21 @@
 # analyze/lint requests over the stdio transport with zero drops and
 # zero errors, the repeats must hit the warm shared cache, and the
 # bench_serve load generator must sustain its latency/QPS contract
-# (refreshing BENCH_serve.json). Stage 2g is the bytecode-VM gate: the
-# differential suite (ctest -L vm) proves the VM backend bit-identical
-# to the AST interpreter over the full corpus, the golden suite (also
-# ctest -L vm) holds both backends to the committed runtime
-# fingerprints in tests/golden/runtime_fingerprints.txt, and bench_vm
-# fails the build if the VM's dynamic-stage sweep is less than 5x
-# faster than the interp reference or any fingerprint diverges
-# (refreshing BENCH_vm.json). Stage 3 rebuilds
-# under ThreadSanitizer (-DDRBML_SANITIZE=thread) and runs the
+# (refreshing BENCH_serve.json). Stage 2g is the bytecode-VM gate:
+# ctest -L vm holds the runtime to the committed fingerprints in
+# tests/golden/runtime_fingerprints.txt and runs the bytecode verifier
+# suite, and bench_vm refreshes the VM's dynamic-stage sweep in
+# BENCH_vm.json (a measurement, not a gate). Stage 3 rebuilds under
+# ThreadSanitizer (-DDRBML_SANITIZE=thread) and runs the
 # `parallel`-labelled suites -- the thread pool, the memoized artifact
 # caches, the parallel experiment executor, the lint and repair
-# fan-outs, the observability layer, and the scheduler's quiet-yield
-# state on both the thread and the (ucontext) fiber substrate via the
-# golden suite -- so the infrastructure this repo uses to find data
-# races is itself checked for data races.
+# fan-outs, the observability layer, the bytecode verifier, and the
+# scheduler's quiet-yield state on the (ucontext) fiber substrate via
+# the golden suite -- so the infrastructure this repo uses to find data
+# races is itself checked for data races. Stage 4 rebuilds under
+# AddressSanitizer + UndefinedBehaviorSanitizer
+# (-DDRBML_SANITIZE=address) and runs the full suite, every team on
+# annotated ucontext fibers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -134,22 +134,19 @@ rm -rf "$serve_tmp"
 # BENCH_serve.json artifact.
 build/bench/bench_serve --out BENCH_serve.json | tail -n 2
 
-echo "== stage 2g: bytecode-VM differential + golden gate =="
-# ctest -L vm runs two suites. The VM differential suite proves the
-# bytecode backend bit-identical to the AST walker on every corpus entry
-# (verdicts, decision traces, witnesses); the golden suite checks both
-# backends against the committed tests/golden/runtime_fingerprints.txt
-# (corpus + 200 synth kernels x {uniform, pct} x 3 seeds, plus a PCT
-# exploration each), which catches a change both backends share.
-# bench_vm enforces the performance contract: the VM on its fiber
-# scheduling substrate must execute the dynamic-stage sweep at least 5x
-# faster than the interp reference, with every (entry, seed) fingerprint
-# identical. Refreshes the committed BENCH_vm.json artifact.
+echo "== stage 2g: bytecode-VM golden + verifier gate =="
+# ctest -L vm runs two suites. The golden suite checks the runtime
+# against the committed tests/golden/runtime_fingerprints.txt (corpus +
+# 200 synth kernels x {uniform, pct} x 3 seeds, plus a PCT exploration
+# each) -- the only reference the VM is held to. The verifier suite
+# proves malformed bytecode is rejected before it runs. bench_vm
+# refreshes the committed BENCH_vm.json sweep point; the VM's speed is
+# guarded by the repository benchmark's pct-campaign workload.
 (cd build && ctest -L vm --output-on-failure)
-build/bench/bench_vm --out BENCH_vm.json --min-speedup 5 | tail -n 2
+build/bench/bench_vm --out BENCH_vm.json | tail -n 2
 
 if [[ "${1:-}" == "--fast" ]]; then
-  echo "== skipping TSan stage (--fast) =="
+  echo "== skipping the sanitizer stages (--fast) =="
   exit 0
 fi
 
@@ -158,6 +155,11 @@ cmake -B build-tsan -S . -DDRBML_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j --target \
   parallel_test parallel_determinism_test detector_differential_test \
   explore_test metamorphic_test lint_test repair_test obs_test \
-  vm_differential_test runtime_golden_test
+  bc_verify_test runtime_golden_test
 (cd build-tsan && ctest -L parallel --output-on-failure)
+
+echo "== stage 4: AddressSanitizer + UBSan build of the full suite =="
+cmake -B build-asan -S . -DDRBML_SANITIZE=address >/dev/null
+cmake --build build-asan -j
+(cd build-asan && ctest --output-on-failure -j)
 echo "== all checks passed =="

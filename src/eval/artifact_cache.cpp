@@ -46,10 +46,6 @@ std::uint64_t hash_run_options(const runtime::RunOptions& o) {
   h = hash_combine(h, o.pct_expected_steps);
   h = hash_combine(h, static_cast<std::uint64_t>(o.capture_trace) << 1 |
                           static_cast<std::uint64_t>(o.collect_coverage));
-  // Backend is hashed even though both backends are verdict-identical:
-  // the differential suite relies on cache entries not aliasing across
-  // backends, and timing-sensitive consumers may care which one ran.
-  h = hash_combine(h, static_cast<std::uint64_t>(o.backend));
   // A replay trace is part of the schedule the options describe: hash
   // its decisions, not the pointer.
   if (o.replay != nullptr) {

@@ -79,8 +79,7 @@ ExploreResult explore_source(std::string_view source,
   // same verified module.
   runtime::bc::Module module;
   ExploreOptions eopts = opts;
-  if (eopts.run.backend == runtime::Backend::Vm &&
-      eopts.run.module == nullptr) {
+  if (eopts.run.module == nullptr) {
     module = runtime::bc::compile_verified(*prog.unit);
     eopts.run.module = &module;
   }

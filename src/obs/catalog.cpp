@@ -321,18 +321,19 @@ const MetricDesc kVmModules{
     "Bytecode modules compiled from resolved translation units."};
 const MetricDesc kVmChunks{
     "vm.chunks", MetricKind::Counter, "count", kStable,
-    "Bytecode chunks emitted (function bodies, parallel-region bodies, "
-    "worksharing innermost bodies, sections)."};
+    "Bytecode chunks emitted (function bodies, OpenMP construct bodies, "
+    "worksharing and simd innermost bodies, sections)."};
 const MetricDesc kVmInstructions{
     "vm.instructions", MetricKind::Counter, "count", kStable,
     "Bytecode instructions emitted across all chunks."};
 const MetricDesc kVmFallbackSites{
     "vm.fallback_sites", MetricKind::Counter, "count", kStable,
-    "Statements the bytecode compiler routed through the AST walker "
-    "(OpenMP constructs execute via ExecStmt by design)."};
+    "Sites the bytecode compiler routed to the interpreter's AST handlers "
+    "(OpenMP constructs via ExecStmt by design, builtin calls via "
+    "EvalExpr, array and brace declarations via DeclVar)."};
 const MetricDesc kVmRuns{
     "vm.runs", MetricKind::Counter, "count", kStable,
-    "run_program invocations that executed under the VM backend."};
+    "run_program invocations (each executes a verified bytecode module)."};
 const MetricDesc kVmVerifyFailures{
     "vm.verify_failures", MetricKind::Counter, "count", kStable,
     "Bytecode modules rejected by the structural verifier."};

@@ -52,7 +52,7 @@ extern const SpanDesc kSpanExploreEntry;
 extern const SpanDesc kSpanExploreSchedule;
 extern const SpanDesc kSpanExploreMinimize;
 
-// Bytecode VM (compile-once execution backend).
+// Bytecode VM (compile once, execute many schedules).
 extern const SpanDesc kSpanVmCompile;
 
 // Experiment runners (detail carries the table name).
@@ -141,7 +141,7 @@ extern const MetricDesc kInterpRaces;
 extern const MetricDesc kSchedSteps;
 extern const MetricDesc kSchedStepsPerReplay;  // histogram
 
-// Bytecode VM: compilation volume and execution-backend selection.
+// Bytecode VM: compilation volume and runs.
 extern const MetricDesc kVmModules;
 extern const MetricDesc kVmChunks;
 extern const MetricDesc kVmInstructions;

@@ -9,14 +9,15 @@
 // scheduler knows about: a function body, an OpenMP construct body, a
 // worksharing loop's innermost body, or a sections child.
 //
-// The instruction set mirrors the AST walker's observable behaviour
-// exactly -- every instrumented memory access carries a pre-rendered
-// source spelling (AccessSite) so the emitted race reports, schedule
-// decision traces, and coverage signatures are bit-identical to the
-// interp backend. Constructs the compiler does not lower (OpenMP
-// directives, builtin calls, brace initializers) fall back to the AST
-// walker via EvalExpr / ExecStmt / DeclVar, which makes the lowering safe
-// by construction: the fallback *is* the reference semantics.
+// Every instrumented memory access carries a pre-rendered source spelling
+// (AccessSite), so race reports, schedule decision traces, and coverage
+// signatures come out exactly as pinned in
+// tests/golden/runtime_fingerprints.txt. Constructs the compiler does not
+// lower call into the interpreter's AST handlers: ExecStmt runs an OpenMP
+// construct (the only statement kind verify() admits there), EvalExpr a
+// builtin call or unbound identifier, DeclVar an array or
+// brace-initialized declaration. Every body those handlers enter must
+// have a chunk of its own; the run faults on one that does not.
 #pragma once
 
 #include <cstdint>
@@ -53,12 +54,12 @@ enum class Op : std::uint8_t {
   JumpIfTrue,    // if (regs[a]) pc = imm
   PushFrame,     // push an (empty) binding frame
   PopFrame,      // pop n frames (invalidates caches if any was non-empty)
-  DeclVar,       // declare decls[imm] via the AST walker (arrays, init lists)
+  DeclVar,       // declare decls[imm] via declare_var (arrays, init lists)
   DeclScalar,    // fast-path scalar declare of decls[imm]; regs[a] = &slot
   StoreDeclInit, // store regs[b] through regs[a] (initializer, no event)
   CallUser,      // info=call_infos[imm]: regs[a] = user function call
-  EvalExpr,      // regs[a] = AST-walk exprs[imm] (fallback)
-  ExecStmt,      // AST-walk flow_infos[imm].node; route Break/Continue
+  EvalExpr,      // regs[a] = AST-evaluate exprs[imm] (fallback)
+  ExecStmt,      // run OpenMP flow_infos[imm].node; route Break/Continue
   RetValue,      // throw ReturnSignal{regs[a]}
   RetFlow,       // return Flow (n: kFlowBreak / kFlowContinue)
   FaultOp,       // throw RuntimeFault(messages[imm])
@@ -115,10 +116,10 @@ struct CallInfo {
   std::uint16_t argc = 0;
 };
 
-/// Flow routing for an ExecStmt (AST statement fallback): where a Break or
-/// Continue escaping the statement lands in this chunk, and how many
-/// compiled frames must be popped on the way (mirroring the AST walker's
-/// frame unwinding through enclosing compounds).
+/// Flow routing for an ExecStmt (an OpenMP construct): where a Break or
+/// Continue escaping the construct lands in this chunk, and how many
+/// compiled frames must be popped on the way (the binding frames of the
+/// enclosing compounds).
 struct FlowInfo {
   const minic::Stmt* node = nullptr;
   std::int32_t brk = -1;        // -1: propagate the flow out of the chunk

@@ -1,12 +1,13 @@
-// AST -> bytecode compiler. The golden rule: the compiled code must make
-// exactly the same instrumented calls (note_step / read & write events
-// with the same rendered text and location), in exactly the same order,
-// as the AST walker in interp.cpp. Evaluation-order decisions below that
-// look arbitrary (subscript indices outermost-first, allocate-then-init
-// declarations, cond/inc placement in loops) replicate the walker and
-// must not be "fixed". Anything not covered by the opcode set is emitted
-// as an EvalExpr / ExecStmt / DeclVar fallback into the walker itself,
-// which makes divergence impossible by construction for those nodes.
+// AST -> bytecode compiler. The golden rule: the compiled code makes
+// exactly the instrumented calls (note_step / read & write events with the
+// same rendered text and location), in exactly the order, that produced
+// tests/golden/runtime_fingerprints.txt. Evaluation-order decisions below
+// that look arbitrary (subscript indices outermost-first,
+// allocate-then-init declarations, cond/inc placement in loops) are part
+// of that contract and must not be "fixed". Anything not covered by the
+// opcode set is emitted as an EvalExpr / ExecStmt / DeclVar call into the
+// interpreter's AST handlers (interp.cpp), which share the instrumented
+// access path with the compiled code.
 #include "runtime/bc/compile.hpp"
 
 #include <algorithm>
@@ -84,10 +85,11 @@ class Compiler {
     m_.chunks.push_back(std::move(ch));
   }
 
-  /// Registers chunks for every body the interpreter enters through
-  /// exec_body: OpenMP construct bodies, worksharing innermost bodies
-  /// (same unwrap + collapse walk as exec_worksharing_loop), and sections
-  /// children.
+  /// Registers chunks for every body the interpreter enters: OpenMP
+  /// construct bodies, the innermost loop bodies of worksharing and
+  /// standalone simd loops (same unwrap + collapse walk as
+  /// exec_worksharing_loop), and sections children. A body without a
+  /// chunk faults when the runtime reaches it.
   void visit_stmt(const Stmt* s) {
     if (s == nullptr) return;
     switch (s->kind) {
@@ -118,7 +120,10 @@ class Compiler {
         if (o->body) {
           add_chunk(*o->body, "omp " + omp_directive_kind_name(k));
         }
-        if (o->directive.is_worksharing_loop()) add_worksharing_chunk(*o);
+        if (o->directive.is_worksharing_loop() ||
+            k == OmpDirectiveKind::Simd) {
+          add_worksharing_chunk(*o);
+        }
         if (k == OmpDirectiveKind::Sections ||
             k == OmpDirectiveKind::ParallelSections) {
           add_sections_chunks(*o);
@@ -442,8 +447,8 @@ class Compiler {
       case StmtKind::Null:
         return;
       case StmtKind::Omp: {
-        // OpenMP constructs stay on the AST walker (exec_stmt), which
-        // routes them through exec_omp with all the scheduling machinery.
+        // OpenMP constructs run through the interpreter's exec_omp, which
+        // owns all the scheduling machinery.
         FlowInfo fi;
         fi.node = &s;
         fi.exit_pops = static_cast<std::uint16_t>(depth_);
@@ -469,7 +474,7 @@ class Compiler {
   void compile_flow_stmt(bool is_break) {
     if (loops_.empty()) {
       // No enclosing loop in this chunk: unwind the chunk's frames and
-      // hand the flow to the caller (the enclosing AST-walked construct).
+      // hand the flow to the caller (the enclosing OpenMP construct).
       if (depth_ > 0) {
         emit({.op = Op::PopFrame, .n = static_cast<std::uint16_t>(depth_)});
       }
@@ -495,7 +500,7 @@ class Compiler {
     // repoint the cache at the freshly allocated object.
     const std::uint16_t cache = cache_u16(&d);
     if (!d.array_dims.empty() || is_init_list(d.init.get())) {
-      // Arrays, brace initializers: the AST walker's declare_var handles
+      // Arrays, brace initializers: the interpreter's declare_var handles
       // dimension evaluation and the flattened fill.
       ++fallback_sites_;
       emit({.op = Op::DeclVar, .b = cache, .imm = intern_decl(&d)});
@@ -619,7 +624,8 @@ class Compiler {
         const FunctionDecl* fn = tu_.find_function(c.callee);
         if (fn == nullptr || fn->body == nullptr ||
             fn->params.size() != c.args.size()) {
-          // Builtins, externs, and arity errors: the walker's eval_call.
+          // Builtins, externs, and arity errors: the interpreter's
+          // eval_call.
           emit_eval(e, dst);
           return;
         }

@@ -1,4 +1,4 @@
-// AST -> bytecode compiler for the Mini-C VM backend.
+// AST -> bytecode compiler for the Mini-C VM.
 #pragma once
 
 #include "minic/ast.hpp"

@@ -227,6 +227,10 @@ class Checker {
         const FlowInfo& info =
             m_.flow_infos[static_cast<std::size_t>(in.imm)];
         if (info.node == nullptr) return fail(pc_, "null statement node");
+        if (info.node->kind != minic::StmtKind::Omp) {
+          return fail(pc_, "ExecStmt on a statement that is not an OpenMP "
+                           "construct");
+        }
         if (info.brk != -1) {
           if (auto e = jump_target(ch, info.brk)) return e;
         }

@@ -20,17 +20,15 @@ analysis::RaceReport DynamicRaceDetector::analyze_source(
 
   // Compile once, execute every schedule seed against the same module.
   bc::Module module;
-  if (opts_.run.backend == Backend::Vm && opts_.run.module == nullptr) {
+  RunOptions run = opts_.run;
+  if (run.module == nullptr) {
     module = bc::compile_verified(*prog.unit);
+    run.module = &module;
   }
 
   analysis::RaceReport merged;
   for (std::uint64_t seed : opts_.schedule_seeds) {
-    RunOptions run = opts_.run;
     run.seed = seed;
-    if (run.backend == Backend::Vm && run.module == nullptr) {
-      run.module = &module;
-    }
     const std::string seed_label = "seed=" + std::to_string(seed);
     RunResult result = [&] {
       obs::Span span(obs::kSpanInterpReplay, seed_label);

@@ -5,9 +5,7 @@
 #include <cstring>
 #include <vector>
 
-#if DRBML_FIBER_ASM || DRBML_FIBER_UCONTEXT
 #include <sys/mman.h>
-#endif
 
 #if DRBML_FIBER_TSAN
 // ThreadSanitizer's fiber API (sanitizer/tsan_interface.h). Without it
@@ -22,18 +20,30 @@ void __tsan_switch_to_fiber(void* fiber, unsigned flags);
 }
 #endif
 
+#if DRBML_FIBER_ASAN
+// AddressSanitizer's fiber API (sanitizer/common_interface_defs.h).
+// Without it ASan keeps assuming the OS thread's stack: unwinding an
+// exception on a fiber stack then unpoisons the wrong range and reports
+// a false stack-buffer-overflow.
+extern "C" {
+void __sanitizer_start_switch_fiber(void** fake_stack_save, const void* bottom,
+                                    std::size_t size);
+void __sanitizer_finish_switch_fiber(void* fake_stack_save,
+                                     const void** bottom_old,
+                                     std::size_t* size_old);
+}
+#endif
+
 namespace drbml::runtime {
 
 namespace {
 
-#if DRBML_FIBER_ASM || DRBML_FIBER_UCONTEXT
-
 // 8 MiB of lazily-committed address space per fiber -- matching the
-// default pthread stack, so both substrates share one recursion-depth
-// limit -- plus a PROT_NONE guard page that turns stack overflow into a
-// clean fault instead of silent corruption. Freed stacks recycle through
-// a per-thread pool: a run allocates stacks once per OS thread, not once
-// per parallel region.
+// default pthread stack, so a worker fiber and the thread driving the run
+// share one recursion-depth budget -- plus a PROT_NONE guard page that
+// turns stack overflow into a clean fault instead of silent corruption.
+// Freed stacks recycle through a per-thread pool: a run allocates stacks
+// once per OS thread, not once per parallel region.
 constexpr std::size_t kStackBytes = std::size_t{8} << 20;
 constexpr std::size_t kGuardBytes = 4096;
 
@@ -60,17 +70,32 @@ void* acquire_stack() {
 
 void release_stack(void* p) { t_pool.free_list.push_back(p); }
 
-#endif  // DRBML_FIBER_ASM || DRBML_FIBER_UCONTEXT
-
 // The fiber being resumed for the first time. Its trampoline reads the
 // entry/arg pair from here: a fresh fiber's initial frame is synthesized
 // by start() and cannot carry C++ arguments through the restore sequence.
 thread_local Fiber* t_starting = nullptr;
 
+#if DRBML_FIBER_ASAN
+// The fiber the running context was just switched out of; the switched-to
+// side records its stack bounds.
+thread_local Fiber* t_asan_left = nullptr;
+#endif
+
 }  // namespace
 
 struct FiberAccess {
+#if DRBML_FIBER_ASAN
+  static void asan_finish_switch(void* fake_stack) {
+    Fiber* left = t_asan_left;
+    __sanitizer_finish_switch_fiber(fake_stack, &left->asan_bottom_,
+                                    &left->asan_size_);
+  }
+#endif
+
   [[noreturn]] static void run_starting() {
+#if DRBML_FIBER_ASAN
+    asan_finish_switch(nullptr);
+#endif
     Fiber* self = t_starting;
     t_starting = nullptr;
     Fiber::Entry entry = self->entry_;
@@ -92,9 +117,7 @@ Fiber::~Fiber() {
     __tsan_destroy_fiber(tsan_fiber_);
   }
 #endif
-#if DRBML_FIBER_ASM || DRBML_FIBER_UCONTEXT
   if (stack_ != nullptr) release_stack(stack_);
-#endif
 }
 
 #if DRBML_FIBER_ASM
@@ -136,8 +159,6 @@ asm(".text\n"
 
 extern "C" void drbml_fiber_switch(void** save_sp, void* new_sp);
 
-bool Fiber::supported() noexcept { return true; }
-
 void Fiber::start(Entry entry, void* arg) {
   entry_ = entry;
   arg_ = arg;
@@ -166,9 +187,7 @@ void Fiber::transfer(Fiber& from, Fiber& to) {
   drbml_fiber_switch(&from.sp_, to.sp_);
 }
 
-#elif DRBML_FIBER_UCONTEXT
-
-bool Fiber::supported() noexcept { return true; }
+#else  // ucontext
 
 void Fiber::start(Entry entry, void* arg) {
   entry_ = entry;
@@ -182,6 +201,10 @@ void Fiber::start(Entry entry, void* arg) {
 #if DRBML_FIBER_TSAN
   if (tsan_fiber_ == nullptr) tsan_fiber_ = __tsan_create_fiber(0);
 #endif
+#if DRBML_FIBER_ASAN
+  asan_bottom_ = uc_.uc_stack.ss_sp;
+  asan_size_ = kStackBytes;
+#endif
 }
 
 void Fiber::transfer(Fiber& from, Fiber& to) {
@@ -192,14 +215,18 @@ void Fiber::transfer(Fiber& from, Fiber& to) {
   if (from.stack_ == nullptr) from.tsan_fiber_ = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(to.tsan_fiber_, 0);  // 0: the switch synchronizes
 #endif
+#if DRBML_FIBER_ASAN
+  // `to` is an adopted slot only after something switched out of it, so
+  // its bounds are known by the time anything switches back in.
+  void* fake_stack = nullptr;
+  t_asan_left = &from;
+  __sanitizer_start_switch_fiber(&fake_stack, to.asan_bottom_, to.asan_size_);
+#endif
   if (swapcontext(&from.uc_, &to.uc_) != 0) std::abort();
+#if DRBML_FIBER_ASAN
+  FiberAccess::asan_finish_switch(fake_stack);
+#endif
 }
-
-#else
-
-bool Fiber::supported() noexcept { return false; }
-void Fiber::start(Entry, void*) { std::abort(); }
-void Fiber::transfer(Fiber&, Fiber&) { std::abort(); }
 
 #endif
 

@@ -1,27 +1,24 @@
-// User-space stackful fibers: the execution substrate for the VM backend.
+// User-space stackful fibers: the execution substrate of the scheduler.
 //
 // CoopScheduler is strictly token-passing -- exactly one worker of a
 // simulated team runs at any instant -- so a team does not need OS
-// threads at all. The VM backend multiplexes every worker onto the
-// calling thread and hands the token over with a user-space context
-// switch (~25ns) instead of a condition-variable round trip through the
-// kernel (~2us). Scheduling *decisions* still flow through exactly the
-// same CoopScheduler code on both substrates, which keeps decision
-// traces, race reports, and witnesses bit-identical between them; the
-// differential suite enforces that.
+// threads at all. Every worker is multiplexed onto the calling thread and
+// the token moves with a user-space context switch (~25ns) instead of a
+// condition-variable round trip through the kernel (~2us).
 //
 // Two implementations behind one interface:
 //   - bare x86-64 SysV switch: saves the callee-saved registers plus the
 //     FP control words and swaps stack pointers (fiber.cpp, top-level
 //     asm). Used in plain builds.
-//   - ucontext_t swapcontext: used under Thread/AddressSanitizer, which
-//     understand it (AddressSanitizer intercepts swapcontext; under
-//     ThreadSanitizer every fiber gets its own sanitizer context through
-//     the __tsan fiber API, so its shadow call stack is freed with it
-//     and each switch is a happens-before edge). Also the portable
-//     fallback off x86-64.
-// On platforms with neither, supported() is false and the scheduler
-// stays on the reference thread substrate.
+//   - ucontext_t swapcontext: used under Thread/AddressSanitizer and off
+//     x86-64. Every switch is announced to the sanitizer: ThreadSanitizer
+//     gives each fiber its own context through the __tsan fiber API (so
+//     its shadow call stack is freed with it and each switch is a
+//     happens-before edge); AddressSanitizer learns the stack bounds of
+//     the context it switches to through __sanitizer_start_switch_fiber /
+//     __sanitizer_finish_switch_fiber, without which unwinding an
+//     exception on a fiber stack reports a false stack-buffer-overflow.
+// A platform with neither does not build.
 #pragma once
 
 #include <cstddef>
@@ -37,16 +34,18 @@
 #define DRBML_FIBER_TSAN 0
 #endif
 
-#if DRBML_FIBER_TSAN || defined(__SANITIZE_ADDRESS__)
-#define DRBML_FIBER_SANITIZED 1
+#if defined(__SANITIZE_ADDRESS__)
+#define DRBML_FIBER_ASAN 1
 #elif defined(__has_feature)
 #if __has_feature(address_sanitizer)
-#define DRBML_FIBER_SANITIZED 1
+#define DRBML_FIBER_ASAN 1
 #endif
 #endif
-#ifndef DRBML_FIBER_SANITIZED
-#define DRBML_FIBER_SANITIZED 0
+#ifndef DRBML_FIBER_ASAN
+#define DRBML_FIBER_ASAN 0
 #endif
+
+#define DRBML_FIBER_SANITIZED (DRBML_FIBER_TSAN || DRBML_FIBER_ASAN)
 
 #if defined(__x86_64__) && defined(__linux__) && !DRBML_FIBER_SANITIZED
 #define DRBML_FIBER_ASM 1
@@ -59,6 +58,10 @@
 #include <ucontext.h>
 #else
 #define DRBML_FIBER_UCONTEXT 0
+#endif
+
+#if !DRBML_FIBER_ASM && !DRBML_FIBER_UCONTEXT
+#error "fibers need x86-64 Linux or ucontext"
 #endif
 
 namespace drbml::runtime {
@@ -82,9 +85,6 @@ class Fiber {
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
 
-  /// True when this build has a working fiber implementation.
-  [[nodiscard]] static bool supported() noexcept;
-
   /// Arms the fiber: entry(arg) starts running at the first transfer into
   /// it. Allocates (or reuses) a lazily-committed stack with a PROT_NONE
   /// guard page below it.
@@ -102,13 +102,20 @@ class Fiber {
   void* stack_ = nullptr;  // mmap'd block; null for adopted contexts
 #if DRBML_FIBER_ASM
   void* sp_ = nullptr;
-#elif DRBML_FIBER_UCONTEXT
+#else
   ucontext_t uc_{};
 #endif
 #if DRBML_FIBER_TSAN
   // ThreadSanitizer's context for this fiber: created by start(), the
   // calling context's for an adopted save slot.
   void* tsan_fiber_ = nullptr;
+#endif
+#if DRBML_FIBER_ASAN
+  // Stack bounds announced to AddressSanitizer when switching into this
+  // fiber: set by start(); an adopted save slot learns them from the first
+  // switch out of it.
+  const void* asan_bottom_ = nullptr;
+  std::size_t asan_size_ = 0;
 #endif
 };
 

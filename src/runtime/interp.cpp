@@ -1,7 +1,6 @@
 #include "runtime/interp.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -10,9 +9,7 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
-#include <string_view>
 #include <unordered_map>
 
 #include "minic/printer.hpp"
@@ -31,24 +28,11 @@ using namespace minic;
 
 namespace {
 
-/// -1: follow DRBML_BACKEND / the built-in default; otherwise a Backend.
-std::atomic<int> g_backend_override{-1};
-
-/// The VM backend multiplexes each simulated team onto the calling thread
-/// (fiber substrate: ~25ns token handoffs instead of kernel condvar round
-/// trips); the interp backend stays on the reference thread substrate.
-/// DRBML_VM_THREADS=1 forces threads for the VM too -- an A/B switch for
-/// debugging substrate-equivalence questions.
-bool vm_fibers_enabled() {
-  static const bool kForceThreads =
-      std::getenv("DRBML_VM_THREADS") != nullptr;
-  return Fiber::supported() && !kForceThreads;
-}
-
 using Frame = std::map<const VarDecl*, ObjRef>;
 
-/// Control-flow signal from statement execution.
-enum class Flow { Normal, Break, Continue, Return };
+/// Control-flow signal from statement execution (`return` unwinds as a
+/// ReturnSignal instead).
+enum class Flow { Normal, Break, Continue };
 
 struct LockState {
   bool held = false;
@@ -114,6 +98,7 @@ struct ThreadCtx {
   OrderedLoopState* ordered_state = nullptr;
   std::int64_t cur_iter = 0;
   int no_yield_depth = 0;  // inside atomic: suppress preemption
+  int call_depth = 0;      // nested user-function calls (kMaxCallDepth)
   std::vector<LastSlot> last_slots;
 
   // VM register arena: bump-allocated frames for nested chunk
@@ -201,8 +186,6 @@ Value identity_for(const std::string& op, bool floating) {
 
 Value combine_for(const std::string& op, const Value& a, const Value& b,
                   bool floating) {
-  auto fi = [&](double x, double y) { return Value::of_double(x); (void)y; };
-  (void)fi;
   if (floating) {
     const double x = a.as_double();
     const double y = b.as_double();
@@ -356,14 +339,11 @@ class Interp {
       : tu_(tu),
         res_(res),
         opts_(opts),
-        module_(opts.backend == Backend::Vm ? opts.module : nullptr),
-        reg_arena_size_(
-            module_ == nullptr
-                ? 0
-                : std::min(kRegArenaCap,
-                           std::max<std::size_t>(
-                               64, 4 * static_cast<std::size_t>(
-                                           module_->max_frame)))) {}
+        module_(*opts.module),
+        reg_arena_size_(std::min(
+            kRegArenaCap,
+            std::max<std::size_t>(
+                64, 4 * static_cast<std::size_t>(module_.max_frame)))) {}
 
   RunResult run() {
     RunResult result;
@@ -440,7 +420,7 @@ class Interp {
     if (d.init) {
       if (const auto* call = expr_cast<Call>(d.init.get());
           call != nullptr && call->callee == "__init_list") {
-        store_init_list(ctx, ObjRef{obj, 0}, dims, *call);
+        store_init_list(ctx, ObjRef{obj, 0}, *call);
       } else {
         Value v = eval(ctx, *d.init);
         store_raw(obj, 0, v);
@@ -448,9 +428,7 @@ class Interp {
     }
   }
 
-  void store_init_list(ThreadCtx& ctx, ObjRef base,
-                       const std::vector<std::int64_t>& dims,
-                       const Call& list) {
+  void store_init_list(ThreadCtx& ctx, ObjRef base, const Call& list) {
     // Flattened row-major fill.
     std::int64_t offset = base.offset;
     std::function<void(const Call&)> fill = [&](const Call& c) {
@@ -464,7 +442,6 @@ class Interp {
       }
     };
     fill(list);
-    (void)dims;
   }
 
   void declare_param(ThreadCtx& ctx, const VarDecl& d, Value v) {
@@ -1074,112 +1051,26 @@ class Interp {
   Value eval_call(ThreadCtx& ctx, const Call& c);
 
   /// Calls a user-defined function with already-evaluated arguments
-  /// (shared by eval_call and the VM's CallUser handler). Defined in
-  /// interp_builtins.inc.
+  /// (shared by eval_call and the VM's CallUser handler); faults past
+  /// kMaxCallDepth nested calls. Defined in interp_builtins.inc.
   Value invoke_user(ThreadCtx& ctx, const FunctionDecl& fn,
                     std::vector<Value> args);
 
   // ------------------------------------------------------------ vm
   // Defined in interp_vm.inc.
 
-  /// Executes a structured body: its compiled chunk when the VM backend
-  /// has one, the AST walker otherwise. Every body-level entry point
-  /// (function bodies, OpenMP construct bodies, sections children) routes
-  /// through here so the two backends interleave freely.
+  /// Executes a structured body as its compiled chunk. Every body-level
+  /// entry point (function bodies, OpenMP construct bodies, sections
+  /// children) routes through here.
   Flow exec_body(ThreadCtx& ctx, const Stmt& s);
+  /// The compiled chunk of body `s`; faults, naming the body, when the
+  /// module has none.
+  [[nodiscard]] const bc::Chunk& chunk_for(const Stmt& s) const;
   Flow run_chunk(ThreadCtx& ctx, const bc::Chunk& ch);
   Flow run_chunk_frame(ThreadCtx& ctx, const bc::Chunk& ch, Value* regs);
   [[nodiscard]] ObjRef cached_slot(const ThreadCtx& ctx, Value* regs,
                                    const bc::Chunk& ch,
                                    const bc::AccessSite& site);
-
-  // ------------------------------------------------------------ statements
-
-  Flow exec_stmt(ThreadCtx& ctx, const Stmt& s) {
-    switch (s.kind) {
-      case StmtKind::Decl: {
-        const auto& d = static_cast<const DeclStmt&>(s);
-        for (const auto& v : d.decls) declare_var(ctx, *v);
-        return Flow::Normal;
-      }
-      case StmtKind::Expr:
-        eval(ctx, *static_cast<const ExprStmt&>(s).expr);
-        return Flow::Normal;
-      case StmtKind::Compound: {
-        const auto& block = static_cast<const CompoundStmt&>(s);
-        ctx.frames.emplace_back();
-        Flow flow = Flow::Normal;
-        for (const auto& st : block.body) {
-          flow = exec_stmt(ctx, *st);
-          if (flow != Flow::Normal) break;
-        }
-        ctx.frames.pop_back();
-        return flow;
-      }
-      case StmtKind::If: {
-        const auto& i = static_cast<const IfStmt&>(s);
-        if (eval(ctx, *i.cond).truthy()) return exec_stmt(ctx, *i.then_branch);
-        if (i.else_branch) return exec_stmt(ctx, *i.else_branch);
-        return Flow::Normal;
-      }
-      case StmtKind::For: {
-        const auto& f = static_cast<const ForStmt&>(s);
-        ctx.frames.emplace_back();
-        Flow flow = Flow::Normal;
-        if (f.init) exec_stmt(ctx, *f.init);
-        for (;;) {
-          if (f.cond && !eval(ctx, *f.cond).truthy()) break;
-          flow = exec_stmt(ctx, *f.body);
-          if (flow == Flow::Break) {
-            flow = Flow::Normal;
-            break;
-          }
-          if (flow == Flow::Return) break;
-          if (f.inc) eval(ctx, *f.inc);
-        }
-        ctx.frames.pop_back();
-        return flow;
-      }
-      case StmtKind::While: {
-        const auto& w = static_cast<const WhileStmt&>(s);
-        Flow flow = Flow::Normal;
-        while (eval(ctx, *w.cond).truthy()) {
-          flow = exec_stmt(ctx, *w.body);
-          if (flow == Flow::Break) {
-            flow = Flow::Normal;
-            break;
-          }
-          if (flow == Flow::Return) break;
-        }
-        return flow;
-      }
-      case StmtKind::Do: {
-        const auto& d = static_cast<const DoStmt&>(s);
-        Flow flow = Flow::Normal;
-        do {
-          flow = exec_stmt(ctx, *d.body);
-          if (flow == Flow::Break) {
-            flow = Flow::Normal;
-            break;
-          }
-          if (flow == Flow::Return) break;
-        } while (eval(ctx, *d.cond).truthy());
-        return flow;
-      }
-      case StmtKind::Return: {
-        const auto& r = static_cast<const ReturnStmt&>(s);
-        ReturnSignal sig;
-        sig.value = r.value ? eval(ctx, *r.value) : Value::of_int(0);
-        throw sig;
-      }
-      case StmtKind::Break: return Flow::Break;
-      case StmtKind::Continue: return Flow::Continue;
-      case StmtKind::Null: return Flow::Normal;
-      case StmtKind::Omp:
-        return exec_omp(ctx, static_cast<const OmpStmt&>(s));
-    }
-    return Flow::Normal;
-  }
 
   // ------------------------------------------------------------ OpenMP
 
@@ -1207,7 +1098,6 @@ class Interp {
   void do_printf(ThreadCtx& ctx, const Call& c, std::size_t first_arg);
   [[nodiscard]] std::string read_cstring(ObjRef ref) const;
   void output_append(const std::string& s);
-  [[nodiscard]] static Value eval_ptr_passthrough(ObjRef p);
 
   const TranslationUnit& tu_;
   const analysis::Resolution& res_;
@@ -1232,8 +1122,7 @@ class Interp {
   /// point into it for the whole run.
   std::unordered_map<const Expr*, std::string> access_texts_;
   std::uint64_t rand_state_ = 0x853c49e6748fea9bULL;
-  /// Compiled bytecode for tu_ (VM backend), or null (AST walker).
-  const bc::Module* module_ = nullptr;
+  const bc::Module& module_;        // verified bytecode for tu_
   std::size_t reg_arena_size_ = 0;  // per-ThreadCtx arena first-use size
 };
 
@@ -1246,41 +1135,22 @@ class Interp {
 
 }  // namespace
 
-Backend default_backend() {
-  const int forced = g_backend_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return static_cast<Backend>(forced);
-  static const Backend env_default = [] {
-    const char* env = std::getenv("DRBML_BACKEND");
-    if (env != nullptr && std::string_view(env) == "interp") {
-      return Backend::Interp;
-    }
-    return Backend::Vm;
-  }();
-  return env_default;
-}
-
-void set_default_backend(Backend b) {
-  g_backend_override.store(static_cast<int>(b), std::memory_order_relaxed);
-}
-
 RunResult run_program(const TranslationUnit& unit,
                       const analysis::Resolution& res,
                       const RunOptions& opts) {
   RunOptions o = opts;
   std::unique_ptr<bc::Module> owned;
-  if (o.backend == Backend::Vm) {
-    if (o.module == nullptr) {
-      // One-shot caller: compile (and verify) for this run only.
-      owned = std::make_unique<bc::Module>(bc::compile_verified(unit));
-      o.module = owned.get();
-    } else if (!o.module->verified) {
-      throw Error(
-          "bytecode module is not verified; refusing to execute "
-          "(pass it through bc::verify or use bc::compile_verified)");
-    }
-    static obs::Counter& runs = obs::metrics().counter(obs::kVmRuns);
-    runs.add();
+  if (o.module == nullptr) {
+    // One-shot caller: compile (and verify) for this run only.
+    owned = std::make_unique<bc::Module>(bc::compile_verified(unit));
+    o.module = owned.get();
+  } else if (!o.module->verified) {
+    throw Error(
+        "bytecode module is not verified; refusing to execute "
+        "(pass it through bc::verify or use bc::compile_verified)");
   }
+  static obs::Counter& runs = obs::metrics().counter(obs::kVmRuns);
+  runs.add();
   Interp interp(unit, res, o);
   return interp.run();
 }

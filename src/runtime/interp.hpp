@@ -1,6 +1,14 @@
 // Mini-C/OpenMP interpreter with simulated threading and happens-before
 // race detection.
 //
+// A run executes a verified bytecode module (runtime/bc) on user-space
+// fibers: every team is multiplexed onto the calling thread by the
+// cooperative scheduler. The constructs the compiler does not lower --
+// OpenMP directives, builtin calls, array and brace declarations -- call
+// into the interpreter's AST handlers, which evaluate their clause and
+// loop-bound expressions directly and run every body they enter as a
+// compiled chunk.
+//
 // OpenMP semantics are executed, not approximated: parallel regions fork a
 // cooperative team (one logical thread per OpenMP thread), worksharing
 // loops partition their real iteration space, critical/atomic/locks/
@@ -20,6 +28,9 @@
 //   - One run allocates at most Memory::kMaxRunElements (2^20) elements
 //     in total; the allocation that would cross the cap faults with
 //     "allocation too large for the interpreter".
+//   - User-function calls nest at most kMaxCallDepth (200) deep; the call
+//     that would cross the cap faults with "call depth limit exceeded".
+//     Tasks and team workers start at their spawner's depth.
 #pragma once
 
 #include <cstdint>
@@ -43,16 +54,15 @@ struct Module;
 /// Replay re-executes a recorded ScheduleTrace bit-identically.
 enum class ScheduleStrategy { Uniform, Pct, Replay };
 
-/// Execution backend: the AST-walking interpreter (reference semantics)
-/// or the register-bytecode VM (compile once, execute many schedules).
-/// Both produce bit-identical verdicts, traces, and output.
-enum class Backend { Interp, Vm };
-
-/// Process-wide default backend: the DRBML_BACKEND environment variable
-/// ("interp" selects the AST walker; anything else, or unset, selects the
-/// VM) unless overridden via set_default_backend (the CLI's --backend).
-[[nodiscard]] Backend default_backend();
-void set_default_backend(Backend b);
+/// Cap on nested user-function calls in one logical thread, so runaway
+/// recursion faults instead of overflowing the native stack. Measured
+/// with GCC 12 on x86-64 Linux, an 8 MiB thread or fiber stack overflows
+/// after about 9,300 nested calls in a release build and 880 under
+/// AddressSanitizer; when every level also passes through an OpenMP task
+/// (and a master construct), after about 4,000 (3,000) in release and
+/// 330 (250) under ASan. The deepest call chain in the corpus and the
+/// golden synth kernels is 1.
+inline constexpr int kMaxCallDepth = 200;
 
 struct RunOptions {
   int num_threads = 4;
@@ -79,13 +89,10 @@ struct RunOptions {
   bool capture_trace = false;
   /// Collect the interleaving-coverage signature into RunResult::coverage.
   bool collect_coverage = false;
-  /// Execution backend. With Backend::Vm, run_program executes compiled
-  /// bytecode: either `module` (compile-once callers) or a module it
-  /// compiles itself for this run.
-  Backend backend = default_backend();
   /// Optional pre-compiled bytecode for `unit` (must be compiled from the
   /// same resolved TranslationUnit and verified). Not owned; must outlive
-  /// the run. Ignored under Backend::Interp.
+  /// the run. When null, run_program compiles and verifies a module for
+  /// this run only.
   const bc::Module* module = nullptr;
 };
 

@@ -1,7 +1,5 @@
 #include "runtime/sched.hpp"
 
-#include <thread>
-
 #include "support/error.hpp"
 
 namespace drbml::runtime {
@@ -90,13 +88,7 @@ void CoopScheduler::maybe_release_barrier() {
   }
 }
 
-std::unique_lock<std::mutex> CoopScheduler::guard() {
-  return fibers_ ? std::unique_lock<std::mutex>()
-                 : std::unique_lock<std::mutex>(mu_);
-}
-
-void CoopScheduler::switch_from(std::unique_lock<std::mutex>& lock, int me,
-                                bool forced) {
+void CoopScheduler::switch_from(int me, bool forced) {
   touch();
   const int next = decider_ != nullptr ? decide_next(me, forced)
                                        : pick_runnable(me);
@@ -112,33 +104,16 @@ void CoopScheduler::switch_from(std::unique_lock<std::mutex>& lock, int me,
       first_error_ = std::make_exception_ptr(
           RuntimeFault("deadlock: no runnable worker"));
     }
-    cv_.notify_all();
     throw TeamAborted{};
   }
   if (next != me) record(forced, next);
   current_ = next;
-  if (fibers_) {
-    if (me < 0 || next == me) return;
-    transfer_to(me, next);
-    if (aborting_) throw TeamAborted{};
-    return;
-  }
-  cv_.notify_all();
-  if (me < 0) return;
-  cv_.wait(lock, [&] {
-    return aborting_ || current_ == me ||
-           states_[static_cast<std::size_t>(me)] == State::Ready;
-  });
-  // Re-acquire the token if the barrier released us but another worker
-  // holds the token.
-  while (!aborting_ && current_ != me) {
-    cv_.wait(lock, [&] { return aborting_ || current_ == me; });
-  }
+  if (me < 0 || next == me) return;
+  transfer_to(me, next);
   if (aborting_) throw TeamAborted{};
 }
 
 void CoopScheduler::yield_point() {
-  auto lock = guard();
   if (aborting_) throw TeamAborted{};
   ++steps_;
   if (steps_ > step_limit_) {
@@ -147,7 +122,6 @@ void CoopScheduler::yield_point() {
       first_error_ = std::make_exception_ptr(
           RuntimeFault("step limit exceeded (possible livelock)"));
     }
-    cv_.notify_all();
     throw TeamAborted{};
   }
   ++yields_;
@@ -166,17 +140,15 @@ void CoopScheduler::yield_point() {
   } else if (yields_ % static_cast<std::uint64_t>(preempt_every_) != 0) {
     return;
   }
-  switch_from(lock, t_worker_index, /*forced=*/false);
+  switch_from(t_worker_index, /*forced=*/false);
 }
 
 void CoopScheduler::yield_now() {
-  auto lock = guard();
   if (aborting_) throw TeamAborted{};
-  switch_from(lock, t_worker_index, /*forced=*/true);
+  switch_from(t_worker_index, /*forced=*/true);
 }
 
 void CoopScheduler::barrier_wait() {
-  auto lock = guard();
   if (aborting_) throw TeamAborted{};
   const int me = t_worker_index;
   const std::uint64_t gen = barrier_generation_;
@@ -186,17 +158,16 @@ void CoopScheduler::barrier_wait() {
   if (barrier_generation_ != gen) {
     // Barrier released immediately (we were last); keep the token.
     current_ = me;
-    cv_.notify_all();
     return;
   }
-  switch_from(lock, me, /*forced=*/true);
+  switch_from(me, /*forced=*/true);
   // Rescheduled: barrier must have released (or abort).
   if (aborting_) throw TeamAborted{};
 }
 
 void CoopScheduler::block_until(const std::function<bool()>& ready) {
   bool counted = false;
-  auto leave_wait = [&](std::unique_lock<std::mutex>&) {
+  auto leave_wait = [&] {
     if (t_worker_index >= 0 &&
         t_worker_index < static_cast<int>(spinning_.size())) {
       spinning_[static_cast<std::size_t>(t_worker_index)] = 0;
@@ -209,34 +180,24 @@ void CoopScheduler::block_until(const std::function<bool()>& ready) {
     }
   };
   for (;;) {
-    {
-      auto lock = guard();
-      if (aborting_) {
-        leave_wait(lock);
-        throw TeamAborted{};
-      }
+    if (aborting_) {
+      leave_wait();
+      throw TeamAborted{};
     }
     if (ready()) {
-      auto lock = guard();
-      leave_wait(lock);
+      leave_wait();
       return;
-    }
-    auto lock = guard();
-    if (aborting_) {
-      leave_wait(lock);
-      throw TeamAborted{};
     }
     // Blocking consumes steps: a team spinning on conditions nobody can
     // satisfy must hit the livelock guard rather than hang.
     ++steps_;
     if (steps_ > step_limit_) {
-      leave_wait(lock);
+      leave_wait();
       aborting_ = true;
       if (!first_error_) {
         first_error_ = std::make_exception_ptr(
             RuntimeFault("step limit exceeded while blocked"));
       }
-      cv_.notify_all();
       throw TeamAborted{};
     }
     if (!counted) {
@@ -254,13 +215,12 @@ void CoopScheduler::block_until(const std::function<bool()>& ready) {
     const int next = pick_runnable(t_worker_index);
     const bool everyone_stuck = waiting_ + at_barrier >= live_;
     if (next == -1 || (next == t_worker_index && everyone_stuck)) {
-      leave_wait(lock);
+      leave_wait();
       aborting_ = true;
       if (!first_error_) {
         first_error_ = std::make_exception_ptr(RuntimeFault(
             "deadlock: worker blocked with no runnable peer"));
       }
-      cv_.notify_all();
       throw TeamAborted{};
     }
     if (everyone_stuck && next != t_worker_index) {
@@ -268,19 +228,18 @@ void CoopScheduler::block_until(const std::function<bool()>& ready) {
       // true may simply not have been rescheduled yet, so give the
       // round-robin a generous budget before declaring deadlock.
       if (++spin_rounds_ > 64 * static_cast<std::uint64_t>(live_) + 256) {
-        leave_wait(lock);
+        leave_wait();
         aborting_ = true;
         if (!first_error_) {
           first_error_ = std::make_exception_ptr(RuntimeFault(
               "deadlock: all workers blocked on unsatisfiable conditions"));
         }
-        cv_.notify_all();
         throw TeamAborted{};
       }
     } else {
       spin_rounds_ = 0;
     }
-    switch_from(lock, t_worker_index, /*forced=*/true);
+    switch_from(t_worker_index, /*forced=*/true);
   }
 }
 
@@ -296,79 +255,10 @@ void CoopScheduler::run_team(std::vector<std::function<void()>> workers) {
   spinning_.assign(static_cast<std::size_t>(n), 0);
   touch();  // no quiet stretch carries over from a previous team
   trace_.clear();
-  if (decider_ != nullptr && n > 0) decider_->begin(n);
+  if (n == 0) return;
+  if (decider_ != nullptr) decider_->begin(n);
 
-  if (fibers_ && n > 0 && Fiber::supported()) {
-    run_team_fibers(workers);
-  } else {
-    run_team_threads(workers);
-  }
-
-  if (first_error_) std::rethrow_exception(first_error_);
-}
-
-void CoopScheduler::run_team_threads(
-    std::vector<std::function<void()>>& workers) {
-  const int n = static_cast<int>(workers.size());
-  std::vector<std::thread> threads;
-  threads.reserve(workers.size());
-  for (int i = 0; i < n; ++i) {
-    threads.emplace_back([this, i, fn = std::move(workers[static_cast<std::size_t>(i)])] {
-      t_scheduler = this;
-      t_worker_index = i;
-      {
-        // Wait for the token.
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [&] { return aborting_ || current_ == i; });
-      }
-      try {
-        if (!aborting_) fn();
-      } catch (const TeamAborted&) {
-        // unwound by abort
-      } catch (...) {
-        std::unique_lock<std::mutex> lock(mu_);
-        if (!first_error_) first_error_ = std::current_exception();
-        aborting_ = true;
-      }
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        states_[static_cast<std::size_t>(i)] = State::Done;
-        touch();
-        --live_;
-        maybe_release_barrier();
-        if (!aborting_) {
-          const int next = decider_ != nullptr ? decide_next(i, true)
-                                               : pick_runnable(i);
-          if (next >= 0) record(/*forced=*/true, next);
-          current_ = next;  // -1 when everyone is done
-        }
-        cv_.notify_all();
-      }
-      t_scheduler = nullptr;
-      t_worker_index = -1;
-    });
-  }
-
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    int first = n > 0 ? 0 : -1;
-    if (decider_ != nullptr && n > 0) {
-      std::vector<int> all(static_cast<std::size_t>(n));
-      for (int i = 0; i < n; ++i) all[static_cast<std::size_t>(i)] = i;
-      first = decider_->pick(all, /*current=*/-1, /*step=*/0,
-                             /*forced=*/true);
-    }
-    if (first >= 0) record(/*forced=*/true, first);
-    current_ = first;
-    cv_.notify_all();
-  }
-  for (auto& t : threads) t.join();
-}
-
-void CoopScheduler::run_team_fibers(
-    std::vector<std::function<void()>>& workers) {
-  const int n = static_cast<int>(workers.size());
-  // Initial token grant: the same decision code as the thread substrate.
+  // Initial token grant.
   int first = 0;
   if (decider_ != nullptr) {
     std::vector<int> all(static_cast<std::size_t>(n));
@@ -407,6 +297,8 @@ void CoopScheduler::run_team_fibers(
   worker_fibers_.clear();
   fiber_args_.clear();
   fiber_jobs_ = nullptr;
+
+  if (first_error_) std::rethrow_exception(first_error_);
 }
 
 void CoopScheduler::transfer_to(int me, int next) {
@@ -436,7 +328,7 @@ void CoopScheduler::fiber_worker_main(int i) {
     if (!first_error_) first_error_ = std::current_exception();
     aborting_ = true;
   }
-  // Completion bookkeeping, mirroring the thread substrate's exit block.
+  // Completion bookkeeping.
   states_[static_cast<std::size_t>(i)] = State::Done;
   touch();
   --live_;
@@ -448,8 +340,7 @@ void CoopScheduler::fiber_worker_main(int i) {
     current_ = next;  // -1 when everyone is done
   } else {
     // Abort: resume each remaining fiber in turn so TeamAborted unwinds
-    // its stack before the driver regains control (the thread substrate
-    // gets this from the cv broadcast; fibers must chain explicitly).
+    // its stack before run_team returns.
     for (int k = 0; k < static_cast<int>(states_.size()); ++k) {
       if (states_[static_cast<std::size_t>(k)] != State::Done) {
         next = k;

@@ -6,14 +6,10 @@
 // (including preemption inside critical sections and busy-wait loops)
 // while staying bit-for-bit reproducible.
 //
-// Two execution substrates carry the token. On the reference substrate
-// workers are real std::threads and handoffs go through a condition
-// variable; on the fiber substrate (set_fibers) workers are user-space
-// stackful contexts multiplexed on the calling thread and handoffs are
-// ~25ns context switches -- the VM backend's throughput lever, since
-// kernel handoffs dominate schedule-exploration wall clock. Every
-// scheduling decision (RNG draw, decider hook, trace record) runs the
-// same code on both substrates, so decision traces are bit-identical.
+// Workers are user-space stackful fibers (runtime/fiber.hpp) multiplexed
+// on the thread that calls run_team, so a token handoff is a ~25ns
+// context switch rather than a kernel round trip. Nothing here is shared
+// with another OS thread, so the scheduler state needs no locking.
 //
 // Scheduling policy is pluggable: with no SchedDecider installed the
 // scheduler runs the legacy uniform random walk (preempt every N yields,
@@ -23,12 +19,10 @@
 // recorded decision traces.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "runtime/fiber.hpp"
@@ -76,9 +70,9 @@ struct ScheduleTrace {
   }
 };
 
-/// Pluggable scheduling policy. All hooks run with the scheduler mutex
-/// held and only ever from the single worker that owns the token, so
-/// implementations need no synchronization of their own.
+/// Pluggable scheduling policy. Hooks only ever run on the single worker
+/// that owns the token, so implementations need no synchronization of
+/// their own.
 class SchedDecider {
  public:
   virtual ~SchedDecider() = default;
@@ -121,15 +115,11 @@ class CoopScheduler {
   /// this many yield points (1 = every yield point).
   CoopScheduler(std::uint64_t seed, int preempt_every);
 
-  /// Runs `workers` cooperatively until all complete. Rethrows the first
-  /// worker exception (after unwinding the rest). Must be called from a
-  /// thread that is not itself a worker of this scheduler.
+  /// Runs `workers` cooperatively, each on its own fiber, until all
+  /// complete. Rethrows the first worker exception (after unwinding the
+  /// rest). Must not be called from a worker of this scheduler. An empty
+  /// team returns at once.
   void run_team(std::vector<std::function<void()>> workers);
-
-  /// Selects the fiber substrate for subsequent run_team calls: workers
-  /// become user-space fibers on the calling thread instead of OS
-  /// threads. Falls back to threads when Fiber::supported() is false.
-  void set_fibers(bool on) noexcept { fibers_ = on; }
 
   /// Installs a scheduling policy (not owned; must outlive run_team).
   /// nullptr restores the legacy uniform random walk.
@@ -143,7 +133,7 @@ class CoopScheduler {
   /// is preserved, so aborted schedules stay replayable.
   [[nodiscard]] RegionTrace take_trace() { return std::move(trace_); }
 
-  // ---- called from worker threads ----
+  // ---- called from worker fibers ----
 
   /// Current worker index.
   [[nodiscard]] int self() const;
@@ -178,17 +168,9 @@ class CoopScheduler {
     int index = -1;
   };
 
-  /// Scheduler-state guard: locks the mutex on the thread substrate. The
-  /// fiber substrate runs every worker on one OS thread, so there is
-  /// nothing to lock and this returns an empty lock.
-  [[nodiscard]] std::unique_lock<std::mutex> guard();
-
-  void run_team_threads(std::vector<std::function<void()>>& workers);
-  void run_team_fibers(std::vector<std::function<void()>>& workers);
-
-  /// Fiber substrate: saves the running context into `me`'s fiber (-1 =
-  /// the driver) and resumes `next`'s; restores the scheduler
-  /// thread-locals after being resumed.
+  /// Saves the running context into `me`'s fiber (-1 = the caller of
+  /// run_team) and resumes `next`'s; restores the scheduler thread-locals
+  /// after being resumed.
   void transfer_to(int me, int next);
 
   /// Body of one worker fiber: runs the job, then the completion
@@ -196,31 +178,29 @@ class CoopScheduler {
   void fiber_worker_main(int i);
   static void fiber_entry(void* arg);
 
-  /// Pre: lock held. Picks the next runnable worker and wakes it; current
-  /// worker then waits until it owns the token again (or abort).
-  void switch_from(std::unique_lock<std::mutex>& lock, int me, bool forced);
+  /// Picks the next runnable worker and hands it the token; the current
+  /// worker resumes when it owns the token again (or on abort).
+  void switch_from(int me, bool forced);
 
-  /// Pre: lock held. Releases a full barrier if everyone arrived.
+  /// Releases a full barrier if everyone arrived.
   void maybe_release_barrier();
 
   [[nodiscard]] int pick_runnable(int exclude);
 
-  /// Pre: lock held. Ready workers other than `exclude`, ascending,
-  /// spin-filtered when the decider asks for it. Returns a reference to
-  /// a reused scratch buffer, valid until the next call.
+  /// Ready workers other than `exclude`, ascending, spin-filtered when
+  /// the decider asks for it. Returns a reference to a reused buffer,
+  /// valid until the next call.
   [[nodiscard]] const std::vector<int>& ready_peers(int exclude) const;
 
-  /// Pre: lock held. Decider-routed equivalent of pick_runnable.
+  /// Decider-routed equivalent of pick_runnable.
   [[nodiscard]] int decide_next(int exclude, bool forced);
 
   void record(bool forced, int target);
 
-  /// Pre: lock held. Marks a change to the worker states, the spinning
-  /// set or the token holder, which ends any quiet stretch.
+  /// Marks a change to the worker states, the spinning set or the token
+  /// holder, which ends any quiet stretch.
   void touch() noexcept { ++version_; }
 
-  std::mutex mu_;
-  std::condition_variable cv_;
   std::vector<State> states_;
   int current_ = -1;
   int live_ = 0;
@@ -246,15 +226,14 @@ class CoopScheduler {
   std::vector<int> pick_buf_;           // pick_runnable scratch
   mutable std::vector<int> peers_buf_;  // ready_peers scratch
   mutable std::vector<int> awake_buf_;  // ready_peers spin-filter scratch
-  bool fibers_ = false;
   Fiber driver_fiber_;  // save slot for the thread driving run_team
   std::vector<std::unique_ptr<Fiber>> worker_fibers_;
   std::vector<FiberArg> fiber_args_;
   std::vector<std::function<void()>>* fiber_jobs_ = nullptr;
 };
 
-/// The scheduler owning the calling thread, or nullptr on the driver
-/// thread. Set by run_team for the duration of each worker.
+/// The scheduler owning the running fiber, or nullptr outside any team.
+/// Set by run_team for the duration of each worker.
 [[nodiscard]] CoopScheduler* current_scheduler() noexcept;
 [[nodiscard]] int current_worker_index() noexcept;
 

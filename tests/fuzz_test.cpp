@@ -117,11 +117,13 @@ TEST_P(FuzzTest, ResponseParsersNeverCrash) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FuzzTest, ::testing::Range(0, 20));
 
-// Differential fuzzing of the VM backend: mutated corpus programs that
-// still parse and resolve must behave identically under the AST walker
-// and the bytecode VM -- verdict, output, steps, and fault message. The
-// mutations reach degenerate programs (dead code, broken loops, odd
-// expressions) no generator template produces.
+// Fuzzing of the bytecode VM: mutated corpus programs that still parse
+// and resolve must run to a verdict or a structured fault, never crash,
+// and a second run with the same options must reproduce the first
+// exactly -- verdict, output, steps, fault message, and decision trace.
+// The mutations reach degenerate programs (dead code, broken loops, odd
+// expressions) no generator template produces. (The test name dates
+// from when a second executor was run alongside the VM.)
 TEST_P(FuzzTest, MutatedProgramsBehaveIdenticallyAcrossBackends) {
   Rng rng = Rng::from_key("fuzz-vm-diff/" + std::to_string(GetParam()));
   const std::string base =
@@ -141,21 +143,23 @@ TEST_P(FuzzTest, MutatedProgramsBehaveIdenticallyAcrossBackends) {
     runtime::RunOptions opts;
     opts.seed = 3;
     opts.step_limit = 100'000;  // mutations can create infinite loops
-    opts.backend = runtime::Backend::Interp;
-    runtime::RunResult interp;
+    opts.capture_trace = true;
+    runtime::RunResult first;
     try {
-      interp = runtime::run_program(*prog.unit, res, opts);
+      first = runtime::run_program(*prog.unit, res, opts);
     } catch (const Error&) {
       continue;  // typed runtime rejection (e.g. no main) is fine
     }
-    opts.backend = runtime::Backend::Vm;
-    const runtime::RunResult vm = runtime::run_program(*prog.unit, res, opts);
+    const runtime::RunResult again =
+        runtime::run_program(*prog.unit, res, opts);
     ++executed;
-    EXPECT_EQ(interp.report.race_detected, vm.report.race_detected) << input;
-    EXPECT_EQ(interp.output, vm.output) << input;
-    EXPECT_EQ(interp.steps, vm.steps) << input;
-    EXPECT_EQ(interp.faulted, vm.faulted) << input;
-    EXPECT_EQ(interp.fault_message, vm.fault_message) << input;
+    EXPECT_EQ(first.report.race_detected, again.report.race_detected)
+        << input;
+    EXPECT_EQ(first.output, again.output) << input;
+    EXPECT_EQ(first.steps, again.steps) << input;
+    EXPECT_EQ(first.faulted, again.faulted) << input;
+    EXPECT_EQ(first.fault_message, again.fault_message) << input;
+    EXPECT_EQ(first.trace, again.trace) << input;
   }
   // Most single-byte mutations still parse; the test must actually
   // exercise the VM, not vacuously skip everything.

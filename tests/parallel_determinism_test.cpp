@@ -87,21 +87,18 @@ TEST(ParallelDeterminism, VarIdMatchesSerial) {
   EXPECT_EQ(serial.fn, parallel.fn);
 }
 
-// The bytecode-VM backend must be deterministic under the parallel
-// executor too: dynamic verdicts computed at jobs=1 are byte-identical
-// to jobs=8 (each worker compiles and runs its own modules; nothing may
-// leak across workers).
+// The bytecode VM must be deterministic under the parallel executor too:
+// dynamic verdicts computed at jobs=1 are byte-identical to jobs=8 (each
+// worker compiles and runs its own modules; nothing may leak across
+// workers).
 TEST(ParallelDeterminism, VmBackendVerdictsMatchAcrossJobCounts) {
   const std::vector<drb::CorpusEntry>& entries = drb::corpus();
 
   const auto verdicts = [&](int jobs) {
     return support::parallel_map(
         jobs, entries, [](const drb::CorpusEntry& e) -> std::string {
-          runtime::DynamicDetectorOptions opts;
-          opts.run.backend = runtime::Backend::Vm;
-          opts.run.module = nullptr;
           const analysis::RaceReport report =
-              runtime::DynamicRaceDetector(opts).analyze_source(e.body);
+              runtime::DynamicRaceDetector().analyze_source(e.body);
           std::string fp = report.race_detected ? "race" : "clean";
           for (const auto& p : report.pairs) {
             fp += ";" + p.first.expr_text + "@" +

@@ -9,16 +9,16 @@
 // exploration (verdict, schedules run, minimized witness). The programs
 // are the 202 corpus entries and 200 seeded synthetic kernels.
 //
-// vm_differential_test proves the two backends agree with each other; this
-// suite proves they agree with what they produced when the file was
-// written, so a change both backends share (the memory model, the
-// scheduler, the detector) cannot drift unnoticed.
+// The file is the runtime's only reference: no second executor or
+// scheduling substrate is kept alive to compare against, so any change to
+// the compiler, the VM, the scheduler, the memory model or the detector
+// that moves an observable result fails here.
 //
 // Regenerate the file (only for an intended behaviour change) with
 //
 //   build/tests/runtime_golden_test --regenerate
 //
-// which rewrites it from the VM backend and exits.
+// which rewrites it and exits.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -47,8 +47,6 @@
 
 namespace drbml {
 namespace {
-
-using runtime::Backend;
 
 struct Program {
   std::string name;
@@ -134,7 +132,7 @@ constexpr runtime::ScheduleStrategy kStrategies[] = {
 constexpr std::uint64_t kSeeds[] = {1, 2, 3};
 
 /// One line per (strategy, seed) run of `p`.
-std::vector<std::string> run_lines(const Program& p, Backend backend) {
+std::vector<std::string> run_lines(const Program& p) {
   std::vector<std::string> lines;
   try {
     minic::Program prog = minic::parse_program(p.code);
@@ -146,7 +144,6 @@ std::vector<std::string> run_lines(const Program& p, Backend backend) {
         opts.strategy = strategy;
         opts.capture_trace = true;
         opts.collect_coverage = true;
-        opts.backend = backend;
         const runtime::RunResult r =
             runtime::run_program(*prog.unit, res, opts);
         std::string line = "run " + p.name + " " + strategy_name(strategy) +
@@ -174,11 +171,10 @@ std::vector<std::string> run_lines(const Program& p, Backend backend) {
 }
 
 /// One line for a 24-schedule PCT exploration of `p`.
-std::string explore_line(const Program& p, Backend backend) {
+std::string explore_line(const Program& p) {
   explore::ExploreOptions opts;
   opts.strategy = explore::Strategy::Pct;
   opts.max_schedules = 24;
-  opts.run.backend = backend;
   try {
     const explore::ExploreResult r = explore::explore_source(p.code, opts);
     return "explore " + p.name +
@@ -192,12 +188,12 @@ std::string explore_line(const Program& p, Backend backend) {
 
 enum class Part { Runs, Explorations };
 
-/// The golden lines of one part for `backend`, in file order.
-std::vector<std::string> compute(Part part, Backend backend) {
+/// The golden lines of one part, in file order.
+std::vector<std::string> compute(Part part) {
   std::vector<std::vector<std::string>> per_program = support::parallel_map(
       4, programs(), [&](const Program& p) -> std::vector<std::string> {
-        if (part == Part::Runs) return run_lines(p, backend);
-        return {explore_line(p, backend)};
+        if (part == Part::Runs) return run_lines(p);
+        return {explore_line(p)};
       });
   std::vector<std::string> out;
   for (auto& lines : per_program) {
@@ -220,10 +216,10 @@ std::vector<std::string> golden_lines(Part part) {
   return out;
 }
 
-void expect_matches_golden(Part part, Backend backend) {
+void expect_matches_golden(Part part) {
   const std::vector<std::string> want = golden_lines(part);
   ASSERT_FALSE(want.empty()) << "no golden lines in " << DRBML_GOLDEN_FILE;
-  const std::vector<std::string> got = compute(part, backend);
+  const std::vector<std::string> got = compute(part);
   const std::size_t n = std::min(want.size(), got.size());
   for (std::size_t i = 0; i < n; ++i) {
     if (want[i] != got[i]) {
@@ -235,26 +231,16 @@ void expect_matches_golden(Part part, Backend backend) {
   EXPECT_EQ(want.size(), got.size()) << "line count differs";
 }
 
-TEST(RuntimeGolden, VmRunsMatchGolden) {
-  expect_matches_golden(Part::Runs, Backend::Vm);
-}
+TEST(RuntimeGolden, VmRunsMatchGolden) { expect_matches_golden(Part::Runs); }
 
 TEST(RuntimeGolden, VmExplorationsMatchGolden) {
-  expect_matches_golden(Part::Explorations, Backend::Vm);
-}
-
-TEST(RuntimeGolden, InterpRunsMatchGolden) {
-  expect_matches_golden(Part::Runs, Backend::Interp);
-}
-
-TEST(RuntimeGolden, InterpExplorationsMatchGolden) {
-  expect_matches_golden(Part::Explorations, Backend::Interp);
+  expect_matches_golden(Part::Explorations);
 }
 
 int regenerate() {
   std::ofstream out(DRBML_GOLDEN_FILE);
   for (Part part : {Part::Runs, Part::Explorations}) {
-    for (const std::string& line : compute(part, Backend::Vm)) {
+    for (const std::string& line : compute(part)) {
       out << line << "\n";
     }
   }

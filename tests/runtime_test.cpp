@@ -118,17 +118,89 @@ TEST(Interp, InfiniteLoopHitsStepLimit) {
 TEST(Interp, RunAllocationCapFaults) {
   // Each array fits the per-run element cap alone; together they exceed
   // it, so the second declaration faults instead of growing the host.
-  for (Backend backend : {Backend::Interp, Backend::Vm}) {
-    RunOptions opts;
-    opts.backend = backend;
-    auto r = run_src(
-        "int main() { int a[600000]; int b[600000]; a[0] = 1; b[0] = 2; "
-        "return a[0] + b[0]; }",
-        opts);
-    EXPECT_TRUE(r.faulted);
-    EXPECT_EQ(r.fault_message,
-              "allocation too large for the interpreter: 600000");
-  }
+  auto r = run_src(
+      "int main() { int a[600000]; int b[600000]; a[0] = 1; b[0] = 2; "
+      "return a[0] + b[0]; }");
+  EXPECT_TRUE(r.faulted);
+  EXPECT_EQ(r.fault_message,
+            "allocation too large for the interpreter: 600000");
+}
+
+// Unbounded recursion must come back as a structured fault, not overflow
+// the native stack of the thread or fiber running it.
+const std::string kCallDepthFault =
+    "call depth limit exceeded: " + std::to_string(kMaxCallDepth);
+
+TEST(Interp, UnboundedRecursionFaults) {
+  auto r = run_src(
+      "int f(int n) { return f(n + 1); }\n"
+      "int main() { return f(0); }");
+  EXPECT_TRUE(r.faulted);
+  EXPECT_EQ(r.fault_message, kCallDepthFault);
+}
+
+TEST(Interp, RecursionInsideParallelRegionFaults) {
+  auto r = run_src(
+      "int f(int n) { return f(n + 1); }\n"
+      "int main() {\n"
+      "  int x = 0;\n"
+      "#pragma omp parallel\n"
+      "  { x = f(0); }\n"
+      "  return x;\n"
+      "}");
+  EXPECT_TRUE(r.faulted);
+  EXPECT_EQ(r.fault_message, kCallDepthFault);
+}
+
+TEST(Interp, RecursionThroughTasksFaults) {
+  // Each task runs inline on its spawner's stack, so the chain of tasks
+  // counts against the spawner's call depth.
+  auto r = run_src(
+      "int f(int n) {\n"
+      "#pragma omp task\n"
+      "  { f(n + 1); }\n"
+      "  return n;\n"
+      "}\n"
+      "int main() {\n"
+      "#pragma omp parallel\n"
+      "  {\n"
+      "#pragma omp single\n"
+      "    { f(0); }\n"
+      "  }\n"
+      "  return 0;\n"
+      "}");
+  EXPECT_TRUE(r.faulted);
+  EXPECT_EQ(r.fault_message, kCallDepthFault);
+}
+
+TEST(Interp, RecursionThroughNestedRegionsFaults) {
+  // Every nested region holds a fiber of its own until it ends, so its
+  // workers count against the spawner's call depth too.
+  auto r = run_src(
+      "int f(int n) {\n"
+      "#pragma omp parallel\n"
+      "  { f(n + 1); }\n"
+      "  return n;\n"
+      "}\n"
+      "int main() { return f(0); }");
+  EXPECT_TRUE(r.faulted);
+  EXPECT_EQ(r.fault_message, kCallDepthFault);
+}
+
+TEST(Interp, RecursionUpToTheCapRuns) {
+  // depth(n) nests n + 1 calls: exactly the cap runs, one more faults.
+  const auto program = [](int n) {
+    return "int depth(int n) { if (n == 0) return 0; "
+           "return 1 + depth(n - 1); }\n"
+           "int main() { printf(\"%d\", depth(" +
+           std::to_string(n) + ")); return 0; }";
+  };
+  auto ok = run_src(program(kMaxCallDepth - 1).c_str());
+  EXPECT_FALSE(ok.faulted) << ok.fault_message;
+  EXPECT_EQ(ok.output, std::to_string(kMaxCallDepth - 1));
+  auto over = run_src(program(kMaxCallDepth).c_str());
+  EXPECT_TRUE(over.faulted);
+  EXPECT_EQ(over.fault_message, kCallDepthFault);
 }
 
 TEST(Interp, ThousandElementProgramRuns) {

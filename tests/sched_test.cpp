@@ -200,6 +200,22 @@ TEST(Scheduler, SingleWorkerTeamRuns) {
   EXPECT_EQ(count, 100);
 }
 
+TEST(Scheduler, EmptyTeamReturnsAtOnce) {
+  CoopScheduler sched(37, 1);
+  sched.set_recording(true);
+  sched.run_team({});
+  EXPECT_EQ(sched.steps(), 0u);
+  EXPECT_EQ(sched.live(), 0);
+  EXPECT_TRUE(sched.take_trace().empty());
+
+  PctDecider pct(37, 3, 64);
+  sched.set_decider(&pct);
+  sched.run_team({});
+  EXPECT_EQ(sched.steps(), 0u);
+  EXPECT_EQ(sched.live(), 0);
+  EXPECT_TRUE(sched.take_trace().empty());
+}
+
 TEST(Scheduler, LiveCountTracksCompletion) {
   CoopScheduler sched(29, 1);
   int live_at_end = -1;
@@ -261,25 +277,22 @@ class CountingDecider : public SchedDecider {
 };
 
 TEST(QuietUntil, DefaultDeciderIsAskedAtEveryYieldPoint) {
-  for (bool fibers : {false, true}) {
-    CoopScheduler sched(31, 1);
-    sched.set_fibers(fibers);
-    CountingDecider decider;
-    sched.set_decider(&decider);
-    int yields = 0;
-    std::vector<std::function<void()>> fns;
-    for (int i = 0; i < 3; ++i) {
-      fns.push_back([&, i] {
-        for (int k = 0; k < 20 + 7 * i; ++k) {
-          ++yields;
-          sched.yield_point();
-        }
-      });
-    }
-    sched.run_team(std::move(fns));
-    EXPECT_EQ(yields, 81);
-    EXPECT_EQ(decider.asked, yields) << "fibers=" << fibers;
+  CoopScheduler sched(31, 1);
+  CountingDecider decider;
+  sched.set_decider(&decider);
+  int yields = 0;
+  std::vector<std::function<void()>> fns;
+  for (int i = 0; i < 3; ++i) {
+    fns.push_back([&, i] {
+      for (int k = 0; k < 20 + 7 * i; ++k) {
+        ++yields;
+        sched.yield_point();
+      }
+    });
   }
+  sched.run_team(std::move(fns));
+  EXPECT_EQ(yields, 81);
+  EXPECT_EQ(decider.asked, yields);
 }
 
 struct TeamOutcome {
@@ -294,8 +307,7 @@ struct TeamOutcome {
 /// loops of random length in rounds, team-wide barriers after some
 /// rounds, workers 1.. blocking until worker 0 has published the current
 /// round, and workers that finish after fewer rounds than the rest.
-TeamOutcome run_synthetic_team(std::uint64_t seed, SchedDecider& decider,
-                               bool fibers) {
+TeamOutcome run_synthetic_team(std::uint64_t seed, SchedDecider& decider) {
   Rng rng(seed);
   const int n = static_cast<int>(rng.between(2, 5));
   const int rounds = static_cast<int>(rng.between(2, 6));
@@ -321,7 +333,6 @@ TeamOutcome run_synthetic_team(std::uint64_t seed, SchedDecider& decider,
   }
 
   CoopScheduler sched(seed, 3);
-  sched.set_fibers(fibers);
   sched.set_decider(&decider);
   sched.set_recording(true);
   sched.set_step_limit(100'000);
@@ -364,32 +375,28 @@ RegionTrace thinned(const RegionTrace& trace) {
 
 TEST(QuietUntil, QuietDecidersMatchAlwaysAskedOnes) {
   int completed = 0;
-  for (bool fibers : {true, false}) {
-    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
-      SCOPED_TRACE("seed=" + std::to_string(seed) +
-                   " fibers=" + std::to_string(fibers));
-      const int depth = 2 + static_cast<int>(seed % 3);
-      const std::uint64_t expected = 20 + 7 * (seed % 11);
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const int depth = 2 + static_cast<int>(seed % 3);
+    const std::uint64_t expected = 20 + 7 * (seed % 11);
 
-      PctDecider quiet_pct(seed * 77, depth, expected);
-      const TeamOutcome pct = run_synthetic_team(seed, quiet_pct, fibers);
-      PctDecider inner_pct(seed * 77, depth, expected);
-      AlwaysAsk asked_pct(inner_pct);
-      EXPECT_EQ(pct, run_synthetic_team(seed, asked_pct, fibers));
-      if (pct.error.empty()) ++completed;
+    PctDecider quiet_pct(seed * 77, depth, expected);
+    const TeamOutcome pct = run_synthetic_team(seed, quiet_pct);
+    PctDecider inner_pct(seed * 77, depth, expected);
+    AlwaysAsk asked_pct(inner_pct);
+    EXPECT_EQ(pct, run_synthetic_team(seed, asked_pct));
+    if (pct.error.empty()) ++completed;
 
-      for (const RegionTrace& trace : {pct.trace, thinned(pct.trace)}) {
-        ReplayDecider quiet_replay(trace);
-        const TeamOutcome replay =
-            run_synthetic_team(seed, quiet_replay, fibers);
-        ReplayDecider inner_replay(trace);
-        AlwaysAsk asked_replay(inner_replay);
-        EXPECT_EQ(replay, run_synthetic_team(seed, asked_replay, fibers));
-      }
-      // A full trace replays the recorded schedule.
-      ReplayDecider full(pct.trace);
-      EXPECT_EQ(run_synthetic_team(seed, full, fibers), pct);
+    for (const RegionTrace& trace : {pct.trace, thinned(pct.trace)}) {
+      ReplayDecider quiet_replay(trace);
+      const TeamOutcome replay = run_synthetic_team(seed, quiet_replay);
+      ReplayDecider inner_replay(trace);
+      AlwaysAsk asked_replay(inner_replay);
+      EXPECT_EQ(replay, run_synthetic_team(seed, asked_replay));
     }
+    // A full trace replays the recorded schedule.
+    ReplayDecider full(pct.trace);
+    EXPECT_EQ(run_synthetic_team(seed, full), pct);
   }
   // The teams must mostly run to completion, or the comparison would only
   // cover deadlock prefixes.

@@ -23,6 +23,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "drb/corpus.hpp"
 #include "eval/artifact_cache.hpp"
 #include "serve/protocol.hpp"
@@ -311,6 +313,59 @@ TEST(ServeProtocol, UnparseableCodeIsAnalysisFailedNotCrash) {
       request_line("u1", "lint", "int main( { this will not parse")));
   EXPECT_FALSE(r.as_object().at("ok").as_bool());
   EXPECT_EQ(error_kind(r), "analysis_failed");
+}
+
+TEST(ServeProtocol, RunawayRecursionIsAStructuredFaultNotACrash) {
+  // A program that recurses without bound, followed by a normal request
+  // on the same stream: the first comes back with the run's fault, and
+  // the daemon is still there to answer the second.
+  const std::string recursive =
+      "int f(int n) { return f(n + 1); }\nint main() { return f(0); }\n";
+  int in_pipe[2];
+  int out_pipe[2];
+  ASSERT_EQ(::pipe(in_pipe), 0);
+  ASSERT_EQ(::pipe(out_pipe), 0);
+  const std::string requests =
+      request_line("deep", "analyze", recursive, ",\"detector\":\"dynamic\"") +
+      "\n" +
+      request_line("next", "analyze", kRacyCode, ",\"detector\":\"static\"") +
+      "\n";
+  ASSERT_EQ(::write(in_pipe[1], requests.data(), requests.size()),
+            static_cast<ssize_t>(requests.size()));
+  ::close(in_pipe[1]);
+
+  Server server(small_server());
+  EXPECT_EQ(server.serve_fd(in_pipe[0], out_pipe[1]), 2u);
+  ::close(in_pipe[0]);
+  ::close(out_pipe[1]);
+  std::string out;
+  char buf[4096];
+  for (ssize_t n; (n = ::read(out_pipe[0], buf, sizeof(buf))) > 0;) {
+    out.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(out_pipe[0]);
+
+  std::map<std::string, json::Value> by_id;
+  for (std::size_t start = 0, end; (end = out.find('\n', start)) !=
+                                   std::string::npos;
+       start = end + 1) {
+    const json::Value r = parse_response(out.substr(start, end - start));
+    by_id.emplace(r.as_object().at("id").as_string(), r);
+  }
+  ASSERT_EQ(by_id.size(), 2u) << out;
+  const json::Object& deep = by_id.at("deep").as_object();
+  ASSERT_TRUE(deep.at("ok").as_bool()) << out;
+  bool fault_reported = false;
+  for (const json::Value& d :
+       deep.at("result").as_object().at("diagnostics").as_array()) {
+    if (d.as_string().find("call depth limit exceeded") != std::string::npos) {
+      fault_reported = true;
+    }
+  }
+  EXPECT_TRUE(fault_reported) << out;
+  const json::Object& next = by_id.at("next").as_object();
+  ASSERT_TRUE(next.at("ok").as_bool()) << out;
+  EXPECT_TRUE(next.at("result").as_object().at("race").as_bool());
 }
 
 // --------------------------------------------------- admission control

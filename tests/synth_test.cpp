@@ -96,10 +96,24 @@ TEST_P(SynthEntryTest, ExecutesCleanlyAndLabelIsSound) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SynthEntryTest, ::testing::Range(0, 60));
 
-// Differential fuzzing of the bytecode VM: ~200 random synthesized
-// kernels, executed under both backends. The generator's parameter space
-// reaches expression/loop shapes the hand-written corpus does not, so
-// this is the adversarial input source for the compiler's lowering.
+// The bytecode VM on ~200 random synthesized kernels. The generator's
+// parameter space reaches expression/loop shapes the hand-written corpus
+// does not, so this is the adversarial input source for the compiler's
+// lowering: every kernel must run, and a second run with the same options
+// must reproduce the first exactly. (The suite name dates from when a
+// second executor was run alongside the VM.)
+void expect_same_run(const runtime::RunResult& a, const runtime::RunResult& b,
+                     const SynthEntry& e) {
+  EXPECT_EQ(a.report.race_detected, b.report.race_detected)
+      << e.name << "\n"
+      << e.code;
+  EXPECT_EQ(a.output, b.output) << e.name << "\n" << e.code;
+  EXPECT_EQ(a.steps, b.steps) << e.name;
+  EXPECT_EQ(a.faulted, b.faulted) << e.name;
+  EXPECT_EQ(a.fault_message, b.fault_message) << e.name;
+  EXPECT_EQ(a.trace, b.trace) << e.name;
+}
+
 TEST(SynthVmDifferential, TwoHundredKernelsInterpVsVm) {
   SynthConfig config;
   config.count = 200;
@@ -113,26 +127,17 @@ TEST(SynthVmDifferential, TwoHundredKernelsInterpVsVm) {
 
     runtime::RunOptions opts;
     opts.seed = 5;
-    opts.backend = runtime::Backend::Interp;
-    const runtime::RunResult interp =
+    opts.capture_trace = true;
+    const runtime::RunResult first =
         runtime::run_program(*prog.unit, res, opts);
-    opts.backend = runtime::Backend::Vm;
-    const runtime::RunResult vm = runtime::run_program(*prog.unit, res, opts);
-
-    // Same race verdict, same program output, same schedule length.
-    EXPECT_EQ(interp.report.race_detected, vm.report.race_detected)
-        << e.name << "\n"
-        << e.code;
-    EXPECT_EQ(interp.output, vm.output) << e.name << "\n" << e.code;
-    EXPECT_EQ(interp.steps, vm.steps) << e.name;
-    EXPECT_EQ(interp.faulted, vm.faulted) << e.name;
-    EXPECT_EQ(interp.fault_message, vm.fault_message) << e.name;
+    const runtime::RunResult again =
+        runtime::run_program(*prog.unit, res, opts);
+    expect_same_run(first, again, e);
   }
 }
 
-// Serial-execution equality: with one thread there is no schedule
-// nondeterminism at all, so any output difference is a pure lowering
-// bug. Covers all 200 kernels cheaply.
+// Serial execution: with one thread there is no schedule nondeterminism
+// at all. Covers all 200 kernels cheaply.
 TEST(SynthVmDifferential, SerialOutputIdentical) {
   SynthConfig config;
   config.count = 200;
@@ -145,15 +150,13 @@ TEST(SynthVmDifferential, SerialOutputIdentical) {
 
     runtime::RunOptions opts;
     opts.num_threads = 1;
-    opts.backend = runtime::Backend::Interp;
-    const runtime::RunResult interp =
+    opts.capture_trace = true;
+    const runtime::RunResult first =
         runtime::run_program(*prog.unit, res, opts);
-    opts.backend = runtime::Backend::Vm;
-    const runtime::RunResult vm = runtime::run_program(*prog.unit, res, opts);
-
-    EXPECT_EQ(interp.output, vm.output) << e.name << "\n" << e.code;
-    EXPECT_EQ(interp.exit_code, vm.exit_code) << e.name;
-    EXPECT_EQ(interp.steps, vm.steps) << e.name;
+    const runtime::RunResult again =
+        runtime::run_program(*prog.unit, res, opts);
+    expect_same_run(first, again, e);
+    EXPECT_EQ(first.exit_code, again.exit_code) << e.name;
   }
 }
 

@@ -55,11 +55,7 @@
 // Every subcommand also accepts the global observability flags
 //   --trace FILE     write a Chrome trace (chrome://tracing, Perfetto)
 //   --metrics FILE   write the deterministic metrics JSON at exit
-// and honours the DRBML_TRACE / DRBML_METRICS environment variables, plus
-// the execution-backend selector
-//   --backend interp|vm   AST walker vs. bytecode VM (default vm; also
-//                         settable via DRBML_BACKEND)
-// Both backends produce bit-identical verdicts, schedules, and output.
+// and honours the DRBML_TRACE / DRBML_METRICS environment variables.
 #include <atomic>
 #include <cerrno>
 #include <csignal>
@@ -1128,29 +1124,6 @@ int cmd_synth(const std::vector<std::string>& args) {
   return 0;
 }
 
-// Consumes a global `--backend interp|vm` flag (any position), setting the
-// process-wide default execution backend. Mirrors obs::consume_obs_flags.
-void consume_backend_flag(std::vector<std::string>& args) {
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] != "--backend") continue;
-    if (i + 1 >= args.size()) {
-      throw drbml::Error("--backend requires a value (interp|vm)");
-    }
-    const std::string value = args[i + 1];
-    if (value == "interp") {
-      runtime::set_default_backend(runtime::Backend::Interp);
-    } else if (value == "vm") {
-      runtime::set_default_backend(runtime::Backend::Vm);
-    } else {
-      throw drbml::Error("unknown backend '" + value +
-                         "' (expected interp|vm)");
-    }
-    args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-               args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-    return;
-  }
-}
-
 int cmd_detectors() {
   for (const auto& spec : core::available_detectors()) {
     std::printf("%s\n", spec.c_str());
@@ -1166,7 +1139,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 2, argv + argc);
   drbml::obs::consume_obs_flags(args);
   try {
-    consume_backend_flag(args);
     if (cmd == "analyze") return cmd_analyze(args);
     if (cmd == "graph") return cmd_graph(args);
     if (cmd == "lint") return cmd_lint(args);
