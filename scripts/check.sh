@@ -32,8 +32,13 @@
 # (refreshing BENCH_serve.json). Stage 2g is the bytecode-VM gate:
 # ctest -L vm holds the runtime to the committed fingerprints in
 # tests/golden/runtime_fingerprints.txt and runs the bytecode verifier
-# suite, and bench_vm refreshes the VM's dynamic-stage sweep in
-# BENCH_vm.json (a measurement, not a gate). Stage 3 rebuilds under
+# suite with its mutated-module fuzz target, and bench_vm refreshes the
+# VM's dynamic-stage sweep in BENCH_vm.json (a measurement, not a
+# gate). Stage 2h is the hostile-input gate: programs that used to kill
+# or hang a run (INT64_MIN / -1, loops that touch no memory, unbounded
+# recursion) must come back from the CLI as a result, and a serve stream
+# of all of them must answer every request and drain on EOF; it runs
+# under --fast too. Stage 3 rebuilds under
 # ThreadSanitizer (-DDRBML_SANITIZE=thread) and runs the
 # `parallel`-labelled suites -- the thread pool, the memoized artifact
 # caches, the parallel experiment executor, the lint and repair
@@ -139,11 +144,83 @@ echo "== stage 2g: bytecode-VM golden + verifier gate =="
 # against the committed tests/golden/runtime_fingerprints.txt (corpus +
 # 200 synth kernels x {uniform, pct} x 3 seeds, plus a PCT exploration
 # each) -- the only reference the VM is held to. The verifier suite
-# proves malformed bytecode is rejected before it runs. bench_vm
+# proves malformed bytecode is rejected before it runs; its fuzz target,
+# VmFuzz.AcceptedMutantsOfCorpusModulesRunCleanly, changes one field of
+# compiled corpus modules (fixed seed and budget) and runs every mutant
+# verify() accepts to a result or a structured fault. bench_vm
 # refreshes the committed BENCH_vm.json sweep point; the VM's speed is
 # guarded by the repository benchmark's pct-campaign workload.
 (cd build && ctest -L vm --output-on-failure)
 build/bench/bench_vm --out BENCH_vm.json | tail -n 2
+
+echo "== stage 2h: hostile inputs (division, silent loops, recursion) =="
+# Each program goes through `drbml analyze --detector dynamic` (the
+# division also through --detector static) and must exit with a code
+# that is neither timeout's 124 nor a signal's >= 128. Then all of them
+# plus one normal request stream through `drbml serve`: exactly one
+# response per id, and the daemon exits 0 on EOF.
+hostile_tmp=$(mktemp -d)
+printf '%s\n' 'int main() { long m = 0x8000000000000000; long d = -1; long q = m / d; printf("%ld\n", q); return 0; }' \
+  > "$hostile_tmp/div.c"
+printf '%s\n' 'int main() { long m = 0x8000000000000000; long d = -1; long q = m % d; printf("%ld\n", q); return 0; }' \
+  > "$hostile_tmp/mod.c"
+printf '%s\n' 'int main() { while (1) {} return 0; }' > "$hostile_tmp/spin.c"
+printf '%s\n' 'void f() {} int main() { while (1) f(); return 0; }' \
+  > "$hostile_tmp/spin_call.c"
+printf '%s\n' 'int main() {' '#pragma omp parallel' '  { while (1) {} }' \
+  '  return 0;' '}' > "$hostile_tmp/spin_region.c"
+printf '%s\n' 'int main() {' '  long i;' '#pragma omp parallel for' \
+  '  for (i = 0; i < 0x7fffffffffffffff; i++) {}' '  return 0;' '}' \
+  > "$hostile_tmp/spin_ws.c"
+printf '%s\n' 'int f(int n) { return f(n + 1); }' 'int main() { return f(0); }' \
+  > "$hostile_tmp/recurse.c"
+hostile_run() {  # detector file
+  local rc=0
+  timeout 60 build/tools/drbml analyze --detector "$1" "$2" >/dev/null 2>&1 \
+    || rc=$?
+  if (( rc == 124 || rc >= 128 )); then
+    echo "hostile gate: $1 analyze of $(basename "$2") exited $rc" >&2
+    exit 1
+  fi
+}
+json_code() {  # file -> its text as a JSON string body
+  sed -e 's/\\/\\\\/g' -e 's/"/\\"/g' "$1" | awk '{ printf "%s\\n", $0 }'
+}
+hostile_ids=()
+{
+  for f in "$hostile_tmp"/*.c; do
+    name=$(basename "$f" .c)
+    hostile_run dynamic "$f"
+    hostile_ids+=("$name")
+    printf '{"id":"%s","verb":"analyze","detector":"dynamic","code":"%s"}\n' \
+      "$name" "$(json_code "$f")"
+  done
+  hostile_run static "$hostile_tmp/div.c"
+  hostile_ids+=("div-static" "normal")
+  printf '{"id":"div-static","verb":"analyze","detector":"static","code":"%s"}\n' \
+    "$(json_code "$hostile_tmp/div.c")"
+  printf '{"id":"normal","verb":"analyze","detector":"static","code":"%s"}\n' \
+    "$racy"
+} > "$hostile_tmp/requests.ndjson"
+serve_rc=0
+timeout 300 build/tools/drbml serve --jobs 2 \
+  < "$hostile_tmp/requests.ndjson" > "$hostile_tmp/responses.ndjson" \
+  || serve_rc=$?
+if (( serve_rc != 0 )); then
+  echo "hostile gate: serve exited $serve_rc on EOF" >&2; exit 1
+fi
+resp_count=$(wc -l < "$hostile_tmp/responses.ndjson")
+if [[ "$resp_count" -ne "${#hostile_ids[@]}" ]]; then
+  echo "hostile gate: expected ${#hostile_ids[@]} responses, got $resp_count" >&2
+  exit 1
+fi
+for id in "${hostile_ids[@]}"; do
+  if [[ $(grep -c "\"id\":\"$id\"" "$hostile_tmp/responses.ndjson") -ne 1 ]]; then
+    echo "hostile gate: not exactly one response for id $id" >&2; exit 1
+  fi
+done
+echo "hostile gate: ${#hostile_ids[@]}/${#hostile_ids[@]} responses, serve exit 0"
+rm -rf "$hostile_tmp"
 
 if [[ "${1:-}" == "--fast" ]]; then
   echo "== skipping the sanitizer stages (--fast) =="

@@ -1,5 +1,7 @@
 #include "analysis/affine.hpp"
 
+#include "minic/int_ops.hpp"
+
 namespace drbml::analysis {
 
 using namespace minic;
@@ -18,22 +20,22 @@ const VarDecl* tid_symbol() noexcept {
 LinearForm& LinearForm::operator+=(const LinearForm& o) {
   if (!o.is_affine) is_affine = false;
   if (!is_affine) return *this;
-  constant += o.constant;
-  for (const auto& [v, c] : o.coeffs) coeffs[v] += c;
+  constant = int_add(constant, o.constant);
+  for (const auto& [v, c] : o.coeffs) coeffs[v] = int_add(coeffs[v], c);
   return *this;
 }
 
 LinearForm& LinearForm::operator-=(const LinearForm& o) {
   if (!o.is_affine) is_affine = false;
   if (!is_affine) return *this;
-  constant -= o.constant;
-  for (const auto& [v, c] : o.coeffs) coeffs[v] -= c;
+  constant = int_sub(constant, o.constant);
+  for (const auto& [v, c] : o.coeffs) coeffs[v] = int_sub(coeffs[v], c);
   return *this;
 }
 
 void LinearForm::scale(std::int64_t k) {
-  constant *= k;
-  for (auto& [v, c] : coeffs) c *= k;
+  constant = int_mul(constant, k);
+  for (auto& [v, c] : coeffs) c = int_mul(c, k);
 }
 
 LinearForm linearize(const Expr& e, const ConstantMap& consts,
@@ -91,12 +93,14 @@ LinearForm linearize(const Expr& e, const ConstantMap& consts,
           }
           return LinearForm::non_affine();
         case BinaryOp::Div:
-          if (r.is_affine && r.is_constant() && r.constant != 0 &&
-              l.is_affine && l.is_constant() &&
-              l.constant % r.constant == 0) {
-            LinearForm f;
-            f.constant = l.constant / r.constant;
-            return f;
+          if (r.is_affine && r.is_constant() && l.is_affine &&
+              l.is_constant()) {
+            const IntQuotient q = int_div(l.constant, r.constant);
+            if (q.ok() && int_mod(l.constant, r.constant).value == 0) {
+              LinearForm f;
+              f.constant = q.value;
+              return f;
+            }
           }
           return LinearForm::non_affine();
         default:
@@ -106,12 +110,18 @@ LinearForm linearize(const Expr& e, const ConstantMap& consts,
             // Delegate to ConstantMap::eval-equivalent folding.
             LinearForm f;
             switch (b.op) {
-              case BinaryOp::Mod:
-                if (r.constant == 0) return LinearForm::non_affine();
-                f.constant = l.constant % r.constant;
+              case BinaryOp::Mod: {
+                const IntQuotient q = int_mod(l.constant, r.constant);
+                if (!q.ok()) return LinearForm::non_affine();
+                f.constant = q.value;
                 return f;
-              case BinaryOp::Shl: f.constant = l.constant << r.constant; return f;
-              case BinaryOp::Shr: f.constant = l.constant >> r.constant; return f;
+              }
+              case BinaryOp::Shl:
+                f.constant = int_shl(l.constant, r.constant);
+                return f;
+              case BinaryOp::Shr:
+                f.constant = int_shr(l.constant, r.constant);
+                return f;
               default: return LinearForm::non_affine();
             }
           }

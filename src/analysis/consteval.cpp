@@ -1,5 +1,7 @@
 #include "analysis/consteval.hpp"
 
+#include "minic/int_ops.hpp"
+
 namespace drbml::analysis {
 
 using namespace minic;
@@ -254,7 +256,8 @@ std::optional<TidForm> ConstantMap::tid_eval(const Expr& e) const {
       if (!f) return std::nullopt;
       switch (u.op) {
         case UnaryOp::Plus: return f;
-        case UnaryOp::Neg: return TidForm{-f->coeff, -f->constant};
+        case UnaryOp::Neg:
+          return TidForm{int_neg(f->coeff), int_neg(f->constant)};
         default: return std::nullopt;
       }
     }
@@ -265,15 +268,19 @@ std::optional<TidForm> ConstantMap::tid_eval(const Expr& e) const {
       if (!l || !r) return std::nullopt;
       switch (b.op) {
         case BinaryOp::Add:
-          return TidForm{l->coeff + r->coeff, l->constant + r->constant};
+          return TidForm{int_add(l->coeff, r->coeff),
+                         int_add(l->constant, r->constant)};
         case BinaryOp::Sub:
-          return TidForm{l->coeff - r->coeff, l->constant - r->constant};
+          return TidForm{int_sub(l->coeff, r->coeff),
+                         int_sub(l->constant, r->constant)};
         case BinaryOp::Mul:
           if (l->coeff == 0) {
-            return TidForm{l->constant * r->coeff, l->constant * r->constant};
+            return TidForm{int_mul(l->constant, r->coeff),
+                           int_mul(l->constant, r->constant)};
           }
           if (r->coeff == 0) {
-            return TidForm{l->coeff * r->constant, l->constant * r->constant};
+            return TidForm{int_mul(l->coeff, r->constant),
+                           int_mul(l->constant, r->constant)};
           }
           return std::nullopt;
         default:
@@ -304,7 +311,7 @@ std::optional<std::int64_t> ConstantMap::eval(const Expr& e) const {
       if (!v) return std::nullopt;
       switch (u.op) {
         case UnaryOp::Plus: return v;
-        case UnaryOp::Neg: return -*v;
+        case UnaryOp::Neg: return int_neg(*v);
         case UnaryOp::Not: return *v == 0 ? 1 : 0;
         case UnaryOp::BitNot: return ~*v;
         default: return std::nullopt;
@@ -316,15 +323,19 @@ std::optional<std::int64_t> ConstantMap::eval(const Expr& e) const {
       auto r = eval(*b.rhs);
       if (!l || !r) return std::nullopt;
       switch (b.op) {
-        case BinaryOp::Add: return *l + *r;
-        case BinaryOp::Sub: return *l - *r;
-        case BinaryOp::Mul: return *l * *r;
-        case BinaryOp::Div: return *r == 0 ? std::nullopt
-                                           : std::optional(*l / *r);
-        case BinaryOp::Mod: return *r == 0 ? std::nullopt
-                                           : std::optional(*l % *r);
-        case BinaryOp::Shl: return *l << *r;
-        case BinaryOp::Shr: return *l >> *r;
+        case BinaryOp::Add: return int_add(*l, *r);
+        case BinaryOp::Sub: return int_sub(*l, *r);
+        case BinaryOp::Mul: return int_mul(*l, *r);
+        case BinaryOp::Div:
+        case BinaryOp::Mod: {
+          // A zero divisor or an unrepresentable quotient is not a
+          // constant.
+          const IntQuotient q =
+              b.op == BinaryOp::Div ? int_div(*l, *r) : int_mod(*l, *r);
+          return q.ok() ? std::optional(q.value) : std::nullopt;
+        }
+        case BinaryOp::Shl: return int_shl(*l, *r);
+        case BinaryOp::Shr: return int_shr(*l, *r);
         case BinaryOp::Lt: return *l < *r ? 1 : 0;
         case BinaryOp::Gt: return *l > *r ? 1 : 0;
         case BinaryOp::Le: return *l <= *r ? 1 : 0;

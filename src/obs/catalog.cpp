@@ -322,15 +322,12 @@ const MetricDesc kVmModules{
 const MetricDesc kVmChunks{
     "vm.chunks", MetricKind::Counter, "count", kStable,
     "Bytecode chunks emitted (function bodies, OpenMP construct bodies, "
-    "worksharing and simd innermost bodies, sections)."};
+    "worksharing and simd innermost bodies and init declarations, "
+    "sections, the expressions OpenMP handlers evaluate, builtin-call "
+    "arguments, globals)."};
 const MetricDesc kVmInstructions{
     "vm.instructions", MetricKind::Counter, "count", kStable,
     "Bytecode instructions emitted across all chunks."};
-const MetricDesc kVmFallbackSites{
-    "vm.fallback_sites", MetricKind::Counter, "count", kStable,
-    "Sites the bytecode compiler routed to the interpreter's AST handlers "
-    "(OpenMP constructs via ExecStmt by design, builtin calls via "
-    "EvalExpr, array and brace declarations via DeclVar)."};
 const MetricDesc kVmRuns{
     "vm.runs", MetricKind::Counter, "count", kStable,
     "run_program invocations (each executes a verified bytecode module)."};
@@ -450,8 +447,8 @@ const std::vector<const MetricDesc*>& metric_catalog() {
       &kInterpRaces,         &kSchedSteps,
       &kSchedStepsPerReplay,
       &kVmModules,           &kVmChunks,
-      &kVmInstructions,      &kVmFallbackSites,
-      &kVmRuns,              &kVmVerifyFailures,
+      &kVmInstructions,      &kVmRuns,
+      &kVmVerifyFailures,
       &kDetectEntries,
       &kAnalysisCandidatePairs, &kAnalysisDischargedSerial,
       &kAnalysisDischargedPhase, &kAnalysisDischargedMhp,

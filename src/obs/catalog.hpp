@@ -145,7 +145,6 @@ extern const MetricDesc kSchedStepsPerReplay;  // histogram
 extern const MetricDesc kVmModules;
 extern const MetricDesc kVmChunks;
 extern const MetricDesc kVmInstructions;
-extern const MetricDesc kVmFallbackSites;
 extern const MetricDesc kVmRuns;
 extern const MetricDesc kVmVerifyFailures;
 

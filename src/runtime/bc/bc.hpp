@@ -4,24 +4,34 @@
 // A Module is compiled from a resolved TranslationUnit once and then shared
 // (read-only) by every run of that unit: the dynamic detector's replay
 // loop, the schedule explorer's PCT sweep, and the repair verify loop all
-// execute the same chunks under different schedules. One Chunk is the code
-// of one structured body the interpreter enters through a boundary the
-// scheduler knows about: a function body, an OpenMP construct body, a
-// worksharing loop's innermost body, or a sections child.
+// execute the same chunks under different schedules. Compiled code is the
+// only code that evaluates Mini-C during a run. There are three kinds of
+// chunk:
+//   - body chunks, found by their statement (Module::find): a function
+//     body, an OpenMP construct body, a worksharing loop's innermost body
+//     or init declaration, or a sections child;
+//   - expression chunks, found by their expression (Module::find_expr),
+//     which leave the value in register 0: every expression an OpenMP
+//     handler evaluates (clause arguments, worksharing loop bounds, an
+//     atomic statement and its target's address) and every builtin-call
+//     argument;
+//   - one chunk declaring the globals, run before main.
 //
 // Every instrumented memory access carries a pre-rendered source spelling
 // (AccessSite), so race reports, schedule decision traces, and coverage
 // signatures come out exactly as pinned in
-// tests/golden/runtime_fingerprints.txt. Constructs the compiler does not
-// lower call into the interpreter's AST handlers: ExecStmt runs an OpenMP
-// construct (the only statement kind verify() admits there), EvalExpr a
-// builtin call or unbound identifier, DeclVar an array or
-// brace-initialized declaration. Every body those handlers enter must
-// have a chunk of its own; the run faults on one that does not.
+// tests/golden/runtime_fingerprints.txt. ExecStmt hands an OpenMP construct
+// to the runtime's construct handlers (the only statement kind verify()
+// admits there); CallBuiltin hands a builtin call to the runtime's builtin
+// library. Both evaluate what they need through expression chunks and
+// enter every body through its body chunk; the run faults on a body or an
+// expression that has none.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -54,11 +64,11 @@ enum class Op : std::uint8_t {
   JumpIfTrue,    // if (regs[a]) pc = imm
   PushFrame,     // push an (empty) binding frame
   PopFrame,      // pop n frames (invalidates caches if any was non-empty)
-  DeclVar,       // declare decls[imm] via declare_var (arrays, init lists)
-  DeclScalar,    // fast-path scalar declare of decls[imm]; regs[a] = &slot
-  StoreDeclInit, // store regs[b] through regs[a] (initializer, no event)
+  DeclArray,     // declare decls[imm] with dims regs[c..c+n-1]; regs[a] = &obj
+  DeclScalar,    // declare the scalar decls[imm]; regs[a] = &slot
+  StoreDeclInit, // store regs[b] at element imm of the object regs[a] (no event)
   CallUser,      // info=call_infos[imm]: regs[a] = user function call
-  EvalExpr,      // regs[a] = AST-evaluate exprs[imm] (fallback)
+  CallBuiltin,   // call=builtin_calls[imm]: regs[a] = builtin result
   ExecStmt,      // run OpenMP flow_infos[imm].node; route Break/Continue
   RetValue,      // throw ReturnSignal{regs[a]}
   RetFlow,       // return Flow (n: kFlowBreak / kFlowContinue)
@@ -76,8 +86,7 @@ inline constexpr std::uint16_t kIncDecNeg = 2;  // decrement
 inline constexpr std::uint16_t kFlowBreak = 1;
 inline constexpr std::uint16_t kFlowContinue = 2;
 
-/// "No cache register" sentinel for Instr::b on DeclVar/DeclScalar and for
-/// AccessSite::cache.
+/// "No cache register" sentinel for AccessSite::cache.
 inline constexpr std::int32_t kNoCache = -1;
 
 struct Instr {
@@ -88,6 +97,47 @@ struct Instr {
   std::uint16_t c = 0;
   std::int32_t imm = -1;         // jump target or pool index
 };
+
+/// The runtime's builtin functions, resolved from the callee's name at
+/// compile time.
+enum class Builtin : std::uint8_t {
+  Printf, Fprintf, Puts, Putchar,
+  Malloc, Calloc, Free, Memset, Sizeof,
+  OmpGetThreadNum, OmpGetNumThreads, OmpGetMaxThreads, OmpGetNumProcs,
+  OmpInParallel, OmpSetNumThreads, OmpGetWtime,
+  OmpInitLock, OmpDestroyLock, OmpInitNestLock, OmpDestroyNestLock,
+  OmpSetLock, OmpUnsetLock, OmpSetNestLock, OmpUnsetNestLock, OmpTestLock,
+  Fabs, Sqrt, Sin, Cos, Exp, Log, Floor, Ceil,
+  Pow, Fmax, Fmin, Abs, Labs,
+  Rand, Srand, Atoi, Atol, Atof,
+  Assert, Exit, Abort,
+};
+
+inline constexpr int kBuiltinCount = static_cast<int>(Builtin::Abort) + 1;
+
+/// The builtin called `name`, if there is one.
+[[nodiscard]] std::optional<Builtin> builtin_named(std::string_view name);
+
+/// The loops a worksharing or `simd` construct distributes, outermost
+/// first: its body with single-statement blocks unwrapped, then for
+/// `collapse(n)` each next loop found the same way, n in all. Stops at a
+/// level that is not a for loop, leaving `complete` false.
+struct LoopNest {
+  std::vector<const minic::ForStmt*> loops;
+  bool complete = false;
+};
+[[nodiscard]] LoopNest loop_nest(const minic::OmpStmt& s);
+
+/// What an `atomic` construct evaluates: its statement, when the body
+/// (single-statement blocks unwrapped) is an expression statement, and
+/// the location that statement updates -- or reads, under `atomic read`
+/// -- when that is an identifier or a subscript. Null when absent; with
+/// no statement the body runs as a block.
+struct AtomicParts {
+  const minic::Expr* stmt = nullptr;
+  const minic::Expr* target = nullptr;
+};
+[[nodiscard]] AtomicParts atomic_parts(const minic::OmpStmt& s);
 
 /// One instrumented access site: everything on_read_at/on_write_at needs,
 /// rendered at compile time so the hot path does no string building.
@@ -100,7 +150,6 @@ struct AccessSite {
 
 /// Base resolution for an IndexAddr (subscript chain) instruction.
 struct IndexInfo {
-  const minic::Subscript* node = nullptr;  // outermost subscript (debug)
   bool base_is_ident = false;
   bool base_is_array = false;
   std::int32_t base_site = -1;  // sites[]: decl+cache (+read event when ptr)
@@ -111,9 +160,16 @@ struct IndexInfo {
 /// span evaluated left-to-right before the frame swap.
 struct CallInfo {
   const minic::FunctionDecl* fn = nullptr;
-  const minic::Call* node = nullptr;
   std::uint16_t arg_base = 0;
   std::uint16_t argc = 0;
+};
+
+/// A compiled builtin call. The builtin evaluates the arguments it uses,
+/// in its own order, through their expression chunks.
+struct BuiltinCall {
+  const minic::Call* node = nullptr;
+  Builtin fn = Builtin::Printf;
+  std::int32_t message = -1;  // messages[]: assert's failure text
 };
 
 /// Flow routing for an ExecStmt (an OpenMP construct): where a Break or
@@ -130,7 +186,6 @@ struct FlowInfo {
 };
 
 struct Chunk {
-  const minic::Stmt* entry = nullptr;
   std::string label;             // e.g. "fn main", for verifier diagnostics
   std::vector<Instr> code;
   std::uint32_t num_regs = 0;    // data registers
@@ -147,14 +202,21 @@ struct Chunk {
 struct Module {
   std::vector<Chunk> chunks;
   std::unordered_map<const minic::Stmt*, std::uint32_t> entries;  // body -> chunk
+  /// Expression -> chunk that leaves its value in register 0.
+  std::unordered_map<const minic::Expr*, std::uint32_t> expr_entries;
+  std::uint32_t globals = 0;  // the chunk declaring the globals
+  /// Per task construct, the variables its body refers to, in
+  /// declaration-pointer order: the candidates for implicit firstprivate.
+  std::unordered_map<const minic::Stmt*, std::vector<const minic::VarDecl*>>
+      task_captures;
   std::vector<Value> consts;
   std::vector<AccessSite> sites;
   std::vector<IndexInfo> index_infos;
   std::vector<CallInfo> call_infos;
+  std::vector<BuiltinCall> builtin_calls;
   std::vector<FlowInfo> flow_infos;
-  std::vector<const minic::Expr*> exprs;        // EvalExpr fallback nodes
   std::vector<const minic::StringLit*> strings;
-  std::vector<const minic::VarDecl*> decls;     // DeclVar / DeclScalar
+  std::vector<const minic::VarDecl*> decls;     // DeclArray / DeclScalar
   std::vector<std::string> messages;            // fault texts
   /// Largest chunk frame (registers + caches); sizes the per-thread
   /// register arena so fresh contexts do not pay for a worst-case arena.
@@ -166,6 +228,10 @@ struct Module {
   [[nodiscard]] const Chunk* find(const minic::Stmt* s) const {
     auto it = entries.find(s);
     return it == entries.end() ? nullptr : &chunks[it->second];
+  }
+  [[nodiscard]] const Chunk* find_expr(const minic::Expr* e) const {
+    auto it = expr_entries.find(e);
+    return it == expr_entries.end() ? nullptr : &chunks[it->second];
   }
 };
 

@@ -1,18 +1,20 @@
-// AST -> bytecode compiler. The golden rule: the compiled code makes
-// exactly the instrumented calls (note_step / read & write events with the
-// same rendered text and location), in exactly the order, that produced
-// tests/golden/runtime_fingerprints.txt. Evaluation-order decisions below
-// that look arbitrary (subscript indices outermost-first,
-// allocate-then-init declarations, cond/inc placement in loops) are part
-// of that contract and must not be "fixed". Anything not covered by the
-// opcode set is emitted as an EvalExpr / ExecStmt / DeclVar call into the
-// interpreter's AST handlers (interp.cpp), which share the instrumented
-// access path with the compiled code.
+// AST -> bytecode compiler. The golden rule covers every evaluation in a
+// run -- function and construct bodies, the expressions the OpenMP
+// handlers evaluate, builtin-call arguments and the globals: the compiled
+// code makes exactly the instrumented calls (note_step / read & write
+// events with the same rendered text and location), in exactly the order,
+// and the same allocations in the same order (object ids show through
+// `%p`), that produced tests/golden/runtime_fingerprints.txt.
+// Evaluation-order decisions below that look arbitrary (subscript indices
+// outermost-first, allocate-then-init declarations, cond/inc placement in
+// loops) are part of that contract and must not be "fixed".
 #include "runtime/bc/compile.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,9 +30,23 @@ using namespace minic;
 
 namespace {
 
-/// Innermost-base source coordinate of an access. Mirrors the
-/// interpreter's access_loc; the two must agree for bit-identical race
-/// reports.
+/// Builtin names, in Builtin order.
+constexpr std::array<std::string_view, kBuiltinCount> kBuiltinNames = {
+    "printf", "fprintf", "puts", "putchar", "malloc", "calloc", "free",
+    "memset", "__sizeof", "omp_get_thread_num", "omp_get_num_threads",
+    "omp_get_max_threads", "omp_get_num_procs", "omp_in_parallel",
+    "omp_set_num_threads", "omp_get_wtime", "omp_init_lock",
+    "omp_destroy_lock", "omp_init_nest_lock", "omp_destroy_nest_lock",
+    "omp_set_lock", "omp_unset_lock", "omp_set_nest_lock",
+    "omp_unset_nest_lock", "omp_test_lock", "fabs", "sqrt", "sin", "cos",
+    "exp", "log", "floor", "ceil", "pow", "fmax", "fmin", "abs", "labs",
+    "rand", "srand", "atoi", "atol", "atof", "assert", "exit", "abort",
+};
+static_assert(kBuiltinNames.back() == "abort", "one name per Builtin");
+
+/// Innermost-base source coordinate of an access: the base identifier of
+/// `a[i+1]` or `*p`, the static detector's and DRB's coordinate
+/// convention.
 SourceLoc site_loc(const Expr& expr) {
   const Expr* cur = &expr;
   for (;;) {
@@ -64,32 +80,59 @@ class Compiler {
     for (const auto& fn : tu_.functions) {
       if (fn->body) add_chunk(*fn->body, "fn " + fn->name);
     }
+    m_.globals = push_chunk(build_chunk("globals", [&] {
+      for (const auto& g : tu_.globals) compile_decl(*g);
+    }));
     for (const auto& fn : tu_.functions) {
       visit_stmt(fn->body.get());
     }
+    // Expression chunks, including the ones their own compilation asks
+    // for (a builtin call inside a builtin's argument).
+    while (!pending_exprs_.empty()) {
+      const auto [e, address] = pending_exprs_.back();
+      pending_exprs_.pop_back();
+      if (m_.expr_entries.count(e) != 0) continue;
+      const std::uint32_t idx =
+          push_chunk(build_chunk(address ? "addr" : "expr", [&] {
+            const int r0 = alloc();
+            if (address) {
+              compile_lvalue(*e, r0);
+            } else {
+              compile_expr_into(*e, r0);
+            }
+          }));
+      m_.expr_entries[e] = idx;
+    }
     return std::move(m_);
-  }
-
-  [[nodiscard]] std::uint64_t fallback_sites() const noexcept {
-    return fallback_sites_;
   }
 
  private:
   // ------------------------------------------------------------ chunk set
 
-  void add_chunk(const Stmt& s, std::string label) {
-    if (m_.entries.count(&s) != 0) return;
-    Chunk ch = compile_chunk(s, std::move(label));
+  std::uint32_t push_chunk(Chunk ch) {
     m_.max_frame = std::max(m_.max_frame, ch.frame_size());
-    m_.entries[&s] = static_cast<std::uint32_t>(m_.chunks.size());
     m_.chunks.push_back(std::move(ch));
+    return static_cast<std::uint32_t>(m_.chunks.size() - 1);
   }
 
-  /// Registers chunks for every body the interpreter enters: OpenMP
-  /// construct bodies, the innermost loop bodies of worksharing and
-  /// standalone simd loops (same unwrap + collapse walk as
-  /// exec_worksharing_loop), and sections children. A body without a
-  /// chunk faults when the runtime reaches it.
+  void add_chunk(const Stmt& s, std::string label) {
+    if (m_.entries.count(&s) != 0) return;
+    m_.entries[&s] =
+        push_chunk(build_chunk(std::move(label), [&] { compile_stmt(s); }));
+  }
+
+  /// Asks for a chunk that leaves the value of `e` -- or, for `address`,
+  /// the address of the lvalue `e` -- in register 0. Compiled after the
+  /// body chunks; a handler that finds none faults naming `e`.
+  void add_expr_chunk(const Expr& e, bool address = false) {
+    pending_exprs_.emplace_back(&e, address);
+  }
+
+  /// Registers chunks for everything the OpenMP handlers run: construct
+  /// bodies, clause arguments, the innermost loop bodies and the bounds
+  /// of worksharing and standalone simd loops, sections children, atomic
+  /// statements, and each task's capture set. A body or expression
+  /// without a chunk faults when the runtime reaches it.
   void visit_stmt(const Stmt* s) {
     if (s == nullptr) return;
     switch (s->kind) {
@@ -117,17 +160,26 @@ class Compiler {
       case StmtKind::Omp: {
         const auto* o = static_cast<const OmpStmt*>(s);
         const OmpDirectiveKind k = o->directive.kind;
+        for (const auto& c : o->directive.clauses) {
+          if (c.expr) add_expr_chunk(*c.expr);
+        }
         if (o->body) {
           add_chunk(*o->body, "omp " + omp_directive_kind_name(k));
         }
         if (o->directive.is_worksharing_loop() ||
             k == OmpDirectiveKind::Simd) {
-          add_worksharing_chunk(*o);
+          add_worksharing_chunks(*o);
         }
         if (k == OmpDirectiveKind::Sections ||
             k == OmpDirectiveKind::ParallelSections) {
           add_sections_chunks(*o);
         }
+        if (k == OmpDirectiveKind::Atomic) {
+          const auto [stmt, target] = atomic_parts(*o);
+          if (stmt != nullptr) add_expr_chunk(*stmt);
+          if (target != nullptr) add_expr_chunk(*target, /*address=*/true);
+        }
+        if (k == OmpDirectiveKind::Task) add_task_captures(*o);
         visit_stmt(o->body.get());
         break;
       }
@@ -136,33 +188,140 @@ class Compiler {
     }
   }
 
-  void add_worksharing_chunk(const OmpStmt& s) {
-    // Same body unwrapping and collapse walk as exec_worksharing_loop.
-    const Stmt* body = s.body.get();
-    while (const auto* block = stmt_cast<CompoundStmt>(body)) {
-      if (block->body.size() != 1) break;
-      body = block->body[0].get();
-    }
-    const auto* loop = stmt_cast<ForStmt>(body);
-    if (loop == nullptr) return;  // the runtime faults before iterating
+  void add_worksharing_chunks(const OmpStmt& s) {
+    const LoopNest nest = loop_nest(s);
+    for (const ForStmt* f : nest.loops) add_loop_bound_chunks(*f);
+    if (nest.complete) add_chunk(*nest.loops.back()->body, "omp-ws body");
+  }
 
-    std::int64_t collapse = 1;
-    if (const auto* c = s.directive.find_clause(OmpClauseKind::Collapse)) {
-      collapse = std::max<std::int64_t>(1, c->int_arg);
-    }
-    const Stmt* cursor = loop;
-    const Stmt* innermost = nullptr;
-    for (std::int64_t level = 0; level < collapse; ++level) {
-      const auto* f = stmt_cast<ForStmt>(cursor);
-      if (f == nullptr) return;  // collapse depth fault at runtime
-      innermost = f->body.get();
-      cursor = f->body.get();
-      while (const auto* block = stmt_cast<CompoundStmt>(cursor)) {
-        if (block->body.size() != 1 || level + 1 >= collapse) break;
-        cursor = block->body[0].get();
+  /// The init, step and limit that eval_loop_bounds evaluates. A
+  /// declaration init runs as a chunk of its own, which declares the
+  /// induction variable in the handler's frame.
+  void add_loop_bound_chunks(const ForStmt& f) {
+    if (const auto* d = stmt_cast<DeclStmt>(f.init.get())) {
+      add_chunk(*d, "omp-ws init");
+    } else if (const auto* es = stmt_cast<ExprStmt>(f.init.get())) {
+      if (const auto* a = expr_cast<Assign>(es->expr.get())) {
+        add_expr_chunk(*a->value);
       }
     }
-    if (innermost != nullptr) add_chunk(*innermost, "omp-ws body");
+    if (const auto* a = expr_cast<Assign>(f.inc.get())) {
+      if (a->op == AssignOp::Add || a->op == AssignOp::Sub) {
+        add_expr_chunk(*a->value);
+      } else if (const auto* bin = expr_cast<Binary>(a->value.get());
+                 bin != nullptr && a->op == AssignOp::Assign) {
+        add_expr_chunk(*bin->rhs);
+      }
+    }
+    if (const auto* cond = expr_cast<Binary>(f.cond.get())) {
+      add_expr_chunk(*cond->rhs);
+    }
+  }
+
+  using DeclSet = std::set<const VarDecl*>;
+
+  /// The variables a task body refers to, in DeclSet (pointer) order: the
+  /// clones of implicit firstprivates allocate in this order.
+  void add_task_captures(const OmpStmt& s) {
+    DeclSet used;
+    gather_decls(s.body.get(), used);
+    m_.task_captures[&s].assign(used.begin(), used.end());
+  }
+
+  static void gather_decls(const Stmt* s, DeclSet& out) {
+    if (s == nullptr) return;
+    switch (s->kind) {
+      case StmtKind::Decl:
+        for (const auto& v : static_cast<const DeclStmt*>(s)->decls) {
+          for (const auto& dim : v->array_dims) gather_decls(dim.get(), out);
+          gather_decls(v->init.get(), out);
+        }
+        return;
+      case StmtKind::Expr:
+        return gather_decls(static_cast<const ExprStmt*>(s)->expr.get(), out);
+      case StmtKind::Compound:
+        for (const auto& st : static_cast<const CompoundStmt*>(s)->body) {
+          gather_decls(st.get(), out);
+        }
+        return;
+      case StmtKind::If: {
+        const auto* i = static_cast<const IfStmt*>(s);
+        gather_decls(i->cond.get(), out);
+        for (const Stmt* b : {i->then_branch.get(), i->else_branch.get()}) {
+          gather_decls(b, out);
+        }
+        return;
+      }
+      case StmtKind::For: {
+        const auto* f = static_cast<const ForStmt*>(s);
+        gather_decls(f->init.get(), out);
+        for (const Expr* e : {f->cond.get(), f->inc.get()}) {
+          gather_decls(e, out);
+        }
+        return gather_decls(f->body.get(), out);
+      }
+      case StmtKind::While: {
+        const auto* w = static_cast<const WhileStmt*>(s);
+        gather_decls(w->cond.get(), out);
+        return gather_decls(w->body.get(), out);
+      }
+      case StmtKind::Do: {
+        const auto* d = static_cast<const DoStmt*>(s);
+        gather_decls(d->body.get(), out);
+        return gather_decls(d->cond.get(), out);
+      }
+      case StmtKind::Return:
+        return gather_decls(static_cast<const ReturnStmt*>(s)->value.get(),
+                            out);
+      case StmtKind::Omp: {
+        const auto* o = static_cast<const OmpStmt*>(s);
+        for (const auto& c : o->directive.clauses) {
+          gather_decls(c.expr.get(), out);
+        }
+        return gather_decls(o->body.get(), out);
+      }
+      default:
+        return;
+    }
+  }
+
+  static void gather_decls(const Expr* e, DeclSet& out) {
+    if (e == nullptr) return;
+    const auto all = [&](std::initializer_list<const Expr*> kids) {
+      for (const Expr* k : kids) gather_decls(k, out);
+    };
+    switch (e->kind) {
+      case ExprKind::Ident:
+        if (const auto* d = static_cast<const Ident*>(e)->decl) out.insert(d);
+        return;
+      case ExprKind::Subscript: {
+        const auto* x = static_cast<const Subscript*>(e);
+        return all({x->base.get(), x->index.get()});
+      }
+      case ExprKind::Unary:
+        return all({static_cast<const Unary*>(e)->operand.get()});
+      case ExprKind::Binary: {
+        const auto* x = static_cast<const Binary*>(e);
+        return all({x->lhs.get(), x->rhs.get()});
+      }
+      case ExprKind::Assign: {
+        const auto* x = static_cast<const Assign*>(e);
+        return all({x->target.get(), x->value.get()});
+      }
+      case ExprKind::Conditional: {
+        const auto* x = static_cast<const Conditional*>(e);
+        return all({x->cond.get(), x->then_expr.get(), x->else_expr.get()});
+      }
+      case ExprKind::Call:
+        for (const auto& arg : static_cast<const Call*>(e)->args) {
+          gather_decls(arg.get(), out);
+        }
+        return;
+      case ExprKind::Cast:
+        return all({static_cast<const Cast*>(e)->operand.get()});
+      default:
+        return;
+    }
   }
 
   void add_sections_chunks(const OmpStmt& s) {
@@ -192,64 +351,34 @@ class Compiler {
     const auto key = std::make_pair(static_cast<int>(v.kind()), bits);
     auto it = const_ids_.find(key);
     if (it != const_ids_.end()) return it->second;
-    const auto id = static_cast<std::int32_t>(m_.consts.size());
-    m_.consts.push_back(v);
-    const_ids_[key] = id;
-    return id;
+    return const_ids_[key] = append(m_.consts, v);
   }
 
   std::int32_t intern_message(std::string msg) {
     auto it = message_ids_.find(msg);
     if (it != message_ids_.end()) return it->second;
-    const auto id = static_cast<std::int32_t>(m_.messages.size());
-    message_ids_[msg] = id;
-    m_.messages.push_back(std::move(msg));
-    return id;
+    return message_ids_[msg] = append(m_.messages, msg);
   }
 
-  std::int32_t intern_decl(const VarDecl* d) {
-    const auto id = static_cast<std::int32_t>(m_.decls.size());
-    m_.decls.push_back(d);
-    return id;
+  /// Appends `x` to a pool; returns its index.
+  template <typename T>
+  static std::int32_t append(std::vector<T>& pool, T x) {
+    pool.push_back(std::move(x));
+    return static_cast<std::int32_t>(pool.size() - 1);
   }
 
-  std::int32_t intern_string(const StringLit* s) {
-    const auto id = static_cast<std::int32_t>(m_.strings.size());
-    m_.strings.push_back(s);
-    return id;
-  }
-
-  std::int32_t intern_expr(const Expr* e) {
-    const auto id = static_cast<std::int32_t>(m_.exprs.size());
-    m_.exprs.push_back(e);
-    return id;
-  }
-
-  /// Access site carrying the rendered text + location of `access` (the
-  /// expression the interpreter passes to on_read/on_write).
-  std::int32_t make_event_site(const Expr& access) {
-    AccessSite s;
-    s.text = expr_to_string(access);
-    s.loc = site_loc(access);
-    const auto id = static_cast<std::int32_t>(m_.sites.size());
-    m_.sites.push_back(std::move(s));
-    return id;
-  }
-
-  /// Access site for a variable lookup (with the chunk's cache slot);
-  /// `with_event` additionally renders text/loc for a read event on the
-  /// variable itself (pointer-base reads, scalar loads).
-  std::int32_t make_var_site(const VarDecl* decl, const Expr* access) {
+  /// Access site for a lookup of `decl` (with the chunk's cache slot)
+  /// and/or an instrumented event on `access` (its rendered text and
+  /// location).
+  std::int32_t make_site(const VarDecl* decl, const Expr* access) {
     AccessSite s;
     s.decl = decl;
-    s.cache = cache_slot(decl);
+    if (decl != nullptr) s.cache = cache_slot(decl);
     if (access != nullptr) {
       s.text = expr_to_string(*access);
       s.loc = site_loc(*access);
     }
-    const auto id = static_cast<std::int32_t>(m_.sites.size());
-    m_.sites.push_back(std::move(s));
-    return id;
+    return append(m_.sites, std::move(s));
   }
 
   // ------------------------------------------------------------ chunk state
@@ -292,31 +421,34 @@ class Compiler {
     int depth = 0;  // compiled frame depth of the loop's jump targets
     std::vector<std::size_t> break_jumps;
     std::vector<std::size_t> continue_jumps;
-    std::vector<std::size_t> break_flows;     // flow_infos[] indices
-    std::vector<std::size_t> continue_flows;
+    std::vector<std::int32_t> flows;  // flow_infos[] of constructs inside
   };
 
-  void close_loop(LoopCtx&& loop, std::size_t lend, std::size_t lcont) {
+  void open_loop() { loops_.push_back(LoopCtx{depth_, {}, {}, {}}); }
+
+  void close_loop(std::size_t lend, std::size_t lcont) {
+    const LoopCtx loop = std::move(loops_.back());
+    loops_.pop_back();
     for (std::size_t j : loop.break_jumps) patch(j, lend);
     for (std::size_t j : loop.continue_jumps) patch(j, lcont);
-    for (std::size_t f : loop.break_flows) {
-      m_.flow_infos[f].brk = static_cast<std::int32_t>(lend);
-    }
-    for (std::size_t f : loop.continue_flows) {
-      m_.flow_infos[f].cont = static_cast<std::int32_t>(lcont);
+    for (std::int32_t f : loop.flows) {
+      m_.flow_infos[static_cast<std::size_t>(f)].brk =
+          static_cast<std::int32_t>(lend);
+      m_.flow_infos[static_cast<std::size_t>(f)].cont =
+          static_cast<std::int32_t>(lcont);
     }
   }
 
-  Chunk compile_chunk(const Stmt& s, std::string label) {
+  template <typename EmitBody>
+  Chunk build_chunk(std::string label, EmitBody&& emit_body) {
     chunk_ = Chunk{};
-    chunk_.entry = &s;
     chunk_.label = std::move(label);
     next_reg_ = 0;
     max_reg_ = 0;
     depth_ = 0;
     caches_.clear();
     loops_.clear();
-    compile_stmt(s);
+    emit_body();
     emit({.op = Op::Halt});
     chunk_.num_regs = static_cast<std::uint32_t>(max_reg_);
     chunk_.num_caches = static_cast<std::uint32_t>(caches_.size());
@@ -374,7 +506,7 @@ class Compiler {
           release_to(c);
           jf = emit({.op = Op::JumpIfFalse, .a = u16(c)});
         }
-        loops_.push_back(LoopCtx{depth_, {}, {}, {}, {}});
+        open_loop();
         compile_stmt(*f.body);
         const std::size_t lcont = here();
         if (f.inc) {
@@ -384,9 +516,7 @@ class Compiler {
         emit({.op = Op::Jump, .imm = static_cast<std::int32_t>(lcond)});
         const std::size_t lend = here();
         if (jf != kNoPatch) patch(jf, lend);
-        LoopCtx loop = std::move(loops_.back());
-        loops_.pop_back();
-        close_loop(std::move(loop), lend, lcont);
+        close_loop(lend, lcont);
         emit({.op = Op::PopFrame, .n = 1});
         --depth_;
         return;
@@ -397,20 +527,18 @@ class Compiler {
         const int c = compile_expr(*w.cond);
         release_to(c);
         const std::size_t jf = emit({.op = Op::JumpIfFalse, .a = u16(c)});
-        loops_.push_back(LoopCtx{depth_, {}, {}, {}, {}});
+        open_loop();
         compile_stmt(*w.body);
         emit({.op = Op::Jump, .imm = static_cast<std::int32_t>(lcond)});
         const std::size_t lend = here();
         patch(jf, lend);
-        LoopCtx loop = std::move(loops_.back());
-        loops_.pop_back();
-        close_loop(std::move(loop), lend, lcond);
+        close_loop(lend, lcond);
         return;
       }
       case StmtKind::Do: {
         const auto& d = static_cast<const DoStmt&>(s);
         const std::size_t lbody = here();
-        loops_.push_back(LoopCtx{depth_, {}, {}, {}, {}});
+        open_loop();
         compile_stmt(*d.body);
         const std::size_t lcond = here();
         const int c = compile_expr(*d.cond);
@@ -419,9 +547,7 @@ class Compiler {
               .a = u16(c),
               .imm = static_cast<std::int32_t>(lbody)});
         const std::size_t lend = here();
-        LoopCtx loop = std::move(loops_.back());
-        loops_.pop_back();
-        close_loop(std::move(loop), lend, lcond);
+        close_loop(lend, lcond);
         return;
       }
       case StmtKind::Return: {
@@ -458,14 +584,9 @@ class Compiler {
           fi.brk_pops = pops;
           fi.cont_pops = pops;
         }
-        const auto idx = static_cast<std::size_t>(m_.flow_infos.size());
-        m_.flow_infos.push_back(fi);
-        ++fallback_sites_;
-        emit({.op = Op::ExecStmt, .imm = static_cast<std::int32_t>(idx)});
-        if (!loops_.empty()) {
-          loops_.back().break_flows.push_back(idx);
-          loops_.back().continue_flows.push_back(idx);
-        }
+        const std::int32_t idx = append(m_.flow_infos, fi);
+        emit({.op = Op::ExecStmt, .imm = idx});
+        if (!loops_.empty()) loops_.back().flows.push_back(idx);
         return;
       }
     }
@@ -494,44 +615,85 @@ class Compiler {
     }
   }
 
+  /// Declares `d` in the innermost frame: dimensions evaluated in order,
+  /// then the object allocated and bound, then each initializer item
+  /// (a brace list flattened row-major) evaluated and stored.
   void compile_decl(const VarDecl& d) {
-    // Eagerly give the declared variable a cache slot: DeclScalar/DeclVar
-    // update it, so re-executions of the declaration (loop iterations)
-    // repoint the cache at the freshly allocated object.
+    // Eagerly give the declared variable a cache slot: DeclScalar and
+    // DeclArray update it, so re-executions of the declaration (loop
+    // iterations) repoint the cache at the freshly allocated object.
     const std::uint16_t cache = cache_u16(&d);
-    if (!d.array_dims.empty() || is_init_list(d.init.get())) {
-      // Arrays, brace initializers: the interpreter's declare_var handles
-      // dimension evaluation and the flattened fill.
-      ++fallback_sites_;
-      emit({.op = Op::DeclVar, .b = cache, .imm = intern_decl(&d)});
-      return;
-    }
     const int save = next_reg_;
     const int addr = alloc();
-    emit({.op = Op::DeclScalar,
-          .a = u16(addr),
-          .b = cache,
-          .imm = intern_decl(&d)});
-    if (d.init) {
+    if (d.array_dims.empty() && !is_init_list(d.init.get())) {
+      emit({.op = Op::DeclScalar,
+            .a = u16(addr),
+            .b = cache,
+            .imm = append(m_.decls, &d)});
+    } else {
+      const int first = next_reg_;
+      for (std::size_t k = 0; k < d.array_dims.size(); ++k) alloc();
+      for (std::size_t k = 0; k < d.array_dims.size(); ++k) {
+        if (!d.array_dims[k]) {
+          emit_fault("unsized array '" + d.name + "'");
+          release_to(save);
+          return;
+        }
+        into(*d.array_dims[k], first + static_cast<int>(k));
+      }
+      emit({.op = Op::DeclArray,
+            .n = static_cast<std::uint16_t>(d.array_dims.size()),
+            .a = u16(addr),
+            .b = cache,
+            .c = u16(first),
+            .imm = append(m_.decls, &d)});
+    }
+    std::int32_t offset = 0;
+    const auto store_item = [&](const Expr& item) {
+      const int s2 = next_reg_;
       const int v = alloc();
-      compile_expr_into(*d.init, v);
-      emit({.op = Op::StoreDeclInit, .a = u16(addr), .b = u16(v)});
+      compile_expr_into(item, v);
+      emit({.op = Op::StoreDeclInit,
+            .a = u16(addr),
+            .b = u16(v),
+            .imm = offset++});
+      release_to(s2);
+    };
+    const auto fill = [&](const auto& self, const Call& list) -> void {
+      for (const auto& item : list.args) {
+        if (is_init_list(item.get())) {
+          self(self, static_cast<const Call&>(*item));
+        } else {
+          store_item(*item);
+        }
+      }
+    };
+    if (is_init_list(d.init.get())) {
+      fill(fill, static_cast<const Call&>(*d.init));
+    } else if (d.init) {
+      store_item(*d.init);
     }
     release_to(save);
   }
 
+  void emit_fault(std::string message) {
+    emit({.op = Op::FaultOp, .imm = intern_message(std::move(message))});
+  }
+
   // ------------------------------------------------------------ expressions
+
+  /// compile_expr_into, releasing the temporary registers it used.
+  void into(const Expr& e, int dst) {
+    const int save = next_reg_;
+    compile_expr_into(e, dst);
+    release_to(save);
+  }
 
   int compile_expr(const Expr& e) {
     const int dst = alloc();
     compile_expr_into(e, dst);
     release_to(dst + 1);
     return dst;
-  }
-
-  void emit_eval(const Expr& e, int dst) {
-    ++fallback_sites_;
-    emit({.op = Op::EvalExpr, .a = u16(dst), .imm = intern_expr(&e)});
   }
 
   void compile_expr_into(const Expr& e, int dst) {
@@ -557,22 +719,22 @@ class Compiler {
       case ExprKind::StringLit:
         emit({.op = Op::StrObj,
               .a = u16(dst),
-              .imm = intern_string(static_cast<const StringLit*>(&e))});
+              .imm = append(m_.strings, static_cast<const StringLit*>(&e))});
         return;
       case ExprKind::Ident: {
         const auto& id = static_cast<const Ident&>(e);
         if (id.decl == nullptr) {
-          emit_eval(e, dst);  // "use of unknown identifier" fault
+          emit_fault("use of unknown identifier '" + id.name + "'");
           return;
         }
         if (id.decl->is_array()) {
           emit({.op = Op::ArrayAddr,
                 .a = u16(dst),
-                .imm = make_var_site(id.decl, nullptr)});
+                .imm = make_site(id.decl, nullptr)});
         } else {
           emit({.op = Op::LoadScalar,
                 .a = u16(dst),
-                .imm = make_var_site(id.decl, &e)});
+                .imm = make_site(id.decl, &e)});
         }
         return;
       }
@@ -583,7 +745,7 @@ class Compiler {
         emit({.op = Op::LoadElem,
               .a = u16(dst),
               .b = u16(addr),
-              .imm = make_event_site(e)});
+              .imm = make_site(nullptr, &e)});
         release_to(save);
         return;
       }
@@ -598,63 +760,21 @@ class Compiler {
         return;
       case ExprKind::Conditional: {
         const auto& c = static_cast<const Conditional&>(e);
-        {
-          const int save = next_reg_;
-          compile_expr_into(*c.cond, dst);
-          release_to(save);
-        }
+        into(*c.cond, dst);
         const std::size_t jf = emit({.op = Op::JumpIfFalse, .a = u16(dst)});
-        {
-          const int save = next_reg_;
-          compile_expr_into(*c.then_expr, dst);
-          release_to(save);
-        }
+        into(*c.then_expr, dst);
         const std::size_t j = emit({.op = Op::Jump});
         patch(jf, here());
-        {
-          const int save = next_reg_;
-          compile_expr_into(*c.else_expr, dst);
-          release_to(save);
-        }
+        into(*c.else_expr, dst);
         patch(j, here());
         return;
       }
-      case ExprKind::Call: {
-        const auto& c = static_cast<const Call&>(e);
-        const FunctionDecl* fn = tu_.find_function(c.callee);
-        if (fn == nullptr || fn->body == nullptr ||
-            fn->params.size() != c.args.size()) {
-          // Builtins, externs, and arity errors: the interpreter's
-          // eval_call.
-          emit_eval(e, dst);
-          return;
-        }
-        const int save = next_reg_;
-        const int base = next_reg_;
-        for (std::size_t k = 0; k < c.args.size(); ++k) alloc();
-        for (std::size_t k = 0; k < c.args.size(); ++k) {
-          const int s2 = next_reg_;
-          compile_expr_into(*c.args[k], base + static_cast<int>(k));
-          release_to(s2);
-        }
-        CallInfo ci;
-        ci.fn = fn;
-        ci.node = &c;
-        ci.arg_base = u16(base);
-        ci.argc = static_cast<std::uint16_t>(c.args.size());
-        const auto idx = static_cast<std::int32_t>(m_.call_infos.size());
-        m_.call_infos.push_back(ci);
-        emit({.op = Op::CallUser, .a = u16(dst), .imm = idx});
-        release_to(save);
+      case ExprKind::Call:
+        compile_call(static_cast<const Call&>(e), dst);
         return;
-      }
       case ExprKind::Cast: {
         const auto& c = static_cast<const Cast&>(e);
-        {
-          const int save = next_reg_;
-          compile_expr_into(*c.operand, dst);
-          release_to(save);
-        }
+        into(*c.operand, dst);
         if (c.type.is_pointer()) return;  // pointer casts pass through
         if (c.type.is_floating()) {
           emit({.op = Op::CastDbl, .a = u16(dst), .b = u16(dst)});
@@ -664,7 +784,53 @@ class Compiler {
         return;
       }
     }
-    emit_eval(e, dst);  // unreachable; defensive
+    emit_fault("unsupported expression");  // unreachable; defensive
+  }
+
+  /// A user function with a body wins over a builtin of the same name.
+  /// What cannot be called faults where the call would be evaluated,
+  /// before any argument.
+  void compile_call(const Call& c, int dst) {
+    const FunctionDecl* fn = tu_.find_function(c.callee);
+    if (fn != nullptr && fn->body != nullptr) {
+      if (fn->params.size() != c.args.size()) {
+        emit_fault("call to '" + c.callee + "' with wrong argument count");
+        return;
+      }
+      const int save = next_reg_;
+      const int base = next_reg_;
+      for (std::size_t k = 0; k < c.args.size(); ++k) alloc();
+      for (std::size_t k = 0; k < c.args.size(); ++k) {
+        into(*c.args[k], base + static_cast<int>(k));
+      }
+      CallInfo ci;
+      ci.fn = fn;
+      ci.arg_base = u16(base);
+      ci.argc = static_cast<std::uint16_t>(c.args.size());
+      emit({.op = Op::CallUser,
+            .a = u16(dst),
+            .imm = append(m_.call_infos, ci)});
+      release_to(save);
+      return;
+    }
+    const std::optional<Builtin> builtin = builtin_named(c.callee);
+    if (!builtin) {
+      emit_fault(is_init_list(&c)
+                     ? "brace initializer in expression context"
+                     : "call to undefined function '" + c.callee + "'");
+      return;
+    }
+    BuiltinCall call;
+    call.node = &c;
+    call.fn = *builtin;
+    if (*builtin == Builtin::Assert && !c.args.empty()) {
+      call.message =
+          intern_message("assertion failed: " + expr_to_string(*c.args[0]));
+    }
+    for (const auto& arg : c.args) add_expr_chunk(*arg);
+    emit({.op = Op::CallBuiltin,
+          .a = u16(dst),
+          .imm = append(m_.builtin_calls, call)});
   }
 
   void compile_unary(const Unary& u, int dst) {
@@ -672,41 +838,28 @@ class Compiler {
       case UnaryOp::Plus:
         compile_expr_into(*u.operand, dst);
         return;
-      case UnaryOp::Neg: {
-        const int save = next_reg_;
-        compile_expr_into(*u.operand, dst);
-        release_to(save);
-        emit({.op = Op::Neg, .a = u16(dst), .b = u16(dst)});
+      case UnaryOp::Neg:
+      case UnaryOp::Not:
+      case UnaryOp::BitNot:
+        into(*u.operand, dst);
+        emit({.op = u.op == UnaryOp::Neg   ? Op::Neg
+                    : u.op == UnaryOp::Not ? Op::NotOp
+                                           : Op::BitNotOp,
+              .a = u16(dst),
+              .b = u16(dst)});
         return;
-      }
-      case UnaryOp::Not: {
-        const int save = next_reg_;
-        compile_expr_into(*u.operand, dst);
-        release_to(save);
-        emit({.op = Op::NotOp, .a = u16(dst), .b = u16(dst)});
-        return;
-      }
-      case UnaryOp::BitNot: {
-        const int save = next_reg_;
-        compile_expr_into(*u.operand, dst);
-        release_to(save);
-        emit({.op = Op::BitNotOp, .a = u16(dst), .b = u16(dst)});
-        return;
-      }
       case UnaryOp::AddrOf:
         compile_lvalue(*u.operand, dst);
         return;
       case UnaryOp::Deref: {
-        const int save = next_reg_;
-        compile_expr_into(*u.operand, dst);
-        release_to(save);
+        into(*u.operand, dst);
         emit({.op = Op::CheckPtr,
               .a = u16(dst),
               .imm = intern_message("dereference of null pointer")});
         emit({.op = Op::LoadElem,
               .a = u16(dst),
               .b = u16(dst),
-              .imm = make_event_site(u)});
+              .imm = make_site(nullptr, &u)});
         return;
       }
       case UnaryOp::PreInc:
@@ -727,54 +880,29 @@ class Compiler {
               .n = flags,
               .a = u16(dst),
               .b = u16(addr),
-              .imm = make_event_site(*u.operand)});
+              .imm = make_site(nullptr, u.operand.get())});
         release_to(save);
         return;
       }
     }
-    emit_eval(u, dst);  // unreachable; defensive
+    emit_fault("unsupported unary operator");  // unreachable; defensive
   }
 
   void compile_binary(const Binary& b, int dst) {
-    if (b.op == BinaryOp::LogicalAnd) {
-      {
-        const int save = next_reg_;
-        compile_expr_into(*b.lhs, dst);
-        release_to(save);
-      }
-      const std::size_t jf = emit({.op = Op::JumpIfFalse, .a = u16(dst)});
-      {
-        const int save = next_reg_;
-        compile_expr_into(*b.rhs, dst);
-        release_to(save);
-      }
+    if (b.op == BinaryOp::LogicalAnd || b.op == BinaryOp::LogicalOr) {
+      // The lhs decides alone when it is false (&&) or true (||).
+      const bool is_and = b.op == BinaryOp::LogicalAnd;
+      into(*b.lhs, dst);
+      const std::size_t jshort =
+          emit({.op = is_and ? Op::JumpIfFalse : Op::JumpIfTrue,
+                .a = u16(dst)});
+      into(*b.rhs, dst);
       emit({.op = Op::ToBool, .a = u16(dst), .b = u16(dst)});
       const std::size_t j = emit({.op = Op::Jump});
-      patch(jf, here());
+      patch(jshort, here());
       emit({.op = Op::Const,
             .a = u16(dst),
-            .imm = intern_const(Value::of_int(0))});
-      patch(j, here());
-      return;
-    }
-    if (b.op == BinaryOp::LogicalOr) {
-      {
-        const int save = next_reg_;
-        compile_expr_into(*b.lhs, dst);
-        release_to(save);
-      }
-      const std::size_t jt = emit({.op = Op::JumpIfTrue, .a = u16(dst)});
-      {
-        const int save = next_reg_;
-        compile_expr_into(*b.rhs, dst);
-        release_to(save);
-      }
-      emit({.op = Op::ToBool, .a = u16(dst), .b = u16(dst)});
-      const std::size_t j = emit({.op = Op::Jump});
-      patch(jt, here());
-      emit({.op = Op::Const,
-            .a = u16(dst),
-            .imm = intern_const(Value::of_int(1))});
+            .imm = intern_const(Value::of_int(is_and ? 0 : 1))});
       patch(j, here());
       return;
     }
@@ -785,17 +913,9 @@ class Compiler {
       return;
     }
     const int save = next_reg_;
-    {
-      const int s2 = next_reg_;
-      compile_expr_into(*b.lhs, dst);
-      release_to(s2);
-    }
+    into(*b.lhs, dst);
     const int rhs = alloc();
-    {
-      const int s2 = next_reg_;
-      compile_expr_into(*b.rhs, rhs);
-      release_to(s2);
-    }
+    into(*b.rhs, rhs);
     emit({.op = Op::BinOp,
           .n = static_cast<std::uint16_t>(b.op),
           .a = u16(dst),
@@ -825,20 +945,14 @@ class Compiler {
     const int save = next_reg_;
     const int addr = alloc();
     compile_lvalue(*a.target, addr);
-    const std::int32_t site = make_event_site(*a.target);
+    const std::int32_t site = make_site(nullptr, a.target.get());
     if (a.op == AssignOp::Assign) {
-      const int s2 = next_reg_;
-      compile_expr_into(*a.value, dst);
-      release_to(s2);
+      into(*a.value, dst);
     } else {
       const int old = alloc();
       emit({.op = Op::LoadElem, .a = u16(old), .b = u16(addr), .imm = site});
       const int rhs = alloc();
-      {
-        const int s2 = next_reg_;
-        compile_expr_into(*a.value, rhs);
-        release_to(s2);
-      }
+      into(*a.value, rhs);
       emit({.op = Op::ApplyBin,
             .n = static_cast<std::uint16_t>(compound_op(a.op)),
             .a = u16(dst),
@@ -855,7 +969,7 @@ class Compiler {
         const auto& id = static_cast<const Ident&>(e);
         emit({.op = Op::VarAddr,
               .a = u16(dst),
-              .imm = make_var_site(id.decl, nullptr)});
+              .imm = make_site(id.decl, nullptr)});
         return;
       }
       case ExprKind::Subscript:
@@ -864,9 +978,7 @@ class Compiler {
       case ExprKind::Unary: {
         const auto& u = static_cast<const Unary&>(e);
         if (u.op == UnaryOp::Deref) {
-          const int save = next_reg_;
-          compile_expr_into(*u.operand, dst);
-          release_to(save);
+          into(*u.operand, dst);
           emit({.op = Op::CheckPtr,
                 .a = u16(dst),
                 .imm = intern_message("dereference of null pointer")});
@@ -877,13 +989,10 @@ class Compiler {
       default:
         break;
     }
-    emit({.op = Op::FaultOp,
-          .imm = intern_message("expression is not an lvalue: " +
-                                expr_to_string(e))});
+    emit_fault("expression is not an lvalue: " + expr_to_string(e));
   }
 
-  /// Leaves the element address of a subscript chain in `dst`, making the
-  /// same evaluation steps as the walker's lvalue(): indices
+  /// Leaves the element address of a subscript chain in `dst`: indices
   /// outermost-subscript-first, then base resolution (slot lookup, and
   /// for pointer bases a read event + null check).
   void compile_subscript_addr(const Expr& e, int dst) {
@@ -898,13 +1007,10 @@ class Compiler {
     const int first = next_reg_;
     for (int k = 0; k < n; ++k) alloc();
     for (int k = 0; k < n; ++k) {
-      const int s2 = next_reg_;
-      compile_expr_into(*idx_exprs[static_cast<std::size_t>(k)], first + k);
-      release_to(s2);
+      into(*idx_exprs[static_cast<std::size_t>(k)], first + k);
     }
 
     IndexInfo info;
-    info.node = static_cast<const Subscript*>(&e);
     Instr ins{.op = Op::IndexAddr,
               .n = static_cast<std::uint16_t>(n),
               .a = u16(dst),
@@ -913,28 +1019,22 @@ class Compiler {
       info.base_is_ident = true;
       if (id->decl != nullptr && id->decl->is_array()) {
         info.base_is_array = true;
-        info.base_site = make_var_site(id->decl, nullptr);
+        info.base_site = make_site(id->decl, nullptr);
       } else {
         // Pointer variable (or unbound ident, which faults at lookup):
         // loading the pointer is itself an instrumented read.
-        info.base_site = make_var_site(id->decl, cur);
+        info.base_site = make_site(id->decl, cur);
         info.null_msg = intern_message(
             "dereference of null pointer '" +
             (id->decl != nullptr ? id->decl->name : id->name) + "'");
       }
     } else {
       const int base = alloc();
-      {
-        const int s2 = next_reg_;
-        compile_expr_into(*cur, base);
-        release_to(s2);
-      }
+      into(*cur, base);
       ins.c = u16(base);
       info.null_msg = intern_message("dereference of null pointer");
     }
-    const auto idx = static_cast<std::int32_t>(m_.index_infos.size());
-    m_.index_infos.push_back(info);
-    ins.imm = idx;
+    ins.imm = append(m_.index_infos, info);
     emit(ins);
     release_to(save);
   }
@@ -949,17 +1049,66 @@ class Compiler {
   std::vector<LoopCtx> loops_;
   std::map<std::pair<int, std::uint64_t>, std::int32_t> const_ids_;
   std::map<std::string, std::int32_t> message_ids_;
-  std::uint64_t fallback_sites_ = 0;
+  std::vector<std::pair<const Expr*, bool>> pending_exprs_;  // add_expr_chunk
 };
 
 }  // namespace
+
+std::optional<Builtin> builtin_named(std::string_view name) {
+  for (std::size_t k = 0; k < kBuiltinNames.size(); ++k) {
+    if (kBuiltinNames[k] == name) return static_cast<Builtin>(k);
+  }
+  return std::nullopt;
+}
+
+LoopNest loop_nest(const OmpStmt& s) {
+  std::int64_t collapse = 1;
+  if (const auto* c = s.directive.find_clause(OmpClauseKind::Collapse)) {
+    collapse = std::max<std::int64_t>(1, c->int_arg);
+  }
+  LoopNest nest;
+  const Stmt* cursor = s.body.get();
+  for (std::int64_t level = 0; level < collapse; ++level) {
+    while (const auto* block = stmt_cast<CompoundStmt>(cursor)) {
+      if (block->body.size() != 1) break;
+      cursor = block->body[0].get();
+    }
+    const auto* f = stmt_cast<ForStmt>(cursor);
+    if (f == nullptr) return nest;
+    nest.loops.push_back(f);
+    cursor = f->body.get();
+  }
+  nest.complete = true;
+  return nest;
+}
+
+AtomicParts atomic_parts(const OmpStmt& s) {
+  const Stmt* body = s.body.get();
+  while (const auto* block = stmt_cast<CompoundStmt>(body)) {
+    if (block->body.size() != 1) break;
+    body = block->body[0].get();
+  }
+  const auto* es = stmt_cast<ExprStmt>(body);
+  if (es == nullptr) return {};
+  AtomicParts parts{es->expr.get(), nullptr};
+  if (const auto* a = expr_cast<Assign>(parts.stmt)) {
+    parts.target = s.directive.atomic_kind == OmpAtomicKind::Read
+                       ? a->value.get()
+                       : a->target.get();
+  } else if (const auto* u = expr_cast<Unary>(parts.stmt)) {
+    parts.target = u->operand.get();
+  }
+  if (expr_cast<Ident>(parts.target) == nullptr &&
+      expr_cast<Subscript>(parts.target) == nullptr) {
+    parts.target = nullptr;
+  }
+  return parts;
+}
 
 Module compile(const TranslationUnit& tu) {
   static obs::Counter& modules = obs::metrics().counter(obs::kVmModules);
   static obs::Counter& chunks = obs::metrics().counter(obs::kVmChunks);
   static obs::Counter& instrs = obs::metrics().counter(obs::kVmInstructions);
-  static obs::Counter& fallbacks =
-      obs::metrics().counter(obs::kVmFallbackSites);
   obs::Span span(obs::kSpanVmCompile, "unit");
 
   Compiler c(tu);
@@ -969,7 +1118,6 @@ Module compile(const TranslationUnit& tu) {
   std::uint64_t total = 0;
   for (const auto& ch : m.chunks) total += ch.code.size();
   instrs.add(total);
-  fallbacks.add(c.fallback_sites());
   return m;
 }
 

@@ -10,9 +10,8 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <unordered_map>
 
-#include "minic/printer.hpp"
+#include "minic/int_ops.hpp"
 #include "obs/catalog.hpp"
 #include "runtime/bc/bc.hpp"
 #include "runtime/bc/compile.hpp"
@@ -36,14 +35,11 @@ enum class Flow { Normal, Break, Continue };
 
 struct LockState {
   bool held = false;
-  int owner = -1;
   VectorClock vc;
 };
 
 struct OrderedLoopState {
   std::int64_t next = 0;
-  std::int64_t step = 1;
-  bool initialized = false;
   VectorClock vc;
 };
 
@@ -73,9 +69,6 @@ struct TeamState {
   std::vector<VectorClock> finished_task_vcs;
   std::map<const VarDecl*, VectorClock> depend_out;
   std::map<const VarDecl*, VectorClock> depend_in_acc;
-
-  // lastprivate write-back values captured by the last iteration's owner.
-  std::map<const VarDecl*, Value> lastprivate;
 };
 
 /// A lastprivate binding awaiting write-back from the last iteration.
@@ -200,9 +193,9 @@ Value combine_for(const std::string& op, const Value& a, const Value& b,
   }
   const std::int64_t x = a.as_int();
   const std::int64_t y = b.as_int();
-  if (op == "+") return Value::of_int(x + y);
-  if (op == "-") return Value::of_int(x + y);
-  if (op == "*") return Value::of_int(x * y);
+  if (op == "+") return Value::of_int(int_add(x, y));
+  if (op == "-") return Value::of_int(int_add(x, y));
+  if (op == "*") return Value::of_int(int_mul(x, y));
   if (op == "&") return Value::of_int(x & y);
   if (op == "|") return Value::of_int(x | y);
   if (op == "^") return Value::of_int(x ^ y);
@@ -210,127 +203,40 @@ Value combine_for(const std::string& op, const Value& a, const Value& b,
   if (op == "||") return Value::of_int((x != 0 || y != 0) ? 1 : 0);
   if (op == "min") return Value::of_int(std::min(x, y));
   if (op == "max") return Value::of_int(std::max(x, y));
-  return Value::of_int(x + y);
-}
-
-/// Collects the distinct declarations referenced by a statement subtree.
-void collect_idents(const Stmt* s, std::set<const VarDecl*>& out);
-
-void collect_idents_expr(const Expr* e, std::set<const VarDecl*>& out) {
-  if (e == nullptr) return;
-  switch (e->kind) {
-    case ExprKind::Ident: {
-      const auto* id = static_cast<const Ident*>(e);
-      if (id->decl != nullptr) out.insert(id->decl);
-      break;
-    }
-    case ExprKind::Subscript: {
-      const auto* sub = static_cast<const Subscript*>(e);
-      collect_idents_expr(sub->base.get(), out);
-      collect_idents_expr(sub->index.get(), out);
-      break;
-    }
-    case ExprKind::Unary:
-      collect_idents_expr(static_cast<const Unary*>(e)->operand.get(), out);
-      break;
-    case ExprKind::Binary: {
-      const auto* b = static_cast<const Binary*>(e);
-      collect_idents_expr(b->lhs.get(), out);
-      collect_idents_expr(b->rhs.get(), out);
-      break;
-    }
-    case ExprKind::Assign: {
-      const auto* a = static_cast<const Assign*>(e);
-      collect_idents_expr(a->target.get(), out);
-      collect_idents_expr(a->value.get(), out);
-      break;
-    }
-    case ExprKind::Conditional: {
-      const auto* c = static_cast<const Conditional*>(e);
-      collect_idents_expr(c->cond.get(), out);
-      collect_idents_expr(c->then_expr.get(), out);
-      collect_idents_expr(c->else_expr.get(), out);
-      break;
-    }
-    case ExprKind::Call: {
-      const auto* c = static_cast<const Call*>(e);
-      for (const auto& arg : c->args) collect_idents_expr(arg.get(), out);
-      break;
-    }
-    case ExprKind::Cast:
-      collect_idents_expr(static_cast<const Cast*>(e)->operand.get(), out);
-      break;
-    default:
-      break;
-  }
-}
-
-void collect_idents(const Stmt* s, std::set<const VarDecl*>& out) {
-  if (s == nullptr) return;
-  switch (s->kind) {
-    case StmtKind::Decl: {
-      const auto* d = static_cast<const DeclStmt*>(s);
-      for (const auto& v : d->decls) {
-        for (const auto& dim : v->array_dims) collect_idents_expr(dim.get(), out);
-        collect_idents_expr(v->init.get(), out);
-      }
-      break;
-    }
-    case StmtKind::Expr:
-      collect_idents_expr(static_cast<const ExprStmt*>(s)->expr.get(), out);
-      break;
-    case StmtKind::Compound:
-      for (const auto& st : static_cast<const CompoundStmt*>(s)->body) {
-        collect_idents(st.get(), out);
-      }
-      break;
-    case StmtKind::If: {
-      const auto* i = static_cast<const IfStmt*>(s);
-      collect_idents_expr(i->cond.get(), out);
-      collect_idents(i->then_branch.get(), out);
-      collect_idents(i->else_branch.get(), out);
-      break;
-    }
-    case StmtKind::For: {
-      const auto* f = static_cast<const ForStmt*>(s);
-      collect_idents(f->init.get(), out);
-      collect_idents_expr(f->cond.get(), out);
-      collect_idents_expr(f->inc.get(), out);
-      collect_idents(f->body.get(), out);
-      break;
-    }
-    case StmtKind::While: {
-      const auto* w = static_cast<const WhileStmt*>(s);
-      collect_idents_expr(w->cond.get(), out);
-      collect_idents(w->body.get(), out);
-      break;
-    }
-    case StmtKind::Do: {
-      const auto* d = static_cast<const DoStmt*>(s);
-      collect_idents(d->body.get(), out);
-      collect_idents_expr(d->cond.get(), out);
-      break;
-    }
-    case StmtKind::Return:
-      collect_idents_expr(static_cast<const ReturnStmt*>(s)->value.get(), out);
-      break;
-    case StmtKind::Omp: {
-      const auto* o = static_cast<const OmpStmt*>(s);
-      for (const auto& c : o->directive.clauses) {
-        collect_idents_expr(c.expr.get(), out);
-      }
-      collect_idents(o->body.get(), out);
-      break;
-    }
-    default:
-      break;
-  }
+  return Value::of_int(int_add(x, y));
 }
 
 /// Signals a `return` unwinding through nested calls.
 struct ReturnSignal {
   Value value;
 };
+
+/// The value of an integer `/` or `%`; faults on a zero divisor or an
+/// unrepresentable quotient.
+std::int64_t quotient_or_fault(IntQuotient q, const char* zero_divisor) {
+  if (q.ok()) return q.value;
+  throw RuntimeFault(q.status == IntQuotient::Status::ZeroDivisor
+                         ? zero_divisor
+                         : "integer division overflow");
+}
+
+/// Faults on a body, expression or task the module has no compiled form
+/// for.
+[[noreturn]] void missing_from_module(const char* what, SourceLoc loc) {
+  throw RuntimeFault("bytecode module has no " + std::string(what) +
+                     " at line " + std::to_string(loc.line) + ":" +
+                     std::to_string(loc.col));
+}
+
+/// `a * b` as an element count; faults when the product overflows.
+std::int64_t element_count(std::int64_t a, std::int64_t b) {
+  std::int64_t out = 0;
+  if (__builtin_mul_overflow(a, b, &out)) {
+    throw RuntimeFault(
+        "allocation too large for the interpreter: element count overflows");
+  }
+  return out;
+}
 
 class Interp {
  public:
@@ -352,25 +258,21 @@ class Interp {
       main_ctx.tid = next_tid_++;
       main_ctx.vc.set(main_ctx.tid, 1);
       main_ctx.frames.emplace_back();
-
-      // Globals.
-      for (const auto& g : tu_.globals) {
-        declare_var(main_ctx, *g);
-      }
-
-      const FunctionDecl* main_fn = tu_.find_function("main");
-      if (main_fn == nullptr || !main_fn->body) {
-        throw RuntimeFault("program has no main()");
-      }
-      // main's argc/argv (argc = 1, argv unused).
-      main_ctx.frames.emplace_back();
-      for (const auto& p : main_fn->params) {
-        declare_param(main_ctx, *p,
-                      p->type.is_pointer() ? Value::of_ptr({})
-                                           : Value::of_int(1));
-      }
       Value ret = Value::of_int(0);
       try {
+        // A global initializer may call exit() too.
+        run_chunk(main_ctx, module_.chunks[module_.globals]);
+        const FunctionDecl* main_fn = tu_.find_function("main");
+        if (main_fn == nullptr || !main_fn->body) {
+          throw RuntimeFault("program has no main()");
+        }
+        // main's argc/argv (argc = 1, argv unused).
+        main_ctx.frames.emplace_back();
+        for (const auto& p : main_fn->params) {
+          declare_param(main_ctx, *p,
+                        p->type.is_pointer() ? Value::of_ptr({})
+                                             : Value::of_int(1));
+        }
         exec_body(main_ctx, *main_fn->body);
       } catch (ReturnSignal& sig) {
         ret = sig.value;
@@ -396,52 +298,20 @@ class Interp {
  private:
   // ------------------------------------------------------------ environment
 
-  void declare_var(ThreadCtx& ctx, const VarDecl& d) {
-    std::vector<std::int64_t> dims;
-    std::int64_t count = 1;
-    for (const auto& dim_expr : d.array_dims) {
-      if (!dim_expr) {
-        throw RuntimeFault("unsized array '" + d.name + "'");
-      }
-      const std::int64_t n = eval(ctx, *dim_expr).as_int();
-      dims.push_back(n);
-      count *= n;
-    }
+  /// Allocates the object of declaration `d` (zero-filled, in elements)
+  /// and binds it in the innermost frame.
+  ObjRef declare_object(ThreadCtx& ctx, const VarDecl& d,
+                        std::vector<std::int64_t> dims, std::int64_t count) {
     const bool is_float = d.type.is_floating() && !d.type.is_pointer();
-    Value init = d.type.is_pointer() ? Value::of_ptr({})
-                 : is_float          ? Value::of_double(0.0)
-                                     : Value::of_int(0);
-    const bool local_to_thread = ctx.team != nullptr;
-    const int obj = mem_.allocate(d.name, &d, dims, count, init,
-                                  local_to_thread);
+    const Value init = d.type.is_pointer() ? Value::of_ptr({})
+                       : is_float          ? Value::of_double(0.0)
+                                           : Value::of_int(0);
+    const int obj = mem_.allocate(d.name, &d, std::move(dims), count, init,
+                                  /*thread_local_object=*/ctx.team != nullptr);
     mem_.object(obj).elem_float = is_float;
-    ctx.frames.back()[&d] = ObjRef{obj, 0};
-
-    if (d.init) {
-      if (const auto* call = expr_cast<Call>(d.init.get());
-          call != nullptr && call->callee == "__init_list") {
-        store_init_list(ctx, ObjRef{obj, 0}, *call);
-      } else {
-        Value v = eval(ctx, *d.init);
-        store_raw(obj, 0, v);
-      }
-    }
-  }
-
-  void store_init_list(ThreadCtx& ctx, ObjRef base, const Call& list) {
-    // Flattened row-major fill.
-    std::int64_t offset = base.offset;
-    std::function<void(const Call&)> fill = [&](const Call& c) {
-      for (const auto& item : c.args) {
-        if (const auto* nested = expr_cast<Call>(item.get());
-            nested != nullptr && nested->callee == "__init_list") {
-          fill(*nested);
-        } else {
-          store_raw(base.object, offset++, eval(ctx, *item));
-        }
-      }
-    };
-    fill(list);
+    const ObjRef slot{obj, 0};
+    ctx.frames.back()[&d] = slot;
+    return slot;
   }
 
   void declare_param(ThreadCtx& ctx, const VarDecl& d, Value v) {
@@ -476,6 +346,7 @@ class Interp {
   // ------------------------------------------------------------ shadow/race
 
   void note_step(ThreadCtx& ctx) {
+    silent_back_edges_ = 0;
     if (ctx.team != nullptr && ctx.team->sched != nullptr &&
         ctx.no_yield_depth == 0) {
       ctx.team->sched->yield_point();
@@ -486,6 +357,18 @@ class Interp {
       }
     }
     ++steps_total_;
+  }
+
+  /// A loop back-edge, a worksharing iteration or a user call. A run of
+  /// them with no instrumented access between (which would count a step)
+  /// faults at kMaxSilentBackEdges, so a loop that touches no memory
+  /// cannot hang the run.
+  void note_back_edge() {
+    if (++silent_back_edges_ > kMaxSilentBackEdges) {
+      throw RuntimeFault("silent loop limit exceeded: " +
+                         std::to_string(kMaxSilentBackEdges) +
+                         " back-edges without a memory access");
+    }
   }
 
   /// Interleaving-coverage signature: for every shared access we hash its
@@ -534,42 +417,6 @@ class Interp {
     }
     pair.note = "dynamic: unordered accesses (happens-before violation)";
     report_.add_pair(std::move(pair));
-  }
-
-  /// Location of an access: the innermost base identifier (matching the
-  /// static detector's and DRB's coordinate convention for `a[i+1]`).
-  [[nodiscard]] static SourceLoc access_loc(const Expr& expr) {
-    const Expr* cur = &expr;
-    for (;;) {
-      if (const auto* sub = expr_cast<Subscript>(cur)) {
-        cur = sub->base.get();
-        continue;
-      }
-      if (const auto* un = expr_cast<Unary>(cur)) {
-        if (un->op == UnaryOp::Deref) {
-          cur = un->operand.get();
-          continue;
-        }
-      }
-      break;
-    }
-    return cur->loc.valid() ? cur->loc : expr.loc;
-  }
-
-  /// The walker's source spelling of an access, rendered once per
-  /// expression per run; the returned string lives as long as the run.
-  const std::string* access_text(const Expr& expr) {
-    auto [it, inserted] = access_texts_.try_emplace(&expr);
-    if (inserted) it->second = expr_to_string(expr);
-    return &it->second;
-  }
-
-  void on_read(ThreadCtx& ctx, ObjRef ref, const Expr& expr) {
-    on_read_at(ctx, ref, access_text(expr), access_loc(expr));
-  }
-
-  void on_write(ThreadCtx& ctx, ObjRef ref, const Expr& expr) {
-    on_write_at(ctx, ref, access_text(expr), access_loc(expr));
   }
 
   /// Instrumented read of `ref`. `text` must outlive the run (see
@@ -641,7 +488,6 @@ class Interp {
       throw RuntimeFault("self-deadlock on lock");
     }
     lock.held = true;
-    lock.owner = ctx.tid;
     ctx.vc.join(lock.vc);
   }
 
@@ -649,7 +495,6 @@ class Interp {
     lock.vc = ctx.vc;
     ctx.vc.tick(ctx.tid);
     lock.held = false;
-    lock.owner = -1;
   }
 
   void team_barrier(ThreadCtx& ctx) {
@@ -669,61 +514,7 @@ class Interp {
     ctx.vc.tick(ctx.tid);
   }
 
-  // ------------------------------------------------------------ expressions
-
-  [[nodiscard]] ObjRef lvalue(ThreadCtx& ctx, const Expr& e) {
-    switch (e.kind) {
-      case ExprKind::Ident: {
-        const auto& id = static_cast<const Ident&>(e);
-        return lookup(ctx, id.decl);
-      }
-      case ExprKind::Subscript: {
-        // Resolve the chain: base object + flattened offset.
-        std::vector<std::int64_t> indices;
-        const Expr* cur = &e;
-        while (const auto* s = expr_cast<Subscript>(cur)) {
-          indices.push_back(eval(ctx, *s->index).as_int());
-          cur = s->base.get();
-        }
-        std::reverse(indices.begin(), indices.end());
-        ObjRef base;
-        if (const auto* id = expr_cast<Ident>(cur)) {
-          ObjRef slot = lookup(ctx, id->decl);
-          if (id->decl->is_array()) {
-            base = slot;  // the array object itself
-          } else {
-            // Pointer variable: load its value (a pointer read).
-            on_read(ctx, slot, *cur);
-            base = mem_.load(slot).as_ptr();
-            if (!base.valid()) {
-              throw RuntimeFault("dereference of null pointer '" +
-                                 id->decl->name + "'");
-            }
-          }
-        } else {
-          base = eval(ctx, *cur).as_ptr();
-          if (!base.valid()) throw RuntimeFault("dereference of null pointer");
-        }
-        const MemObject& obj = mem_.object(base.object);
-        return ObjRef{base.object,
-                      subscript_offset(obj, base, indices.data(),
-                                       indices.size())};
-      }
-      case ExprKind::Unary: {
-        const auto& u = static_cast<const Unary&>(e);
-        if (u.op == UnaryOp::Deref) {
-          Value p = eval(ctx, *u.operand);
-          ObjRef r = p.as_ptr();
-          if (!r.valid()) throw RuntimeFault("dereference of null pointer");
-          return r;
-        }
-        break;
-      }
-      default:
-        break;
-    }
-    throw RuntimeFault("expression is not an lvalue: " + expr_to_string(e));
-  }
+  // ------------------------------------------------------------ values
 
   /// Flattened element offset of a subscript chain on `obj`: row-major
   /// multi-dim indexing with the interpreter's partial-index conventions.
@@ -738,22 +529,27 @@ class Interp {
       std::vector<std::int64_t> strides(obj.dims.size(), 1);
       for (int i = static_cast<int>(obj.dims.size()) - 1; i >= 0; --i) {
         strides[static_cast<std::size_t>(i)] = stride;
-        stride *= obj.dims[static_cast<std::size_t>(i)];
+        stride = int_mul(stride, obj.dims[static_cast<std::size_t>(i)]);
       }
       for (std::size_t i = 0; i < count; ++i) {
+        // More indices than dimensions: the extra ones have stride 1.
         const std::size_t dim_index =
             obj.dims.size() >= count ? obj.dims.size() - count + i : i;
-        offset += indices[i] * strides[dim_index];
+        const std::int64_t s =
+            dim_index < strides.size() ? strides[dim_index] : 1;
+        offset = int_add(offset, int_mul(indices[i], s));
       }
     } else {
-      for (std::size_t i = 0; i < count; ++i) offset += indices[i];
+      for (std::size_t i = 0; i < count; ++i) {
+        offset = int_add(offset, indices[i]);
+      }
       if (!obj.dims.empty() && count == 1 && obj.dims.size() > 1) {
         // a[i] on a 2-D array: scale by the row stride.
         std::int64_t stride = 1;
         for (std::size_t i = 1; i < obj.dims.size(); ++i) {
-          stride *= obj.dims[i];
+          stride = int_mul(stride, obj.dims[i]);
         }
-        offset = base.offset + indices[0] * stride;
+        offset = int_add(base.offset, int_mul(indices[0], stride));
       }
     }
     return offset;
@@ -769,144 +565,22 @@ class Interp {
     mem_.store(ObjRef{obj, offset}, v);
   }
 
-  Value load_checked(ThreadCtx& ctx, ObjRef ref, const Expr& e) {
-    on_read(ctx, ref, e);
-    return mem_.load(ref);
-  }
-
-  void store_checked(ThreadCtx& ctx, ObjRef ref, Value v, const Expr& e) {
-    on_write(ctx, ref, e);
-    store_raw(ref.object, ref.offset, v);
-  }
-
-  Value eval(ThreadCtx& ctx, const Expr& e) {
-    switch (e.kind) {
-      case ExprKind::IntLit:
-        return Value::of_int(static_cast<const IntLit&>(e).value);
-      case ExprKind::FloatLit:
-        return Value::of_double(static_cast<const FloatLit&>(e).value);
-      case ExprKind::CharLit:
-        return Value::of_int(static_cast<const CharLit&>(e).value);
-      case ExprKind::StringLit:
-        return Value::of_ptr(string_object(static_cast<const StringLit&>(e)));
-      case ExprKind::Ident: {
-        const auto& id = static_cast<const Ident&>(e);
-        if (id.decl == nullptr) {
-          throw RuntimeFault("use of unknown identifier '" + id.name + "'");
-        }
-        ObjRef slot = lookup(ctx, id.decl);
-        if (id.decl->is_array()) {
-          return Value::of_ptr(slot);  // arrays decay to pointers
-        }
-        return load_checked(ctx, slot, e);
-      }
-      case ExprKind::Subscript: {
-        ObjRef ref = lvalue(ctx, e);
-        return load_checked(ctx, ref, e);
-      }
-      case ExprKind::Unary:
-        return eval_unary(ctx, static_cast<const Unary&>(e));
-      case ExprKind::Binary:
-        return eval_binary(ctx, static_cast<const Binary&>(e));
-      case ExprKind::Assign:
-        return eval_assign(ctx, static_cast<const Assign&>(e));
-      case ExprKind::Conditional: {
-        const auto& c = static_cast<const Conditional&>(e);
-        return eval(ctx, *c.cond).truthy() ? eval(ctx, *c.then_expr)
-                                           : eval(ctx, *c.else_expr);
-      }
-      case ExprKind::Call:
-        return eval_call(ctx, static_cast<const Call&>(e));
-      case ExprKind::Cast: {
-        const auto& c = static_cast<const Cast&>(e);
-        Value v = eval(ctx, *c.operand);
-        if (c.type.is_pointer()) return v;
-        if (c.type.is_floating()) return Value::of_double(v.as_double());
-        return Value::of_int(v.as_int());
-      }
-    }
-    throw RuntimeFault("unsupported expression");
-  }
-
-  Value eval_unary(ThreadCtx& ctx, const Unary& u) {
-    switch (u.op) {
-      case UnaryOp::Plus: return eval(ctx, *u.operand);
-      case UnaryOp::Neg: {
-        Value v = eval(ctx, *u.operand);
-        return v.kind() == Value::Kind::Double
-                   ? Value::of_double(-v.as_double())
-                   : Value::of_int(-v.as_int());
-      }
-      case UnaryOp::Not:
-        return Value::of_int(eval(ctx, *u.operand).truthy() ? 0 : 1);
-      case UnaryOp::BitNot:
-        return Value::of_int(~eval(ctx, *u.operand).as_int());
-      case UnaryOp::AddrOf: {
-        ObjRef r = lvalue(ctx, *u.operand);
-        return Value::of_ptr(r);
-      }
-      case UnaryOp::Deref: {
-        ObjRef r = lvalue(ctx, u);
-        return load_checked(ctx, r, u);
-      }
-      case UnaryOp::PreInc:
-      case UnaryOp::PreDec:
-      case UnaryOp::PostInc:
-      case UnaryOp::PostDec: {
-        ObjRef r = lvalue(ctx, *u.operand);
-        Value old = load_checked(ctx, r, *u.operand);
-        const std::int64_t delta =
-            (u.op == UnaryOp::PreInc || u.op == UnaryOp::PostInc) ? 1 : -1;
-        Value next = old.kind() == Value::Kind::Double
-                         ? Value::of_double(old.as_double() + delta)
-                         : old.is_ptr()
-                               ? Value::of_ptr(
-                                     {old.as_ptr().object,
-                                      old.as_ptr().offset + delta})
-                               : Value::of_int(old.as_int() + delta);
-        store_checked(ctx, r, next, *u.operand);
-        const bool pre =
-            u.op == UnaryOp::PreInc || u.op == UnaryOp::PreDec;
-        return pre ? next : old;
-      }
-    }
-    throw RuntimeFault("unsupported unary operator");
-  }
-
-  Value eval_binary(ThreadCtx& ctx, const Binary& b) {
-    if (b.op == BinaryOp::LogicalAnd) {
-      if (!eval(ctx, *b.lhs).truthy()) return Value::of_int(0);
-      return Value::of_int(eval(ctx, *b.rhs).truthy() ? 1 : 0);
-    }
-    if (b.op == BinaryOp::LogicalOr) {
-      if (eval(ctx, *b.lhs).truthy()) return Value::of_int(1);
-      return Value::of_int(eval(ctx, *b.rhs).truthy() ? 1 : 0);
-    }
-    if (b.op == BinaryOp::Comma) {
-      eval(ctx, *b.lhs);
-      return eval(ctx, *b.rhs);
-    }
-    Value l = eval(ctx, *b.lhs);
-    Value r = eval(ctx, *b.rhs);
-    return eval_binop_values(l, r, b.op);
-  }
-
   /// Strict (non-short-circuit) binary operator on already-evaluated
-  /// operands; shared by the AST walker and the VM's BinOp handler.
+  /// operands (the VM's BinOp).
   static Value eval_binop_values(Value l, Value r, BinaryOp op) {
     // Pointer arithmetic.
     if (l.is_ptr() || r.is_ptr()) {
       if (op == BinaryOp::Add) {
         ObjRef p = l.is_ptr() ? l.as_ptr() : r.as_ptr();
         const std::int64_t k = l.is_ptr() ? r.as_int() : l.as_int();
-        return Value::of_ptr({p.object, p.offset + k});
+        return Value::of_ptr({p.object, int_add(p.offset, k)});
       }
       if (op == BinaryOp::Sub && l.is_ptr() && !r.is_ptr()) {
         ObjRef p = l.as_ptr();
-        return Value::of_ptr({p.object, p.offset - r.as_int()});
+        return Value::of_ptr({p.object, int_sub(p.offset, r.as_int())});
       }
       if (op == BinaryOp::Sub && l.is_ptr() && r.is_ptr()) {
-        return Value::of_int(l.as_ptr().offset - r.as_ptr().offset);
+        return Value::of_int(int_sub(l.as_ptr().offset, r.as_ptr().offset));
       }
       if (op == BinaryOp::Eq) {
         return Value::of_int(l.as_ptr() == r.as_ptr() ? 1 : 0);
@@ -939,65 +613,53 @@ class Interp {
     const std::int64_t x = l.as_int();
     const std::int64_t y = r.as_int();
     switch (op) {
-      case BinaryOp::Add: return Value::of_int(x + y);
-      case BinaryOp::Sub: return Value::of_int(x - y);
-      case BinaryOp::Mul: return Value::of_int(x * y);
-      case BinaryOp::Div:
-        if (y == 0) throw RuntimeFault("integer division by zero");
-        return Value::of_int(x / y);
-      case BinaryOp::Mod:
-        if (y == 0) throw RuntimeFault("integer modulo by zero");
-        return Value::of_int(x % y);
-      case BinaryOp::Shl: return Value::of_int(x << y);
-      case BinaryOp::Shr: return Value::of_int(x >> y);
       case BinaryOp::Lt: return Value::of_int(x < y ? 1 : 0);
       case BinaryOp::Gt: return Value::of_int(x > y ? 1 : 0);
       case BinaryOp::Le: return Value::of_int(x <= y ? 1 : 0);
       case BinaryOp::Ge: return Value::of_int(x >= y ? 1 : 0);
       case BinaryOp::Eq: return Value::of_int(x == y ? 1 : 0);
       case BinaryOp::Ne: return Value::of_int(x != y ? 1 : 0);
+      case BinaryOp::LogicalAnd:
+      case BinaryOp::LogicalOr:
+      case BinaryOp::Comma:
+        throw RuntimeFault("unsupported binary operator");
+      default:
+        return int_binop(x, y, op);
+    }
+  }
+
+  /// The arithmetic and bitwise integer operators, with Mini-C's
+  /// semantics (minic/int_ops.hpp).
+  static Value int_binop(std::int64_t x, std::int64_t y, BinaryOp op) {
+    switch (op) {
+      case BinaryOp::Add: return Value::of_int(int_add(x, y));
+      case BinaryOp::Sub: return Value::of_int(int_sub(x, y));
+      case BinaryOp::Mul: return Value::of_int(int_mul(x, y));
+      case BinaryOp::Div:
+        return Value::of_int(
+            quotient_or_fault(int_div(x, y), "integer division by zero"));
+      case BinaryOp::Mod:
+        return Value::of_int(
+            quotient_or_fault(int_mod(x, y), "integer modulo by zero"));
+      case BinaryOp::Shl: return Value::of_int(int_shl(x, y));
+      case BinaryOp::Shr: return Value::of_int(int_shr(x, y));
       case BinaryOp::BitAnd: return Value::of_int(x & y);
       case BinaryOp::BitOr: return Value::of_int(x | y);
       case BinaryOp::BitXor: return Value::of_int(x ^ y);
-      default:
-        throw RuntimeFault("unsupported binary operator");
+      default: return Value::of_int(int_add(x, y));
     }
   }
 
-  Value eval_assign(ThreadCtx& ctx, const Assign& a) {
-    ObjRef target = lvalue(ctx, *a.target);
-    Value result;
-    if (a.op == AssignOp::Assign) {
-      result = eval(ctx, *a.value);
-    } else {
-      Value old = load_checked(ctx, target, *a.target);
-      Value rhs = eval(ctx, *a.value);
-      BinaryOp op;
-      switch (a.op) {
-        case AssignOp::Add: op = BinaryOp::Add; break;
-        case AssignOp::Sub: op = BinaryOp::Sub; break;
-        case AssignOp::Mul: op = BinaryOp::Mul; break;
-        case AssignOp::Div: op = BinaryOp::Div; break;
-        case AssignOp::Mod: op = BinaryOp::Mod; break;
-        case AssignOp::Shl: op = BinaryOp::Shl; break;
-        case AssignOp::Shr: op = BinaryOp::Shr; break;
-        case AssignOp::And: op = BinaryOp::BitAnd; break;
-        case AssignOp::Or: op = BinaryOp::BitOr; break;
-        case AssignOp::Xor: op = BinaryOp::BitXor; break;
-        default: op = BinaryOp::Add; break;
-      }
-      result = apply_binop(old, rhs, op);
-    }
-    store_checked(ctx, target, result, *a.target);
-    return result;
-  }
-
+  /// Compound-assignment combine of the old value and the right-hand side
+  /// (the VM's ApplyBin).
   static Value apply_binop(Value l, Value r, BinaryOp op) {
     if (l.is_ptr() && op == BinaryOp::Add) {
-      return Value::of_ptr({l.as_ptr().object, l.as_ptr().offset + r.as_int()});
+      return Value::of_ptr(
+          {l.as_ptr().object, int_add(l.as_ptr().offset, r.as_int())});
     }
     if (l.is_ptr() && op == BinaryOp::Sub) {
-      return Value::of_ptr({l.as_ptr().object, l.as_ptr().offset - r.as_int()});
+      return Value::of_ptr(
+          {l.as_ptr().object, int_sub(l.as_ptr().offset, r.as_int())});
     }
     const bool fl = l.kind() == Value::Kind::Double ||
                     r.kind() == Value::Kind::Double;
@@ -1012,25 +674,7 @@ class Interp {
         default: return Value::of_double(x + y);
       }
     }
-    const std::int64_t x = l.as_int();
-    const std::int64_t y = r.as_int();
-    switch (op) {
-      case BinaryOp::Add: return Value::of_int(x + y);
-      case BinaryOp::Sub: return Value::of_int(x - y);
-      case BinaryOp::Mul: return Value::of_int(x * y);
-      case BinaryOp::Div:
-        if (y == 0) throw RuntimeFault("integer division by zero");
-        return Value::of_int(x / y);
-      case BinaryOp::Mod:
-        if (y == 0) throw RuntimeFault("integer modulo by zero");
-        return Value::of_int(x % y);
-      case BinaryOp::Shl: return Value::of_int(x << y);
-      case BinaryOp::Shr: return Value::of_int(x >> y);
-      case BinaryOp::BitAnd: return Value::of_int(x & y);
-      case BinaryOp::BitOr: return Value::of_int(x | y);
-      case BinaryOp::BitXor: return Value::of_int(x ^ y);
-      default: return Value::of_int(x + y);
-    }
+    return int_binop(l.as_int(), r.as_int(), op);
   }
 
   [[nodiscard]] ObjRef string_object(const StringLit& s) {
@@ -1048,13 +692,13 @@ class Interp {
     return ref;
   }
 
-  Value eval_call(ThreadCtx& ctx, const Call& c);
-
-  /// Calls a user-defined function with already-evaluated arguments
-  /// (shared by eval_call and the VM's CallUser handler); faults past
-  /// kMaxCallDepth nested calls. Defined in interp_builtins.inc.
+  /// Calls a user-defined function with already-evaluated arguments (the
+  /// VM's CallUser); faults past kMaxCallDepth nested calls. Defined in
+  /// interp_builtins.inc.
   Value invoke_user(ThreadCtx& ctx, const FunctionDecl& fn,
                     std::vector<Value> args);
+  /// Runs a builtin (the VM's CallBuiltin). Defined in interp_builtins.inc.
+  Value call_builtin(ThreadCtx& ctx, const bc::BuiltinCall& call);
 
   // ------------------------------------------------------------ vm
   // Defined in interp_vm.inc.
@@ -1066,7 +710,10 @@ class Interp {
   /// The compiled chunk of body `s`; faults, naming the body, when the
   /// module has none.
   [[nodiscard]] const bc::Chunk& chunk_for(const Stmt& s) const;
-  Flow run_chunk(ThreadCtx& ctx, const bc::Chunk& ch);
+  /// Evaluates `e` through its expression chunk; faults, naming the
+  /// expression, when the module has none.
+  Value run_expr(ThreadCtx& ctx, const Expr& e);
+  Flow run_chunk(ThreadCtx& ctx, const bc::Chunk& ch, Value* result = nullptr);
   Flow run_chunk_frame(ThreadCtx& ctx, const bc::Chunk& ch, Value* regs);
   [[nodiscard]] ObjRef cached_slot(const ThreadCtx& ctx, Value* regs,
                                    const bc::Chunk& ch,
@@ -1075,6 +722,7 @@ class Interp {
   // ------------------------------------------------------------ OpenMP
 
   Flow exec_omp(ThreadCtx& ctx, const OmpStmt& s);
+  Flow run_body(ThreadCtx& ctx, const OmpStmt& s);
   void exec_parallel_region(ThreadCtx& parent, const OmpStmt& s);
   void exec_region_worker(ThreadCtx& worker, const OmpStmt& s);
   void exec_worksharing_loop(ThreadCtx& ctx, const OmpStmt& s,
@@ -1116,11 +764,7 @@ class Interp {
   std::map<const void*, ObjRef> string_cache_;
   std::map<std::pair<const VarDecl*, int>, ObjRef> threadprivate_;
   std::map<std::pair<int, std::int64_t>, LockState> global_locks_;
-  std::map<std::string, LockState> global_critical_;
-  std::map<const void*, int> ws_visit_counts_;  // per ws-loop encounters
-  /// Walker access texts (access_text); node-based, so AccessStamps can
-  /// point into it for the whole run.
-  std::unordered_map<const Expr*, std::string> access_texts_;
+  std::uint64_t silent_back_edges_ = 0;  // since the last note_step
   std::uint64_t rand_state_ = 0x853c49e6748fea9bULL;
   const bc::Module& module_;        // verified bytecode for tu_
   std::size_t reg_arena_size_ = 0;  // per-ThreadCtx arena first-use size

@@ -1,13 +1,14 @@
-// Mini-C/OpenMP interpreter with simulated threading and happens-before
+// Mini-C/OpenMP runtime with simulated threading and happens-before
 // race detection.
 //
 // A run executes a verified bytecode module (runtime/bc) on user-space
 // fibers: every team is multiplexed onto the calling thread by the
-// cooperative scheduler. The constructs the compiler does not lower --
-// OpenMP directives, builtin calls, array and brace declarations -- call
-// into the interpreter's AST handlers, which evaluate their clause and
-// loop-bound expressions directly and run every body they enter as a
-// compiled chunk.
+// cooperative scheduler. Compiled code is the only code that evaluates
+// Mini-C. The runtime adds two libraries the bytecode calls into: the
+// OpenMP construct handlers, which carry each construct's semantics and
+// evaluate its clause, loop-bound and atomic expressions through their
+// compiled expression chunks, and the builtins (printf, malloc, the lock
+// API, ...), which evaluate their arguments the same way.
 //
 // OpenMP semantics are executed, not approximated: parallel regions fork a
 // cooperative team (one logical thread per OpenMP thread), worksharing
@@ -21,16 +22,25 @@
 // Deliberate simplifications (documented in DESIGN.md):
 //   - `sizeof(T)` evaluates to 1: allocation sizes are in elements, which
 //     makes `malloc(n * sizeof(int))` allocate n ints.
+//   - Integers are 64-bit with the semantics of minic/int_ops.hpp: `+`,
+//     `-`, `*` and unary `-` wrap, shift counts are taken mod 64, and `/`
+//     or `%` by zero or of INT64_MIN by -1 faults ("integer division by
+//     zero", "integer modulo by zero", "integer division overflow").
 //   - Nested parallel regions run with a team of 1.
 //   - Task constructs execute inline at the spawn point under a fresh
 //     logical thread id (fork/join edges preserved; taskwait and depend
 //     clauses add the corresponding edges).
 //   - One run allocates at most Memory::kMaxRunElements (2^20) elements
-//     in total; the allocation that would cross the cap faults with
-//     "allocation too large for the interpreter".
+//     in total; the allocation that would cross the cap, or an array
+//     whose element count overflows, faults with "allocation too large
+//     for the interpreter".
 //   - User-function calls nest at most kMaxCallDepth (200) deep; the call
 //     that would cross the cap faults with "call depth limit exceeded".
 //     Tasks and team workers start at their spawner's depth.
+//   - At most kMaxSilentBackEdges loop back-edges, worksharing iterations
+//     and user calls may follow one another without an instrumented
+//     memory access; the one that would cross the cap faults with
+//     "silent loop limit exceeded".
 #pragma once
 
 #include <cstdint>
@@ -63,6 +73,16 @@ enum class ScheduleStrategy { Uniform, Pct, Replay };
 /// 330 (250) under ASan. The deepest call chain in the corpus and the
 /// golden synth kernels is 1.
 inline constexpr int kMaxCallDepth = 200;
+
+/// Cap on consecutive back-edges -- backward jumps, passes of a
+/// worksharing loop's iteration scan, user calls -- with no instrumented
+/// access between them. Steps count only accesses, so without it a loop
+/// that touches no memory (`while (1) {}`) would never reach a step limit.
+/// The longest such streak over the corpus and the golden synth kernels,
+/// under uniform and PCT schedules, is 4; a silent loop reaches the cap in
+/// a few milliseconds. A constant, not a RunOptions field: a witness
+/// string sets step_limit.
+inline constexpr std::uint64_t kMaxSilentBackEdges = 1 << 20;
 
 struct RunOptions {
   int num_threads = 4;

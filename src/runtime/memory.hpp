@@ -17,9 +17,9 @@ namespace drbml::runtime {
 /// Provenance of the last accesses to one element, for race reporting.
 ///
 /// `text` points at the access's source spelling in storage that outlives
-/// the run: the bytecode module's AccessSite pool, an AST VarDecl name, a
-/// static literal, or the walker's per-run interned texts. A stamp never
-/// owns a string; report_race copies the text only for a reported pair.
+/// the run: the bytecode module's AccessSite pool, an AST VarDecl name, or
+/// a static literal. A stamp never owns a string; report_race copies the
+/// text only for a reported pair.
 struct AccessStamp {
   const std::string* text = nullptr;
   minic::SourceLoc loc;
@@ -97,10 +97,6 @@ class Memory {
 
   /// Throws RuntimeFault on freed objects or out-of-range offsets.
   void check_bounds(ObjRef ref) const { (void)check(ref); }
-
-  [[nodiscard]] std::size_t object_count() const noexcept {
-    return objects_.size();
-  }
 
  private:
   const MemObject& check(ObjRef ref) const {

@@ -1,5 +1,10 @@
 // Focused tests for linear-form construction and constant propagation
 // corner cases (complementing the end-to-end analysis tests).
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "analysis/affine.hpp"
@@ -30,6 +35,36 @@ LinearForm linearize_probe(const char* src) {
   EXPECT_NE(decl, nullptr);
   return linearize(*decl->decls.back()->init, cm);
 }
+
+/// Folds `probe = <expr>` next to int64-edge constants with both folders
+/// and expects Mini-C's integer semantics (minic/int_ops.hpp): `value`,
+/// or no constant at all. On these inputs the folders used to trap
+/// (SIGFPE) or hit undefined behaviour.
+void expect_edge_fold(const char* expr, std::optional<std::int64_t> value) {
+  const std::string src =
+      std::string("int main() { long m = 0x8000000000000000; long d = -1; "
+                  "long z = 0; long big = 0x7fffffffffffffff; long probe = ") +
+      expr + "; return 0; }";
+  const LinearForm f = linearize_probe(src.c_str());
+  if (value) {
+    EXPECT_TRUE(f.is_constant()) << expr;
+    EXPECT_EQ(f.constant, *value) << expr;
+  } else {
+    EXPECT_FALSE(f.is_affine) << expr;
+  }
+  Program p = parse_program(src);
+  resolve(*p.unit);
+  const auto* fn = p.unit->find_function("main");
+  const ConstantMap cm = ConstantMap::build(*p.unit, *fn);
+  const auto& body = fn->body->body;
+  const auto* probe =
+      minic::stmt_cast<minic::DeclStmt>(body[body.size() - 2].get());
+  ASSERT_NE(probe, nullptr) << expr;
+  EXPECT_EQ(cm.eval(*probe->decls.back()->init), value) << expr;
+}
+
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
 
 TEST(Affine, MulByFoldedConstantScales) {
   LinearForm f = linearize_probe(
@@ -77,6 +112,13 @@ TEST(Affine, DivisionFoldsOnlyExactConstants) {
       "int main(int argc, char* argv[]) { int n = argc; int probe = n / 2; "
       "return probe; }");
   EXPECT_FALSE(inexact.is_affine);
+
+  // A zero divisor or INT64_MIN / -1 is not a constant.
+  expect_edge_fold("m / d", std::nullopt);
+  expect_edge_fold("m % d", std::nullopt);
+  expect_edge_fold("m / z", std::nullopt);
+  expect_edge_fold("m % z", std::nullopt);
+  expect_edge_fold("m / 2", kMin / 2);
 }
 
 TEST(Affine, ModuloAndShiftsFold) {
@@ -84,6 +126,14 @@ TEST(Affine, ModuloAndShiftsFold) {
       "int main() { int probe = (13 % 5) + (1 << 4); return probe; }");
   EXPECT_TRUE(f.is_constant());
   EXPECT_EQ(f.constant, 19);
+
+  // Shift counts are taken mod 64; +, - and * wrap.
+  expect_edge_fold("1 << 64", 1);
+  expect_edge_fold("1 << 65", 2);
+  expect_edge_fold("m >> 64", kMin);
+  expect_edge_fold("big + 1", kMin);
+  expect_edge_fold("m - 1", kMax);
+  expect_edge_fold("big * 2", -2);
 }
 
 TEST(Affine, SubtractionCancelsSymbols) {

@@ -181,10 +181,8 @@ TEST(Metamorphic, RacePreservingMutationsKeepExploredVerdict) {
 
 // Compound mutations (padded bounds, then renamed identifiers) on a
 // second batch of kernels: the explored verdict must survive them, and
-// exploring the same source twice must agree with itself. (The test name
-// dates from when the kernels were also explored under a second
-// executor.)
-TEST(Metamorphic, MutationsKeepVerdictAcrossBackends) {
+// exploring the same source twice must agree with itself.
+TEST(Metamorphic, CompoundMutationsKeepVerdictAndRepeat) {
   drb::SynthConfig config;
   config.count = 24;
   config.seed = 77;

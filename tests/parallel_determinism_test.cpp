@@ -87,11 +87,11 @@ TEST(ParallelDeterminism, VarIdMatchesSerial) {
   EXPECT_EQ(serial.fn, parallel.fn);
 }
 
-// The bytecode VM must be deterministic under the parallel executor too:
+// The dynamic runtime must be deterministic under the parallel executor:
 // dynamic verdicts computed at jobs=1 are byte-identical to jobs=8 (each
 // worker compiles and runs its own modules; nothing may leak across
 // workers).
-TEST(ParallelDeterminism, VmBackendVerdictsMatchAcrossJobCounts) {
+TEST(ParallelDeterminism, DynamicVerdictsMatchAcrossJobCounts) {
   const std::vector<drb::CorpusEntry>& entries = drb::corpus();
 
   const auto verdicts = [&](int jobs) {

@@ -28,10 +28,29 @@ TEST(Interp, ArithmeticAndPrintf) {
       "x * 7, y * 2.0, x % 4); return 0; }");
   EXPECT_FALSE(r.faulted);
   EXPECT_EQ(r.output, "42 5.0 2\n");
+  // At the edges of int64 the operators wrap and shift counts are taken
+  // mod 64 (minic/int_ops.hpp), with no undefined behaviour in the
+  // runtime itself.
+  auto edges = run_src(
+      "int main() { long big = 0x7fffffffffffffff; long m = "
+      "0x8000000000000000; long s = 64;\n"
+      "printf(\"%ld %ld %ld %ld %ld %ld\\n\", big + 1, -m, 1 << s, m >> s, "
+      "big * 2, m - 1);\n"
+      "long x = big; x++; x += 1; printf(\"%ld\\n\", x); return 0; }");
+  EXPECT_FALSE(edges.faulted) << edges.fault_message;
+  EXPECT_EQ(edges.output,
+            "-9223372036854775808 -9223372036854775808 1 "
+            "-9223372036854775808 -2 9223372036854775807\n"
+            "-9223372036854775807\n");
 }
 
 TEST(Interp, ExitCodeFromMain) {
   EXPECT_EQ(run_src("int main() { return 3 + 4; }").exit_code, 7);
+  // exit() from a global initializer ends the run before main; it used to
+  // escape run_program and terminate the process.
+  auto r = run_src("int g = exit(3);\nint main() { return 1; }");
+  EXPECT_FALSE(r.faulted) << r.fault_message;
+  EXPECT_EQ(r.exit_code, 3);
 }
 
 TEST(Interp, ForLoopAccumulates) {
@@ -106,6 +125,19 @@ TEST(Interp, UseAfterFreeFaults) {
 TEST(Interp, DivisionByZeroFaults) {
   auto r = run_src("int main() { int x = 1; int y = x / (x - x); return y; }");
   EXPECT_TRUE(r.faulted);
+  // INT64_MIN / -1 is not representable; it used to kill the process
+  // with SIGFPE.
+  for (const char* op : {"/", "%", "/=", "%="}) {
+    const std::string assign = op[1] == '=' ? std::string("m ") + op + " d"
+                                            : std::string("m = m ") + op + " d";
+    const std::string src =
+        "int main() { long m = 0x8000000000000000; long d = -1; " + assign +
+        "; printf(\"%ld\\n\", m); return 0; }";
+    auto o = run_src(src.c_str());
+    EXPECT_TRUE(o.faulted) << src;
+    EXPECT_EQ(o.fault_message, "integer division overflow") << src;
+    EXPECT_EQ(o.output, "") << src;
+  }
 }
 
 TEST(Interp, InfiniteLoopHitsStepLimit) {
@@ -124,6 +156,19 @@ TEST(Interp, RunAllocationCapFaults) {
   EXPECT_TRUE(r.faulted);
   EXPECT_EQ(r.fault_message,
             "allocation too large for the interpreter: 600000");
+  // An element count that overflows (n * n wraps to 0 in 64 bits) used
+  // to allocate nothing and run on.
+  for (const char* decl : {"int a[n][n];", "int* a = (int*)calloc(n, n);"}) {
+    const std::string src = std::string("int main() { long n = 0x100000000; ") +
+                            decl + " printf(\"%d\", 1); return 0; }";
+    auto o = run_src(src.c_str());
+    EXPECT_TRUE(o.faulted) << src;
+    EXPECT_EQ(o.fault_message,
+              "allocation too large for the interpreter: element count "
+              "overflows")
+        << src;
+    EXPECT_EQ(o.output, "") << src;
+  }
 }
 
 // Unbounded recursion must come back as a structured fault, not overflow
@@ -201,6 +246,56 @@ TEST(Interp, RecursionUpToTheCapRuns) {
   auto over = run_src(program(kMaxCallDepth).c_str());
   EXPECT_TRUE(over.faulted);
   EXPECT_EQ(over.fault_message, kCallDepthFault);
+}
+
+// A loop that touches no memory counts no step, so only the silent-loop
+// cap stops it; each of these used to run until it was killed.
+const std::string kSilentLoopFault =
+    "silent loop limit exceeded: " + std::to_string(kMaxSilentBackEdges) +
+    " back-edges without a memory access";
+
+void expect_silent_loop_fault(const char* src) {
+  auto r = run_src(src);
+  EXPECT_TRUE(r.faulted) << src;
+  EXPECT_EQ(r.fault_message, kSilentLoopFault) << src;
+}
+
+TEST(Interp, SilentSerialLoopFaults) {
+  expect_silent_loop_fault("int main() { while (1) {} return 0; }");
+  expect_silent_loop_fault("int main() { do {} while (1); return 0; }");
+}
+
+TEST(Interp, SilentLoopInsideRegionFaults) {
+  expect_silent_loop_fault(
+      "int main() {\n"
+      "#pragma omp parallel\n"
+      "  { while (1) {} }\n"
+      "  return 0;\n"
+      "}\n");
+}
+
+TEST(Interp, SilentLoopThroughCallFaults) {
+  expect_silent_loop_fault(
+      "void f() {}\nint main() { while (1) f(); return 0; }");
+}
+
+TEST(Interp, SilentWorksharingLoopFaults) {
+  expect_silent_loop_fault(
+      "int main() {\n"
+      "  long i;\n"
+      "#pragma omp parallel for\n"
+      "  for (i = 0; i < 0x7fffffffffffffff; i++) {}\n"
+      "  return 0;\n"
+      "}\n");
+  // Under schedule(dynamic) every worker scans the iterations it does not
+  // own; that scan touches no memory even when the body does.
+  expect_silent_loop_fault(
+      "int main() {\n"
+      "  long i; long x = 0;\n"
+      "#pragma omp parallel for schedule(dynamic, 4294967296)\n"
+      "  for (i = 0; i < 0x7fffffffffffffff; i++) { x = i; }\n"
+      "  return 0;\n"
+      "}\n");
 }
 
 TEST(Interp, ThousandElementProgramRuns) {

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <chrono>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <string>
@@ -316,26 +317,52 @@ TEST(ServeProtocol, UnparseableCodeIsAnalysisFailedNotCrash) {
 }
 
 TEST(ServeProtocol, RunawayRecursionIsAStructuredFaultNotACrash) {
-  // A program that recurses without bound, followed by a normal request
-  // on the same stream: the first comes back with the run's fault, and
-  // the daemon is still there to answer the second.
+  // Programs that used to crash or hang the daemon -- unbounded recursion,
+  // loops that touch no memory, INT64_MIN / -1 -- each followed by a
+  // normal request on the same stream: each comes back with a result
+  // naming the run's fault, and the daemon is still there to answer the
+  // request after it.
   const std::string recursive =
       "int f(int n) { return f(n + 1); }\nint main() { return f(0); }\n";
+  const std::string division =
+      "int main() { long m = 0x8000000000000000; long d = -1; "
+      "long q = m / d; printf(\"%ld\\n\", q); return 0; }\n";
+  const struct {
+    std::string id;
+    const char* detector;
+    std::string code;
+    const char* fault;  // expected in the diagnostics; null: none
+  } hostile[] = {
+      {"deep", "dynamic", recursive, "call depth limit exceeded"},
+      {"spin", "dynamic", "int main() { while (1) {} return 0; }\n",
+       "silent loop limit exceeded"},
+      {"spin-region", "dynamic",
+       "int main() {\n#pragma omp parallel\n  { while (1) {} }\n"
+       "  return 0;\n}\n",
+       "silent loop limit exceeded"},
+      {"div", "dynamic", division, "integer division overflow"},
+      {"div-static", "static", division, nullptr},
+  };
+  std::string requests;
+  for (const auto& h : hostile) {
+    requests += request_line(h.id, "analyze", h.code,
+                             std::string(",\"detector\":\"") + h.detector +
+                                 "\"") +
+                "\n" +
+                request_line("after-" + h.id, "analyze", kRacyCode,
+                             ",\"detector\":\"static\"") +
+                "\n";
+  }
   int in_pipe[2];
   int out_pipe[2];
   ASSERT_EQ(::pipe(in_pipe), 0);
   ASSERT_EQ(::pipe(out_pipe), 0);
-  const std::string requests =
-      request_line("deep", "analyze", recursive, ",\"detector\":\"dynamic\"") +
-      "\n" +
-      request_line("next", "analyze", kRacyCode, ",\"detector\":\"static\"") +
-      "\n";
   ASSERT_EQ(::write(in_pipe[1], requests.data(), requests.size()),
             static_cast<ssize_t>(requests.size()));
   ::close(in_pipe[1]);
 
   Server server(small_server());
-  EXPECT_EQ(server.serve_fd(in_pipe[0], out_pipe[1]), 2u);
+  EXPECT_EQ(server.serve_fd(in_pipe[0], out_pipe[1]), 2 * std::size(hostile));
   ::close(in_pipe[0]);
   ::close(out_pipe[1]);
   std::string out;
@@ -352,20 +379,24 @@ TEST(ServeProtocol, RunawayRecursionIsAStructuredFaultNotACrash) {
     const json::Value r = parse_response(out.substr(start, end - start));
     by_id.emplace(r.as_object().at("id").as_string(), r);
   }
-  ASSERT_EQ(by_id.size(), 2u) << out;
-  const json::Object& deep = by_id.at("deep").as_object();
-  ASSERT_TRUE(deep.at("ok").as_bool()) << out;
-  bool fault_reported = false;
-  for (const json::Value& d :
-       deep.at("result").as_object().at("diagnostics").as_array()) {
-    if (d.as_string().find("call depth limit exceeded") != std::string::npos) {
-      fault_reported = true;
+  ASSERT_EQ(by_id.size(), 2 * std::size(hostile)) << out;
+  for (const auto& h : hostile) {
+    const json::Object& got = by_id.at(h.id).as_object();
+    ASSERT_TRUE(got.at("ok").as_bool()) << h.id << ": " << out;
+    if (h.fault != nullptr) {
+      bool fault_reported = false;
+      for (const json::Value& d :
+           got.at("result").as_object().at("diagnostics").as_array()) {
+        if (d.as_string().find(h.fault) != std::string::npos) {
+          fault_reported = true;
+        }
+      }
+      EXPECT_TRUE(fault_reported) << h.id << ": " << out;
     }
+    const json::Object& next = by_id.at("after-" + h.id).as_object();
+    ASSERT_TRUE(next.at("ok").as_bool()) << h.id << ": " << out;
+    EXPECT_TRUE(next.at("result").as_object().at("race").as_bool()) << h.id;
   }
-  EXPECT_TRUE(fault_reported) << out;
-  const json::Object& next = by_id.at("next").as_object();
-  ASSERT_TRUE(next.at("ok").as_bool()) << out;
-  EXPECT_TRUE(next.at("result").as_object().at("race").as_bool());
 }
 
 // --------------------------------------------------- admission control

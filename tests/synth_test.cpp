@@ -100,8 +100,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, SynthEntryTest, ::testing::Range(0, 60));
 // parameter space reaches expression/loop shapes the hand-written corpus
 // does not, so this is the adversarial input source for the compiler's
 // lowering: every kernel must run, and a second run with the same options
-// must reproduce the first exactly. (The suite name dates from when a
-// second executor was run alongside the VM.)
+// must reproduce the first exactly.
 void expect_same_run(const runtime::RunResult& a, const runtime::RunResult& b,
                      const SynthEntry& e) {
   EXPECT_EQ(a.report.race_detected, b.report.race_detected)
@@ -114,7 +113,7 @@ void expect_same_run(const runtime::RunResult& a, const runtime::RunResult& b,
   EXPECT_EQ(a.trace, b.trace) << e.name;
 }
 
-TEST(SynthVmDifferential, TwoHundredKernelsInterpVsVm) {
+TEST(SynthRepeatability, TwoHundredKernelsRerunIdentically) {
   SynthConfig config;
   config.count = 200;
   config.seed = 0xd1ffULL;
@@ -138,7 +137,7 @@ TEST(SynthVmDifferential, TwoHundredKernelsInterpVsVm) {
 
 // Serial execution: with one thread there is no schedule nondeterminism
 // at all. Covers all 200 kernels cheaply.
-TEST(SynthVmDifferential, SerialOutputIdentical) {
+TEST(SynthRepeatability, SerialRunsRerunIdentically) {
   SynthConfig config;
   config.count = 200;
   config.seed = 0x5e41ULL;
