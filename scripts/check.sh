@@ -29,16 +29,18 @@
 # analyze/lint requests over the stdio transport with zero drops and
 # zero errors, the repeats must hit the warm shared cache, and the
 # bench_serve load generator must sustain its latency/QPS contract
-# (refreshing BENCH_serve.json). Stage 2g is the bytecode-VM gate:
-# ctest -L vm holds the runtime to the committed fingerprints in
-# tests/golden/runtime_fingerprints.txt and runs the bytecode verifier
-# suite with its mutated-module fuzz target, and bench_vm refreshes the
-# VM's dynamic-stage sweep in BENCH_vm.json (a measurement, not a
-# gate). Stage 2h is the hostile-input gate: programs that used to kill
-# or hang a run (INT64_MIN / -1, loops that touch no memory, unbounded
-# recursion) must come back from the CLI as a result, and a serve stream
-# of all of them must answer every request and drain on EOF; it runs
-# under --fast too. Stage 3 rebuilds under
+# (writing its point to build/BENCH_serve.json). Stage 2g is the
+# bytecode-VM gate: ctest -L vm holds the runtime to the committed
+# fingerprints in tests/golden/runtime_fingerprints.txt, checks that
+# runs resumed from a serial-prefix snapshot match runs from main, and
+# runs the bytecode verifier suite with its mutated-module fuzz target;
+# bench_vm writes the VM's dynamic-stage sweep to build/BENCH_vm.json
+# (a measurement, not a gate). Neither bench rewrites a committed
+# BENCH_*.json file. Stage 2h is the hostile-input gate: programs that
+# used to kill or hang a run (INT64_MIN / -1, loops that touch no
+# memory, unbounded recursion) must come back from the CLI as a result,
+# and a serve stream of all of them must answer every request and drain
+# on EOF; it runs under --fast too. Stage 3 rebuilds under
 # ThreadSanitizer (-DDRBML_SANITIZE=thread) and runs the
 # `parallel`-labelled suites -- the thread pool, the memoized artifact
 # caches, the parallel experiment executor, the lint and repair
@@ -135,23 +137,27 @@ echo "serve gate: 51/51 responses, warm hits=$hits"
 rm -rf "$serve_tmp"
 # The load bench enforces the latency/QPS contract -- >=50 QPS sustained
 # on the mixed workload, warm hit rate strictly above cold, responses
-# byte-identical at --jobs 1 vs --jobs 8 -- and refreshes the committed
-# BENCH_serve.json artifact.
-build/bench/bench_serve --out BENCH_serve.json | tail -n 2
+# byte-identical at --jobs 1 vs --jobs 8 -- and writes its point to
+# build/BENCH_serve.json, leaving the committed BENCH_serve.json as it is.
+build/bench/bench_serve --out build/BENCH_serve.json | tail -n 2
 
 echo "== stage 2g: bytecode-VM golden + verifier gate =="
 # ctest -L vm runs two suites. The golden suite checks the runtime
 # against the committed tests/golden/runtime_fingerprints.txt (corpus +
 # 200 synth kernels x {uniform, pct} x 3 seeds, plus a PCT exploration
-# each) -- the only reference the VM is held to. The verifier suite
-# proves malformed bytecode is rejected before it runs; its fuzz target,
+# each) -- the only reference the VM is held to -- and runs the same
+# programs under uniform, PCT and replay schedules both from a shared
+# serial-prefix snapshot and from main, requiring equal results. The
+# verifier suite proves malformed bytecode is rejected before it runs;
+# its fuzz target,
 # VmFuzz.AcceptedMutantsOfCorpusModulesRunCleanly, changes one field of
 # compiled corpus modules (fixed seed and budget) and runs every mutant
-# verify() accepts to a result or a structured fault. bench_vm
-# refreshes the committed BENCH_vm.json sweep point; the VM's speed is
-# guarded by the repository benchmark's pct-campaign workload.
+# verify() accepts to a result or a structured fault. bench_vm writes
+# its sweep point to build/BENCH_vm.json, leaving the committed
+# BENCH_vm.json as it is; the VM's speed is guarded by the repository
+# benchmark's pct-campaign workload.
 (cd build && ctest -L vm --output-on-failure)
-build/bench/bench_vm --out BENCH_vm.json | tail -n 2
+build/bench/bench_vm --out build/BENCH_vm.json | tail -n 2
 
 echo "== stage 2h: hostile inputs (division, silent loops, recursion) =="
 # Each program goes through `drbml analyze --detector dynamic` (the

@@ -76,13 +76,16 @@ ExploreResult explore_source(std::string_view source,
   analysis::Resolution res = analysis::resolve(*prog.unit);
 
   // Compile once; every schedule (and the minimizer's replays) reuses the
-  // same verified module.
+  // same verified module, and resumes from the first schedule's snapshot
+  // of the serial prefix.
   runtime::bc::Module module;
+  runtime::PrefixSnapshot prefix;
   ExploreOptions eopts = opts;
   if (eopts.run.module == nullptr) {
     module = runtime::bc::compile_verified(*prog.unit);
     eopts.run.module = &module;
   }
+  eopts.run.prefix = &prefix;
 
   ExploreResult result;
   std::set<std::uint64_t> coverage;

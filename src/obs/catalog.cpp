@@ -334,6 +334,14 @@ const MetricDesc kVmRuns{
 const MetricDesc kVmVerifyFailures{
     "vm.verify_failures", MetricKind::Counter, "count", kStable,
     "Bytecode modules rejected by the structural verifier."};
+const MetricDesc kVmPrefixRestores{
+    "vm.prefix_restores", MetricKind::Counter, "count", kStable,
+    "Runs that resumed from a serial-prefix snapshot at main's first team "
+    "fork instead of starting from main."};
+const MetricDesc kVmPrefixStepsReused{
+    "vm.prefix_steps_reused", MetricKind::Counter, "count", kStable,
+    "Steps of restored serial prefixes: counted in those runs' "
+    "RunResult::steps but not executed again."};
 
 const MetricDesc kDetectEntries{
     "detect.entries", MetricKind::Counter, "count", kStable,
@@ -448,7 +456,8 @@ const std::vector<const MetricDesc*>& metric_catalog() {
       &kSchedStepsPerReplay,
       &kVmModules,           &kVmChunks,
       &kVmInstructions,      &kVmRuns,
-      &kVmVerifyFailures,
+      &kVmVerifyFailures,    &kVmPrefixRestores,
+      &kVmPrefixStepsReused,
       &kDetectEntries,
       &kAnalysisCandidatePairs, &kAnalysisDischargedSerial,
       &kAnalysisDischargedPhase, &kAnalysisDischargedMhp,

@@ -141,12 +141,14 @@ extern const MetricDesc kInterpRaces;
 extern const MetricDesc kSchedSteps;
 extern const MetricDesc kSchedStepsPerReplay;  // histogram
 
-// Bytecode VM: compilation volume and runs.
+// Bytecode VM: compilation volume, runs and serial-prefix restores.
 extern const MetricDesc kVmModules;
 extern const MetricDesc kVmChunks;
 extern const MetricDesc kVmInstructions;
 extern const MetricDesc kVmRuns;
 extern const MetricDesc kVmVerifyFailures;
+extern const MetricDesc kVmPrefixRestores;
+extern const MetricDesc kVmPrefixStepsReused;
 
 // Detector facade.
 extern const MetricDesc kDetectEntries;

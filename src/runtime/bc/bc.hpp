@@ -70,7 +70,7 @@ enum class Op : std::uint8_t {
   CallUser,      // info=call_infos[imm]: regs[a] = user function call
   CallBuiltin,   // call=builtin_calls[imm]: regs[a] = builtin result
   ExecStmt,      // run OpenMP flow_infos[imm].node; route Break/Continue
-  RetValue,      // throw ReturnSignal{regs[a]}
+  RetValue,      // return Flow::Return, regs[a] the returned value
   RetFlow,       // return Flow (n: kFlowBreak / kFlowContinue)
   FaultOp,       // throw RuntimeFault(messages[imm])
   Halt,          // return Flow::Normal

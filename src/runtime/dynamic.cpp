@@ -18,13 +18,16 @@ analysis::RaceReport DynamicRaceDetector::analyze_source(
   minic::Program prog = minic::parse_program(source);
   analysis::Resolution res = analysis::resolve(*prog.unit);
 
-  // Compile once, execute every schedule seed against the same module.
+  // Compile once, execute every schedule seed against the same module;
+  // seeds after the first resume from its snapshot of the serial prefix.
   bc::Module module;
+  PrefixSnapshot prefix;
   RunOptions run = opts_.run;
   if (run.module == nullptr) {
     module = bc::compile_verified(*prog.unit);
     run.module = &module;
   }
+  run.prefix = &prefix;
 
   analysis::RaceReport merged;
   for (std::uint64_t seed : opts_.schedule_seeds) {

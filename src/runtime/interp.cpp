@@ -29,9 +29,10 @@ namespace {
 
 using Frame = std::map<const VarDecl*, ObjRef>;
 
-/// Control-flow signal from statement execution (`return` unwinds as a
-/// ReturnSignal instead).
-enum class Flow { Normal, Break, Continue };
+/// How a chunk ended. Return leaves the returned value in ThreadCtx::ret;
+/// a `return` in the body of an OpenMP construct unwinds out of the
+/// construct's handler as a ReturnSignal instead (exec_body).
+enum class Flow { Normal, Break, Continue, Return };
 
 struct LockState {
   bool held = false;
@@ -93,6 +94,7 @@ struct ThreadCtx {
   int no_yield_depth = 0;  // inside atomic: suppress preemption
   int call_depth = 0;      // nested user-function calls (kMaxCallDepth)
   std::vector<LastSlot> last_slots;
+  Value ret;  // the value of the `return` that ended a chunk (Flow::Return)
 
   // VM register arena: bump-allocated frames for nested chunk
   // invocations. Sized once and never reallocated (live RegSpans hold
@@ -133,6 +135,52 @@ struct RegSpan {
   RegSpan& operator=(const RegSpan&) = delete;
   ~RegSpan() { ctx.reg_top = saved_top; }
 };
+
+}  // namespace
+
+/// Everything the serial prefix can change, as it stood when `main`'s own
+/// chunk was about to fork its first team.
+struct PrefixSnapshot::State {
+  /// The run options that shape the prefix: all but the schedule fields.
+  struct Key {
+    const bc::Module* module = nullptr;
+    int num_threads = 0;
+    int preempt_every = 0;
+    std::uint64_t step_limit = 0;
+    std::size_t max_output = 0;
+    int max_pairs = 0;
+
+    friend bool operator==(const Key&, const Key&) = default;
+  };
+  static Key key_of(const RunOptions& o) {
+    return {o.module,     o.num_threads, o.preempt_every,
+            o.step_limit, o.max_output,  o.max_pairs};
+  }
+
+  Key key;
+  const bc::Chunk* chunk = nullptr;  // main's own chunk
+  std::size_t pc = 0;                // its ExecStmt that forks the team
+  /// main's context without its register arena; the arena's one live
+  /// frame, main's, is `regs`, which a resumed run puts back at the
+  /// bottom of a fresh arena.
+  ThreadCtx main;
+  std::vector<Value> regs;
+  Memory mem;  // objects with their shadow cells, string literals included
+  std::string output;
+  std::map<const void*, ObjRef> string_cache;
+  std::map<std::pair<int, std::int64_t>, LockState> global_locks;
+  std::uint64_t rand_state = 0;
+  std::uint64_t steps_total = 0;
+  std::uint64_t serial_steps = 0;
+  std::uint64_t silent_back_edges = 0;
+  int next_tid = 0;
+  int num_threads = 0;  // after any omp_set_num_threads
+};
+
+PrefixSnapshot::PrefixSnapshot() = default;
+PrefixSnapshot::~PrefixSnapshot() = default;
+
+namespace {
 
 /// A pending reduction: combine `priv` into `shared_ref` with `op`.
 struct PendingReduction {
@@ -206,7 +254,8 @@ Value combine_for(const std::string& op, const Value& a, const Value& b,
   return Value::of_int(int_add(x, y));
 }
 
-/// Signals a `return` unwinding through nested calls.
+/// Signals a `return` unwinding out of an OpenMP construct's handler to
+/// the enclosing function call (see Flow).
 struct ReturnSignal {
   Value value;
 };
@@ -249,33 +298,22 @@ class Interp {
         reg_arena_size_(std::min(
             kRegArenaCap,
             std::max<std::size_t>(
-                64, 4 * static_cast<std::size_t>(module_.max_frame)))) {}
+                64, 4 * static_cast<std::size_t>(module_.max_frame)))),
+        prefix_key_(PrefixSnapshot::State::key_of(opts)) {}
 
   RunResult run() {
     RunResult result;
+    const PrefixSnapshot::State* snap =
+        opts_.prefix != nullptr ? opts_.prefix->state.get() : nullptr;
     try {
       ThreadCtx main_ctx;
-      main_ctx.tid = next_tid_++;
-      main_ctx.vc.set(main_ctx.tid, 1);
-      main_ctx.frames.emplace_back();
       Value ret = Value::of_int(0);
       try {
-        // A global initializer may call exit() too.
-        run_chunk(main_ctx, module_.chunks[module_.globals]);
-        const FunctionDecl* main_fn = tu_.find_function("main");
-        if (main_fn == nullptr || !main_fn->body) {
-          throw RuntimeFault("program has no main()");
-        }
-        // main's argc/argv (argc = 1, argv unused).
-        main_ctx.frames.emplace_back();
-        for (const auto& p : main_fn->params) {
-          declare_param(main_ctx, *p,
-                        p->type.is_pointer() ? Value::of_ptr({})
-                                             : Value::of_int(1));
-        }
-        exec_body(main_ctx, *main_fn->body);
+        ret = snap != nullptr && snap->key == prefix_key_
+                  ? resume_main(main_ctx, *snap)
+                  : run_main(main_ctx);
       } catch (ReturnSignal& sig) {
-        ret = sig.value;
+        ret = sig.value;  // a `return` inside an OpenMP construct
       } catch (const ExitSignal& sig) {
         ret = Value::of_int(sig.code);
       }
@@ -296,6 +334,102 @@ class Interp {
   }
 
  private:
+  // ------------------------------------------------------------ main
+
+  /// Runs the globals' initializers, then main from its first statement;
+  /// returns main's value. While the run's prefix snapshot is empty,
+  /// main's own chunk offers each of its ExecStmts to capture_prefix.
+  Value run_main(ThreadCtx& main_ctx) {
+    main_ctx.tid = next_tid_++;
+    main_ctx.vc.set(main_ctx.tid, 1);
+    main_ctx.frames.emplace_back();
+    // A global initializer may call exit() too.
+    run_chunk(main_ctx, module_.chunks[module_.globals]);
+    const FunctionDecl* main_fn = tu_.find_function("main");
+    if (main_fn == nullptr || !main_fn->body) {
+      throw RuntimeFault("program has no main()");
+    }
+    // main's argc/argv (argc = 1, argv unused).
+    main_ctx.frames.emplace_back();
+    for (const auto& p : main_fn->params) {
+      declare_param(main_ctx, *p,
+                    p->type.is_pointer() ? Value::of_ptr({})
+                                         : Value::of_int(1));
+    }
+    const bc::Chunk& body = chunk_for(*main_fn->body);
+    if (opts_.prefix != nullptr && opts_.prefix->state == nullptr) {
+      capture_chunk_ = &body;
+    }
+    return main_value(main_ctx, run_chunk(main_ctx, body));
+  }
+
+  /// Puts back the state `snap` holds and runs main on from the ExecStmt
+  /// it was taken at; returns main's value.
+  Value resume_main(ThreadCtx& main_ctx, const PrefixSnapshot::State& snap) {
+    static obs::Counter& restores =
+        obs::metrics().counter(obs::kVmPrefixRestores);
+    static obs::Counter& steps_reused =
+        obs::metrics().counter(obs::kVmPrefixStepsReused);
+    restores.add();
+    steps_reused.add(snap.steps_total);
+    mem_ = snap.mem;
+    output_ = snap.output;
+    string_cache_ = snap.string_cache;
+    global_locks_ = snap.global_locks;
+    rand_state_ = snap.rand_state;
+    steps_total_ = snap.steps_total;
+    serial_steps_ = snap.serial_steps;
+    silent_back_edges_ = snap.silent_back_edges;
+    next_tid_ = snap.next_tid;
+    opts_.num_threads = snap.num_threads;
+    main_ctx = snap.main;
+    RegSpan span(main_ctx, snap.chunk->frame_size(), reg_arena_size_);
+    std::copy(snap.regs.begin(), snap.regs.end(), span.regs);
+    const Flow flow =
+        run_chunk_frame(main_ctx, *snap.chunk, span.regs, snap.pc);
+    return main_value(main_ctx, flow);
+  }
+
+  /// main's value: what its `return` returned, or 0 when it ran off its
+  /// end.
+  static Value main_value(const ThreadCtx& main_ctx, Flow flow) {
+    return flow == Flow::Return ? main_ctx.ret : Value::of_int(0);
+  }
+
+  /// Offered each ExecStmt of main's own chunk (`ch`, at `pc`) while the
+  /// run's prefix snapshot is empty. Captures the run when the statement
+  /// forks the run's first team from main's top level; stops looking once
+  /// any team was forked.
+  void capture_prefix(const ThreadCtx& ctx, const OmpStmt& s,
+                      const bc::Chunk& ch, const Value* regs, std::size_t pc) {
+    if (ctx.call_depth != 0) return;  // main called from the program
+    if (region_counter_ != 0) {
+      capture_chunk_ = nullptr;
+      return;
+    }
+    if (!forks_team(s.directive.kind)) return;
+    capture_chunk_ = nullptr;
+    auto snap = std::make_unique<PrefixSnapshot::State>();
+    snap->key = prefix_key_;
+    snap->chunk = &ch;
+    snap->pc = pc;
+    snap->main = ctx;
+    snap->main.reg_arena = {};
+    snap->main.reg_top = 0;
+    snap->regs.assign(regs, regs + ch.frame_size());
+    snap->mem = mem_;
+    snap->output = output_;
+    snap->string_cache = string_cache_;
+    snap->global_locks = global_locks_;
+    snap->rand_state = rand_state_;
+    snap->steps_total = steps_total_;
+    snap->serial_steps = serial_steps_;
+    snap->silent_back_edges = silent_back_edges_;
+    snap->next_tid = next_tid_;
+    snap->num_threads = opts_.num_threads;
+    opts_.prefix->state = std::move(snap);
+  }
+
   // ------------------------------------------------------------ environment
 
   /// Allocates the object of declaration `d` (zero-filled, in elements)
@@ -524,20 +658,21 @@ class Interp {
       std::size_t count) {
     std::int64_t offset = base.offset;
     if (!obj.dims.empty() && count > 1) {
-      // Row-major multi-dim indexing.
-      std::int64_t stride = 1;
-      std::vector<std::int64_t> strides(obj.dims.size(), 1);
-      for (int i = static_cast<int>(obj.dims.size()) - 1; i >= 0; --i) {
-        strides[static_cast<std::size_t>(i)] = stride;
-        stride = int_mul(stride, obj.dims[static_cast<std::size_t>(i)]);
+      // Row-major multi-dim indexing. Fewer indices than dimensions
+      // address the innermost ones; more indices than dimensions map the
+      // first ones to the dimensions, and the extra ones have stride 1.
+      // A dimension's stride is the product of the dimensions inside it,
+      // built up from the innermost (the operators wrap, so the order of
+      // the sums and products does not matter).
+      const std::size_t mapped = std::min(obj.dims.size(), count);
+      const std::size_t first_dim = obj.dims.size() - mapped;
+      for (std::size_t i = mapped; i < count; ++i) {
+        offset = int_add(offset, indices[i]);
       }
-      for (std::size_t i = 0; i < count; ++i) {
-        // More indices than dimensions: the extra ones have stride 1.
-        const std::size_t dim_index =
-            obj.dims.size() >= count ? obj.dims.size() - count + i : i;
-        const std::int64_t s =
-            dim_index < strides.size() ? strides[dim_index] : 1;
-        offset = int_add(offset, int_mul(indices[i], s));
+      std::int64_t stride = 1;
+      for (std::size_t i = mapped; i-- > 0;) {
+        offset = int_add(offset, int_mul(indices[i], stride));
+        stride = int_mul(stride, obj.dims[first_dim + i]);
       }
     } else {
       for (std::size_t i = 0; i < count; ++i) {
@@ -714,13 +849,17 @@ class Interp {
   /// expression, when the module has none.
   Value run_expr(ThreadCtx& ctx, const Expr& e);
   Flow run_chunk(ThreadCtx& ctx, const bc::Chunk& ch, Value* result = nullptr);
-  Flow run_chunk_frame(ThreadCtx& ctx, const bc::Chunk& ch, Value* regs);
+  /// Runs `ch` on the register frame `regs` from instruction `pc`.
+  Flow run_chunk_frame(ThreadCtx& ctx, const bc::Chunk& ch, Value* regs,
+                       std::size_t pc = 0);
   [[nodiscard]] ObjRef cached_slot(const ThreadCtx& ctx, Value* regs,
                                    const bc::Chunk& ch,
                                    const bc::AccessSite& site);
 
   // ------------------------------------------------------------ OpenMP
 
+  /// The constructs exec_omp forks a team for outside any team.
+  static bool forks_team(OmpDirectiveKind kind);
   Flow exec_omp(ThreadCtx& ctx, const OmpStmt& s);
   Flow run_body(ThreadCtx& ctx, const OmpStmt& s);
   void exec_parallel_region(ThreadCtx& parent, const OmpStmt& s);
@@ -768,6 +907,9 @@ class Interp {
   std::uint64_t rand_state_ = 0x853c49e6748fea9bULL;
   const bc::Module& module_;        // verified bytecode for tu_
   std::size_t reg_arena_size_ = 0;  // per-ThreadCtx arena first-use size
+  const PrefixSnapshot::State::Key prefix_key_;  // from the options as given
+  /// main's own chunk while the run's prefix snapshot is empty.
+  const bc::Chunk* capture_chunk_ = nullptr;
 };
 
 // Implementation of the OpenMP construct handlers and builtin calls lives

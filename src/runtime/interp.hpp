@@ -44,6 +44,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -57,6 +58,24 @@ namespace drbml::runtime {
 namespace bc {
 struct Module;
 }  // namespace bc
+
+/// A run's state at the point where `main`'s own chunk is about to fork
+/// its first team, so that later runs of the same module resume there
+/// instead of re-running the serial prefix (DESIGN.md §13). A run handed
+/// an empty snapshot fills it when its first fork is such a point; every
+/// later run whose options differ from that run's only in schedule fields
+/// (seed, strategy, PCT depth and expected steps, replay trace, trace and
+/// coverage capture) restores it, and any other run starts from `main`.
+/// Results are the same either way. One snapshot serves one caller's runs
+/// in turn; it is not safe to share between threads.
+struct PrefixSnapshot {
+  PrefixSnapshot();
+  ~PrefixSnapshot();
+
+  struct State;  // defined in interp.cpp
+  /// The captured state; null until a run captured one.
+  std::unique_ptr<const State> state;
+};
 
 /// How parallel regions are scheduled. Uniform is the legacy seeded
 /// random walk (preempt every N shared accesses, uniform random target).
@@ -114,6 +133,10 @@ struct RunOptions {
   /// the run. When null, run_program compiles and verifies a module for
   /// this run only.
   const bc::Module* module = nullptr;
+  /// Optional serial-prefix snapshot shared by the runs of one module (see
+  /// PrefixSnapshot). Not owned; must outlive the run. When null, the run
+  /// starts from `main`.
+  PrefixSnapshot* prefix = nullptr;
 };
 
 struct RunResult {
@@ -122,6 +145,10 @@ struct RunResult {
   int exit_code = 0;
   bool faulted = false;        // RuntimeFault (OOB, deadlock, livelock, ...)
   std::string fault_message;
+  /// One per instrumented access, plus each team scheduler's steps: its
+  /// yield points (an in-team access outside `atomic` is one, so it
+  /// counts twice) and its rounds spent blocked on a lock, a `critical`
+  /// section or an `ordered` turn. The golden file pins this sum.
   std::uint64_t steps = 0;
   /// Recorded scheduling decisions, one vector per parallel region in
   /// dynamic region order (when opts.capture_trace). Populated even when

@@ -19,6 +19,10 @@
 //   build/tests/runtime_golden_test --regenerate
 //
 // which rewrites it and exits.
+//
+// The same programs also check that a run resumed from a serial-prefix
+// snapshot (runtime::PrefixSnapshot) returns exactly what the run from
+// main returns, under every schedule kind and capture setting.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -36,6 +40,7 @@
 #include "drb/synth.hpp"
 #include "explore/explore.hpp"
 #include "minic/parser.hpp"
+#include "runtime/bc/compile.hpp"
 #include "runtime/interp.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
@@ -235,6 +240,140 @@ TEST(RuntimeGolden, VmRunsMatchGolden) { expect_matches_golden(Part::Runs); }
 
 TEST(RuntimeGolden, VmExplorationsMatchGolden) {
   expect_matches_golden(Part::Explorations);
+}
+
+// ------------------------------------------------- prefix snapshots
+
+/// Everything a run returns, spelled out in full.
+std::string describe(const runtime::RunResult& r) {
+  std::string out = "race=" + std::to_string(r.report.race_detected ? 1 : 0) +
+                    " exit=" + std::to_string(r.exit_code) +
+                    " steps=" + std::to_string(r.steps) +
+                    " faulted=" + std::to_string(r.faulted ? 1 : 0) +
+                    " fault=" + quote(r.fault_message) + " pairs=[";
+  for (const analysis::RacePair& pair : r.report.pairs) {
+    out += access(pair.first) + " vs " + access(pair.second) + " " +
+           quote(pair.note) + ";";
+  }
+  out += "] suppressed=" + std::to_string(r.report.suppressed_pairs) +
+         " diagnostics=[";
+  for (const std::string& d : r.report.diagnostics) out += quote(d) + ";";
+  out += "] trace=[";
+  for (const runtime::RegionTrace& region : r.trace.regions) {
+    out += "(";
+    for (const runtime::ScheduleDecision& d : region) {
+      out += std::to_string(d.step) + (d.forced ? "f" : "v") +
+             std::to_string(d.target) + ",";
+    }
+    out += ")";
+  }
+  out += "] coverage=[";
+  for (std::uint64_t c : r.coverage) out += hex(c) + ",";
+  return out + "] output=" + quote(r.output);
+}
+
+/// The runs of one program that share a snapshot: uniform and PCT
+/// schedules, replays of a recorded, a truncated and an empty trace, with
+/// trace and coverage capture toggled. The first one fills the snapshot.
+std::vector<runtime::RunOptions> snapshot_schedules(
+    const runtime::ScheduleTrace& recorded,
+    const runtime::ScheduleTrace& truncated,
+    const runtime::ScheduleTrace& empty) {
+  std::vector<runtime::RunOptions> out;
+  int k = 0;
+  const auto add = [&](runtime::ScheduleStrategy strategy,
+                       std::uint64_t seed) -> runtime::RunOptions& {
+    runtime::RunOptions o;
+    o.strategy = strategy;
+    o.seed = seed;
+    o.capture_trace = (k & 1) == 0;
+    o.collect_coverage = (k & 2) == 0;
+    ++k;
+    out.push_back(o);
+    return out.back();
+  };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    add(runtime::ScheduleStrategy::Pct, seed);
+    add(runtime::ScheduleStrategy::Uniform, seed);
+  }
+  runtime::RunOptions& shallow = add(runtime::ScheduleStrategy::Pct, 5);
+  shallow.pct_depth = 2;
+  shallow.pct_expected_steps = 64;
+  for (const runtime::ScheduleTrace* trace : {&recorded, &truncated, &empty}) {
+    add(runtime::ScheduleStrategy::Replay, 1).replay = trace;
+  }
+  return out;
+}
+
+struct SnapshotCheck {
+  std::vector<std::string> mismatches;
+  bool captured = false;
+};
+
+/// Runs each of `p`'s snapshot schedules twice on one module -- resuming
+/// from a shared snapshot and from main -- and lists the runs whose
+/// results differ.
+SnapshotCheck check_snapshot(const Program& p) {
+  SnapshotCheck check;
+  minic::Program prog;
+  analysis::Resolution res;
+  runtime::bc::Module module;
+  try {
+    prog = minic::parse_program(p.code);
+    res = analysis::resolve(*prog.unit);
+    module = runtime::bc::compile_verified(*prog.unit);
+  } catch (const Error&) {
+    return check;  // the golden run lines pin the error
+  }
+  runtime::RunOptions record;
+  record.module = &module;
+  record.strategy = runtime::ScheduleStrategy::Pct;
+  record.capture_trace = true;
+  const runtime::ScheduleTrace recorded =
+      runtime::run_program(*prog.unit, res, record).trace;
+  runtime::ScheduleTrace truncated = recorded;
+  for (runtime::RegionTrace& region : truncated.regions) {
+    region.resize(region.size() / 2);
+  }
+  const runtime::ScheduleTrace empty;
+
+  runtime::PrefixSnapshot prefix;
+  const std::vector<runtime::RunOptions> schedules =
+      snapshot_schedules(recorded, truncated, empty);
+  for (std::size_t i = 0; i < schedules.size(); ++i) {
+    runtime::RunOptions opts = schedules[i];
+    opts.module = &module;
+    const std::string from_main =
+        describe(runtime::run_program(*prog.unit, res, opts));
+    opts.prefix = &prefix;
+    const std::string resumed =
+        describe(runtime::run_program(*prog.unit, res, opts));
+    if (resumed != from_main) {
+      check.mismatches.push_back(p.name + " schedule " + std::to_string(i) +
+                                 ":\n  from main: " + from_main +
+                                 "\n  snapshot:  " + resumed);
+    }
+  }
+  check.captured = prefix.state != nullptr;
+  return check;
+}
+
+TEST(RuntimeGolden, SnapshotRunsMatchRunsFromMain) {
+  const std::vector<SnapshotCheck> checks =
+      support::parallel_map(4, programs(), check_snapshot);
+  std::size_t captured = 0;
+  std::size_t mismatched = 0;
+  for (const SnapshotCheck& c : checks) {
+    if (c.captured) ++captured;
+    for (const std::string& m : c.mismatches) {
+      if (++mismatched <= 5) ADD_FAILURE() << m;
+    }
+  }
+  EXPECT_EQ(mismatched, 0u) << "runs whose result depends on the snapshot";
+  // Not vacuous: nearly every program forks its first team from main's
+  // own chunk.
+  EXPECT_GT(captured, checks.size() * 9 / 10)
+      << captured << " of " << checks.size() << " programs captured";
 }
 
 int regenerate() {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "minic/parser.hpp"
+#include "obs/catalog.hpp"
+#include "obs/obs.hpp"
+#include "runtime/bc/compile.hpp"
 #include "runtime/dynamic.hpp"
 #include "runtime/interp.hpp"
 
@@ -74,6 +77,54 @@ TEST(Interp, ArraysAndMultiDim) {
       "0; j < 4; j++) a[i][j] = i * 10 + j; printf(\"%d %d\", a[2][3], "
       "a[0][1]); return 0; }");
   EXPECT_EQ(r.output, "23 1");
+}
+
+TEST(Interp, PartialAndExtraSubscripts) {
+  // Fewer subscripts than dimensions address the innermost ones (one
+  // subscript scales by the row stride); more subscripts than dimensions
+  // give the extra ones stride 1.
+  auto r = run_src(
+      "int main() {\n"
+      "  int a[2][3][4];\n"
+      "  for (int i = 0; i < 2; i++) for (int j = 0; j < 3; j++)\n"
+      "    for (int k = 0; k < 4; k++) a[i][j][k] = i * 100 + j * 10 + k;\n"
+      "  int b[2][3];\n"
+      "  for (int i = 0; i < 2; i++) for (int j = 0; j < 3; j++)\n"
+      "    b[i][j] = i * 10 + j;\n"
+      "  printf(\"%d %d %d %d %d\", a[1][2], a[0][1], a[1], b[0][1][1],\n"
+      "         b[1][0][2]);\n"
+      "  return 0;\n"
+      "}");
+  EXPECT_FALSE(r.faulted) << r.fault_message;
+  EXPECT_EQ(r.output, "12 1 100 2 12");
+}
+
+TEST(Interp, ReturnInsideAConstructReturnsFromTheCall) {
+  auto r = run_src(
+      "int f() {\n"
+      "#pragma omp critical\n"
+      "  { return 5; }\n"
+      "  return 1;\n"
+      "}\n"
+      "int main() { printf(\"%d\", f()); return f() + 1; }");
+  EXPECT_FALSE(r.faulted) << r.fault_message;
+  EXPECT_EQ(r.output, "5");
+  EXPECT_EQ(r.exit_code, 6);
+}
+
+TEST(Interp, ReturnOutOfAWorksharingLoopFaults) {
+  auto r = run_src(
+      "int f() {\n"
+      "#pragma omp parallel\n"
+      "  {\n"
+      "#pragma omp for\n"
+      "    for (int i = 0; i < 8; i++) { if (i == 3) return 1; }\n"
+      "  }\n"
+      "  return 0;\n"
+      "}\n"
+      "int main() { return f(); }");
+  EXPECT_TRUE(r.faulted);
+  EXPECT_EQ(r.fault_message, "return out of a parallel region");
 }
 
 TEST(Interp, GlobalInitializerList) {
@@ -752,6 +803,332 @@ TEST(DynamicRace, RaceReportCoordinatesAreTrimmed) {
       "}");
   ASSERT_TRUE(report.race_detected);
   EXPECT_EQ(report.pairs[0].first.loc.line, 6);  // trimmed coordinates
+}
+
+// ---------------------------------------------------------- prefix snapshot
+
+void expect_same_run(const RunResult& got, const RunResult& want) {
+  EXPECT_EQ(got.report.race_detected, want.report.race_detected);
+  EXPECT_EQ(got.report.pairs, want.report.pairs);
+  EXPECT_EQ(got.report.diagnostics, want.report.diagnostics);
+  EXPECT_EQ(got.exit_code, want.exit_code);
+  EXPECT_EQ(got.faulted, want.faulted);
+  EXPECT_EQ(got.fault_message, want.fault_message);
+  EXPECT_EQ(got.steps, want.steps);
+  EXPECT_EQ(got.trace, want.trace);
+  EXPECT_EQ(got.coverage, want.coverage);
+  EXPECT_EQ(got.output, want.output);
+}
+
+struct Resumed {
+  RunResult result;       // the second run on the snapshot
+  bool restored = false;  // whether that run resumed from it
+};
+
+/// Runs `src` under PCT seeds 1 and 2 on one module, once sharing a
+/// snapshot (seed 1 may fill it, seed 2 may resume from it) and once from
+/// main, and expects each pair of results equal. `second` adjusts the
+/// options of the seed-2 runs.
+Resumed run_with_snapshot(const char* src,
+                          void (*second)(RunOptions&) = nullptr,
+                          RunOptions opts = {}) {
+  minic::Program p = minic::parse_program(src);
+  analysis::Resolution res = analysis::resolve(*p.unit);
+  const bc::Module module = bc::compile_verified(*p.unit);
+  opts.module = &module;
+  opts.strategy = ScheduleStrategy::Pct;
+  opts.capture_trace = true;
+  opts.collect_coverage = true;
+  PrefixSnapshot prefix;
+  obs::Counter& restores = obs::metrics().counter(obs::kVmPrefixRestores);
+
+  RunOptions first = opts;
+  first.prefix = &prefix;
+  const RunResult first_run = run_program(*p.unit, res, first);
+  first.prefix = nullptr;
+  expect_same_run(first_run, run_program(*p.unit, res, first));
+
+  RunOptions later = opts;
+  later.seed = 2;
+  if (second != nullptr) second(later);
+  later.prefix = &prefix;
+  const std::uint64_t before = restores.value();
+  Resumed out;
+  out.result = run_program(*p.unit, res, later);
+  out.restored = restores.value() == before + 1;
+  later.prefix = nullptr;
+  expect_same_run(out.result, run_program(*p.unit, res, later));
+  return out;
+}
+
+TEST(PrefixSnapshot, OmpSetNumThreads) {
+  const Resumed r = run_with_snapshot(
+      "int main() {\n"
+      "  int seen[16];\n"
+      "  omp_set_num_threads(3);\n"
+      "#pragma omp parallel\n"
+      "  { seen[omp_get_thread_num()] = omp_get_num_threads(); }\n"
+      "  printf(\"%d %d %d\", seen[0], seen[2], omp_get_max_threads());\n"
+      "  return 0;\n"
+      "}");
+  EXPECT_TRUE(r.restored);
+  EXPECT_EQ(r.result.output, "3 3 3");
+}
+
+TEST(PrefixSnapshot, RandState) {
+  const Resumed r = run_with_snapshot(
+      "int main() {\n"
+      "  int a[4];\n"
+      "  srand(42);\n"
+      "  int first = rand();\n"
+      "#pragma omp parallel for\n"
+      "  for (int i = 0; i < 4; i++) a[i] = i;\n"
+      "  printf(\"%d %d\", first, rand());\n"
+      "  return 0;\n"
+      "}");
+  EXPECT_TRUE(r.restored);
+}
+
+TEST(PrefixSnapshot, PointerPrintsOfPrefixObjects) {
+  const Resumed r = run_with_snapshot(
+      "int main() {\n"
+      "  int a[4];\n"
+      "  int* h = (int*)malloc(4);\n"
+      "  printf(\"%p %p\\n\", a, h);\n"
+      "#pragma omp parallel for\n"
+      "  for (int i = 0; i < 4; i++) a[i] = i;\n"
+      "  int* g = (int*)malloc(2);\n"
+      "  printf(\"%p %p %p\\n\", a, h, g);\n"
+      "  return 0;\n"
+      "}");
+  EXPECT_TRUE(r.restored);
+  EXPECT_NE(r.result.output.find('\n'), std::string::npos);
+}
+
+TEST(PrefixSnapshot, MallocAndFree) {
+  const Resumed r = run_with_snapshot(
+      "int main() {\n"
+      "  int* p = (int*)malloc(8);\n"
+      "  int* q = (int*)malloc(8);\n"
+      "  free(p);\n"
+      "#pragma omp parallel for\n"
+      "  for (int i = 0; i < 8; i++) q[i] = i;\n"
+      "  printf(\"%d\", q[7]);\n"
+      "  p[0] = 1;\n"
+      "  return 0;\n"
+      "}");
+  EXPECT_TRUE(r.restored);
+  EXPECT_EQ(r.result.output, "7");
+  EXPECT_TRUE(r.result.faulted);
+  EXPECT_NE(r.result.fault_message.find("use after free"), std::string::npos);
+}
+
+TEST(PrefixSnapshot, LockApi) {
+  const Resumed r = run_with_snapshot(
+      "int main() {\n"
+      "  omp_lock_t held;\n"
+      "  omp_lock_t spare;\n"
+      "  int count = 0;\n"
+      "  omp_init_lock(&held);\n"
+      "  omp_init_lock(&spare);\n"
+      "  omp_set_lock(&held);\n"
+      "#pragma omp parallel for\n"
+      "  for (int i = 0; i < 8; i++) {\n"
+      "    omp_set_lock(&spare);\n"
+      "    count = count + 1;\n"
+      "    omp_unset_lock(&spare);\n"
+      "  }\n"
+      "  printf(\"%d %d %d\", count, omp_test_lock(&held),\n"
+      "         omp_test_lock(&spare));\n"
+      "  return 0;\n"
+      "}");
+  EXPECT_TRUE(r.restored);
+  EXPECT_EQ(r.result.output, "8 0 1");
+}
+
+TEST(PrefixSnapshot, StringLiteral) {
+  const Resumed r = run_with_snapshot(
+      "char* name() { return \"lit\"; }\n"
+      "int main() {\n"
+      "  int a[4];\n"
+      "  char* before = name();\n"
+      "  printf(\"%s %p\\n\", before, before);\n"
+      "#pragma omp parallel for\n"
+      "  for (int i = 0; i < 4; i++) a[i] = i;\n"
+      "  char* after = name();\n"
+      "  printf(\"%d %p\\n\", before == after, after);\n"
+      "  return 0;\n"
+      "}");
+  EXPECT_TRUE(r.restored);
+  EXPECT_NE(r.result.output.find("\n1 "), std::string::npos)
+      << r.result.output;
+}
+
+TEST(PrefixSnapshot, OrphanedConstructsBeforeTheFork) {
+  const Resumed r = run_with_snapshot(
+      "int main() {\n"
+      "  int a[8];\n"
+      "  int n = 0;\n"
+      "#pragma omp for\n"
+      "  for (int i = 0; i < 8; i++) a[i] = i;\n"
+      "#pragma omp critical\n"
+      "  { n = n + 1; }\n"
+      "#pragma omp single\n"
+      "  { n = n + 10; }\n"
+      "#pragma omp parallel for\n"
+      "  for (int i = 0; i < 8; i++) a[i] = a[i] + n;\n"
+      "  printf(\"%d %d\", a[0], a[7]);\n"
+      "  return 0;\n"
+      "}");
+  EXPECT_TRUE(r.restored);
+  EXPECT_EQ(r.result.output, "11 18");
+}
+
+TEST(PrefixSnapshot, FirstForkInsideALoop) {
+  const Resumed r = run_with_snapshot(
+      "int main() {\n"
+      "  int a[8];\n"
+      "  int total = 0;\n"
+      "  for (int k = 1; k <= 3; k++) {\n"
+      "    int scale = k * 2;\n"
+      "#pragma omp parallel for\n"
+      "    for (int i = 0; i < 8; i++) a[i] = i * scale;\n"
+      "    total = total + a[7];\n"
+      "  }\n"
+      "  printf(\"%d\", total);\n"
+      "  return total;\n"
+      "}");
+  EXPECT_TRUE(r.restored);
+  EXPECT_EQ(r.result.output, "84");
+  EXPECT_EQ(r.result.exit_code, 84);
+}
+
+TEST(PrefixSnapshot, ClausesReadPrefixVariables) {
+  const Resumed r = run_with_snapshot(
+      "int main() {\n"
+      "  int seen[16];\n"
+      "  int n = 3;\n"
+      "  int serial = 0;\n"
+      "#pragma omp parallel num_threads(n)\n"
+      "  { seen[omp_get_thread_num()] = omp_get_num_threads(); }\n"
+      "#pragma omp parallel if(serial)\n"
+      "  { seen[omp_get_thread_num()] = omp_get_num_threads(); }\n"
+      "  printf(\"%d %d\", seen[0], seen[2]);\n"
+      "  return 0;\n"
+      "}");
+  EXPECT_TRUE(r.restored);
+  EXPECT_EQ(r.result.output, "1 3");
+}
+
+TEST(PrefixSnapshot, SerialStepLimitCountsThePrefix) {
+  // 25 serial steps before the fork and 25 after: the limit of 30 is
+  // crossed after the region only if the prefix's steps still count.
+  RunOptions opts;
+  opts.step_limit = 30;
+  const Resumed r = run_with_snapshot(
+      "int main() {\n"
+      "  int a[4];\n"
+      "  for (int i = 0; i < 4; i++) a[i] = i;\n"
+      "#pragma omp parallel for\n"
+      "  for (int i = 0; i < 4; i++) a[i] = a[i] + 1;\n"
+      "  for (int i = 0; i < 4; i++) a[i] = i;\n"
+      "  return 0;\n"
+      "}",
+      nullptr, opts);
+  EXPECT_TRUE(r.restored);
+  EXPECT_TRUE(r.result.faulted);
+  EXPECT_NE(r.result.fault_message.find("serial step limit"),
+            std::string::npos)
+      << r.result.fault_message;
+}
+
+TEST(PrefixSnapshot, OptionsOutsideTheScheduleStartFromMain) {
+  const Resumed r = run_with_snapshot(
+      "int main() {\n"
+      "  int a[8];\n"
+      "#pragma omp parallel for\n"
+      "  for (int i = 0; i < 8; i++) a[i] = omp_get_num_threads();\n"
+      "  printf(\"%d\", a[0]);\n"
+      "  return 0;\n"
+      "}",
+      [](RunOptions& o) { o.num_threads = 2; });
+  EXPECT_FALSE(r.restored);
+  EXPECT_EQ(r.result.output, "2");
+}
+
+TEST(PrefixSnapshot, ForkOnlyThroughACallStartsFromMain) {
+  const Resumed r = run_with_snapshot(
+      "int a[8];\n"
+      "void work() {\n"
+      "#pragma omp parallel for\n"
+      "  for (int i = 0; i < 8; i++) a[i] = a[i] + i;\n"
+      "}\n"
+      "int main() {\n"
+      "  for (int i = 0; i < 8; i++) a[i] = 1;\n"
+      "  work();\n"
+      "#pragma omp parallel for\n"
+      "  for (int i = 0; i < 8; i++) a[i] = a[i] * 2;\n"
+      "  printf(\"%d\", a[7]);\n"
+      "  return 0;\n"
+      "}");
+  EXPECT_FALSE(r.restored);
+  EXPECT_EQ(r.result.output, "16");
+}
+
+TEST(PrefixSnapshot, ForkInsideTargetStartsFromMain) {
+  const Resumed r = run_with_snapshot(
+      "int main() {\n"
+      "  int a[8];\n"
+      "  for (int i = 0; i < 8; i++) a[i] = 1;\n"
+      "#pragma omp target\n"
+      "  {\n"
+      "#pragma omp parallel for\n"
+      "    for (int i = 0; i < 8; i++) a[i] = a[i] + i;\n"
+      "  }\n"
+      "  printf(\"%d\", a[7]);\n"
+      "  return 0;\n"
+      "}");
+  EXPECT_FALSE(r.restored);
+  EXPECT_EQ(r.result.output, "8");
+}
+
+TEST(PrefixSnapshot, PrefixThatExitsStartsFromMain) {
+  const Resumed r = run_with_snapshot(
+      "int main() {\n"
+      "  int a[8];\n"
+      "  printf(\"bye\");\n"
+      "  exit(3);\n"
+      "#pragma omp parallel for\n"
+      "  for (int i = 0; i < 8; i++) a[i] = i;\n"
+      "  return 0;\n"
+      "}");
+  EXPECT_FALSE(r.restored);
+  EXPECT_EQ(r.result.exit_code, 3);
+  EXPECT_EQ(r.result.output, "bye");
+}
+
+TEST(PrefixSnapshot, PrefixThatFaultsStartsFromMain) {
+  const Resumed r = run_with_snapshot(
+      "int main() {\n"
+      "  int a[8];\n"
+      "  a[8] = 1;\n"
+      "#pragma omp parallel for\n"
+      "  for (int i = 0; i < 8; i++) a[i] = i;\n"
+      "  return 0;\n"
+      "}");
+  EXPECT_FALSE(r.restored);
+  EXPECT_TRUE(r.result.faulted);
+}
+
+TEST(PrefixSnapshot, ProgramWithoutARegionStartsFromMain) {
+  const Resumed r = run_with_snapshot(
+      "int main() {\n"
+      "  int s = 0;\n"
+      "  for (int i = 1; i <= 4; i++) s = s + i;\n"
+      "  return s;\n"
+      "}");
+  EXPECT_FALSE(r.restored);
+  EXPECT_EQ(r.result.exit_code, 10);
 }
 
 }  // namespace
