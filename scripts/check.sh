@@ -47,10 +47,12 @@
 # fan-outs, the observability layer, the bytecode verifier, and the
 # scheduler's quiet-yield state on the (ucontext) fiber substrate via
 # the golden suite -- so the infrastructure this repo uses to find data
-# races is itself checked for data races. Stage 4 rebuilds under
-# AddressSanitizer + UndefinedBehaviorSanitizer
-# (-DDRBML_SANITIZE=address) and runs the full suite, every team on
-# annotated ucontext fibers.
+# races is itself checked for data races. Stage 3 also builds
+# sched_test, the only suite that drives the scheduler's deadlock,
+# step-limit and exception unwinds on fibers, and runs it by name (it
+# has no `parallel` label). Stage 4 rebuilds under AddressSanitizer +
+# UndefinedBehaviorSanitizer (-DDRBML_SANITIZE=address) and runs the full
+# suite, every team on annotated ucontext fibers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -238,8 +240,9 @@ cmake -B build-tsan -S . -DDRBML_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j --target \
   parallel_test parallel_determinism_test detector_differential_test \
   explore_test metamorphic_test lint_test repair_test obs_test \
-  bc_verify_test runtime_golden_test
+  bc_verify_test runtime_golden_test sched_test
 (cd build-tsan && ctest -L parallel --output-on-failure)
+build-tsan/tests/sched_test
 
 echo "== stage 4: AddressSanitizer + UBSan build of the full suite =="
 cmake -B build-asan -S . -DDRBML_SANITIZE=address >/dev/null

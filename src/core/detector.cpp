@@ -71,7 +71,8 @@ class HybridTool final : public RaceDetector {
 
 class ExploreTool final : public RaceDetector {
  public:
-  explicit ExploreTool(explore::Strategy strategy) : strategy_(strategy) {}
+  explicit ExploreTool(runtime::ScheduleStrategy strategy)
+      : strategy_(strategy) {}
 
   RaceVerdict analyze(const std::string& code) const override {
     explore::ExploreOptions opts;
@@ -88,11 +89,11 @@ class ExploreTool final : public RaceDetector {
   }
 
   std::string name() const override {
-    return std::string("explore:") + explore::strategy_name(strategy_);
+    return std::string("explore:") + runtime::strategy_name(strategy_);
   }
 
  private:
-  explore::Strategy strategy_;
+  runtime::ScheduleStrategy strategy_;
 };
 
 class LintTool final : public RaceDetector {
@@ -208,11 +209,11 @@ std::unique_ptr<RaceDetector> make_detector(const std::string& spec) {
   if (spec == "hybrid") return std::make_unique<HybridTool>();
   if (spec == "lint") return std::make_unique<LintTool>();
   if (spec == "explore") {
-    return std::make_unique<ExploreTool>(explore::Strategy::Pct);
+    return std::make_unique<ExploreTool>(runtime::ScheduleStrategy::Pct);
   }
   if (starts_with(spec, "explore:")) {
     return std::make_unique<ExploreTool>(
-        explore::parse_strategy(spec.substr(8)));
+        runtime::parse_strategy(spec.substr(8)));
   }
   if (starts_with(spec, "llm:")) {
     const std::vector<std::string> parts = split(spec, ':');

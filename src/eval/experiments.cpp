@@ -468,12 +468,12 @@ std::vector<ExplorationRow> exploration_rows(
   }
 
   ArtifactCache& cache = artifact_cache();
-  const explore::Strategy strategies[] = {explore::Strategy::Uniform,
-                                          explore::Strategy::Pct};
+  const runtime::ScheduleStrategy strategies[] = {
+      runtime::ScheduleStrategy::Uniform, runtime::ScheduleStrategy::Pct};
   std::vector<ExplorationRow> rows;
   // detected[s][i]: strategy s found entry i's race within budget.
   std::vector<std::vector<bool>> detected;
-  for (explore::Strategy strategy : strategies) {
+  for (runtime::ScheduleStrategy strategy : strategies) {
     explore::ExploreOptions eopts = base;
     eopts.strategy = strategy;
     const std::vector<const explore::ExploreResult*> results =
@@ -488,7 +488,7 @@ std::vector<ExplorationRow> exploration_rows(
             });
 
     ExplorationRow row;
-    row.strategy = explore::strategy_name(strategy);
+    row.strategy = runtime::strategy_name(strategy);
     std::vector<bool> found(racy.size(), false);
     for (std::size_t i = 0; i < racy.size(); ++i) {
       ++row.entries;

@@ -5,29 +5,13 @@
 #include <utility>
 
 #include "explore/minimize.hpp"
-#include "minic/parser.hpp"
 #include "obs/catalog.hpp"
 #include "obs/obs.hpp"
-#include "runtime/bc/compile.hpp"
+#include "runtime/dynamic.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
 
 namespace drbml::explore {
-
-const char* strategy_name(Strategy s) {
-  switch (s) {
-    case Strategy::Uniform: return "uniform";
-    case Strategy::Pct: return "pct";
-  }
-  return "?";
-}
-
-Strategy parse_strategy(std::string_view name) {
-  if (name == "uniform") return Strategy::Uniform;
-  if (name == "pct") return Strategy::Pct;
-  throw Error("unknown exploration strategy '" + std::string(name) +
-              "' (expected uniform|pct)");
-}
 
 namespace {
 
@@ -40,9 +24,7 @@ runtime::RunOptions schedule_run_options(const ExploreOptions& opts,
                                          int index) {
   runtime::RunOptions run = opts.run;
   run.seed = schedule_seed(opts.seed, index);
-  run.strategy = opts.strategy == Strategy::Pct
-                     ? runtime::ScheduleStrategy::Pct
-                     : runtime::ScheduleStrategy::Uniform;
+  run.strategy = opts.strategy;
   run.pct_depth = opts.pct_depth;
   run.pct_expected_steps = opts.pct_expected_steps;
   run.replay = nullptr;
@@ -69,23 +51,17 @@ ExploreResult explore_source(std::string_view source,
   static obs::Histogram& to_first_race =
       obs::metrics().histogram(obs::kExploreSchedulesToFirstRace);
 
+  if (opts.strategy == runtime::ScheduleStrategy::Replay) {
+    throw Error("explore: the replay strategy needs a recorded trace "
+                "(replay a witness instead)");
+  }
   obs::Span entry_span(obs::kSpanExploreEntry,
-                       strategy_name(opts.strategy));
-
-  minic::Program prog = minic::parse_program(source);
-  analysis::Resolution res = analysis::resolve(*prog.unit);
+                       runtime::strategy_name(opts.strategy));
 
   // Compile once; every schedule (and the minimizer's replays) reuses the
   // same verified module, and resumes from the first schedule's snapshot
   // of the serial prefix.
-  runtime::bc::Module module;
-  runtime::PrefixSnapshot prefix;
-  ExploreOptions eopts = opts;
-  if (eopts.run.module == nullptr) {
-    module = runtime::bc::compile_verified(*prog.unit);
-    eopts.run.module = &module;
-  }
-  eopts.run.prefix = &prefix;
+  runtime::CompiledProgram program(source);
 
   ExploreResult result;
   std::set<std::uint64_t> coverage;
@@ -94,10 +70,10 @@ ExploreResult explore_source(std::string_view source,
   runtime::RunOptions racy_run;
 
   for (int i = 0; i < opts.max_schedules; ++i) {
-    const runtime::RunOptions run = schedule_run_options(eopts, i);
+    const runtime::RunOptions run = schedule_run_options(opts, i);
     runtime::RunResult rr = [&] {
       obs::Span span(obs::kSpanExploreSchedule, std::to_string(i));
-      return runtime::run_program(*prog.unit, res, run);
+      return program.run(run);
     }();
     ++result.schedules_run;
     schedules_run.add();
@@ -157,8 +133,7 @@ ExploreResult explore_source(std::string_view source,
         replay.replay = &candidate;
         replay.capture_trace = false;
         replay.collect_coverage = false;
-        return runtime::run_program(*prog.unit, res, replay)
-            .report.race_detected;
+        return program.run(replay).report.race_detected;
       };
       MinimizeResult mr = minimize_trace(racy_trace, still_races,
                                          opts.max_minimize_replays);
@@ -183,7 +158,7 @@ ExploreResult explore_source(std::string_view source,
     result.report.diagnostics.push_back(
         std::string("explore: no race in ") +
         std::to_string(result.schedules_run) + " " +
-        strategy_name(opts.strategy) + " schedule(s)" +
+        runtime::strategy_name(opts.strategy) + " schedule(s)" +
         (result.stopped_on_plateau ? " (coverage plateau)" : ""));
   }
   result.report.race_detected = !result.report.pairs.empty();
@@ -192,10 +167,7 @@ ExploreResult explore_source(std::string_view source,
 
 runtime::RunResult replay_witness(std::string_view source, const Witness& w,
                                   const runtime::RunOptions& base) {
-  minic::Program prog = minic::parse_program(source);
-  analysis::Resolution res = analysis::resolve(*prog.unit);
-  const runtime::RunOptions run = witness_run_options(w, base);
-  return runtime::run_program(*prog.unit, res, run);
+  return runtime::CompiledProgram(source).run(witness_run_options(w, base));
 }
 
 }  // namespace drbml::explore

@@ -21,18 +21,14 @@
 
 namespace drbml::explore {
 
-enum class Strategy { Uniform, Pct };
-
-[[nodiscard]] const char* strategy_name(Strategy s);
-
-/// Parses "uniform"/"pct"; throws Error otherwise.
-[[nodiscard]] Strategy parse_strategy(std::string_view name);
+/// Another name for runtime::ScheduleStrategy.
+using Strategy = runtime::ScheduleStrategy;
 
 struct ExploreOptions {
-  /// Base run options; `seed`/`strategy`/`capture_trace`/
-  /// `collect_coverage` are overridden per schedule.
+  /// Base run options; `seed`/`strategy`/`capture_trace`/`collect_coverage`
+  /// are set per schedule, `module`/`prefix` per source.
   runtime::RunOptions run;
-  Strategy strategy = Strategy::Pct;
+  runtime::ScheduleStrategy strategy = runtime::ScheduleStrategy::Pct;
   /// PCT bug depth d (d-1 priority change points per region).
   int pct_depth = 3;
   /// PCT estimate k of a region's step count.
@@ -88,9 +84,9 @@ struct ExploreResult {
   int faulted_runs = 0;
 };
 
-/// Runs the exploration loop on one source. Parse/resolve errors
-/// propagate as exceptions (callers batching over a corpus should catch
-/// support's Error, matching the dynamic detector's convention).
+/// Runs the exploration loop on one source. Parse/resolve errors and a
+/// Replay strategy (it needs a trace) propagate as support's Error
+/// (callers batching over a corpus catch it, as for the dynamic detector).
 [[nodiscard]] ExploreResult explore_source(std::string_view source,
                                            const ExploreOptions& opts);
 

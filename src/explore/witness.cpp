@@ -1,7 +1,7 @@
 #include "explore/witness.hpp"
 
+#include <climits>
 #include <cstdint>
-#include <stdexcept>
 
 #include "support/error.hpp"
 #include "support/strings.hpp"
@@ -27,6 +27,17 @@ std::uint64_t parse_u64(std::string_view s, const char* what) {
     v = v * 10 + digit;
   }
   return v;
+}
+
+/// parse_u64, then rejects values outside [lo, hi].
+int parse_int(std::string_view s, const char* what, int lo, int hi) {
+  const std::uint64_t v = parse_u64(s, what);
+  if (v < static_cast<std::uint64_t>(lo) ||
+      v > static_cast<std::uint64_t>(hi)) {
+    throw Error(std::string("witness: ") + what + " out of range: " +
+                std::string(s));
+  }
+  return static_cast<int>(v);
 }
 
 }  // namespace
@@ -68,16 +79,10 @@ Witness decode_witness(std::string_view text) {
     const std::string key = field.substr(0, eq);
     const std::string value = field.substr(eq + 1);
     if (key == "threads") {
-      w.num_threads = static_cast<int>(parse_u64(value, "threads"));
-      if (w.num_threads < 1 || w.num_threads > 16) {
-        throw Error("witness: threads out of range: " + value);
-      }
+      w.num_threads = parse_int(value, "threads", 1, 16);
       saw_threads = true;
     } else if (key == "preempt") {
-      w.preempt_every = static_cast<int>(parse_u64(value, "preempt"));
-      if (w.preempt_every < 1) {
-        throw Error("witness: preempt out of range: " + value);
-      }
+      w.preempt_every = parse_int(value, "preempt", 1, INT_MAX);
     } else if (key == "limit") {
       w.step_limit = parse_u64(value, "limit");
     } else if (key == "region") {
@@ -95,8 +100,8 @@ Witness decode_witness(std::string_view text) {
           d.forced = item[0] == 'f';
           d.step = parse_u64(
               std::string_view(item).substr(1, colon - 1), "step");
-          d.target = static_cast<int>(parse_u64(
-              std::string_view(item).substr(colon + 1), "target"));
+          d.target = parse_int(std::string_view(item).substr(colon + 1),
+                               "target", 0, INT_MAX);
           region.push_back(d);
         }
       }

@@ -9,6 +9,10 @@ namespace drbml::minic {
 
 namespace {
 
+/// Parses End-terminated tokens as one C expression (defined with the C
+/// parser below).
+ExprPtr parse_clause_expr(std::vector<Token> tokens);
+
 // ---------------------------------------------------------------------------
 // OpenMP pragma parsing
 //
@@ -167,9 +171,9 @@ class OmpParser {
     return vars;
   }
 
-  /// Captures the raw token texts of a parenthesized expression argument.
-  std::string capture_expr_text() {
-    std::string out;
+  /// The tokens of a clause argument, up to its closing parenthesis.
+  std::vector<Token> capture_arg() {
+    std::vector<Token> out;
     int depth = 0;
     for (;;) {
       const Token& t = peek();
@@ -177,8 +181,7 @@ class OmpParser {
       if (t.is_punct(")") && depth == 0) break;
       if (t.is_punct("(")) ++depth;
       if (t.is_punct(")")) --depth;
-      if (!out.empty()) out += ' ';
-      out += get().text;
+      out.push_back(get());
     }
     return out;
   }
@@ -302,22 +305,16 @@ class OmpParser {
     fail("unknown clause '" + name + "'");
   }
 
-  /// Parses a (simple) expression argument inside a clause. Only literals,
-  /// identifiers, and binary arithmetic are needed in practice; the
-  /// captured text is wrapped in an Ident when it is a lone name, an IntLit
-  /// when a lone literal, and otherwise kept as a textual Ident.
+  /// Parses an expression argument inside a clause: a lone integer
+  /// literal becomes an IntLit, a lone name an Ident, and anything else
+  /// (`n + 1`, `n > 2`) goes through the C expression parser. Every node
+  /// carries the pragma's location.
   ExprPtr parse_embedded_expr() {
-    const std::string text = capture_expr_text();
-    if (text.empty()) fail("empty clause expression");
-    // Fast path: single integer literal.
-    bool all_digits = true;
-    for (char ch : text) {
-      if (ch < '0' || ch > '9') {
-        all_digits = false;
-        break;
-      }
-    }
-    if (all_digits) {
+    std::vector<Token> arg = capture_arg();
+    if (arg.empty()) fail("empty clause expression");
+    const std::string& text = arg.front().text;
+    if (arg.size() == 1 && !text.empty() &&
+        text.find_first_not_of("0123456789") == std::string::npos) {
       auto lit = std::make_unique<IntLit>();
       try {
         lit->value = std::stoll(text);
@@ -327,10 +324,18 @@ class OmpParser {
       lit->loc = loc_;
       return lit;
     }
-    auto id = std::make_unique<Ident>();
-    id->name = text;
-    id->loc = loc_;
-    return id;
+    if (arg.size() == 1 && arg.front().is(TokenKind::Identifier)) {
+      auto id = std::make_unique<Ident>();
+      id->name = text;
+      id->loc = loc_;
+      return id;
+    }
+    for (Token& t : arg) t.loc = loc_;
+    Token end;
+    end.kind = TokenKind::End;
+    end.loc = loc_;
+    arg.push_back(std::move(end));
+    return parse_clause_expr(std::move(arg));
   }
 
   std::vector<Token> tokens_;
@@ -357,6 +362,13 @@ class Parser {
       parse_top_level(*tu);
     }
     return tu;
+  }
+
+  /// Parses the whole token stream as one assignment-expression.
+  ExprPtr parse_lone_expr() {
+    ExprPtr e = parse_assign_expr();
+    if (!at_end()) fail("unexpected token after clause expression");
+    return e;
   }
 
  private:
@@ -1004,6 +1016,10 @@ class Parser {
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
 };
+
+ExprPtr parse_clause_expr(std::vector<Token> tokens) {
+  return Parser(std::move(tokens)).parse_lone_expr();
+}
 
 }  // namespace
 

@@ -64,15 +64,14 @@ VerifyOutcome verify_candidate_impl(const std::string& original,
   }
 
   // Reference semantics: the original program executed serially.
-  runtime::DynamicDetectorOptions serial_opts = opts.dynamic_opts;
-  serial_opts.run.num_threads = 1;
-  const runtime::DynamicRaceDetector serial_det(serial_opts);
+  runtime::RunOptions serial = opts.dynamic_opts.run;
+  serial.num_threads = 1;
   bool have_ref = false;
   std::string ref_output;
   int ref_exit = 0;
   try {
     const runtime::RunResult ref =
-        serial_det.run_once(original, serial_opts.run.seed);
+        runtime::CompiledProgram(original).run(serial);
     if (!ref.faulted) {
       have_ref = true;
       ref_output = ref.output;
@@ -87,13 +86,17 @@ VerifyOutcome verify_candidate_impl(const std::string& original,
   // schedule-deterministic). The parallel output is NOT compared against
   // the serial reference -- programs whose answer legitimately depends on
   // the thread count (each thread increments a counter) would fail that.
-  const runtime::DynamicRaceDetector ddet(opts.dynamic_opts);
+  // The patched program compiles once for gates 2 and 3, and the seeds
+  // after the first resume from the first one's serial prefix.
   try {
+    runtime::CompiledProgram program(patched);
+    runtime::RunOptions par = opts.dynamic_opts.run;
     bool have_par = false;
     std::string par_output;
     int par_exit = 0;
     for (const std::uint64_t seed : opts.dynamic_opts.schedule_seeds) {
-      const runtime::RunResult run = ddet.run_once(patched, seed);
+      par.seed = seed;
+      const runtime::RunResult run = program.run(par);
       if (run.faulted) {
         out.gate = RejectGate::Fault;
         out.reason = "patched program faults: " + run.fault_message;
@@ -121,8 +124,7 @@ VerifyOutcome verify_candidate_impl(const std::string& original,
     // This is what rejects patches like privatizing an accumulator: they
     // silence the detectors but change the answer even serially.
     if (have_ref) {
-      const runtime::RunResult srun =
-          serial_det.run_once(patched, serial_opts.run.seed);
+      const runtime::RunResult srun = program.run(serial);
       if (srun.faulted || srun.output != ref_output ||
           srun.exit_code != ref_exit) {
         out.gate = RejectGate::Output;
@@ -144,7 +146,7 @@ VerifyOutcome verify_candidate_impl(const std::string& original,
     try {
       explore::ExploreOptions eopts;
       eopts.run = opts.dynamic_opts.run;
-      eopts.strategy = explore::Strategy::Pct;
+      eopts.strategy = runtime::ScheduleStrategy::Pct;
       eopts.pct_depth = opts.explore_pct_depth;
       eopts.max_schedules = opts.explore_schedules;
       eopts.minimize = false;

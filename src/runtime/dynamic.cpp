@@ -6,6 +6,17 @@
 
 namespace drbml::runtime {
 
+CompiledProgram::CompiledProgram(std::string_view source)
+    : prog_(minic::parse_program(source)),
+      res_(analysis::resolve(*prog_.unit)),
+      module_(bc::compile_verified(*prog_.unit)) {}
+
+RunResult CompiledProgram::run(RunOptions opts) {
+  opts.module = &module_;
+  opts.prefix = &prefix_;
+  return run_program(*prog_.unit, res_, opts);
+}
+
 analysis::RaceReport DynamicRaceDetector::analyze_source(
     std::string_view source) const {
   static obs::Counter& replays = obs::metrics().counter(obs::kInterpReplays);
@@ -15,19 +26,10 @@ analysis::RaceReport DynamicRaceDetector::analyze_source(
   static obs::Histogram& steps_hist =
       obs::metrics().histogram(obs::kSchedStepsPerReplay);
 
-  minic::Program prog = minic::parse_program(source);
-  analysis::Resolution res = analysis::resolve(*prog.unit);
-
   // Compile once, execute every schedule seed against the same module;
   // seeds after the first resume from its snapshot of the serial prefix.
-  bc::Module module;
-  PrefixSnapshot prefix;
+  CompiledProgram program(source);
   RunOptions run = opts_.run;
-  if (run.module == nullptr) {
-    module = bc::compile_verified(*prog.unit);
-    run.module = &module;
-  }
-  run.prefix = &prefix;
 
   analysis::RaceReport merged;
   for (std::uint64_t seed : opts_.schedule_seeds) {
@@ -35,7 +37,7 @@ analysis::RaceReport DynamicRaceDetector::analyze_source(
     const std::string seed_label = "seed=" + std::to_string(seed);
     RunResult result = [&] {
       obs::Span span(obs::kSpanInterpReplay, seed_label);
-      return run_program(*prog.unit, res, run);
+      return program.run(run);
     }();
     replays.add();
     steps.add(result.steps);
@@ -58,15 +60,6 @@ analysis::RaceReport DynamicRaceDetector::analyze_source(
         "dynamic: no happens-before violation observed");
   }
   return merged;
-}
-
-RunResult DynamicRaceDetector::run_once(std::string_view source,
-                                        std::uint64_t seed) const {
-  minic::Program prog = minic::parse_program(source);
-  analysis::Resolution res = analysis::resolve(*prog.unit);
-  RunOptions run = opts_.run;
-  run.seed = seed;
-  return run_program(*prog.unit, res, run);
 }
 
 }  // namespace drbml::runtime

@@ -11,11 +11,32 @@
 #include <vector>
 
 #include "analysis/report.hpp"
+#include "runtime/bc/bc.hpp"
 #include "runtime/interp.hpp"
 
 namespace drbml::runtime {
 
+/// A source parsed, resolved and compiled once, run under any number of
+/// schedules; runs that differ from the first only in schedule fields
+/// resume from its serial-prefix snapshot. One thread at a time.
+class CompiledProgram {
+ public:
+  /// Throws support's Error when the source does not parse or resolve.
+  explicit CompiledProgram(std::string_view source);
+
+  /// Runs `opts` with this program's module and prefix snapshot (any
+  /// module or snapshot in `opts` is replaced).
+  [[nodiscard]] RunResult run(RunOptions opts);
+
+ private:
+  minic::Program prog_;
+  analysis::Resolution res_;
+  bc::Module module_;
+  PrefixSnapshot prefix_;
+};
+
 struct DynamicDetectorOptions {
+  /// Base run options; `seed`, `module` and `prefix` are set per run.
   RunOptions run;
   /// Seeds for independent schedule replays; reports are unioned.
   std::vector<std::uint64_t> schedule_seeds = {1, 2, 3};
@@ -29,10 +50,6 @@ class DynamicRaceDetector {
   /// Parses, resolves, and executes the source under each schedule seed.
   [[nodiscard]] analysis::RaceReport analyze_source(
       std::string_view source) const;
-
-  /// Runs one schedule and returns the full execution result.
-  [[nodiscard]] RunResult run_once(std::string_view source,
-                                   std::uint64_t seed) const;
 
   [[nodiscard]] const DynamicDetectorOptions& options() const noexcept {
     return opts_;

@@ -52,6 +52,7 @@
 #include "analysis/resolve.hpp"
 #include "minic/ast.hpp"
 #include "runtime/sched.hpp"
+#include "runtime/strategy.hpp"
 
 namespace drbml::runtime {
 
@@ -76,12 +77,6 @@ struct PrefixSnapshot {
   /// The captured state; null until a run captured one.
   std::unique_ptr<const State> state;
 };
-
-/// How parallel regions are scheduled. Uniform is the legacy seeded
-/// random walk (preempt every N shared accesses, uniform random target).
-/// Pct runs the PCT priority-based strategy (see runtime/strategy.hpp).
-/// Replay re-executes a recorded ScheduleTrace bit-identically.
-enum class ScheduleStrategy { Uniform, Pct, Replay };
 
 /// Cap on nested user-function calls in one logical thread, so runaway
 /// recursion faults instead of overflowing the native stack. Measured

@@ -5,37 +5,8 @@
 namespace drbml::runtime {
 
 namespace {
-thread_local CoopScheduler* t_scheduler = nullptr;
 thread_local int t_worker_index = -1;
 }  // namespace
-
-CoopScheduler* current_scheduler() noexcept { return t_scheduler; }
-int current_worker_index() noexcept { return t_worker_index; }
-
-CoopScheduler::CoopScheduler(std::uint64_t seed, int preempt_every)
-    : rng_(seed), preempt_every_(preempt_every < 1 ? 1 : preempt_every) {}
-
-int CoopScheduler::self() const { return t_worker_index; }
-
-int CoopScheduler::pick_runnable(int exclude) {
-  // Collect Ready workers; prefer not to pick `exclude` unless it is the
-  // only one. Scratch buffer reused across calls: this runs at every
-  // switch point, so a fresh allocation per call is measurable.
-  pick_buf_.clear();
-  for (int i = 0; i < static_cast<int>(states_.size()); ++i) {
-    if (states_[static_cast<std::size_t>(i)] == State::Ready && i != exclude) {
-      pick_buf_.push_back(i);
-    }
-  }
-  if (pick_buf_.empty()) {
-    if (exclude >= 0 &&
-        states_[static_cast<std::size_t>(exclude)] == State::Ready) {
-      return exclude;
-    }
-    return -1;
-  }
-  return pick_buf_[rng_.below(pick_buf_.size())];
-}
 
 const std::vector<int>& CoopScheduler::ready_peers(int exclude) const {
   // Scratch buffers reused across calls: deciders query the peer set at
@@ -48,7 +19,7 @@ const std::vector<int>& CoopScheduler::ready_peers(int exclude) const {
       peers_buf_.push_back(i);
     }
   }
-  if (decider_ != nullptr && decider_->filter_spinners()) {
+  if (decider_.filter_spinners()) {
     awake_buf_.clear();
     for (int i : peers_buf_) {
       if (!spinning_[static_cast<std::size_t>(i)]) awake_buf_.push_back(i);
@@ -67,7 +38,7 @@ int CoopScheduler::decide_next(int exclude, bool forced) {
     }
     return -1;
   }
-  return decider_->pick(ready, exclude, steps_, forced);
+  return decider_.pick(ready, exclude, steps_, forced);
 }
 
 void CoopScheduler::record(bool forced, int target) {
@@ -88,10 +59,17 @@ void CoopScheduler::maybe_release_barrier() {
   }
 }
 
+void CoopScheduler::abort_team(const char* fault) {
+  aborting_ = true;
+  if (!first_error_) {
+    first_error_ = std::make_exception_ptr(RuntimeFault(fault));
+  }
+  throw TeamAborted{};
+}
+
 void CoopScheduler::switch_from(int me, bool forced) {
   touch();
-  const int next = decider_ != nullptr ? decide_next(me, forced)
-                                       : pick_runnable(me);
+  const int next = decide_next(me, forced);
   if (next == -1) {
     // No other runnable worker. If everyone else is done or at a barrier
     // that cannot release, this is a deadlock.
@@ -99,12 +77,7 @@ void CoopScheduler::switch_from(int me, bool forced) {
       current_ = me;
       return;  // keep running
     }
-    aborting_ = true;
-    if (!first_error_) {
-      first_error_ = std::make_exception_ptr(
-          RuntimeFault("deadlock: no runnable worker"));
-    }
-    throw TeamAborted{};
+    abort_team("deadlock: no runnable worker");
   }
   if (next != me) record(forced, next);
   current_ = next;
@@ -115,37 +88,19 @@ void CoopScheduler::switch_from(int me, bool forced) {
 
 void CoopScheduler::yield_point() {
   if (aborting_) throw TeamAborted{};
-  ++steps_;
-  if (steps_ > step_limit_) {
-    aborting_ = true;
-    if (!first_error_) {
-      first_error_ = std::make_exception_ptr(
-          RuntimeFault("step limit exceeded (possible livelock)"));
-    }
-    throw TeamAborted{};
+  if (++steps_ > step_limit_) {
+    abort_team("step limit exceeded (possible livelock)");
   }
-  ++yields_;
-  if (decider_ != nullptr) {
-    // Quiet stretch: the decider's last "no" holds until quiet_until_
-    // unless the token holder or the ready set changed since.
-    if (version_ == quiet_version_ && steps_ < quiet_until_) return;
-    // Policy-routed preemption: the decider sees the current step and the
-    // runnable peers and decides whether to take the token away.
-    if (!decider_->should_preempt(steps_, t_worker_index,
-                                  ready_peers(t_worker_index))) {
-      quiet_version_ = version_;
-      quiet_until_ = decider_->quiet_until(steps_);
-      return;
-    }
-  } else if (yields_ % static_cast<std::uint64_t>(preempt_every_) != 0) {
+  // Quiet stretch: the decider's last "no" holds until quiet_until_
+  // unless the token holder or the ready set changed since.
+  if (version_ == quiet_version_ && steps_ < quiet_until_) return;
+  if (!decider_.should_preempt(steps_, t_worker_index,
+                               ready_peers(t_worker_index))) {
+    quiet_version_ = version_;
+    quiet_until_ = decider_.quiet_until(steps_);
     return;
   }
   switch_from(t_worker_index, /*forced=*/false);
-}
-
-void CoopScheduler::yield_now() {
-  if (aborting_) throw TeamAborted{};
-  switch_from(t_worker_index, /*forced=*/true);
 }
 
 void CoopScheduler::barrier_wait() {
@@ -168,11 +123,8 @@ void CoopScheduler::barrier_wait() {
 void CoopScheduler::block_until(const std::function<bool()>& ready) {
   bool counted = false;
   auto leave_wait = [&] {
-    if (t_worker_index >= 0 &&
-        t_worker_index < static_cast<int>(spinning_.size())) {
-      spinning_[static_cast<std::size_t>(t_worker_index)] = 0;
-      touch();
-    }
+    spinning_[static_cast<std::size_t>(t_worker_index)] = 0;
+    touch();
     if (counted) {
       --waiting_;
       counted = false;
@@ -190,15 +142,9 @@ void CoopScheduler::block_until(const std::function<bool()>& ready) {
     }
     // Blocking consumes steps: a team spinning on conditions nobody can
     // satisfy must hit the livelock guard rather than hang.
-    ++steps_;
-    if (steps_ > step_limit_) {
+    if (++steps_ > step_limit_) {
       leave_wait();
-      aborting_ = true;
-      if (!first_error_) {
-        first_error_ = std::make_exception_ptr(
-            RuntimeFault("step limit exceeded while blocked"));
-      }
-      throw TeamAborted{};
+      abort_team("step limit exceeded while blocked");
     }
     if (!counted) {
       ++waiting_;
@@ -206,35 +152,25 @@ void CoopScheduler::block_until(const std::function<bool()>& ready) {
     }
     spinning_[static_cast<std::size_t>(t_worker_index)] = 1;
     touch();
-    // If every live worker is blocked (waiting here or stuck at a barrier
-    // that cannot release), no predicate can ever change: deadlock.
+    // With no peer Ready, every other live worker is at a barrier that
+    // cannot release while this one waits: deadlock.
+    const std::vector<int>& peers = ready_peers(t_worker_index);
+    if (peers.empty()) {
+      leave_wait();
+      abort_team("deadlock: worker blocked with no runnable peer");
+    }
+    decider_.blocked(peers);
     int at_barrier = 0;
     for (State s : states_) {
       if (s == State::AtBarrier) ++at_barrier;
     }
-    const int next = pick_runnable(t_worker_index);
-    const bool everyone_stuck = waiting_ + at_barrier >= live_;
-    if (next == -1 || (next == t_worker_index && everyone_stuck)) {
-      leave_wait();
-      aborting_ = true;
-      if (!first_error_) {
-        first_error_ = std::make_exception_ptr(RuntimeFault(
-            "deadlock: worker blocked with no runnable peer"));
-      }
-      throw TeamAborted{};
-    }
-    if (everyone_stuck && next != t_worker_index) {
+    if (waiting_ + at_barrier >= live_) {
       // All peers are blocked too; a worker whose predicate just became
       // true may simply not have been rescheduled yet, so give the
       // round-robin a generous budget before declaring deadlock.
       if (++spin_rounds_ > 64 * static_cast<std::uint64_t>(live_) + 256) {
         leave_wait();
-        aborting_ = true;
-        if (!first_error_) {
-          first_error_ = std::make_exception_ptr(RuntimeFault(
-              "deadlock: all workers blocked on unsatisfiable conditions"));
-        }
-        throw TeamAborted{};
+        abort_team("deadlock: all workers blocked on unsatisfiable conditions");
       }
     } else {
       spin_rounds_ = 0;
@@ -256,20 +192,14 @@ void CoopScheduler::run_team(std::vector<std::function<void()>> workers) {
   touch();  // no quiet stretch carries over from a previous team
   trace_.clear();
   if (n == 0) return;
-  if (decider_ != nullptr) decider_->begin(n);
-
-  // Initial token grant.
-  int first = 0;
-  if (decider_ != nullptr) {
-    std::vector<int> all(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) all[static_cast<std::size_t>(i)] = i;
-    first = decider_->pick(all, /*current=*/-1, /*step=*/0, /*forced=*/true);
-  }
+  decider_.begin(n);
+  // Initial token grant, among all workers (none is spinning yet).
+  const int first = decider_.pick(ready_peers(-1), /*current=*/-1,
+                                  /*step=*/0, /*forced=*/true);
 
   // The driver may itself be a worker fiber of an enclosing scheduler
   // (nested regions serialize but still build a team); save its identity
   // so nested run_team calls nest cleanly.
-  CoopScheduler* const prev_sched = t_scheduler;
   const int prev_index = t_worker_index;
 
   fiber_jobs_ = &workers;
@@ -284,15 +214,12 @@ void CoopScheduler::run_team(std::vector<std::function<void()>> workers) {
     worker_fibers_.push_back(std::move(f));
   }
 
-  if (first >= 0) {
-    record(/*forced=*/true, first);
-    current_ = first;
-    // Suspend the driver; it resumes when the last fiber completes (or
-    // the abort chain has unwound every live fiber).
-    transfer_to(/*me=*/-1, first);
-  }
+  record(/*forced=*/true, first);
+  current_ = first;
+  // Suspend the driver; it resumes when the last fiber completes (or the
+  // abort chain has unwound every live fiber).
+  transfer_to(/*me=*/-1, first);
 
-  t_scheduler = prev_sched;
   t_worker_index = prev_index;
   worker_fibers_.clear();
   fiber_args_.clear();
@@ -307,8 +234,7 @@ void CoopScheduler::transfer_to(int me, int next) {
   Fiber& to = next < 0 ? driver_fiber_
                        : *worker_fibers_[static_cast<std::size_t>(next)];
   Fiber::transfer(from, to);
-  // Resumed: whatever ran in between rewrote the scheduler thread-locals.
-  t_scheduler = this;
+  // Resumed: whatever ran in between rewrote t_worker_index.
   t_worker_index = me;
 }
 
@@ -318,7 +244,6 @@ void CoopScheduler::fiber_entry(void* arg) {
 }
 
 void CoopScheduler::fiber_worker_main(int i) {
-  t_scheduler = this;
   t_worker_index = i;
   try {
     if (!aborting_) (*fiber_jobs_)[static_cast<std::size_t>(i)]();
@@ -335,7 +260,7 @@ void CoopScheduler::fiber_worker_main(int i) {
   maybe_release_barrier();
   int next = -1;
   if (!aborting_) {
-    next = decider_ != nullptr ? decide_next(i, true) : pick_runnable(i);
+    next = decide_next(i, /*forced=*/true);
     if (next >= 0) record(/*forced=*/true, next);
     current_ = next;  // -1 when everyone is done
   } else {

@@ -1,22 +1,21 @@
 // Cooperative deterministic scheduler for simulated OpenMP teams.
 //
 // Exactly one worker runs at a time: a token is handed from worker to
-// worker at explicit yield points, with all scheduling decisions drawn
-// from a seeded RNG. This gives genuinely interleaved executions
-// (including preemption inside critical sections and busy-wait loops)
-// while staying bit-for-bit reproducible.
+// worker at explicit yield points. This gives genuinely interleaved
+// executions (including preemption inside critical sections and
+// busy-wait loops) while staying bit-for-bit reproducible.
 //
 // Workers are user-space stackful fibers (runtime/fiber.hpp) multiplexed
 // on the thread that calls run_team, so a token handoff is a ~25ns
 // context switch rather than a kernel round trip. Nothing here is shared
 // with another OS thread, so the scheduler state needs no locking.
 //
-// Scheduling policy is pluggable: with no SchedDecider installed the
-// scheduler runs the legacy uniform random walk (preempt every N yields,
-// pick a uniformly random runnable worker). A decider replaces both the
-// preemption predicate and the pick, which is how the exploration engine
-// (src/explore) implements PCT priority schedules and bit-exact replay of
-// recorded decision traces.
+// The scheduler is mechanism only: token passing, barriers, blocking
+// waits, deadlock and step-limit aborts, decision recording. Every
+// scheduling choice -- whether to preempt at a yield point and whom to
+// hand the token to -- comes from the SchedDecider it is built with
+// (runtime/strategy.hpp): the seeded uniform walk, PCT priority
+// schedules, or bit-exact replay of a recorded decision trace.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +25,6 @@
 #include <vector>
 
 #include "runtime/fiber.hpp"
-#include "support/rng.hpp"
 
 namespace drbml::runtime {
 
@@ -77,8 +75,9 @@ class SchedDecider {
  public:
   virtual ~SchedDecider() = default;
 
-  /// Called once per team before the first worker runs.
-  virtual void begin(int workers) = 0;
+  /// Called once per team before the first worker runs. The default
+  /// keeps the decider's state from one team to the next.
+  virtual void begin(int workers) { (void)workers; }
 
   /// Voluntary-preemption query at a yield point. `ready_peers` lists the
   /// other runnable workers (spin-filtered when filter_spinners() is on);
@@ -96,6 +95,11 @@ class SchedDecider {
     return step + 1;
   }
 
+  /// Called when a worker that spent a step blocked in block_until (a step
+  /// that is not a yield point) is about to give up the token to one of
+  /// `ready_peers` (never empty, as pick will get them).
+  virtual void blocked(const std::vector<int>& /*ready_peers*/) {}
+
   /// Picks the next worker from `ready` (never empty, ascending indices).
   /// `current` is the worker giving up the token (-1 for the initial
   /// grant); `forced` mirrors ScheduleDecision::forced.
@@ -111,19 +115,15 @@ class SchedDecider {
 
 class CoopScheduler {
  public:
-  /// `preempt_every`: pass the token to a random runnable worker after
-  /// this many yield points (1 = every yield point).
-  CoopScheduler(std::uint64_t seed, int preempt_every);
+  /// `decider` takes every scheduling decision (not owned; must outlive
+  /// the scheduler).
+  explicit CoopScheduler(SchedDecider& decider) : decider_(decider) {}
 
   /// Runs `workers` cooperatively, each on its own fiber, until all
   /// complete. Rethrows the first worker exception (after unwinding the
   /// rest). Must not be called from a worker of this scheduler. An empty
   /// team returns at once.
   void run_team(std::vector<std::function<void()>> workers);
-
-  /// Installs a scheduling policy (not owned; must outlive run_team).
-  /// nullptr restores the legacy uniform random walk.
-  void set_decider(SchedDecider* decider) noexcept { decider_ = decider; }
 
   /// Records every scheduling decision for later replay.
   void set_recording(bool on) noexcept { recording_ = on; }
@@ -135,14 +135,8 @@ class CoopScheduler {
 
   // ---- called from worker fibers ----
 
-  /// Current worker index.
-  [[nodiscard]] int self() const;
-
   /// Possible preemption point.
   void yield_point();
-
-  /// Unconditionally passes the token to another runnable worker (if any).
-  void yield_now();
 
   /// Blocks until all live workers of the team arrive.
   void barrier_wait();
@@ -151,13 +145,13 @@ class CoopScheduler {
   /// rescheduled. Throws on deadlock (no runnable worker and no progress).
   void block_until(const std::function<bool()>& ready);
 
-  /// Total yield points taken (busy-wait/step budget guard).
+  /// Steps taken: yield points plus steps spent blocked in block_until.
   [[nodiscard]] std::uint64_t steps() const noexcept { return steps_; }
 
   /// Workers that have not yet completed.
   [[nodiscard]] int live() const noexcept { return live_; }
 
-  /// Aborts after this many yield points (guards against livelock).
+  /// Aborts after this many steps (guards against livelock).
   void set_step_limit(std::uint64_t limit) noexcept { step_limit_ = limit; }
 
  private:
@@ -169,7 +163,7 @@ class CoopScheduler {
   };
 
   /// Saves the running context into `me`'s fiber (-1 = the caller of
-  /// run_team) and resumes `next`'s; restores the scheduler thread-locals
+  /// run_team) and resumes `next`'s; restores the running worker's index
   /// after being resumed.
   void transfer_to(int me, int next);
 
@@ -178,21 +172,24 @@ class CoopScheduler {
   void fiber_worker_main(int i);
   static void fiber_entry(void* arg);
 
-  /// Picks the next runnable worker and hands it the token; the current
-  /// worker resumes when it owns the token again (or on abort).
+  /// Hands the token to the worker decide_next picks; the current worker
+  /// resumes when it owns the token again (or on abort).
   void switch_from(int me, bool forced);
+
+  /// Records `fault` as the team's error unless one is recorded already,
+  /// and unwinds the calling worker.
+  [[noreturn]] void abort_team(const char* fault);
 
   /// Releases a full barrier if everyone arrived.
   void maybe_release_barrier();
-
-  [[nodiscard]] int pick_runnable(int exclude);
 
   /// Ready workers other than `exclude`, ascending, spin-filtered when
   /// the decider asks for it. Returns a reference to a reused buffer,
   /// valid until the next call.
   [[nodiscard]] const std::vector<int>& ready_peers(int exclude) const;
 
-  /// Decider-routed equivalent of pick_runnable.
+  /// The decider's pick among ready_peers(exclude); `exclude` itself when
+  /// it is the only Ready worker, -1 when none is.
   [[nodiscard]] int decide_next(int exclude, bool forced);
 
   void record(bool forced, int target);
@@ -207,14 +204,11 @@ class CoopScheduler {
   std::uint64_t barrier_generation_ = 0;
   bool aborting_ = false;
   std::exception_ptr first_error_;
-  Rng rng_{0};
-  int preempt_every_ = 7;
-  std::uint64_t yields_ = 0;
   std::uint64_t steps_ = 0;
   std::uint64_t step_limit_ = 50'000'000;
   int waiting_ = 0;           // workers inside block_until
   std::uint64_t spin_rounds_ = 0;  // consecutive all-blocked rounds
-  SchedDecider* decider_ = nullptr;
+  SchedDecider& decider_;
   // Quiet-yield state: while version_ == quiet_version_ and steps_ <
   // quiet_until_, the decider's last answer (no preemption) still holds.
   std::uint64_t version_ = 0;
@@ -223,7 +217,6 @@ class CoopScheduler {
   bool recording_ = false;
   RegionTrace trace_;
   std::vector<char> spinning_;  // workers currently inside block_until
-  std::vector<int> pick_buf_;           // pick_runnable scratch
   mutable std::vector<int> peers_buf_;  // ready_peers scratch
   mutable std::vector<int> awake_buf_;  // ready_peers spin-filter scratch
   Fiber driver_fiber_;  // save slot for the thread driving run_team
@@ -231,10 +224,5 @@ class CoopScheduler {
   std::vector<FiberArg> fiber_args_;
   std::vector<std::function<void()>>* fiber_jobs_ = nullptr;
 };
-
-/// The scheduler owning the running fiber, or nullptr outside any team.
-/// Set by run_team for the duration of each worker.
-[[nodiscard]] CoopScheduler* current_scheduler() noexcept;
-[[nodiscard]] int current_worker_index() noexcept;
 
 }  // namespace drbml::runtime

@@ -2,8 +2,80 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
+
+#include "runtime/interp.hpp"
+#include "support/error.hpp"
+#include "support/hash.hpp"
 
 namespace drbml::runtime {
+
+const char* strategy_name(ScheduleStrategy s) {
+  switch (s) {
+    case ScheduleStrategy::Uniform: return "uniform";
+    case ScheduleStrategy::Pct: return "pct";
+    case ScheduleStrategy::Replay: return "replay";
+  }
+  return "?";
+}
+
+ScheduleStrategy parse_strategy(std::string_view name) {
+  if (name == "uniform") return ScheduleStrategy::Uniform;
+  if (name == "pct") return ScheduleStrategy::Pct;
+  throw Error("unknown exploration strategy '" + std::string(name) +
+              "' (expected uniform|pct)");
+}
+
+std::unique_ptr<SchedDecider> make_decider(const RunOptions& opts,
+                                           std::size_t region_index) {
+  const std::uint64_t region_seed =
+      mix64(opts.seed * 0x9e3779b97f4a7c15ULL + region_index + 1);
+  switch (opts.strategy) {
+    case ScheduleStrategy::Uniform:
+      return std::make_unique<UniformDecider>(region_seed,
+                                              opts.preempt_every);
+    case ScheduleStrategy::Pct:
+      return std::make_unique<PctDecider>(
+          mix64(region_seed ^ 0x7063742d73656564ULL), opts.pct_depth,
+          opts.pct_expected_steps);
+    case ScheduleStrategy::Replay:
+      break;
+  }
+  RegionTrace region;
+  if (opts.replay != nullptr && region_index < opts.replay->regions.size()) {
+    region = opts.replay->regions[region_index];
+  }
+  return std::make_unique<ReplayDecider>(std::move(region));
+}
+
+UniformDecider::UniformDecider(std::uint64_t seed, int preempt_every)
+    : rng_(seed),
+      preempt_every_(static_cast<std::uint64_t>(std::max(preempt_every, 1))) {}
+
+bool UniformDecider::should_preempt(std::uint64_t step, int current,
+                                    const std::vector<int>& ready_peers) {
+  (void)current;
+  (void)ready_peers;
+  return yields(step) % preempt_every_ == 0;
+}
+
+std::uint64_t UniformDecider::quiet_until(std::uint64_t step) const {
+  // Until the next blocked step, every step is a yield point.
+  return step + preempt_every_ - yields(step) % preempt_every_;
+}
+
+void UniformDecider::blocked(const std::vector<int>& ready_peers) {
+  ++blocked_;
+  (void)rng_.below(ready_peers.size());
+}
+
+int UniformDecider::pick(const std::vector<int>& ready, int current,
+                         std::uint64_t step, bool forced) {
+  (void)step;
+  (void)forced;
+  if (current < 0) return ready.front();
+  return ready[rng_.below(ready.size())];
+}
 
 PctDecider::PctDecider(std::uint64_t seed, int depth,
                        std::uint64_t expected_steps)

@@ -1,4 +1,7 @@
-// Scheduling strategies pluggable into CoopScheduler.
+// Scheduling policies for CoopScheduler, one SchedDecider each, built per
+// team by make_decider. UniformDecider is the seeded uniform random walk:
+// preempt at every preempt_every-th yield point, hand the token to a
+// uniformly random ready peer.
 //
 // PctDecider implements the PCT algorithm (Burckhardt et al., "A
 // Randomized Scheduler with Probabilistic Guarantees of Finding Bugs",
@@ -16,13 +19,63 @@
 // has no instruction.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <string_view>
 #include <vector>
 
 #include "runtime/sched.hpp"
 #include "support/rng.hpp"
 
 namespace drbml::runtime {
+
+struct RunOptions;
+
+/// How parallel regions are scheduled: the seeded uniform random walk,
+/// PCT priority schedules, or replay of a recorded ScheduleTrace.
+enum class ScheduleStrategy { Uniform, Pct, Replay };
+
+/// "uniform", "pct" or "replay".
+[[nodiscard]] const char* strategy_name(ScheduleStrategy s);
+
+/// Parses "uniform"/"pct", the strategies selectable by name (replay
+/// needs a recorded trace); throws Error otherwise.
+[[nodiscard]] ScheduleStrategy parse_strategy(std::string_view name);
+
+/// The decider for the team of a run's `region_index`-th parallel region
+/// (0-based, in dynamic order), seeded from the run's seed and the index.
+[[nodiscard]] std::unique_ptr<SchedDecider> make_decider(
+    const RunOptions& opts, std::size_t region_index);
+
+class UniformDecider : public SchedDecider {
+ public:
+  /// `preempt_every`: preempt at every this-many-th yield point (values
+  /// below 1 mean 1).
+  UniformDecider(std::uint64_t seed, int preempt_every);
+
+  bool should_preempt(std::uint64_t step, int current,
+                      const std::vector<int>& ready_peers) override;
+  /// The step of the next preempt_every-th yield point.
+  [[nodiscard]] std::uint64_t quiet_until(std::uint64_t step) const override;
+  /// A blocked step is no yield point. It draws once from the RNG, a pick
+  /// it discards, which the walk's later picks depend on.
+  void blocked(const std::vector<int>& ready_peers) override;
+  /// A uniformly random ready worker; the initial grant goes to the
+  /// lowest index without a draw.
+  int pick(const std::vector<int>& ready, int current, std::uint64_t step,
+           bool forced) override;
+
+ private:
+  /// Yield points up to `step`: the steps not spent blocked.
+  [[nodiscard]] std::uint64_t yields(std::uint64_t step) const {
+    return step - blocked_;
+  }
+
+  Rng rng_;
+  std::uint64_t preempt_every_;
+  std::uint64_t blocked_ = 0;
+};
 
 class PctDecider : public SchedDecider {
  public:
@@ -67,9 +120,6 @@ class ReplayDecider : public SchedDecider {
   [[nodiscard]] std::uint64_t quiet_until(std::uint64_t step) const override;
   int pick(const std::vector<int>& ready, int current, std::uint64_t step,
            bool forced) override;
-
-  /// Entries consumed so far (tests/debugging).
-  [[nodiscard]] std::size_t consumed() const { return pos_; }
 
  private:
   /// Drops entries that can no longer fire (their step is in the past).

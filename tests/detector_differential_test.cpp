@@ -112,7 +112,7 @@ TEST(DetectorDifferential, PctExplorationMatchesStaticOnRaceLabeledCorpus) {
 
   analysis::StaticDetectorOptions static_opts;
   explore::ExploreOptions eopts;
-  eopts.strategy = explore::Strategy::Pct;
+  eopts.strategy = runtime::ScheduleStrategy::Pct;
   eopts.max_schedules = 12;
   eopts.minimize = false;
   eval::ArtifactCache& cache = eval::artifact_cache();

@@ -72,10 +72,7 @@ TEST_P(CorpusEntryTest, DrbCodeCarriesAnnotations) {
 
 TEST_P(CorpusEntryTest, ExecutesWithoutFaulting) {
   const CorpusEntry& e = entry();
-  runtime::DynamicDetectorOptions opts;
-  opts.schedule_seeds = {1};
-  runtime::DynamicRaceDetector detector(opts);
-  runtime::RunResult result = detector.run_once(e.body, 1);
+  runtime::RunResult result = runtime::CompiledProgram(e.body).run({});
   EXPECT_FALSE(result.faulted) << e.name << ": " << result.fault_message;
   EXPECT_EQ(result.exit_code, 0) << e.name;
 }

@@ -2,10 +2,15 @@
 // interleaving coverage, witness minimization, and bit-identical replay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cstdint>
+#include <iterator>
+#include <random>
 #include <string>
 #include <vector>
 
+#include "drb/corpus.hpp"
 #include "explore/explore.hpp"
 #include "explore/minimize.hpp"
 #include "explore/witness.hpp"
@@ -286,6 +291,123 @@ TEST(Witness, DecodeRejectsMalformedInput) {
   EXPECT_THROW(
       decode_witness("drbml-witness-v1;threads=2;preempt=7;limit=1;bogus=3"),
       Error);
+  // Numbers too large for their field are rejected, not wrapped into
+  // range (2^32 + 4 threads, 2^32 + 1 preempt, target 2^32).
+  EXPECT_THROW(
+      decode_witness("drbml-witness-v1;threads=4294967300;preempt=7;limit=1"),
+      Error);
+  EXPECT_THROW(
+      decode_witness("drbml-witness-v1;threads=2;preempt=4294967297;limit=1"),
+      Error);
+  EXPECT_THROW(decode_witness("drbml-witness-v1;threads=2;preempt=7;limit=1;"
+                              "region=f0:4294967296"),
+               Error);
+}
+
+/// One random edit of a witness string: a byte overwritten, a span deleted
+/// or duplicated, a number replaced by an edge value, a field spliced in
+/// from another witness, or the tail cut off.
+std::string mutate_witness(std::string s, const std::vector<std::string>& pool,
+                           std::mt19937_64& rng) {
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  const auto digit = [&](std::size_t i) {
+    return std::isdigit(static_cast<unsigned char>(s[i])) != 0;
+  };
+  static const char* const kEdges[] = {
+      "0",  "1",          "15",         "16",
+      "17", "2147483648", "4294967297", "18446744073709551615",
+      "",   "-1",         "99999999999999999999"};
+  static const char kBytes[] = "0123456789;=,:fvr- \t\x01\xff";
+  switch (pick(6)) {
+    case 0:
+      if (!s.empty()) s[pick(s.size())] = kBytes[pick(sizeof kBytes - 1)];
+      break;
+    case 1:
+      if (!s.empty()) s.erase(pick(s.size()), 1 + pick(8));
+      break;
+    case 2:
+      if (!s.empty()) {
+        const std::size_t at = pick(s.size());
+        s.insert(at, s.substr(at, 1 + pick(24)));
+      }
+      break;
+    case 3: {
+      std::vector<std::size_t> numbers;
+      for (std::size_t i = 0; i < s.size(); ++i) {
+        if (digit(i) && (i == 0 || !digit(i - 1))) numbers.push_back(i);
+      }
+      if (numbers.empty()) break;
+      const std::size_t at = numbers[pick(numbers.size())];
+      std::size_t end = at;
+      while (end < s.size() && digit(end)) ++end;
+      s.replace(at, end - at, kEdges[pick(std::size(kEdges))]);
+      break;
+    }
+    case 4: {
+      const std::string& other = pool[pick(pool.size())];
+      const std::size_t cut = other.find(';', pick(other.size()));
+      if (cut != std::string::npos) s += other.substr(cut);
+      break;
+    }
+    default:
+      s.resize(pick(s.size() + 1));
+      break;
+  }
+  return s;
+}
+
+TEST(WitnessFuzz, MutantsOfCorpusWitnessesFailOrReplayCleanly) {
+  // Fixed seed, fixed budget: every mutant of a corpus witness either
+  // fails to decode with a "witness: ..." Error or replays, under a capped
+  // step limit, to a result or a structured fault -- never a crash, a hang
+  // or a sanitizer report.
+  struct Sample {
+    std::string code;
+    std::string witness;
+  };
+  std::vector<Sample> samples;
+  for (const drb::CorpusEntry& e : drb::corpus()) {
+    if (!e.race || samples.size() == 40) continue;
+    ExploreOptions opts;
+    opts.max_schedules = 8;
+    try {
+      const ExploreResult r = explore_source(e.body, opts);
+      if (!r.witness.empty()) samples.push_back({e.body, r.witness});
+    } catch (const Error&) {
+    }
+  }
+  ASSERT_EQ(samples.size(), 40u);
+  std::vector<std::string> pool;
+  for (const Sample& s : samples) pool.push_back(s.witness);
+
+  std::mt19937_64 rng(0x3177e55);
+  int rejected = 0;
+  int replayed = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const Sample& sample = samples[rng() % samples.size()];
+    std::string text = sample.witness;
+    const int edits = 1 + static_cast<int>(rng() % 2);
+    for (int k = 0; k < edits; ++k) text = mutate_witness(text, pool, rng);
+    Witness w;
+    try {
+      w = decode_witness(text);
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("witness: ", 0), 0u) << e.what();
+      ++rejected;
+      continue;
+    }
+    w.step_limit = std::min<std::uint64_t>(w.step_limit, 20'000);
+    const runtime::RunResult r = replay_witness(sample.code, w);
+    ++replayed;
+    if (r.faulted) {
+      EXPECT_FALSE(r.fault_message.empty()) << text;
+    }
+  }
+  // The budget must reach the replay, not only the decoder.
+  EXPECT_GT(rejected, 1000);
+  EXPECT_GT(replayed, 500);
 }
 
 // ------------------------------------------------------------- explorer
@@ -300,25 +422,26 @@ TEST(Explore, DeterministicForFixedSeed) {
 }
 
 TEST(Explore, WitnessStillRacesAndIsSubsequenceOfOriginal) {
-  for (Strategy strat : {Strategy::Uniform, Strategy::Pct}) {
+  for (runtime::ScheduleStrategy strat :
+       {runtime::ScheduleStrategy::Uniform, runtime::ScheduleStrategy::Pct}) {
     ExploreOptions opts;
     opts.strategy = strat;
     opts.max_schedules = 16;
     ExploreResult r = explore_source(kRacySrc, opts);
-    ASSERT_TRUE(r.race_detected) << strategy_name(strat);
+    ASSERT_TRUE(r.race_detected) << runtime::strategy_name(strat);
     ASSERT_FALSE(r.witness.empty());
     EXPECT_LE(r.witness_decisions, r.original_decisions);
 
     Witness w = decode_witness(r.witness);
     runtime::RunResult replayed = replay_witness(kRacySrc, w, opts.run);
-    EXPECT_TRUE(replayed.report.race_detected) << strategy_name(strat);
+    EXPECT_TRUE(replayed.report.race_detected)
+        << runtime::strategy_name(strat);
 
     // Recover the original racy trace from the recorded seed and check
     // the minimized witness is a subsequence of it.
     runtime::RunOptions orig = opts.run;
     orig.seed = r.first_race_seed;
-    orig.strategy = strat == Strategy::Pct ? runtime::ScheduleStrategy::Pct
-                                           : runtime::ScheduleStrategy::Uniform;
+    orig.strategy = strat;
     orig.pct_depth = opts.pct_depth;
     orig.pct_expected_steps = opts.pct_expected_steps;
     orig.capture_trace = true;
@@ -358,7 +481,7 @@ TEST(Explore, SafeProgramStopsOnCoveragePlateau) {
 
 TEST(Explore, PctFindsLockWindowRaceUniformMisses) {
   ExploreOptions uniform;
-  uniform.strategy = Strategy::Uniform;
+  uniform.strategy = runtime::ScheduleStrategy::Uniform;
   uniform.max_schedules = 16;
   uniform.plateau_window = 0;
   ExploreResult u = explore_source(kLockWindowSrc, uniform);
@@ -366,7 +489,7 @@ TEST(Explore, PctFindsLockWindowRaceUniformMisses) {
   EXPECT_EQ(u.schedules_run, 16);
 
   ExploreOptions pct = uniform;
-  pct.strategy = Strategy::Pct;
+  pct.strategy = runtime::ScheduleStrategy::Pct;
   ExploreResult p = explore_source(kLockWindowSrc, pct);
   EXPECT_TRUE(p.race_detected);
   ASSERT_FALSE(p.witness.empty());
@@ -391,9 +514,21 @@ TEST(Explore, ResultsStableAcrossJobs) {
 }
 
 TEST(Explore, ParseStrategyAcceptsKnownNamesOnly) {
-  EXPECT_EQ(parse_strategy("uniform"), Strategy::Uniform);
-  EXPECT_EQ(parse_strategy("pct"), Strategy::Pct);
-  EXPECT_THROW(static_cast<void>(parse_strategy("chaos")), Error);
+  using runtime::ScheduleStrategy;
+  for (ScheduleStrategy s :
+       {ScheduleStrategy::Uniform, ScheduleStrategy::Pct}) {
+    EXPECT_EQ(runtime::parse_strategy(runtime::strategy_name(s)), s);
+  }
+  EXPECT_STREQ(runtime::strategy_name(ScheduleStrategy::Replay), "replay");
+  // Replay needs a recorded trace, so no name selects it.
+  EXPECT_THROW(static_cast<void>(runtime::parse_strategy("replay")), Error);
+  EXPECT_THROW(static_cast<void>(runtime::parse_strategy("chaos")), Error);
+}
+
+TEST(Explore, ReplayStrategyIsRejected) {
+  ExploreOptions opts;
+  opts.strategy = runtime::ScheduleStrategy::Replay;
+  EXPECT_THROW(static_cast<void>(explore_source(kRacySrc, opts)), Error);
 }
 
 // ------------------------------------------------------------ minimizer

@@ -123,7 +123,7 @@ std::string mutate_swap_decls(const std::string& src) {
 
 bool explored_verdict(const std::string& src) {
   ExploreOptions opts;
-  opts.strategy = Strategy::Pct;
+  opts.strategy = runtime::ScheduleStrategy::Pct;
   opts.max_schedules = 4;
   opts.plateau_window = 2;
   opts.minimize = false;

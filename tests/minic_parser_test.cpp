@@ -186,6 +186,47 @@ TEST(OmpPragma, ParallelForWithClauses) {
   ASSERT_NE(sched->expr, nullptr);
 }
 
+TEST(OmpPragma, CompoundClauseArgumentsAreCExpressions) {
+  const SourceLoc at{7, 3};
+  auto d = parse_omp_pragma(" omp parallel num_threads(n + 1) if(n > 2)", at);
+  const auto* nt = d.find_clause(OmpClauseKind::NumThreads);
+  ASSERT_NE(nt, nullptr);
+  const auto* sum = expr_cast<Binary>(nt->expr.get());
+  ASSERT_NE(sum, nullptr);
+  EXPECT_EQ(sum->op, BinaryOp::Add);
+  ASSERT_NE(expr_cast<Ident>(sum->lhs.get()), nullptr);
+  EXPECT_EQ(expr_cast<Ident>(sum->lhs.get())->name, "n");
+  ASSERT_NE(expr_cast<IntLit>(sum->rhs.get()), nullptr);
+  EXPECT_EQ(expr_cast<IntLit>(sum->rhs.get())->value, 1);
+  // Every node carries the pragma's location.
+  for (const Expr* e : {static_cast<const Expr*>(sum),
+                        static_cast<const Expr*>(sum->lhs.get()),
+                        static_cast<const Expr*>(sum->rhs.get())}) {
+    EXPECT_EQ(e->loc.line, at.line);
+    EXPECT_EQ(e->loc.col, at.col);
+  }
+  const auto* cond =
+      expr_cast<Binary>(d.find_clause(OmpClauseKind::If)->expr.get());
+  ASSERT_NE(cond, nullptr);
+  EXPECT_EQ(cond->op, BinaryOp::Gt);
+
+  // A lone literal or name keeps its own node.
+  auto lone = parse_omp_pragma(" omp parallel num_threads(4) if(cond)", at);
+  const auto* lit = expr_cast<IntLit>(
+      lone.find_clause(OmpClauseKind::NumThreads)->expr.get());
+  ASSERT_NE(lit, nullptr);
+  EXPECT_EQ(lit->value, 4);
+  const auto* name =
+      expr_cast<Ident>(lone.find_clause(OmpClauseKind::If)->expr.get());
+  ASSERT_NE(name, nullptr);
+  EXPECT_EQ(name->name, "cond");
+
+  EXPECT_THROW(parse_omp_pragma(" omp parallel num_threads(n +)", at),
+               ParseError);
+  EXPECT_THROW(parse_omp_pragma(" omp parallel num_threads(n m)", at),
+               ParseError);
+}
+
 TEST(OmpPragma, ReductionOperators) {
   auto d = parse_omp_pragma(" omp parallel for reduction(+:sum)", {1, 1});
   const auto* red = d.find_clause(OmpClauseKind::Reduction);

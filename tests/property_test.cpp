@@ -271,11 +271,10 @@ TEST_P(DifferentialTest, OptimisticProofImpliesNoObservedRace) {
 TEST_P(DifferentialTest, ExecutionIsCleanAndDeterministic) {
   const GeneratedProgram prog =
       generate_kernel(0xBEEFu + static_cast<std::uint64_t>(GetParam()));
-  runtime::DynamicDetectorOptions opts;
-  opts.schedule_seeds = {1};
-  runtime::DynamicRaceDetector detector(opts);
-  const runtime::RunResult a = detector.run_once(prog.code, 5);
-  const runtime::RunResult b = detector.run_once(prog.code, 5);
+  runtime::RunOptions opts;
+  opts.seed = 5;
+  const runtime::RunResult a = runtime::CompiledProgram(prog.code).run(opts);
+  const runtime::RunResult b = runtime::CompiledProgram(prog.code).run(opts);
   EXPECT_FALSE(a.faulted) << a.fault_message << "\n" << prog.code;
   EXPECT_EQ(a.steps, b.steps);
   EXPECT_EQ(a.exit_code, b.exit_code);

@@ -128,10 +128,6 @@ std::string access(const analysis::RaceAccess& a) {
          std::to_string(a.loc.col) + ":" + a.op + ":" + a.var_name;
 }
 
-const char* strategy_name(runtime::ScheduleStrategy s) {
-  return s == runtime::ScheduleStrategy::Pct ? "pct" : "uniform";
-}
-
 constexpr runtime::ScheduleStrategy kStrategies[] = {
     runtime::ScheduleStrategy::Uniform, runtime::ScheduleStrategy::Pct};
 constexpr std::uint64_t kSeeds[] = {1, 2, 3};
@@ -151,7 +147,8 @@ std::vector<std::string> run_lines(const Program& p) {
         opts.collect_coverage = true;
         const runtime::RunResult r =
             runtime::run_program(*prog.unit, res, opts);
-        std::string line = "run " + p.name + " " + strategy_name(strategy) +
+        std::string line = "run " + p.name + " " +
+                           runtime::strategy_name(strategy) +
                            " seed=" + std::to_string(seed);
         line += " race=" + std::to_string(r.report.race_detected ? 1 : 0);
         line += " exit=" + std::to_string(r.exit_code);
@@ -178,7 +175,7 @@ std::vector<std::string> run_lines(const Program& p) {
 /// One line for a 24-schedule PCT exploration of `p`.
 std::string explore_line(const Program& p) {
   explore::ExploreOptions opts;
-  opts.strategy = explore::Strategy::Pct;
+  opts.strategy = runtime::ScheduleStrategy::Pct;
   opts.max_schedules = 24;
   try {
     const explore::ExploreResult r = explore::explore_source(p.code, opts);

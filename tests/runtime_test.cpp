@@ -451,6 +451,31 @@ TEST(Parallel, ThreadNumAndNumThreads) {
   EXPECT_FALSE(r.report.race_detected);
 }
 
+TEST(Parallel, CompoundClauseArgumentsAreEvaluated) {
+  // num_threads(n + 1) and if(n > 2) are C expressions over program
+  // variables, not names.
+  auto r = run_src(
+      "int main() {\n"
+      "  int n = 2;\n"
+      "  int count = 0;\n"
+      "#pragma omp parallel num_threads(n + 1)\n"
+      "  {\n"
+      "#pragma omp critical\n"
+      "    count = count + omp_get_num_threads();\n"
+      "  }\n"
+      "#pragma omp parallel if(n > 2)\n"
+      "  {\n"
+      "#pragma omp critical\n"
+      "    count = count + 10 * omp_get_num_threads();\n"
+      "  }\n"
+      "  printf(\"%d\", count);\n"
+      "  return 0;\n"
+      "}");
+  EXPECT_FALSE(r.faulted) << r.fault_message;
+  EXPECT_EQ(r.output, "19");  // 3 threads of 3, then one thread of 10
+  EXPECT_FALSE(r.report.race_detected);
+}
+
 TEST(Parallel, OmpLockProtects) {
   auto r = run_src(
       "int main() {\n"
@@ -781,9 +806,10 @@ TEST(DynamicRace, ResultsAreDeterministic) {
       "  for (int i = 0; i < 32; i++) sum = sum + i;\n"
       "  return sum;\n"
       "}";
-  DynamicRaceDetector d;
-  auto a = d.run_once(src, 7);
-  auto b = d.run_once(src, 7);
+  RunOptions opts;
+  opts.seed = 7;
+  auto a = CompiledProgram(src).run(opts);
+  auto b = CompiledProgram(src).run(opts);
   EXPECT_EQ(a.report.pairs.size(), b.report.pairs.size());
   EXPECT_EQ(a.exit_code, b.exit_code);
   EXPECT_EQ(a.steps, b.steps);

@@ -1,7 +1,7 @@
 // Unit tests for the cooperative deterministic scheduler, exercised
 // directly (without the interpreter): token passing, barriers, blocking,
-// deadlock detection, abort propagation, determinism, and the
-// SchedDecider::quiet_until contract.
+// deadlock detection, abort propagation, determinism, the
+// SchedDecider::quiet_until contract, and the pinned uniform walk.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,13 +11,15 @@
 #include "runtime/sched.hpp"
 #include "runtime/strategy.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 #include "support/rng.hpp"
 
 namespace drbml::runtime {
 namespace {
 
 TEST(Scheduler, RunsAllWorkersToCompletion) {
-  CoopScheduler sched(1, 3);
+  UniformDecider walk(1, 3);
+  CoopScheduler sched(walk);
   std::vector<int> done(4, 0);
   std::vector<std::function<void()>> fns;
   for (int i = 0; i < 4; ++i) {
@@ -31,7 +33,8 @@ TEST(Scheduler, RunsAllWorkersToCompletion) {
 }
 
 TEST(Scheduler, OnlyOneWorkerRunsAtATime) {
-  CoopScheduler sched(7, 1);
+  UniformDecider walk(7, 1);
+  CoopScheduler sched(walk);
   std::atomic<int> inside{0};
   std::atomic<bool> overlap{false};
   std::vector<std::function<void()>> fns;
@@ -51,7 +54,8 @@ TEST(Scheduler, OnlyOneWorkerRunsAtATime) {
 
 TEST(Scheduler, InterleavingIsDeterministicPerSeed) {
   auto trace_for = [](std::uint64_t seed) {
-    CoopScheduler sched(seed, 1);
+    UniformDecider walk(seed, 1);
+    CoopScheduler sched(walk);
     std::string trace;
     std::vector<std::function<void()>> fns;
     for (int i = 0; i < 3; ++i) {
@@ -70,7 +74,8 @@ TEST(Scheduler, InterleavingIsDeterministicPerSeed) {
 }
 
 TEST(Scheduler, PreemptionActuallyInterleaves) {
-  CoopScheduler sched(3, 1);
+  UniformDecider walk(3, 1);
+  CoopScheduler sched(walk);
   std::string trace;
   std::vector<std::function<void()>> fns;
   for (int i = 0; i < 2; ++i) {
@@ -88,7 +93,8 @@ TEST(Scheduler, PreemptionActuallyInterleaves) {
 }
 
 TEST(Scheduler, BarrierSynchronizesPhases) {
-  CoopScheduler sched(11, 2);
+  UniformDecider walk(11, 2);
+  CoopScheduler sched(walk);
   std::vector<int> phase_done(3, 0);
   std::atomic<bool> violation{false};
   std::vector<std::function<void()>> fns;
@@ -110,7 +116,8 @@ TEST(Scheduler, BarrierSynchronizesPhases) {
 }
 
 TEST(Scheduler, RepeatedBarriers) {
-  CoopScheduler sched(5, 2);
+  UniformDecider walk(5, 2);
+  CoopScheduler sched(walk);
   std::vector<int> counters(4, 0);
   std::atomic<bool> violation{false};
   std::vector<std::function<void()>> fns;
@@ -133,7 +140,8 @@ TEST(Scheduler, RepeatedBarriers) {
 }
 
 TEST(Scheduler, BlockUntilWaitsForPeerProgress) {
-  CoopScheduler sched(9, 1);
+  UniformDecider walk(9, 1);
+  CoopScheduler sched(walk);
   int flag = 0;
   int observed = -1;
   std::vector<std::function<void()>> fns;
@@ -150,7 +158,8 @@ TEST(Scheduler, BlockUntilWaitsForPeerProgress) {
 }
 
 TEST(Scheduler, DeadlockIsDetected) {
-  CoopScheduler sched(13, 1);
+  UniformDecider walk(13, 1);
+  CoopScheduler sched(walk);
   std::vector<std::function<void()>> fns;
   // Both workers wait on conditions nobody will satisfy.
   for (int i = 0; i < 2; ++i) {
@@ -159,8 +168,25 @@ TEST(Scheduler, DeadlockIsDetected) {
   EXPECT_THROW(sched.run_team(std::move(fns)), RuntimeFault);
 }
 
+TEST(Scheduler, BlockedWorkerWithOnlyABarrierPeerDeadlocks) {
+  // The only peer waits at a barrier that needs the blocked worker, so no
+  // Ready peer is left to make the predicate true.
+  UniformDecider walk(13, 1);
+  CoopScheduler sched(walk);
+  std::vector<std::function<void()>> fns;
+  fns.push_back([&] { sched.block_until([] { return false; }); });
+  fns.push_back([&] { sched.barrier_wait(); });
+  try {
+    sched.run_team(std::move(fns));
+    ADD_FAILURE() << "no deadlock reported";
+  } catch (const RuntimeFault& e) {
+    EXPECT_STREQ(e.what(), "deadlock: worker blocked with no runnable peer");
+  }
+}
+
 TEST(Scheduler, StepLimitAborts) {
-  CoopScheduler sched(17, 1);
+  UniformDecider walk(17, 1);
+  CoopScheduler sched(walk);
   sched.set_step_limit(100);
   std::vector<std::function<void()>> fns;
   fns.push_back([&] {
@@ -170,7 +196,8 @@ TEST(Scheduler, StepLimitAborts) {
 }
 
 TEST(Scheduler, WorkerExceptionPropagatesAndUnwindsTeam) {
-  CoopScheduler sched(19, 1);
+  UniformDecider walk(19, 1);
+  CoopScheduler sched(walk);
   bool other_started = false;
   std::vector<std::function<void()>> fns;
   fns.push_back([&] {
@@ -186,7 +213,8 @@ TEST(Scheduler, WorkerExceptionPropagatesAndUnwindsTeam) {
 }
 
 TEST(Scheduler, SingleWorkerTeamRuns) {
-  CoopScheduler sched(23, 1);
+  UniformDecider walk(23, 1);
+  CoopScheduler sched(walk);
   int count = 0;
   std::vector<std::function<void()>> fns;
   fns.push_back([&] {
@@ -201,7 +229,8 @@ TEST(Scheduler, SingleWorkerTeamRuns) {
 }
 
 TEST(Scheduler, EmptyTeamReturnsAtOnce) {
-  CoopScheduler sched(37, 1);
+  UniformDecider walk(37, 1);
+  CoopScheduler sched(walk);
   sched.set_recording(true);
   sched.run_team({});
   EXPECT_EQ(sched.steps(), 0u);
@@ -209,15 +238,17 @@ TEST(Scheduler, EmptyTeamReturnsAtOnce) {
   EXPECT_TRUE(sched.take_trace().empty());
 
   PctDecider pct(37, 3, 64);
-  sched.set_decider(&pct);
-  sched.run_team({});
-  EXPECT_EQ(sched.steps(), 0u);
-  EXPECT_EQ(sched.live(), 0);
-  EXPECT_TRUE(sched.take_trace().empty());
+  CoopScheduler pct_sched(pct);
+  pct_sched.set_recording(true);
+  pct_sched.run_team({});
+  EXPECT_EQ(pct_sched.steps(), 0u);
+  EXPECT_EQ(pct_sched.live(), 0);
+  EXPECT_TRUE(pct_sched.take_trace().empty());
 }
 
 TEST(Scheduler, LiveCountTracksCompletion) {
-  CoopScheduler sched(29, 1);
+  UniformDecider walk(29, 1);
+  CoopScheduler sched(walk);
   int live_at_end = -1;
   std::vector<std::function<void()>> fns;
   fns.push_back([&] {
@@ -243,6 +274,9 @@ class AlwaysAsk : public SchedDecider {
                       const std::vector<int>& ready_peers) override {
     return inner_.should_preempt(step, current, ready_peers);
   }
+  void blocked(const std::vector<int>& ready_peers) override {
+    inner_.blocked(ready_peers);
+  }
   int pick(const std::vector<int>& ready, int current, std::uint64_t step,
            bool forced) override {
     return inner_.pick(ready, current, step, forced);
@@ -258,7 +292,6 @@ class AlwaysAsk : public SchedDecider {
 /// Counts preemption queries; preempts every fifth step.
 class CountingDecider : public SchedDecider {
  public:
-  void begin(int workers) override { (void)workers; }
   bool should_preempt(std::uint64_t step, int current,
                       const std::vector<int>& ready_peers) override {
     (void)current;
@@ -277,9 +310,8 @@ class CountingDecider : public SchedDecider {
 };
 
 TEST(QuietUntil, DefaultDeciderIsAskedAtEveryYieldPoint) {
-  CoopScheduler sched(31, 1);
   CountingDecider decider;
-  sched.set_decider(&decider);
+  CoopScheduler sched(decider);
   int yields = 0;
   std::vector<std::function<void()>> fns;
   for (int i = 0; i < 3; ++i) {
@@ -332,8 +364,7 @@ TeamOutcome run_synthetic_team(std::uint64_t seed, SchedDecider& decider) {
     }
   }
 
-  CoopScheduler sched(seed, 3);
-  sched.set_decider(&decider);
+  CoopScheduler sched(decider);
   sched.set_recording(true);
   sched.set_step_limit(100'000);
   int published = -1;  // worker 0's round; 1 << 20 once it finished
@@ -397,10 +428,39 @@ TEST(QuietUntil, QuietDecidersMatchAlwaysAskedOnes) {
     // A full trace replays the recorded schedule.
     ReplayDecider full(pct.trace);
     EXPECT_EQ(run_synthetic_team(seed, full), pct);
+
+    UniformDecider quiet_walk(seed, 3);
+    const TeamOutcome walk = run_synthetic_team(seed, quiet_walk);
+    UniformDecider inner_walk(seed, 3);
+    AlwaysAsk asked_walk(inner_walk);
+    EXPECT_EQ(walk, run_synthetic_team(seed, asked_walk));
+    ReplayDecider full_walk(walk.trace);
+    EXPECT_EQ(run_synthetic_team(seed, full_walk), walk);
   }
   // The teams must mostly run to completion, or the comparison would only
   // cover deadlock prefixes.
   EXPECT_GT(completed, 100);
+}
+
+/// The uniform walk's schedules, pinned: one hash over the trace, steps
+/// and error of seeds 1-120, recorded before the walk became a decider.
+/// It moves if the walk counts steps instead of yield points, skips the
+/// draw of a blocked step, or draws for the initial grant.
+TEST(UniformWalk, SyntheticTeamsMatchPinnedHash) {
+  std::string all;
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    UniformDecider walk(seed, 3);
+    const TeamOutcome out = run_synthetic_team(seed, walk);
+    all += std::to_string(seed) + " " + std::to_string(out.steps) + " " +
+           out.error + ":";
+    for (const ScheduleDecision& d : out.trace) {
+      all += ' ';
+      all += std::to_string(d.forced) + "/" + std::to_string(d.step) + "/" +
+             std::to_string(d.target);
+    }
+    all += "\n";
+  }
+  EXPECT_EQ(fnv1a64(all), 0x848986c78eb390bfULL);
 }
 
 }  // namespace

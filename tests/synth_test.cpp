@@ -78,7 +78,7 @@ TEST_P(SynthEntryTest, ExecutesCleanlyAndLabelIsSound) {
   opts.schedule_seeds = {1, 2};
   runtime::DynamicRaceDetector detector(opts);
 
-  const runtime::RunResult run = detector.run_once(e.code, 1);
+  const runtime::RunResult run = runtime::CompiledProgram(e.code).run({});
   EXPECT_FALSE(run.faulted) << e.name << ": " << run.fault_message << "\n"
                             << e.code;
 

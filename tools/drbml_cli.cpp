@@ -613,7 +613,7 @@ int cmd_explore(const std::vector<std::string>& args) {
   std::vector<std::string> paths;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--strategy" && i + 1 < args.size()) {
-      opts.strategy = explore::parse_strategy(args[++i]);
+      opts.strategy = runtime::parse_strategy(args[++i]);
     } else if (args[i] == "--budget" && i + 1 < args.size()) {
       opts.max_schedules = static_cast<int>(int_flag("--budget", args[++i]));
     } else if (args[i] == "--depth" && i + 1 < args.size()) {
@@ -695,7 +695,7 @@ int cmd_explore(const std::vector<std::string>& args) {
       if (e.race) racy.push_back(&e);
     }
     explore::ExploreOptions pct_opts = opts;
-    pct_opts.strategy = explore::Strategy::Pct;
+    pct_opts.strategy = runtime::ScheduleStrategy::Pct;
     const std::vector<int> witness_ok = support::parallel_map(
         jobs, racy, [&](const drb::CorpusEntry* e) {
           const std::string code = drb::drb_code(*e);
@@ -794,7 +794,7 @@ int cmd_explore(const std::vector<std::string>& args) {
       std::printf(
           "%s: DATA RACE (%s schedule %d of %d, minimized %llu -> %llu "
           "decision(s))\n",
-          sources[i].first.c_str(), explore::strategy_name(opts.strategy),
+          sources[i].first.c_str(), runtime::strategy_name(opts.strategy),
           r.first_race_schedule + 1, r.schedules_run,
           static_cast<unsigned long long>(r.original_decisions),
           static_cast<unsigned long long>(r.witness_decisions));
@@ -810,7 +810,7 @@ int cmd_explore(const std::vector<std::string>& args) {
       std::printf("%s: no race in %d %s schedule(s)%s (%zu coverage "
                   "point(s))\n",
                   sources[i].first.c_str(), r.schedules_run,
-                  explore::strategy_name(opts.strategy),
+                  runtime::strategy_name(opts.strategy),
                   r.stopped_on_plateau ? ", stopped on coverage plateau" : "",
                   r.coverage.size());
     }
