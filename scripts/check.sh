@@ -38,7 +38,8 @@
 # (a measurement, not a gate). Neither bench rewrites a committed
 # BENCH_*.json file. Stage 2h is the hostile-input gate: programs that
 # used to kill or hang a run (INT64_MIN / -1, loops that touch no
-# memory, unbounded recursion) must come back from the CLI as a result,
+# memory, unbounded recursion, a `%s` that starts outside its string)
+# must come back from the CLI as a result,
 # and a serve stream of all of them must answer every request and drain
 # on EOF; it runs under --fast too. Stage 3 rebuilds under
 # ThreadSanitizer (-DDRBML_SANITIZE=thread) and runs the
@@ -52,7 +53,9 @@
 # step-limit and exception unwinds on fibers, and runs it by name (it
 # has no `parallel` label). Stage 4 rebuilds under AddressSanitizer +
 # UndefinedBehaviorSanitizer (-DDRBML_SANITIZE=address) and runs the full
-# suite, every team on annotated ucontext fibers.
+# suite, every team on annotated ucontext fibers, then sched_test and
+# runtime_golden_test as whole binaries, where fibers and their stacks
+# are re-armed for team after team.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -161,7 +164,7 @@ echo "== stage 2g: bytecode-VM golden + verifier gate =="
 (cd build && ctest -L vm --output-on-failure)
 build/bench/bench_vm --out build/BENCH_vm.json | tail -n 2
 
-echo "== stage 2h: hostile inputs (division, silent loops, recursion) =="
+echo "== stage 2h: hostile inputs (division, silent loops, recursion, strings) =="
 # Each program goes through `drbml analyze --detector dynamic` (the
 # division also through --detector static) and must exit with a code
 # that is neither timeout's 124 nor a signal's >= 128. Then all of them
@@ -182,6 +185,8 @@ printf '%s\n' 'int main() {' '  long i;' '#pragma omp parallel for' \
   > "$hostile_tmp/spin_ws.c"
 printf '%s\n' 'int f(int n) { return f(n + 1); }' 'int main() { return f(0); }' \
   > "$hostile_tmp/recurse.c"
+printf '%s\n' 'int main() { char s[4] = "abc"; char *p = s - 2; printf("%s\n", p); return 0; }' \
+  > "$hostile_tmp/cstring.c"
 hostile_run() {  # detector file
   local rc=0
   timeout 60 build/tools/drbml analyze --detector "$1" "$2" >/dev/null 2>&1 \
@@ -248,4 +253,9 @@ echo "== stage 4: AddressSanitizer + UBSan build of the full suite =="
 cmake -B build-asan -S . -DDRBML_SANITIZE=address >/dev/null
 cmake --build build-asan -j
 (cd build-asan && ctest --output-on-failure -j)
+# ctest runs each test in a process of its own; these two binaries also
+# run whole, so that fiber stacks and the storage of a program's runs are
+# reused across tests as a long-lived process reuses them.
+build-asan/tests/sched_test
+build-asan/tests/runtime_golden_test
 echo "== all checks passed =="

@@ -84,7 +84,12 @@ Witness decode_witness(std::string_view text) {
     } else if (key == "preempt") {
       w.preempt_every = parse_int(value, "preempt", 1, INT_MAX);
     } else if (key == "limit") {
+      // Every witness this tool writes carries the default limit; a larger
+      // one would let the string alone set how long a replay runs.
       w.step_limit = parse_u64(value, "limit");
+      if (w.step_limit > runtime::RunOptions{}.step_limit) {
+        throw Error("witness: limit out of range");
+      }
     } else if (key == "region") {
       runtime::RegionTrace region;
       if (!value.empty()) {

@@ -209,6 +209,9 @@ struct Module {
   /// declaration-pointer order: the candidates for implicit firstprivate.
   std::unordered_map<const minic::Stmt*, std::vector<const minic::VarDecl*>>
       task_captures;
+  /// Per worksharing or `simd` construct, the loops it distributes
+  /// (loop_nest).
+  std::unordered_map<const minic::Stmt*, LoopNest> loop_nests;
   std::vector<Value> consts;
   std::vector<AccessSite> sites;
   std::vector<IndexInfo> index_infos;

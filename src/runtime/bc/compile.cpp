@@ -189,7 +189,7 @@ class Compiler {
   }
 
   void add_worksharing_chunks(const OmpStmt& s) {
-    const LoopNest nest = loop_nest(s);
+    const LoopNest& nest = m_.loop_nests[&s] = loop_nest(s);
     for (const ForStmt* f : nest.loops) add_loop_bound_chunks(*f);
     if (nest.complete) add_chunk(*nest.loops.back()->body, "omp-ws body");
   }

@@ -18,7 +18,9 @@ namespace drbml::runtime {
 
 /// A source parsed, resolved and compiled once, run under any number of
 /// schedules; runs that differ from the first only in schedule fields
-/// resume from its serial-prefix snapshot. One thread at a time.
+/// resume from its serial-prefix snapshot, and every run reuses the
+/// storage the runs before it filled (PrefixSnapshot). One thread at a
+/// time.
 class CompiledProgram {
  public:
   /// Throws support's Error when the source does not parse or resolve.

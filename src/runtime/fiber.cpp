@@ -31,6 +31,8 @@ void __sanitizer_start_switch_fiber(void** fake_stack_save, const void* bottom,
 void __sanitizer_finish_switch_fiber(void* fake_stack_save,
                                      const void** bottom_old,
                                      std::size_t* size_old);
+void __asan_unpoison_memory_region(void const volatile* addr,
+                                   std::size_t size);
 }
 #endif
 
@@ -42,10 +44,19 @@ namespace {
 // default pthread stack, so a worker fiber and the thread driving the run
 // share one recursion-depth budget -- plus a PROT_NONE guard page that
 // turns stack overflow into a clean fault instead of silent corruption.
-// Freed stacks recycle through a per-thread pool: a run allocates stacks
-// once per OS thread, not once per parallel region.
+// Freed stacks recycle through a per-thread pool, and a scheduler re-arms
+// its fibers for each team, so stacks are mapped once per scheduler, not
+// once per parallel region.
 constexpr std::size_t kStackBytes = std::size_t{8} << 20;
 constexpr std::size_t kGuardBytes = 4096;
+#if DRBML_FIBER_ASAN
+// A finished fiber never returns from its final switch, so the redzones
+// of the frames it left there stay poisoned, and GCC's frame set-up only
+// writes redzones: the next entry run on the stack could trip a false
+// stack-buffer-underflow on them. start() unpoisons this much of the top
+// of the stack, far more than those frames take.
+constexpr std::size_t kAsanUnpoisonBytes = std::size_t{64} << 10;
+#endif
 
 struct StackPool {
   std::vector<void*> free_list;
@@ -199,11 +210,18 @@ void Fiber::start(Entry entry, void* arg) {
   uc_.uc_link = nullptr;  // entries never return through the trampoline
   makecontext(&uc_, reinterpret_cast<void (*)()>(&drbml_fiber_trampoline), 0);
 #if DRBML_FIBER_TSAN
-  if (tsan_fiber_ == nullptr) tsan_fiber_ = __tsan_create_fiber(0);
+  // A re-armed fiber gets a fresh sanitizer context: its old one still
+  // holds the frames of the entry's final switch.
+  if (tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
+  tsan_fiber_ = __tsan_create_fiber(0);
 #endif
 #if DRBML_FIBER_ASAN
   asan_bottom_ = uc_.uc_stack.ss_sp;
   asan_size_ = kStackBytes;
+  __asan_unpoison_memory_region(
+      static_cast<char*>(stack_) + kGuardBytes + kStackBytes -
+          kAsanUnpoisonBytes,
+      kAsanUnpoisonBytes);
 #endif
 }
 

@@ -74,8 +74,9 @@ namespace drbml::runtime {
 ///
 /// Lifecycle rules the scheduler upholds: an armed fiber's entry must
 /// never return -- it transfers away for the last time and is then never
-/// resumed again. Fibers are created, run, and destroyed on one OS
-/// thread; stacks recycle through a per-thread pool.
+/// resumed again, though start() may arm it again for a new entry on the
+/// same stack. A fiber runs on one OS thread at a time; stacks recycle
+/// through a per-thread pool.
 class Fiber {
  public:
   using Entry = void (*)(void*);
@@ -87,7 +88,8 @@ class Fiber {
 
   /// Arms the fiber: entry(arg) starts running at the first transfer into
   /// it. Allocates (or reuses) a lazily-committed stack with a PROT_NONE
-  /// guard page below it.
+  /// guard page below it; a fiber armed before keeps its stack, and its
+  /// previous entry's suspended frames are dropped.
   void start(Entry entry, void* arg);
 
   /// Saves the current context into `from` and resumes `to`. Returns when

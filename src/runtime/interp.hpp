@@ -67,15 +67,32 @@ struct Module;
 /// later run whose options differ from that run's only in schedule fields
 /// (seed, strategy, PCT depth and expected steps, replay trace, trace and
 /// coverage capture) restores it, and any other run starts from `main`.
-/// Results are the same either way. One snapshot serves one caller's runs
-/// in turn; it is not safe to share between threads.
+/// Results are the same either way.
+///
+/// The state is plain data: memory arenas, `main`'s context and register
+/// frame, the output and the counters. Taking it is one copy of the run's
+/// state, and restoring it one copy back into the storage the previous
+/// run left. That storage lives here too, so the runs sharing a snapshot
+/// reuse each other's buffers, contexts, schedulers and fibers, and it is
+/// freed with the snapshot. A program thus holds at most two runs' worth
+/// of state: the snapshot and the storage. One snapshot serves one
+/// caller's runs in turn; it is not safe to share between threads.
 struct PrefixSnapshot {
   PrefixSnapshot();
   ~PrefixSnapshot();
+  PrefixSnapshot(const PrefixSnapshot&) = delete;
+  PrefixSnapshot& operator=(const PrefixSnapshot&) = delete;
 
   struct State;  // defined in interp.cpp
   /// The captured state; null until a run captured one.
   std::unique_ptr<const State> state;
+
+  struct Storage;  // defined in interp.cpp
+  /// What a run fills and the next run clears and refills: memory arenas,
+  /// thread contexts with their bindings, clocks and register stacks, team
+  /// state, schedulers with their fibers, deciders. Null until the first
+  /// run.
+  std::unique_ptr<Storage> storage;
 };
 
 /// Cap on nested user-function calls in one logical thread, so runaway

@@ -19,7 +19,7 @@ const std::vector<int>& CoopScheduler::ready_peers(int exclude) const {
       peers_buf_.push_back(i);
     }
   }
-  if (decider_.filter_spinners()) {
+  if (decider_->filter_spinners()) {
     awake_buf_.clear();
     for (int i : peers_buf_) {
       if (!spinning_[static_cast<std::size_t>(i)]) awake_buf_.push_back(i);
@@ -38,7 +38,7 @@ int CoopScheduler::decide_next(int exclude, bool forced) {
     }
     return -1;
   }
-  return decider_.pick(ready, exclude, steps_, forced);
+  return decider_->pick(ready, exclude, steps_, forced);
 }
 
 void CoopScheduler::record(bool forced, int target) {
@@ -94,10 +94,10 @@ void CoopScheduler::yield_point() {
   // Quiet stretch: the decider's last "no" holds until quiet_until_
   // unless the token holder or the ready set changed since.
   if (version_ == quiet_version_ && steps_ < quiet_until_) return;
-  if (!decider_.should_preempt(steps_, t_worker_index,
-                               ready_peers(t_worker_index))) {
+  if (!decider_->should_preempt(steps_, t_worker_index,
+                                ready_peers(t_worker_index))) {
     quiet_version_ = version_;
-    quiet_until_ = decider_.quiet_until(steps_);
+    quiet_until_ = decider_->quiet_until(steps_);
     return;
   }
   switch_from(t_worker_index, /*forced=*/false);
@@ -159,7 +159,7 @@ void CoopScheduler::block_until(const std::function<bool()>& ready) {
       leave_wait();
       abort_team("deadlock: worker blocked with no runnable peer");
     }
-    decider_.blocked(peers);
+    decider_->blocked(peers);
     int at_barrier = 0;
     for (State s : states_) {
       if (s == State::AtBarrier) ++at_barrier;
@@ -179,23 +179,25 @@ void CoopScheduler::block_until(const std::function<bool()>& ready) {
   }
 }
 
-void CoopScheduler::run_team(std::vector<std::function<void()>> workers) {
+void CoopScheduler::run_team(
+    const std::vector<std::function<void()>>& workers) {
   const int n = static_cast<int>(workers.size());
   states_.assign(static_cast<std::size_t>(n), State::Ready);
   live_ = n;
   aborting_ = false;
   first_error_ = nullptr;
   barrier_generation_ = 0;
+  steps_ = 0;
   waiting_ = 0;
   spin_rounds_ = 0;
   spinning_.assign(static_cast<std::size_t>(n), 0);
   touch();  // no quiet stretch carries over from a previous team
   trace_.clear();
   if (n == 0) return;
-  decider_.begin(n);
+  decider_->begin(n);
   // Initial token grant, among all workers (none is spinning yet).
-  const int first = decider_.pick(ready_peers(-1), /*current=*/-1,
-                                  /*step=*/0, /*forced=*/true);
+  const int first = decider_->pick(ready_peers(-1), /*current=*/-1,
+                                   /*step=*/0, /*forced=*/true);
 
   // The driver may itself be a worker fiber of an enclosing scheduler
   // (nested regions serialize but still build a team); save its identity
@@ -203,15 +205,14 @@ void CoopScheduler::run_team(std::vector<std::function<void()>> workers) {
   const int prev_index = t_worker_index;
 
   fiber_jobs_ = &workers;
-  fiber_args_.clear();
-  fiber_args_.reserve(static_cast<std::size_t>(n));
-  worker_fibers_.clear();
-  worker_fibers_.reserve(static_cast<std::size_t>(n));
+  fiber_args_.resize(static_cast<std::size_t>(n));
+  while (worker_fibers_.size() < static_cast<std::size_t>(n)) {
+    worker_fibers_.push_back(std::make_unique<Fiber>());
+  }
   for (int i = 0; i < n; ++i) {
-    fiber_args_.push_back(FiberArg{this, i});
-    auto f = std::make_unique<Fiber>();
-    f->start(&CoopScheduler::fiber_entry, &fiber_args_.back());
-    worker_fibers_.push_back(std::move(f));
+    const auto k = static_cast<std::size_t>(i);
+    fiber_args_[k] = FiberArg{this, i};
+    worker_fibers_[k]->start(&CoopScheduler::fiber_entry, &fiber_args_[k]);
   }
 
   record(/*forced=*/true, first);
@@ -221,8 +222,6 @@ void CoopScheduler::run_team(std::vector<std::function<void()>> workers) {
   transfer_to(/*me=*/-1, first);
 
   t_worker_index = prev_index;
-  worker_fibers_.clear();
-  fiber_args_.clear();
   fiber_jobs_ = nullptr;
 
   if (first_error_) std::rethrow_exception(first_error_);
@@ -275,7 +274,7 @@ void CoopScheduler::fiber_worker_main(int i) {
     current_ = next;
   }
   // Final transfer: Done workers are never picked again, so control never
-  // returns here and the fiber's stack goes back to the pool intact.
+  // returns here; the next team re-arms the fiber on a fresh frame.
   transfer_to(i, next);
   // not reached -- the trampoline aborts if an entry ever returns
 }

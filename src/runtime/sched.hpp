@@ -116,22 +116,28 @@ class SchedDecider {
 class CoopScheduler {
  public:
   /// `decider` takes every scheduling decision (not owned; must outlive
-  /// the scheduler).
-  explicit CoopScheduler(SchedDecider& decider) : decider_(decider) {}
+  /// the scheduler's teams).
+  explicit CoopScheduler(SchedDecider& decider) : decider_(&decider) {}
+
+  /// Hands the decisions of the next teams to `decider` (same contract as
+  /// the constructor's).
+  void set_decider(SchedDecider& decider) noexcept { decider_ = &decider; }
 
   /// Runs `workers` cooperatively, each on its own fiber, until all
   /// complete. Rethrows the first worker exception (after unwinding the
   /// rest). Must not be called from a worker of this scheduler. An empty
-  /// team returns at once.
-  void run_team(std::vector<std::function<void()>> workers);
+  /// team returns at once. A scheduler runs any number of teams in turn,
+  /// and each team reuses the fibers and buffers of the ones before it.
+  void run_team(const std::vector<std::function<void()>>& workers);
 
   /// Records every scheduling decision for later replay.
   void set_recording(bool on) noexcept { recording_ = on; }
 
-  /// The decisions recorded so far. Valid after run_team returned *or*
-  /// threw: on a step-budget or deadlock abort the prefix up to the abort
-  /// is preserved, so aborted schedules stay replayable.
-  [[nodiscard]] RegionTrace take_trace() { return std::move(trace_); }
+  /// The decisions of the current (or last) team recorded so far. Valid
+  /// after run_team returned *or* threw: on a step-budget or deadlock
+  /// abort the prefix up to the abort is preserved, so aborted schedules
+  /// stay replayable. The next team reuses the buffer.
+  [[nodiscard]] const RegionTrace& trace() const noexcept { return trace_; }
 
   // ---- called from worker fibers ----
 
@@ -145,7 +151,8 @@ class CoopScheduler {
   /// rescheduled. Throws on deadlock (no runnable worker and no progress).
   void block_until(const std::function<bool()>& ready);
 
-  /// Steps taken: yield points plus steps spent blocked in block_until.
+  /// Steps the current (or last) team took: yield points plus steps spent
+  /// blocked in block_until.
   [[nodiscard]] std::uint64_t steps() const noexcept { return steps_; }
 
   /// Workers that have not yet completed.
@@ -208,7 +215,7 @@ class CoopScheduler {
   std::uint64_t step_limit_ = 50'000'000;
   int waiting_ = 0;           // workers inside block_until
   std::uint64_t spin_rounds_ = 0;  // consecutive all-blocked rounds
-  SchedDecider& decider_;
+  SchedDecider* decider_;
   // Quiet-yield state: while version_ == quiet_version_ and steps_ <
   // quiet_until_, the decider's last answer (no preemption) still holds.
   std::uint64_t version_ = 0;
@@ -220,9 +227,10 @@ class CoopScheduler {
   mutable std::vector<int> peers_buf_;  // ready_peers scratch
   mutable std::vector<int> awake_buf_;  // ready_peers spin-filter scratch
   Fiber driver_fiber_;  // save slot for the thread driving run_team
+  /// One fiber per worker of the largest team so far, re-armed per team.
   std::vector<std::unique_ptr<Fiber>> worker_fibers_;
   std::vector<FiberArg> fiber_args_;
-  std::vector<std::function<void()>>* fiber_jobs_ = nullptr;
+  const std::vector<std::function<void()>>* fiber_jobs_ = nullptr;
 };
 
 }  // namespace drbml::runtime

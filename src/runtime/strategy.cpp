@@ -26,26 +26,26 @@ ScheduleStrategy parse_strategy(std::string_view name) {
               "' (expected uniform|pct)");
 }
 
-std::unique_ptr<SchedDecider> make_decider(const RunOptions& opts,
-                                           std::size_t region_index) {
+SchedDecider& Deciders::for_region(const RunOptions& opts,
+                                   std::size_t region_index) {
   const std::uint64_t region_seed =
       mix64(opts.seed * 0x9e3779b97f4a7c15ULL + region_index + 1);
   switch (opts.strategy) {
     case ScheduleStrategy::Uniform:
-      return std::make_unique<UniformDecider>(region_seed,
-                                              opts.preempt_every);
+      uniform_ = UniformDecider(region_seed, opts.preempt_every);
+      return uniform_;
     case ScheduleStrategy::Pct:
-      return std::make_unique<PctDecider>(
-          mix64(region_seed ^ 0x7063742d73656564ULL), opts.pct_depth,
-          opts.pct_expected_steps);
+      pct_.reset(mix64(region_seed ^ 0x7063742d73656564ULL), opts.pct_depth,
+                 opts.pct_expected_steps);
+      return pct_;
     case ScheduleStrategy::Replay:
       break;
   }
-  RegionTrace region;
-  if (opts.replay != nullptr && region_index < opts.replay->regions.size()) {
-    region = opts.replay->regions[region_index];
-  }
-  return std::make_unique<ReplayDecider>(std::move(region));
+  replay_.reset(opts.replay != nullptr &&
+                        region_index < opts.replay->regions.size()
+                    ? &opts.replay->regions[region_index]
+                    : nullptr);
+  return replay_;
 }
 
 UniformDecider::UniformDecider(std::uint64_t seed, int preempt_every)
@@ -78,10 +78,19 @@ int UniformDecider::pick(const std::vector<int>& ready, int current,
 }
 
 PctDecider::PctDecider(std::uint64_t seed, int depth,
-                       std::uint64_t expected_steps)
-    : rng_(seed),
-      depth_(depth < 1 ? 1 : depth),
-      expected_steps_(expected_steps < 1 ? 1 : expected_steps) {}
+                       std::uint64_t expected_steps) {
+  reset(seed, depth, expected_steps);
+}
+
+void PctDecider::reset(std::uint64_t seed, int depth,
+                       std::uint64_t expected_steps) {
+  rng_ = Rng(seed);
+  depth_ = depth < 1 ? 1 : depth;
+  expected_steps_ = expected_steps < 1 ? 1 : expected_steps;
+  priorities_.clear();
+  change_points_.clear();
+  fired_ = 0;
+}
 
 void PctDecider::begin(int workers) {
   // Distinct base priorities d .. d+n-1, randomly permuted. Change-point
@@ -149,7 +158,7 @@ void ReplayDecider::begin(int workers) {
 }
 
 void ReplayDecider::skip_stale(std::uint64_t step) {
-  while (pos_ < trace_.size() && trace_[pos_].step < step) ++pos_;
+  while (pos_ < entries() && entry(pos_).step < step) ++pos_;
 }
 
 bool ReplayDecider::should_preempt(std::uint64_t step, int current,
@@ -157,15 +166,14 @@ bool ReplayDecider::should_preempt(std::uint64_t step, int current,
   (void)current;
   (void)ready_peers;
   skip_stale(step);
-  return pos_ < trace_.size() && !trace_[pos_].forced &&
-         trace_[pos_].step == step;
+  return pos_ < entries() && !entry(pos_).forced && entry(pos_).step == step;
 }
 
 std::uint64_t ReplayDecider::quiet_until(std::uint64_t step) const {
-  // should_preempt(step) skipped the stale entries, so trace_[pos_] (if
+  // should_preempt(step) skipped the stale entries, so entry(pos_) (if
   // any) is at `step` or later.
-  return pos_ < trace_.size() ? std::max(step + 1, trace_[pos_].step)
-                              : std::numeric_limits<std::uint64_t>::max();
+  return pos_ < entries() ? std::max(step + 1, entry(pos_).step)
+                          : std::numeric_limits<std::uint64_t>::max();
 }
 
 int ReplayDecider::pick(const std::vector<int>& ready, int current,
@@ -176,9 +184,9 @@ int ReplayDecider::pick(const std::vector<int>& ready, int current,
   // lowest-index runnable worker. Minimized traces rely on this being a
   // total function of (program, remaining trace).
   const int fallback = ready.front();
-  if (pos_ < trace_.size() && trace_[pos_].step == step &&
-      trace_[pos_].forced == forced) {
-    const int target = trace_[pos_].target;
+  if (pos_ < entries() && entry(pos_).step == step &&
+      entry(pos_).forced == forced) {
+    const int target = entry(pos_).target;
     ++pos_;
     if (std::find(ready.begin(), ready.end(), target) != ready.end()) {
       return target;

@@ -1,5 +1,5 @@
-// Scheduling policies for CoopScheduler, one SchedDecider each, built per
-// team by make_decider. UniformDecider is the seeded uniform random walk:
+// Scheduling policies for CoopScheduler, one SchedDecider each, re-seeded
+// per team by Deciders. UniformDecider is the seeded uniform random walk:
 // preempt at every preempt_every-th yield point, hand the token to a
 // uniformly random ready peer.
 //
@@ -21,7 +21,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -42,11 +41,6 @@ enum class ScheduleStrategy { Uniform, Pct, Replay };
 /// Parses "uniform"/"pct", the strategies selectable by name (replay
 /// needs a recorded trace); throws Error otherwise.
 [[nodiscard]] ScheduleStrategy parse_strategy(std::string_view name);
-
-/// The decider for the team of a run's `region_index`-th parallel region
-/// (0-based, in dynamic order), seeded from the run's seed and the index.
-[[nodiscard]] std::unique_ptr<SchedDecider> make_decider(
-    const RunOptions& opts, std::size_t region_index);
 
 class UniformDecider : public SchedDecider {
  public:
@@ -84,6 +78,10 @@ class PctDecider : public SchedDecider {
   /// points are sampled uniformly from [1, k].
   PctDecider(std::uint64_t seed, int depth, std::uint64_t expected_steps);
 
+  /// Starts over as PctDecider(seed, depth, expected_steps) would, keeping
+  /// the capacity of its buffers.
+  void reset(std::uint64_t seed, int depth, std::uint64_t expected_steps);
+
   void begin(int workers) override;
   bool should_preempt(std::uint64_t step, int current,
                       const std::vector<int>& ready_peers) override;
@@ -100,9 +98,9 @@ class PctDecider : public SchedDecider {
   }
 
  private:
-  Rng rng_;
-  int depth_;
-  std::uint64_t expected_steps_;
+  Rng rng_{0};
+  int depth_ = 1;
+  std::uint64_t expected_steps_ = 1;
   std::vector<int> priorities_;
   std::vector<std::uint64_t> change_points_;  // ascending
   std::size_t fired_ = 0;
@@ -110,7 +108,18 @@ class PctDecider : public SchedDecider {
 
 class ReplayDecider : public SchedDecider {
  public:
-  explicit ReplayDecider(RegionTrace trace) : trace_(std::move(trace)) {}
+  /// Replays nothing: every pick is the lowest-index fallback.
+  ReplayDecider() = default;
+  /// `trace` is not owned and must outlive the decider's teams.
+  explicit ReplayDecider(const RegionTrace& trace) : trace_(&trace) {}
+  ReplayDecider(RegionTrace&&) = delete;
+
+  /// Replays `trace` from its start (null: no entries, so every pick is
+  /// the lowest-index fallback).
+  void reset(const RegionTrace* trace) {
+    trace_ = trace;
+    pos_ = 0;
+  }
 
   void begin(int workers) override;
   bool should_preempt(std::uint64_t step, int current,
@@ -124,9 +133,31 @@ class ReplayDecider : public SchedDecider {
  private:
   /// Drops entries that can no longer fire (their step is in the past).
   void skip_stale(std::uint64_t step);
+  [[nodiscard]] std::size_t entries() const noexcept {
+    return trace_ != nullptr ? trace_->size() : 0;
+  }
+  [[nodiscard]] const ScheduleDecision& entry(std::size_t i) const {
+    return (*trace_)[i];
+  }
 
-  RegionTrace trace_;
+  const RegionTrace* trace_ = nullptr;
   std::size_t pos_ = 0;
+};
+
+/// One decider of each strategy, re-seeded for every team, so that the
+/// teams of a run and the runs of a program reuse them.
+class Deciders {
+ public:
+  /// The decider for the team of a run's `region_index`-th parallel region
+  /// (0-based, in dynamic order), seeded from the run's seed and the index.
+  /// Valid until the next call.
+  [[nodiscard]] SchedDecider& for_region(const RunOptions& opts,
+                                         std::size_t region_index);
+
+ private:
+  UniformDecider uniform_{0, 1};
+  PctDecider pct_{0, 1, 1};
+  ReplayDecider replay_;
 };
 
 }  // namespace drbml::runtime

@@ -2,57 +2,93 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace drbml::runtime {
 
 /// A vector clock over logical thread ids. Grows on demand; missing
-/// entries read as zero.
+/// entries read as zero. The first kInline entries live in the object, so
+/// the clocks of a run's first threads never touch the heap; entries past
+/// them live in a vector, whose capacity a copy-assignment reuses.
+///
+/// Invariant: inline entries at or past size() are zero, and `rest_`
+/// holds exactly the entries from kInline up to size().
 class VectorClock {
  public:
+  static constexpr std::size_t kInline = 16;
+
   [[nodiscard]] std::uint32_t get(int tid) const noexcept {
-    return tid >= 0 && static_cast<std::size_t>(tid) < c_.size()
-               ? c_[static_cast<std::size_t>(tid)]
-               : 0;
+    if (tid < 0) return 0;
+    const auto i = static_cast<std::size_t>(tid);
+    if (i < kInline) return inline_[i];
+    return i < size_ ? rest_[i - kInline] : 0;
   }
 
   void set(int tid, std::uint32_t v) {
     ensure(tid);
-    c_[static_cast<std::size_t>(tid)] = v;
+    at(static_cast<std::size_t>(tid)) = v;
   }
 
   void tick(int tid) {
     ensure(tid);
-    ++c_[static_cast<std::size_t>(tid)];
+    ++at(static_cast<std::size_t>(tid));
   }
 
   /// Pointwise maximum (join).
   void join(const VectorClock& o) {
-    if (o.c_.size() > c_.size()) c_.resize(o.c_.size(), 0);
-    for (std::size_t i = 0; i < o.c_.size(); ++i) {
-      c_[i] = std::max(c_[i], o.c_[i]);
+    if (o.size_ > size_) resize(o.size_);
+    const std::size_t head = std::min(o.size_, kInline);
+    for (std::size_t i = 0; i < head; ++i) {
+      inline_[i] = std::max(inline_[i], o.inline_[i]);
+    }
+    for (std::size_t i = 0; i < o.rest_.size(); ++i) {
+      rest_[i] = std::max(rest_[i], o.rest_[i]);
     }
   }
 
   /// True if this clock happens-before-or-equals `o` (pointwise <=).
   [[nodiscard]] bool leq(const VectorClock& o) const noexcept {
-    for (std::size_t i = 0; i < c_.size(); ++i) {
-      if (c_[i] > o.get(static_cast<int>(i))) return false;
+    const std::size_t head = std::min(size_, kInline);
+    for (std::size_t i = 0; i < head; ++i) {
+      if (inline_[i] > o.inline_[i]) return false;
+    }
+    for (std::size_t i = 0; i < rest_.size(); ++i) {
+      if (rest_[i] > o.get(static_cast<int>(kInline + i))) return false;
     }
     return true;
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return c_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+  /// Back to the empty clock, keeping the capacity of the entries past
+  /// kInline.
+  void clear() noexcept {
+    std::fill(inline_, inline_ + kInline, 0u);
+    rest_.clear();
+    size_ = 0;
+  }
 
  private:
+  [[nodiscard]] std::uint32_t& at(std::size_t i) {
+    return i < kInline ? inline_[i] : rest_[i - kInline];
+  }
+
   void ensure(int tid) {
-    if (tid >= 0 && static_cast<std::size_t>(tid) >= c_.size()) {
-      c_.resize(static_cast<std::size_t>(tid) + 1, 0);
+    if (tid >= 0 && static_cast<std::size_t>(tid) >= size_) {
+      resize(static_cast<std::size_t>(tid) + 1);
     }
   }
 
-  std::vector<std::uint32_t> c_;
+  void resize(std::size_t n) {
+    if (n > kInline) rest_.resize(n - kInline, 0);
+    size_ = n;
+  }
+
+  std::uint32_t inline_[kInline] = {};
+  std::size_t size_ = 0;
+  std::vector<std::uint32_t> rest_;
 };
 
 /// An epoch: one thread's scalar clock value (FastTrack's compact form for
@@ -66,58 +102,6 @@ struct Epoch {
   [[nodiscard]] bool before(const VectorClock& c) const noexcept {
     return !valid() || clock <= c.get(tid);
   }
-};
-
-/// FastTrack-style adaptive read clock: a scalar Epoch while only one
-/// thread has read the element since the last write, promoted to a full
-/// VectorClock on the first read by a second thread.
-///
-/// Promotion never changes a happens-before answer: while a single thread
-/// `t` is reading, the full-VC state would be exactly {t: last read clock}
-/// (a thread's own clock is monotonic, so the latest read dominates), and
-/// that is what the epoch stores — promotion rebuilds precisely that
-/// vector before adding the second reader.
-class AdaptiveReadClock {
- public:
-  /// Record a read by `tid` at clock `now`.
-  void record(int tid, std::uint32_t now) {
-    if (!shared_) {
-      if (!epoch_.valid() || epoch_.tid == tid) {
-        epoch_ = Epoch{tid, now};
-        return;
-      }
-      // Second distinct reader: promote the epoch into a vector.
-      vc_.set(epoch_.tid, epoch_.clock);
-      shared_ = true;
-    }
-    vc_.set(tid, now);
-  }
-
-  /// True if every recorded read happens-before-or-equals clock `c`.
-  [[nodiscard]] bool leq(const VectorClock& c) const noexcept {
-    if (shared_) return vc_.leq(c);
-    return !epoch_.valid() || epoch_.clock <= c.get(epoch_.tid);
-  }
-
-  [[nodiscard]] std::uint32_t get(int tid) const noexcept {
-    if (shared_) return vc_.get(tid);
-    return epoch_.valid() && epoch_.tid == tid ? epoch_.clock : 0;
-  }
-
-  /// Forget all reads (a write resets the read set).
-  void clear() {
-    epoch_ = Epoch{};
-    vc_ = VectorClock{};
-    shared_ = false;
-  }
-
-  [[nodiscard]] bool shared() const noexcept { return shared_; }
-  [[nodiscard]] const Epoch& epoch() const noexcept { return epoch_; }
-
- private:
-  Epoch epoch_;
-  VectorClock vc_;
-  bool shared_ = false;
 };
 
 }  // namespace drbml::runtime

@@ -302,6 +302,19 @@ TEST(Witness, DecodeRejectsMalformedInput) {
   EXPECT_THROW(decode_witness("drbml-witness-v1;threads=2;preempt=7;limit=1;"
                               "region=f0:4294967296"),
                Error);
+  // A limit above the default step limit, which every witness the tool
+  // writes carries, would let the string set a replay's run time.
+  EXPECT_NO_THROW(
+      decode_witness("drbml-witness-v1;threads=2;preempt=7;limit=2000000"));
+  for (const char* limit : {"2000001", "10000000000000"}) {
+    try {
+      (void)decode_witness(
+          std::string("drbml-witness-v1;threads=2;preempt=7;limit=") + limit);
+      ADD_FAILURE() << "limit=" << limit << " decoded";
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), "witness: limit out of range") << limit;
+    }
+  }
 }
 
 /// One random edit of a witness string: a byte overwritten, a span deleted

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 
 #include "analysis/access.hpp"
 #include "analysis/resolve.hpp"
@@ -86,59 +87,82 @@ TEST(Epoch, BeforeChecksSingleComponent) {
 }
 
 // ----------------------------------------------------- AdaptiveReadClock
+//
+// A shadow cell's reads: an epoch while one thread reads, an entry in the
+// run's ReadSets once a second thread does.
+
+/// A read by `tid` at clock `now`, recorded in `cell`.
+void read(runtime::ReadSets& sets, runtime::ShadowCell& cell, int tid,
+          std::uint32_t now) {
+  sets.record(cell, now, runtime::AccessStamp{nullptr, {}, tid});
+}
 
 TEST(AdaptiveReadClock, StaysEpochForSingleReader) {
-  runtime::AdaptiveReadClock rc;
-  EXPECT_FALSE(rc.shared());
-  rc.record(3, 5);
-  rc.record(3, 9);  // same thread: epoch overwritten, no promotion
-  EXPECT_FALSE(rc.shared());
-  EXPECT_EQ(rc.epoch().tid, 3);
-  EXPECT_EQ(rc.epoch().clock, 9u);
-  EXPECT_EQ(rc.get(3), 9u);
-  EXPECT_EQ(rc.get(0), 0u);
+  runtime::ReadSets sets;
+  runtime::ShadowCell cell;
+  EXPECT_EQ(cell.read_set, runtime::kNoReadSet);
+  read(sets, cell, 3, 5);
+  read(sets, cell, 3, 9);  // same thread: epoch overwritten, no promotion
+  EXPECT_EQ(cell.read_set, runtime::kNoReadSet);
+  EXPECT_EQ(cell.read.tid, 3);
+  EXPECT_EQ(cell.read.clock, 9u);
+  EXPECT_EQ(cell.read_stamp.tid, 3);
+  EXPECT_EQ(sets.get(cell, 3), 9u);
+  EXPECT_EQ(sets.get(cell, 0), 0u);
 }
 
 TEST(AdaptiveReadClock, PromotesOnSecondDistinctReader) {
-  runtime::AdaptiveReadClock rc;
-  rc.record(1, 4);
-  rc.record(2, 6);
-  EXPECT_TRUE(rc.shared());
+  runtime::ReadSets sets;
+  runtime::ShadowCell cell;
+  read(sets, cell, 2, 6);
+  read(sets, cell, 1, 4);
+  ASSERT_NE(cell.read_set, runtime::kNoReadSet);
   // Promotion preserved the first reader's component exactly.
-  EXPECT_EQ(rc.get(1), 4u);
-  EXPECT_EQ(rc.get(2), 6u);
+  EXPECT_EQ(sets.get(cell, 1), 4u);
+  EXPECT_EQ(sets.get(cell, 2), 6u);
+  // Each reader's provenance, ascending by thread id.
+  const auto& readers = sets.readers(cell);
+  ASSERT_EQ(readers.size(), 2u);
+  EXPECT_EQ(readers[0].tid, 1);
+  EXPECT_EQ(readers[1].tid, 2);
+  read(sets, cell, 0, 1);
+  read(sets, cell, 2, 8);
+  ASSERT_EQ(sets.readers(cell).size(), 3u);
+  EXPECT_EQ(sets.readers(cell)[0].tid, 0);
+  EXPECT_EQ(sets.get(cell, 2), 8u);
 }
 
 TEST(AdaptiveReadClock, LeqMatchesEpochSemantics) {
-  runtime::AdaptiveReadClock rc;
-  EXPECT_TRUE(rc.leq(runtime::VectorClock{}));  // empty reads precede all
-  rc.record(2, 5);
+  runtime::ReadSets sets;
+  runtime::ShadowCell cell;
+  EXPECT_TRUE(sets.leq(cell, runtime::VectorClock{}));  // no reads
+  read(sets, cell, 2, 5);
   runtime::VectorClock c;
   c.set(2, 5);
-  EXPECT_TRUE(rc.leq(c));
+  EXPECT_TRUE(sets.leq(cell, c));
   c.set(2, 4);
-  runtime::AdaptiveReadClock rc2;
-  rc2.record(2, 5);
-  EXPECT_FALSE(rc2.leq(c));
+  EXPECT_FALSE(sets.leq(cell, c));
 }
 
 TEST(AdaptiveReadClock, ClearResetsToEpochMode) {
-  runtime::AdaptiveReadClock rc;
-  rc.record(0, 1);
-  rc.record(1, 1);
-  ASSERT_TRUE(rc.shared());
-  rc.clear();
-  EXPECT_FALSE(rc.shared());
-  EXPECT_FALSE(rc.epoch().valid());
-  EXPECT_TRUE(rc.leq(runtime::VectorClock{}));
+  runtime::ReadSets sets;
+  runtime::ShadowCell cell;
+  read(sets, cell, 0, 1);
+  read(sets, cell, 1, 1);
+  ASSERT_NE(cell.read_set, runtime::kNoReadSet);
+  sets.clear(cell);  // a write
+  EXPECT_EQ(cell.read_set, runtime::kNoReadSet);
+  EXPECT_FALSE(cell.read.valid());
+  EXPECT_TRUE(sets.leq(cell, runtime::VectorClock{}));
 }
 
-// Randomized oracle: an AdaptiveReadClock fed an arbitrary interleaving
-// of (tid, clock) reads must answer every leq() query exactly like the
-// full VectorClock that recorded the same reads. Clocks per thread are
-// nondecreasing, as in a real execution (a thread's own clock only
-// advances). This is the promotion-never-changes-the-HB-answer proof,
-// executed.
+// Randomized oracle: cells fed an arbitrary interleaving of (tid, clock)
+// reads and writes must answer every leq() and get() query exactly like
+// full VectorClocks that recorded the same reads since the last write.
+// Clocks per thread are nondecreasing, as in a real execution (a thread's
+// own clock only advances). The cells share one ReadSets, so a write
+// hands its entry back and a later promotion of any cell reuses it. This
+// is the promotion-never-changes-the-HB-answer proof, executed.
 TEST(AdaptiveReadClock, AgreesWithVectorClockOracle) {
   std::uint64_t state = 0x9e3779b97f4a7c15ULL;
   const auto next = [&state]() {
@@ -148,69 +172,184 @@ TEST(AdaptiveReadClock, AgreesWithVectorClockOracle) {
     return state;
   };
 
+  runtime::ReadSets sets;
+  std::size_t reused = 0;  // promotions into a recycled entry
   for (int trial = 0; trial < 200; ++trial) {
-    runtime::AdaptiveReadClock adaptive;
-    runtime::VectorClock oracle;
+    constexpr int kCells = 3;
+    runtime::ShadowCell cells[kCells];
+    runtime::VectorClock oracle[kCells];
     std::uint32_t clocks[4] = {1, 1, 1, 1};
+    std::set<std::uint32_t> returned;  // entries writes handed back
+    sets.reset();
 
-    const int reads = static_cast<int>(next() % 6);  // 0..5: hits both modes
-    for (int r = 0; r < reads; ++r) {
+    const int events = static_cast<int>(next() % 16);
+    for (int e = 0; e < events; ++e) {
+      const int k = static_cast<int>(next() % kCells);
+      if (next() % 5 == 0) {  // a write resets the cell's reads
+        if (cells[k].read_set != runtime::kNoReadSet) {
+          returned.insert(cells[k].read_set);
+        }
+        sets.clear(cells[k]);
+        oracle[k] = runtime::VectorClock{};
+        continue;
+      }
       const int tid = static_cast<int>(next() % 4);
       clocks[tid] += static_cast<std::uint32_t>(next() % 3);
-      adaptive.record(tid, clocks[tid]);
+      const bool promotes = cells[k].read_set == runtime::kNoReadSet &&
+                            cells[k].read.valid() &&
+                            cells[k].read.tid != tid;
+      read(sets, cells[k], tid, clocks[tid]);
+      if (promotes && returned.erase(cells[k].read_set) != 0) ++reused;
       // The oracle keeps the last read per thread, like the promoted VC.
-      oracle.set(tid, clocks[tid]);
+      oracle[k].set(tid, clocks[tid]);
     }
 
-    for (int q = 0; q < 8; ++q) {
-      runtime::VectorClock query;
+    for (int k = 0; k < kCells; ++k) {
       for (int t = 0; t < 4; ++t) {
-        query.set(t, static_cast<std::uint32_t>(next() % 8));
+        EXPECT_EQ(sets.get(cells[k], t), oracle[k].get(t))
+            << "trial " << trial << " cell " << k << " tid " << t;
       }
-      EXPECT_EQ(adaptive.leq(query), oracle.leq(query))
-          << "trial " << trial << " query " << q
-          << (adaptive.shared() ? " (promoted)" : " (epoch mode)");
+      for (int q = 0; q < 8; ++q) {
+        runtime::VectorClock query;
+        for (int t = 0; t < 4; ++t) {
+          query.set(t, static_cast<std::uint32_t>(next() % 8));
+        }
+        EXPECT_EQ(sets.leq(cells[k], query), oracle[k].leq(query))
+            << "trial " << trial << " cell " << k << " query " << q
+            << (cells[k].read_set != runtime::kNoReadSet ? " (promoted)"
+                                                         : " (epoch mode)");
+      }
     }
   }
+  EXPECT_GT(reused, 0u);
+}
+
+// A write hands the entry back; the next promotion, of another cell,
+// takes the same entry, starts it empty, and a copy of the table keeps
+// both cells' answers.
+TEST(AdaptiveReadClock, RecycledEntryStartsEmpty) {
+  runtime::ReadSets sets;
+  runtime::ShadowCell a;
+  runtime::ShadowCell b;
+  read(sets, a, 0, 7);
+  read(sets, a, 1, 7);
+  const std::uint32_t entry = a.read_set;
+  sets.clear(a);
+  read(sets, b, 2, 3);
+  read(sets, b, 3, 4);
+  EXPECT_EQ(b.read_set, entry);
+  EXPECT_EQ(sets.get(b, 0), 0u);
+  EXPECT_EQ(sets.get(b, 1), 0u);
+  EXPECT_EQ(sets.get(b, 2), 3u);
+  ASSERT_EQ(sets.readers(b).size(), 2u);
+  EXPECT_EQ(sets.readers(b)[0].tid, 2);
+
+  runtime::ReadSets copy;
+  copy = sets;
+  EXPECT_EQ(copy.get(b, 3), 4u);
+  read(copy, a, 0, 1);
+  read(copy, a, 1, 1);
+  EXPECT_NE(a.read_set, b.read_set);
+  EXPECT_EQ(copy.get(b, 3), 4u);
 }
 
 // ------------------------------------------------------------- Memory
 
+const std::string kA = "a";
+const std::string kH = "h";
+
 TEST(Memory, AllocateLoadStore) {
   runtime::Memory mem;
-  const int id = mem.allocate("a", nullptr, {4}, 4,
+  const std::int64_t dims[] = {4};
+  const int id = mem.allocate(&kA, nullptr, dims, 4,
                               runtime::Value::of_int(9), false);
   EXPECT_EQ(mem.load({id, 3}).as_int(), 9);
   mem.store({id, 2}, runtime::Value::of_int(42));
   EXPECT_EQ(mem.load({id, 2}).as_int(), 42);
   EXPECT_EQ(mem.object(id).size(), 4);
+  ASSERT_EQ(mem.dims(mem.object(id)).size(), 1u);
+  EXPECT_EQ(mem.dims(mem.object(id))[0], 4);
+  // A second object's elements do not alias the first's.
+  const int other = mem.allocate(&kH, nullptr, {}, 2,
+                                 runtime::Value::of_int(0), false);
+  mem.store({other, 0}, runtime::Value::of_int(5));
+  EXPECT_EQ(mem.load({id, 3}).as_int(), 9);
+  EXPECT_EQ(mem.load({other, 0}).as_int(), 5);
+  // A store converts to the element type.
+  mem.object(other).elem_float = true;
+  mem.store({other, 1}, runtime::Value::of_int(3));
+  EXPECT_EQ(mem.load({other, 1}).kind(), runtime::Value::Kind::Double);
 }
 
 TEST(Memory, BoundsChecked) {
   runtime::Memory mem;
-  const int id = mem.allocate("a", nullptr, {}, 2,
+  const int id = mem.allocate(&kA, nullptr, {}, 2,
                               runtime::Value::of_int(0), false);
-  EXPECT_THROW(mem.load({id, 2}), RuntimeFault);
-  EXPECT_THROW(mem.load({id, -1}), RuntimeFault);
-  EXPECT_THROW(mem.object(99), RuntimeFault);
+  (void)mem.allocate(&kH, nullptr, {}, 2, runtime::Value::of_int(0), false);
+  // Out of range faults rather than reading the next object's elements.
+  EXPECT_THROW((void)mem.load({id, 2}), RuntimeFault);
+  EXPECT_THROW((void)mem.load({id, -1}), RuntimeFault);
+  EXPECT_THROW(mem.store({id, 2}, runtime::Value::of_int(1)), RuntimeFault);
+  EXPECT_THROW((void)mem.object(99), RuntimeFault);
+  try {
+    (void)mem.load({id, 2});
+  } catch (const RuntimeFault& e) {
+    EXPECT_STREQ(e.what(), "out-of-bounds access to 'a' at index 2 (size 2)");
+  }
 }
 
 TEST(Memory, FreedObjectsFault) {
   runtime::Memory mem;
-  const int id = mem.allocate("h", nullptr, {}, 2,
+  const int id = mem.allocate(&runtime::Memory::kHeapName, nullptr, {}, 2,
                               runtime::Value::of_int(0), false);
   mem.object(id).freed = true;
-  EXPECT_THROW(mem.load({id, 0}), RuntimeFault);
+  EXPECT_THROW((void)mem.load({id, 0}), RuntimeFault);
+  try {
+    (void)mem.load({id, 0});
+  } catch (const RuntimeFault& e) {
+    EXPECT_STREQ(e.what(), "use after free of '<heap>'");
+  }
 }
 
 TEST(Memory, OversizeAllocationRejected) {
   runtime::Memory mem;
-  EXPECT_THROW(mem.allocate("big", nullptr, {}, (1 << 25),
+  EXPECT_THROW(mem.allocate(&kA, nullptr, {}, (1 << 25),
                             runtime::Value::of_int(0), false),
                RuntimeFault);
-  EXPECT_THROW(mem.allocate("neg", nullptr, {}, -1,
+  EXPECT_THROW(mem.allocate(&kA, nullptr, {}, -1,
                             runtime::Value::of_int(0), false),
                RuntimeFault);
+  // The cap counts every object of the run; clear() starts a new run.
+  (void)mem.allocate(&kA, nullptr, {}, runtime::Memory::kMaxRunElements - 1,
+                     runtime::Value::of_int(0), true);
+  EXPECT_THROW(mem.allocate(&kA, nullptr, {}, 2, runtime::Value::of_int(0),
+                            true),
+               RuntimeFault);
+  mem.clear();
+  EXPECT_NO_THROW(mem.allocate(&kA, nullptr, {}, 2, runtime::Value::of_int(0),
+                               true));
+}
+
+TEST(Memory, CopiesAndClonesKeepObjectsApart) {
+  runtime::Memory mem;
+  const std::int64_t dims[] = {2, 3};
+  const int id = mem.allocate(&kA, nullptr, dims, 6,
+                              runtime::Value::of_int(1), false);
+  mem.store({id, 5}, runtime::Value::of_int(7));
+  const int copy = mem.clone(id, nullptr, /*copy_values=*/true);
+  const int fresh = mem.clone(id, nullptr, /*copy_values=*/false);
+  EXPECT_TRUE(mem.object(copy).thread_local_object);
+  EXPECT_EQ(mem.object(copy).name, &kA);
+  EXPECT_EQ(mem.load({copy, 5}).as_int(), 7);
+  EXPECT_EQ(mem.load({fresh, 5}).as_int(), 0);
+  ASSERT_EQ(mem.dims(mem.object(copy)).size(), 2u);
+  EXPECT_EQ(mem.dims(mem.object(copy))[1], 3);
+
+  runtime::Memory snapshot = mem;
+  mem.store({id, 5}, runtime::Value::of_int(8));
+  EXPECT_EQ(snapshot.load({id, 5}).as_int(), 7);
+  mem = snapshot;
+  EXPECT_EQ(mem.load({id, 5}).as_int(), 7);
 }
 
 // ------------------------------------------------------------- Collector

@@ -235,7 +235,7 @@ TEST(Scheduler, EmptyTeamReturnsAtOnce) {
   sched.run_team({});
   EXPECT_EQ(sched.steps(), 0u);
   EXPECT_EQ(sched.live(), 0);
-  EXPECT_TRUE(sched.take_trace().empty());
+  EXPECT_TRUE(sched.trace().empty());
 
   PctDecider pct(37, 3, 64);
   CoopScheduler pct_sched(pct);
@@ -243,7 +243,7 @@ TEST(Scheduler, EmptyTeamReturnsAtOnce) {
   pct_sched.run_team({});
   EXPECT_EQ(pct_sched.steps(), 0u);
   EXPECT_EQ(pct_sched.live(), 0);
-  EXPECT_TRUE(pct_sched.take_trace().empty());
+  EXPECT_TRUE(pct_sched.trace().empty());
 }
 
 TEST(Scheduler, LiveCountTracksCompletion) {
@@ -389,7 +389,7 @@ TeamOutcome run_synthetic_team(std::uint64_t seed, SchedDecider& decider) {
   } catch (const RuntimeFault& e) {
     out.error = e.what();
   }
-  out.trace = sched.take_trace();
+  out.trace = sched.trace();
   out.steps = sched.steps();
   return out;
 }
