@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     const drb::CorpusEntry& e = drb::corpus()[static_cast<std::size_t>(i)];
     std::printf("%-40s %-6s", e.name.c_str(), e.race ? "yes" : "no");
     for (std::size_t d = 0; d < detectors.size(); ++d) {
-      const bool flagged = detectors[d]->analyze(e.body).race;
+      const bool flagged = detectors[d]->analyze(e.body).report.race_detected;
       std::printf(" %-12s", flagged ? "race" : "clean");
       if (flagged == e.race) ++agree[d];
     }

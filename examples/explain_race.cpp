@@ -55,8 +55,8 @@ int main(int argc, char** argv) {
   auto tool = core::make_detector("hybrid");
   const core::RaceVerdict truth = tool->analyze(code);
   std::printf("--- traditional tool (%s) ---\n%s\n", tool->name().c_str(),
-              truth.race ? "data race detected" : "no race found");
-  for (const auto& pair : truth.pairs) {
+              truth.report.race_detected ? "data race detected" : "no race found");
+  for (const auto& pair : truth.report.pairs) {
     std::printf("  %s@%d:%d:%c vs. %s@%d:%d:%c\n",
                 pair.first.expr_text.c_str(), pair.first.loc.line,
                 pair.first.loc.col, pair.first.op,
@@ -69,6 +69,8 @@ int main(int argc, char** argv) {
   std::printf("\n--- LLM assistant (%s) ---\n%s\n",
               assistant->name().c_str(), llm_view.model_response.c_str());
   std::printf("\nagreement with tool: %s\n",
-              llm_view.race == truth.race ? "YES" : "NO");
+              llm_view.report.race_detected == truth.report.race_detected
+                  ? "YES"
+                  : "NO");
   return 0;
 }

@@ -33,8 +33,8 @@ int main()
     auto detector = drbml::core::make_detector(spec);
     const drbml::core::RaceVerdict verdict = detector->analyze(code);
     std::printf("== %-12s -> %s\n", detector->name().c_str(),
-                verdict.race ? "DATA RACE" : "no race");
-    for (const auto& pair : verdict.pairs) {
+                verdict.report.race_detected ? "DATA RACE" : "no race");
+    for (const auto& pair : verdict.report.pairs) {
       std::printf("   pair: %s@%d:%d:%c vs. %s@%d:%d:%c\n",
                   pair.first.expr_text.c_str(), pair.first.loc.line,
                   pair.first.loc.col, pair.first.op,

@@ -27,16 +27,15 @@
 # runs the curated .clang-tidy check set over src/. Stage 2f is the
 # serve gate: the detection-as-a-service daemon must answer 50 mixed
 # analyze/lint requests over the stdio transport with zero drops and
-# zero errors, the repeats must hit the warm shared cache, and the
-# bench_serve load generator must sustain its latency/QPS contract
-# (writing its point to build/BENCH_serve.json). Stage 2g is the
-# bytecode-VM gate: ctest -L vm holds the runtime to the committed
-# fingerprints in tests/golden/runtime_fingerprints.txt, checks that
-# runs resumed from a serial-prefix snapshot match runs from main, and
-# runs the bytecode verifier suite with its mutated-module fuzz target;
-# bench_vm writes the VM's dynamic-stage sweep to build/BENCH_vm.json
-# (a measurement, not a gate). Neither bench rewrites a committed
-# BENCH_*.json file. Stage 2h is the hostile-input gate: programs that
+# zero errors, and the repeats must hit the warm shared cache (the
+# serve_test suite of stage 1 streams a larger mix over a socketpair,
+# holds the warm pass to a 50 QPS floor, and compares responses across
+# --jobs). Stage 2g is the bytecode-VM gate: ctest -L vm holds the
+# runtime to the committed fingerprints in
+# tests/golden/runtime_fingerprints.txt, checks that runs resumed from a
+# serial-prefix snapshot match runs from main, and runs the bytecode
+# verifier suite with its mutated-module fuzz target. Stage 2h is the
+# hostile-input gate: programs that
 # used to kill or hang a run (INT64_MIN / -1, loops that touch no
 # memory, unbounded recursion, a `%s` that starts outside its string)
 # must come back from the CLI as a result,
@@ -45,9 +44,9 @@
 # ThreadSanitizer (-DDRBML_SANITIZE=thread) and runs the
 # `parallel`-labelled suites -- the thread pool, the memoized artifact
 # caches, the parallel experiment executor, the lint and repair
-# fan-outs, the observability layer, the bytecode verifier, and the
-# scheduler's quiet-yield state on the (ucontext) fiber substrate via
-# the golden suite -- so the infrastructure this repo uses to find data
+# fan-outs, the observability layer, the serve daemon, the bytecode
+# verifier, and the scheduler's quiet-yield state on the (ucontext)
+# fiber substrate via the golden suite -- so the infrastructure this repo uses to find data
 # races is itself checked for data races. Stage 3 also builds
 # sched_test, the only suite that drives the scheduler's deadlock,
 # step-limit and exception unwinds on fibers, and runs it by name (it
@@ -99,7 +98,7 @@ else
   echo "clang-tidy not found; skipping the tidy half of stage 2e"
 fi
 
-echo "== stage 2f: serve gate (daemon round-trip + load bench) =="
+echo "== stage 2f: serve gate (daemon round-trip) =="
 # 50 mixed analyze/lint requests (two programs, repeated) plus a final
 # stats probe, over the stdio transport; EOF triggers the graceful
 # drain. Every id must come back exactly once with ok:true, and the
@@ -140,11 +139,6 @@ if [[ -z "$hits" || "$hits" -eq 0 ]]; then
 fi
 echo "serve gate: 51/51 responses, warm hits=$hits"
 rm -rf "$serve_tmp"
-# The load bench enforces the latency/QPS contract -- >=50 QPS sustained
-# on the mixed workload, warm hit rate strictly above cold, responses
-# byte-identical at --jobs 1 vs --jobs 8 -- and writes its point to
-# build/BENCH_serve.json, leaving the committed BENCH_serve.json as it is.
-build/bench/bench_serve --out build/BENCH_serve.json | tail -n 2
 
 echo "== stage 2g: bytecode-VM golden + verifier gate =="
 # ctest -L vm runs two suites. The golden suite checks the runtime
@@ -157,12 +151,9 @@ echo "== stage 2g: bytecode-VM golden + verifier gate =="
 # its fuzz target,
 # VmFuzz.AcceptedMutantsOfCorpusModulesRunCleanly, changes one field of
 # compiled corpus modules (fixed seed and budget) and runs every mutant
-# verify() accepts to a result or a structured fault. bench_vm writes
-# its sweep point to build/BENCH_vm.json, leaving the committed
-# BENCH_vm.json as it is; the VM's speed is guarded by the repository
-# benchmark's pct-campaign workload.
+# verify() accepts to a result or a structured fault. The VM's speed is
+# guarded by the repository benchmark's pct-campaign workload.
 (cd build && ctest -L vm --output-on-failure)
-build/bench/bench_vm --out build/BENCH_vm.json | tail -n 2
 
 echo "== stage 2h: hostile inputs (division, silent loops, recursion, strings) =="
 # Each program goes through `drbml analyze --detector dynamic` (the
@@ -245,7 +236,7 @@ cmake -B build-tsan -S . -DDRBML_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j --target \
   parallel_test parallel_determinism_test detector_differential_test \
   explore_test metamorphic_test lint_test repair_test obs_test \
-  bc_verify_test runtime_golden_test sched_test
+  bc_verify_test runtime_golden_test sched_test serve_test
 (cd build-tsan && ctest -L parallel --output-on-failure)
 build-tsan/tests/sched_test
 

@@ -77,6 +77,16 @@ struct RaceReport {
     pairs.push_back(std::move(p));
     race_detected = true;
   }
+
+  /// Folds another detector's report into this one: its pairs through
+  /// add_pair, its verdict by OR (a race it reports without a new pair
+  /// still counts), its diagnostics after these.
+  void merge(const RaceReport& other) {
+    for (const RacePair& p : other.pairs) add_pair(p);
+    race_detected = race_detected || other.race_detected;
+    diagnostics.insert(diagnostics.end(), other.diagnostics.begin(),
+                       other.diagnostics.end());
+  }
 };
 
 }  // namespace drbml::analysis

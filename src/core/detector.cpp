@@ -1,13 +1,11 @@
 #include "core/detector.hpp"
 
-#include "analysis/race.hpp"
+#include "eval/artifact_cache.hpp"
 #include "eval/parse.hpp"
-#include "explore/explore.hpp"
-#include "lint/lint.hpp"
+#include "lint/emit.hpp"
 #include "llm/model.hpp"
 #include "obs/catalog.hpp"
 #include "prompts/prompts.hpp"
-#include "runtime/dynamic.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "support/strings.hpp"
@@ -19,14 +17,7 @@ namespace {
 class StaticTool final : public RaceDetector {
  public:
   RaceVerdict analyze(const std::string& code) const override {
-    analysis::StaticRaceDetector detector;
-    analysis::RaceReport report = detector.analyze_source(code);
-    RaceVerdict v;
-    v.race = report.race_detected;
-    v.pairs = std::move(report.pairs);
-    v.discharged = std::move(report.discharged);
-    v.diagnostics = std::move(report.diagnostics);
-    return v;
+    return {.report = eval::artifact_cache().static_report(code, {})};
   }
   std::string name() const override { return "static"; }
 };
@@ -34,13 +25,7 @@ class StaticTool final : public RaceDetector {
 class DynamicTool final : public RaceDetector {
  public:
   RaceVerdict analyze(const std::string& code) const override {
-    runtime::DynamicRaceDetector detector;
-    analysis::RaceReport report = detector.analyze_source(code);
-    RaceVerdict v;
-    v.race = report.race_detected;
-    v.pairs = std::move(report.pairs);
-    v.diagnostics = std::move(report.diagnostics);
-    return v;
+    return {.report = eval::artifact_cache().dynamic_report(code, {})};
   }
   std::string name() const override { return "dynamic"; }
 };
@@ -48,22 +33,14 @@ class DynamicTool final : public RaceDetector {
 class HybridTool final : public RaceDetector {
  public:
   RaceVerdict analyze(const std::string& code) const override {
-    StaticTool st;
-    RaceVerdict v = st.analyze(code);
-    DynamicTool dy;
-    RaceVerdict d = dy.analyze(code);
-    v.race = v.race || d.race;
-    for (auto& p : d.pairs) {
-      bool dup = false;
-      for (const auto& q : v.pairs) {
-        if (q == p) {
-          dup = true;
-          break;
-        }
-      }
-      if (!dup) v.pairs.push_back(std::move(p));
+    eval::ArtifactCache& cache = eval::artifact_cache();
+    RaceVerdict v{.report = cache.static_report(code, {})};
+    try {
+      v.report.merge(cache.dynamic_report(code, {}));
+    } catch (const Error& e) {
+      v.report.diagnostics.push_back(
+          std::string("dynamic detector unavailable: ") + e.what());
     }
-    for (auto& diag : d.diagnostics) v.diagnostics.push_back(std::move(diag));
     return v;
   }
   std::string name() const override { return "hybrid"; }
@@ -71,53 +48,48 @@ class HybridTool final : public RaceDetector {
 
 class ExploreTool final : public RaceDetector {
  public:
-  explicit ExploreTool(runtime::ScheduleStrategy strategy)
-      : strategy_(strategy) {}
+  explicit ExploreTool(runtime::ScheduleStrategy strategy) {
+    opts_.strategy = strategy;
+  }
 
   RaceVerdict analyze(const std::string& code) const override {
-    explore::ExploreOptions opts;
-    opts.strategy = strategy_;
-    const explore::ExploreResult result = explore::explore_source(code, opts);
-    RaceVerdict v;
-    v.race = result.race_detected;
-    v.pairs = result.report.pairs;
-    v.diagnostics = result.report.diagnostics;
+    const explore::ExploreResult& result =
+        eval::artifact_cache().explore_result(code, opts_);
+    RaceVerdict v{.report = result.report};
+    v.report.race_detected = result.race_detected;
     if (!result.witness.empty()) {
-      v.diagnostics.push_back("witness: " + result.witness);
+      v.report.diagnostics.push_back("witness: " + result.witness);
     }
     return v;
   }
 
   std::string name() const override {
-    return std::string("explore:") + runtime::strategy_name(strategy_);
+    return std::string("explore:") + runtime::strategy_name(opts_.strategy);
   }
 
  private:
-  runtime::ScheduleStrategy strategy_;
+  explore::ExploreOptions opts_;
 };
 
 class LintTool final : public RaceDetector {
  public:
   RaceVerdict analyze(const std::string& code) const override {
-    const lint::LintReport report = linter_.lint_source(code);
-    RaceVerdict v;
-    v.race = report.race.race_detected;
-    v.pairs = report.race.pairs;
-    v.discharged = report.race.discharged;
+    const lint::LintReport& report = eval::artifact_cache().lint_report(code);
+    RaceVerdict v{.report = report.race};
+    // The verdict's notes are the linter's findings, not the static
+    // pipeline's own diagnostics.
+    v.report.diagnostics.clear();
     for (const auto& d : report.diagnostics) {
-      v.diagnostics.push_back(lint::to_text_line(d));
+      v.report.diagnostics.push_back(lint::to_text_line(d));
     }
     if (report.suppressed > 0) {
-      v.diagnostics.push_back("lint: " + std::to_string(report.suppressed) +
-                              " finding(s) suppressed by "
-                              "drbml-lint-suppress comments");
+      v.report.diagnostics.push_back(
+          "lint: " + std::to_string(report.suppressed) +
+          " finding(s) suppressed by drbml-lint-suppress comments");
     }
     return v;
   }
   std::string name() const override { return "lint"; }
-
- private:
-  lint::Linter linter_;
 };
 
 class LlmTool final : public RaceDetector {
@@ -134,11 +106,11 @@ class LlmTool final : public RaceDetector {
     RaceVerdict v;
     v.model_response = reply.text;
     if (reply.context_exceeded) {
-      v.diagnostics.push_back("llm: context window exceeded");
+      v.report.diagnostics.push_back("llm: context window exceeded");
       return v;
     }
     const eval::ParsedVarId parsed = eval::parse_varid(reply.text);
-    v.race = parsed.verdict.value_or(false);
+    v.report.race_detected = parsed.verdict.value_or(false);
     for (const auto& pair : parsed.pairs) {
       if (pair.names.size() != 2) continue;
       analysis::RacePair rp;
@@ -153,7 +125,7 @@ class LlmTool final : public RaceDetector {
         rp.second.op = pair.ops[1].empty() ? 'r' : pair.ops[1][0];
       }
       rp.note = "reported by " + model_.persona().name;
-      v.pairs.push_back(std::move(rp));
+      v.report.pairs.push_back(std::move(rp));
     }
     return v;
   }

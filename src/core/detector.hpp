@@ -4,7 +4,12 @@
 //   - "static":  dependence-based static analysis (RELAY/ompVerify-style)
 //   - "dynamic": interpreted execution with vector-clock happens-before
 //                checking (ThreadSanitizer/Inspector-style)
-//   - "hybrid":  static union dynamic (the paper's traditional-tool column)
+//   - "hybrid":  static union dynamic (the paper's traditional-tool column):
+//                the static report plus every dynamic pair not already in
+//                it (mirrored twins collapse), racy if either side is, with
+//                static diagnostics before dynamic ones; a dynamic-side
+//                Error becomes the diagnostic "dynamic detector
+//                unavailable: <what>"
 //   - "lint":    the OpenMP correctness linter (src/lint); race verdict from
 //                the static pipeline, diagnostics rendered per finding
 //   - "explore[:uniform|:pct]": the schedule-exploration engine (src/explore):
@@ -14,10 +19,15 @@
 //   - "llm:<persona>[:<prompt>]": a simulated LLM queried through the
 //     paper's prompt pipeline, e.g. "llm:gpt4:p3"
 //
+// The static, dynamic, hybrid, lint and explore detectors read their
+// artifacts through the shared eval::artifact_cache() under default
+// options, so `drbml analyze` and a serve `analyze` request share one
+// cache entry per program and artifact.
+//
 // Quickstart:
 //   auto detector = drbml::core::make_detector("hybrid");
 //   auto verdict = detector->analyze(source_code);
-//   if (verdict.race) { ... verdict.pairs ... }
+//   if (verdict.report.race_detected) { ... verdict.report.pairs ... }
 #pragma once
 
 #include <memory>
@@ -30,15 +40,12 @@ namespace drbml::core {
 
 /// A detector's answer for one program.
 struct RaceVerdict {
-  bool race = false;
-  std::vector<analysis::RacePair> pairs;
-  /// Candidate pairs the static pipeline examined and proved race-free,
-  /// each with the evidence chain that discharged it (static-backed
-  /// detectors only; empty for dynamic/LLM detectors).
-  std::vector<analysis::DischargedPair> discharged;
+  /// Verdict, pairs and diagnostics. `discharged` (candidate pairs proved
+  /// race-free, each with its evidence chain) is filled by the
+  /// static-backed detectors only.
+  analysis::RaceReport report;
   /// The raw model reply (LLM detectors only).
-  std::string model_response;
-  std::vector<std::string> diagnostics;
+  std::string model_response{};
 };
 
 class RaceDetector {

@@ -4,7 +4,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "analysis/depgraph.hpp"
@@ -141,16 +143,47 @@ std::uint64_t cost_repair(const repair::RepairResult& r) {
          r.family.size() + r.message.size();
 }
 
+/// Every artifact kind's probe and compute counters, in
+/// ArtifactCache::Kind order.
+const std::pair<const obs::MetricDesc&, const obs::MetricDesc&>
+    kKindMetrics[] = {
+        {obs::kCacheTokensProbe, obs::kCacheTokensCompute},
+        {obs::kCacheAstProbe, obs::kCacheAstCompute},
+        {obs::kCacheDepgraphProbe, obs::kCacheDepgraphCompute},
+        {obs::kCacheStaticProbe, obs::kCacheStaticCompute},
+        {obs::kCacheDynamicProbe, obs::kCacheDynamicCompute},
+        {obs::kCacheExploreProbe, obs::kCacheExploreCompute},
+        {obs::kCacheLintProbe, obs::kCacheLintCompute},
+        {obs::kCacheRepairProbe, obs::kCacheRepairCompute},
+        {obs::kCacheLintTextProbe, obs::kCacheLintTextCompute},
+        {obs::kCacheEvidenceTextProbe, obs::kCacheEvidenceTextCompute},
+};
+
 }  // namespace
 
+ArtifactCache::KindCounters ArtifactCache::counters(Kind kind) {
+  static_assert(std::size(kKindMetrics) == kKindCount,
+                "one counter pair per artifact kind");
+  const auto& [probe, compute] = kKindMetrics[static_cast<std::size_t>(kind)];
+  return {obs::metrics().counter(probe), obs::metrics().counter(compute)};
+}
+
+ArtifactCache::CounterTotals ArtifactCache::counter_totals() {
+  CounterTotals totals;
+  for (std::size_t k = 0; k < kKindCount; ++k) {
+    const KindCounters count = counters(static_cast<Kind>(k));
+    totals.probes += count.probe.value();
+    totals.computes += count.compute.value();
+  }
+  return totals;
+}
+
 int ArtifactCache::token_count(const std::string& code) {
-  static obs::Counter& probes = obs::metrics().counter(obs::kCacheTokensProbe);
-  static obs::Counter& computes =
-      obs::metrics().counter(obs::kCacheTokensCompute);
-  probes.add();
+  static const KindCounters count = counters(Kind::Tokens);
+  count.probe.add();
   const std::uint64_t key = fnv1a64(code);
   const int v = tokens_.get_or_compute(key, [&] {
-    computes.add();
+    count.compute.add();
     obs::Span span(obs::kSpanArtifactTokens);
     llm::SimpleTokenizer tok;
     return tok.count_tokens(code);
@@ -160,12 +193,11 @@ int ArtifactCache::token_count(const std::string& code) {
 }
 
 const std::string& ArtifactCache::ast_text(const std::string& code) {
-  static obs::Counter& probes = obs::metrics().counter(obs::kCacheAstProbe);
-  static obs::Counter& computes = obs::metrics().counter(obs::kCacheAstCompute);
-  probes.add();
+  static const KindCounters count = counters(Kind::Ast);
+  count.probe.add();
   const std::uint64_t key = fnv1a64(code);
   const std::string& v = asts_.get_or_compute(key, [&] {
-    computes.add();
+    count.compute.add();
     obs::Span span(obs::kSpanArtifactAst);
     minic::Program prog = minic::parse_program(code);
     return minic::unit_to_string(*prog.unit);
@@ -175,13 +207,11 @@ const std::string& ArtifactCache::ast_text(const std::string& code) {
 }
 
 const std::string& ArtifactCache::depgraph_text(const std::string& code) {
-  static obs::Counter& probes = obs::metrics().counter(obs::kCacheDepgraphProbe);
-  static obs::Counter& computes =
-      obs::metrics().counter(obs::kCacheDepgraphCompute);
-  probes.add();
+  static const KindCounters count = counters(Kind::Depgraph);
+  count.probe.add();
   const std::uint64_t key = fnv1a64(code);
   const std::string& v = depgraphs_.get_or_compute(key, [&] {
-    computes.add();
+    count.compute.add();
     obs::Span span(obs::kSpanArtifactDepgraph);
     return analysis::build_dependence_graph(code).to_text();
   });
@@ -195,14 +225,12 @@ const llm::ProgramFeatures& ArtifactCache::features(const std::string& code) {
 
 const analysis::RaceReport& ArtifactCache::static_report(
     const std::string& code, const analysis::StaticDetectorOptions& opts) {
-  static obs::Counter& probes = obs::metrics().counter(obs::kCacheStaticProbe);
-  static obs::Counter& computes =
-      obs::metrics().counter(obs::kCacheStaticCompute);
-  probes.add();
+  static const KindCounters count = counters(Kind::Static);
+  count.probe.add();
   const std::uint64_t key =
       hash_combine(fnv1a64(code), hash_static_options(opts));
   const analysis::RaceReport& v = static_reports_.get_or_compute(key, [&] {
-    computes.add();
+    count.compute.add();
     obs::Span span(obs::kSpanArtifactStatic);
     analysis::StaticRaceDetector detector(opts);
     return detector.analyze_source(code);
@@ -213,14 +241,12 @@ const analysis::RaceReport& ArtifactCache::static_report(
 
 const analysis::RaceReport& ArtifactCache::dynamic_report(
     const std::string& code, const runtime::DynamicDetectorOptions& opts) {
-  static obs::Counter& probes = obs::metrics().counter(obs::kCacheDynamicProbe);
-  static obs::Counter& computes =
-      obs::metrics().counter(obs::kCacheDynamicCompute);
-  probes.add();
+  static const KindCounters count = counters(Kind::Dynamic);
+  count.probe.add();
   const std::uint64_t key =
       hash_combine(fnv1a64(code), hash_dynamic_options(opts));
   const analysis::RaceReport& v = dynamic_reports_.get_or_compute(key, [&] {
-    computes.add();
+    count.compute.add();
     obs::Span span(obs::kSpanArtifactDynamic);
     runtime::DynamicRaceDetector detector(opts);
     return detector.analyze_source(code);
@@ -231,15 +257,12 @@ const analysis::RaceReport& ArtifactCache::dynamic_report(
 
 const explore::ExploreResult& ArtifactCache::explore_result(
     const std::string& code, const explore::ExploreOptions& opts) {
-  static obs::Counter& probes =
-      obs::metrics().counter(obs::kCacheExploreProbe);
-  static obs::Counter& computes =
-      obs::metrics().counter(obs::kCacheExploreCompute);
-  probes.add();
+  static const KindCounters count = counters(Kind::Explore);
+  count.probe.add();
   const std::uint64_t key =
       hash_combine(fnv1a64(code), hash_explore_options(opts));
   const explore::ExploreResult& v = explore_results_.get_or_compute(key, [&] {
-    computes.add();
+    count.compute.add();
     obs::Span span(obs::kSpanArtifactExplore);
     return explore::explore_source(code, opts);
   });
@@ -249,14 +272,12 @@ const explore::ExploreResult& ArtifactCache::explore_result(
 
 const repair::RepairResult& ArtifactCache::repair_result(
     const std::string& code, const repair::RepairOptions& opts) {
-  static obs::Counter& probes = obs::metrics().counter(obs::kCacheRepairProbe);
-  static obs::Counter& computes =
-      obs::metrics().counter(obs::kCacheRepairCompute);
-  probes.add();
+  static const KindCounters count = counters(Kind::Repair);
+  count.probe.add();
   const std::uint64_t key =
       hash_combine(fnv1a64(code), hash_repair_options(opts));
   const repair::RepairResult& v = repair_results_.get_or_compute(key, [&] {
-    computes.add();
+    count.compute.add();
     obs::Span span(obs::kSpanArtifactRepair);
     return repair::repair_source(code, opts);
   });
@@ -265,13 +286,12 @@ const repair::RepairResult& ArtifactCache::repair_result(
 }
 
 const lint::LintReport& ArtifactCache::lint_report(const std::string& code) {
-  static obs::Counter& probes = obs::metrics().counter(obs::kCacheLintProbe);
-  static obs::Counter& computes = obs::metrics().counter(obs::kCacheLintCompute);
-  probes.add();
+  static const KindCounters count = counters(Kind::Lint);
+  count.probe.add();
   // Default LintOptions only, so the code hash alone is a sound key.
   const std::uint64_t key = fnv1a64(code);
   const lint::LintReport& v = lint_reports_.get_or_compute(key, [&] {
-    computes.add();
+    count.compute.add();
     obs::Span span(obs::kSpanArtifactLint);
     const lint::Linter linter;
     return linter.lint_source(code);
@@ -281,13 +301,11 @@ const lint::LintReport& ArtifactCache::lint_report(const std::string& code) {
 }
 
 const std::string& ArtifactCache::lint_text(const std::string& code) {
-  static obs::Counter& probes = obs::metrics().counter(obs::kCacheLintTextProbe);
-  static obs::Counter& computes =
-      obs::metrics().counter(obs::kCacheLintTextCompute);
-  probes.add();
+  static const KindCounters count = counters(Kind::LintText);
+  count.probe.add();
   const std::uint64_t key = fnv1a64(code);
   const std::string& v = lint_texts_.get_or_compute(key, [&] {
-    computes.add();
+    count.compute.add();
     obs::Span span(obs::kSpanArtifactLintText);
     std::string out;
     try {
@@ -305,14 +323,11 @@ const std::string& ArtifactCache::lint_text(const std::string& code) {
 }
 
 const std::string& ArtifactCache::evidence_text(const std::string& code) {
-  static obs::Counter& probes =
-      obs::metrics().counter(obs::kCacheEvidenceTextProbe);
-  static obs::Counter& computes =
-      obs::metrics().counter(obs::kCacheEvidenceTextCompute);
-  probes.add();
+  static const KindCounters count = counters(Kind::EvidenceText);
+  count.probe.add();
   const std::uint64_t key = fnv1a64(code);
   const std::string& v = evidence_texts_.get_or_compute(key, [&] {
-    computes.add();
+    count.compute.add();
     obs::Span span(obs::kSpanArtifactEvidenceText);
     std::string out;
     try {

@@ -31,6 +31,7 @@
 #include "explore/explore.hpp"
 #include "lint/lint.hpp"
 #include "llm/features.hpp"
+#include "obs/obs.hpp"
 #include "repair/repair.hpp"
 #include "runtime/dynamic.hpp"
 #include "support/parallel.hpp"
@@ -99,6 +100,16 @@ class ArtifactCache {
   /// Entries currently resident across all artifact kinds.
   [[nodiscard]] std::size_t size() const;
 
+  /// Lookups and computes summed over every artifact kind's
+  /// `cache.<kind>.probe` / `.compute` counters. The counters are
+  /// process-wide, shared by every ArtifactCache; probes - computes is
+  /// the warm-hit total the serve `stats` verb reports.
+  struct CounterTotals {
+    std::uint64_t probes = 0;
+    std::uint64_t computes = 0;
+  };
+  [[nodiscard]] static CounterTotals counter_totals();
+
   // ------------------------------------------------------ LRU byte budget
   //
   // With a budget set (`--cache-budget` / DRBML_CACHE_BUDGET), every
@@ -166,6 +177,17 @@ class ArtifactCache {
     LintText,
     EvidenceText,
   };
+  static constexpr std::size_t kKindCount =
+      static_cast<std::size_t>(Kind::EvidenceText) + 1;
+
+  /// A kind's probe and compute counters, looked up in the one list (in
+  /// Kind order) that counter_totals() sums. Each accessor keeps its own
+  /// pair, so a counter is registered when its kind is first used.
+  struct KindCounters {
+    obs::Counter& probe;
+    obs::Counter& compute;
+  };
+  static KindCounters counters(Kind kind);
 
   struct LruEntry {
     Kind kind;

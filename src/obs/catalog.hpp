@@ -64,14 +64,9 @@ extern const SpanDesc kSpanServeDrain;
 
 // --------------------------------------------------------- metric descs
 
-/// Probe/compute counter pair for one artifact-cache kind. Hits are
-/// derived, not stored: hits == probe - compute (OnceMap computes each
-/// key at most once per successful compute).
-struct CacheKindMetrics {
-  const MetricDesc& probe;
-  const MetricDesc& compute;
-};
-
+// Probe/compute counter pair per artifact-cache kind. Hits are derived,
+// not stored: hits == probe - compute (OnceMap computes each key at most
+// once per successful compute).
 extern const MetricDesc kCacheTokensProbe, kCacheTokensCompute;
 extern const MetricDesc kCacheAstProbe, kCacheAstCompute;
 extern const MetricDesc kCacheDepgraphProbe, kCacheDepgraphCompute;

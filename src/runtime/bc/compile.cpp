@@ -617,7 +617,11 @@ class Compiler {
 
   /// Declares `d` in the innermost frame: dimensions evaluated in order,
   /// then the object allocated and bound, then each initializer item
-  /// (a brace list flattened row-major) evaluated and stored.
+  /// (a brace list flattened row-major, a string literal one character
+  /// per element) evaluated and stored. An empty leading dimension takes
+  /// the brace list's top-level item count or the literal's length + 1.
+  /// Objects are zero-filled, so a literal's terminating 0 needs no store
+  /// and is there exactly when it fits.
   void compile_decl(const VarDecl& d) {
     // Eagerly give the declared variable a cache slot: DeclScalar and
     // DeclArray update it, so re-executions of the declaration (loop
@@ -634,12 +638,18 @@ class Compiler {
       const int first = next_reg_;
       for (std::size_t k = 0; k < d.array_dims.size(); ++k) alloc();
       for (std::size_t k = 0; k < d.array_dims.size(); ++k) {
-        if (!d.array_dims[k]) {
+        const int reg = first + static_cast<int>(k);
+        if (d.array_dims[k]) {
+          into(*d.array_dims[k], reg);
+        } else if (k == 0 && d.init) {
+          emit({.op = Op::Const,
+                .a = u16(reg),
+                .imm = intern_const(Value::of_int(initializer_extent(d)))});
+        } else {
           emit_fault("unsized array '" + d.name + "'");
           release_to(save);
           return;
         }
-        into(*d.array_dims[k], first + static_cast<int>(k));
       }
       emit({.op = Op::DeclArray,
             .n = static_cast<std::uint16_t>(d.array_dims.size()),
@@ -649,15 +659,18 @@ class Compiler {
             .imm = append(m_.decls, &d)});
     }
     std::int32_t offset = 0;
-    const auto store_item = [&](const Expr& item) {
+    const auto store_value = [&](const auto& compile_into) {
       const int s2 = next_reg_;
       const int v = alloc();
-      compile_expr_into(item, v);
+      compile_into(v);
       emit({.op = Op::StoreDeclInit,
             .a = u16(addr),
             .b = u16(v),
             .imm = offset++});
       release_to(s2);
+    };
+    const auto store_item = [&](const Expr& item) {
+      store_value([&](int v) { compile_expr_into(item, v); });
     };
     const auto fill = [&](const auto& self, const Call& list) -> void {
       for (const auto& item : list.args) {
@@ -670,10 +683,31 @@ class Compiler {
     };
     if (is_init_list(d.init.get())) {
       fill(fill, static_cast<const Call&>(*d.init));
+    } else if (const auto* str = expr_cast<StringLit>(d.init.get());
+               str != nullptr && d.is_array()) {
+      for (const char c : str->value) {
+        store_value([&](int v) {
+          emit({.op = Op::Const,
+                .a = u16(v),
+                .imm = intern_const(Value::of_int(c))});
+        });
+      }
     } else if (d.init) {
       store_item(*d.init);
     }
     release_to(save);
+  }
+
+  /// The leading dimension an initializer gives an array declared `[]`.
+  static std::int64_t initializer_extent(const VarDecl& d) {
+    if (const auto* str = expr_cast<StringLit>(d.init.get())) {
+      return static_cast<std::int64_t>(str->value.size()) + 1;
+    }
+    if (is_init_list(d.init.get())) {
+      return static_cast<std::int64_t>(
+          static_cast<const Call&>(*d.init).args.size());
+    }
+    return 1;
   }
 
   void emit_fault(std::string message) {

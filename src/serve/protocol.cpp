@@ -1,8 +1,10 @@
 #include "serve/protocol.hpp"
 
+#include "core/detector.hpp"
 #include "drb/corpus.hpp"
 #include "lint/emit.hpp"
 #include "support/error.hpp"
+#include "support/strings.hpp"
 
 namespace drbml::serve {
 
@@ -89,10 +91,15 @@ ParseOutcome parse_request(const std::string& line) {
   if (const json::Value* v = obj.find("detector")) {
     if (!v->is_string()) return fail(id, "bad_request", "'detector' must be a string");
     req.detector = v->as_string();
-    if (req.detector != "static" && req.detector != "dynamic" &&
-        req.detector != "hybrid") {
+    if (starts_with(req.detector, "llm:")) {
       return fail(id, "bad_request",
-                  "'detector' must be static, dynamic, or hybrid");
+                  "'detector' may not be an llm:* spec: a response has no "
+                  "field for the model's reply");
+    }
+    try {
+      (void)core::make_detector(req.detector);
+    } catch (const Error& e) {
+      return fail(id, "bad_request", std::string("'detector': ") + e.what());
     }
   }
 
@@ -152,8 +159,6 @@ std::string make_error_response(const std::string& id, const std::string& kind,
   return json::Value(std::move(o)).dump();
 }
 
-namespace {
-
 json::Object access_to_json(const analysis::RaceAccess& a) {
   json::Object o;
   o.set("expr", json::Value(a.expr_text));
@@ -163,8 +168,6 @@ json::Object access_to_json(const analysis::RaceAccess& a) {
   o.set("op", json::Value(std::string(1, a.op)));
   return o;
 }
-
-}  // namespace
 
 json::Value race_report_to_json(const analysis::RaceReport& r) {
   json::Object o;

@@ -13,9 +13,11 @@
 //     code        OpenMP C source text (required for the four code verbs
 //                 unless `entry` is given)
 //     entry       DRB corpus entry name, an alternative to `code`
-//     detector    analyze only: "static" | "dynamic" | "hybrid"
-//                 (default "hybrid"; LLM detectors are excluded so serve
-//                 results stay deterministic)
+//     detector    analyze only: any `drbml detectors` spec except
+//                 llm:* -- "static" | "dynamic" | "hybrid" | "lint" |
+//                 "explore" | "explore:uniform" | "explore:pct" (default
+//                 "hybrid"); the result is core::make_detector(detector)'s
+//                 report, and has no field for an LLM's model reply
 //     priority    int, default 0; higher-priority requests dequeue first
 //     deadline_ms int, default 0 (= server default); a request still
 //                 queued this many ms after admission is answered
@@ -86,9 +88,10 @@ struct ParseOutcome {
                                               const std::string& kind,
                                               const std::string& message);
 
-// Result serializers, shared by the server and tests. All emit fixed
-// field order and only work-derived values (no clocks), preserving the
-// byte-identity contract.
+// Result serializers, shared by the server, the CLI's --explain output
+// and tests. All emit fixed field order and only work-derived values (no
+// clocks), preserving the byte-identity contract.
+[[nodiscard]] json::Object access_to_json(const analysis::RaceAccess& a);
 [[nodiscard]] json::Value race_report_to_json(const analysis::RaceReport& r);
 [[nodiscard]] json::Value lint_report_to_json(const lint::LintReport& r);
 [[nodiscard]] json::Value repair_result_to_json(const repair::RepairResult& r);

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <utility>
 
+#include "core/detector.hpp"
 #include "eval/artifact_cache.hpp"
 #include "obs/catalog.hpp"
 #include "support/error.hpp"
@@ -15,29 +16,6 @@
 namespace drbml::serve {
 
 namespace {
-
-/// Sums the probe (or compute) counters of every artifact kind; the
-/// difference is the warm-hit total the stats verb and the check.sh
-/// serve gate report.
-std::uint64_t cache_counter_sum(bool computes) {
-  static const obs::CacheKindMetrics kKinds[] = {
-      {obs::kCacheTokensProbe, obs::kCacheTokensCompute},
-      {obs::kCacheAstProbe, obs::kCacheAstCompute},
-      {obs::kCacheDepgraphProbe, obs::kCacheDepgraphCompute},
-      {obs::kCacheStaticProbe, obs::kCacheStaticCompute},
-      {obs::kCacheDynamicProbe, obs::kCacheDynamicCompute},
-      {obs::kCacheLintProbe, obs::kCacheLintCompute},
-      {obs::kCacheRepairProbe, obs::kCacheRepairCompute},
-      {obs::kCacheLintTextProbe, obs::kCacheLintTextCompute},
-      {obs::kCacheEvidenceTextProbe, obs::kCacheEvidenceTextCompute},
-      {obs::kCacheExploreProbe, obs::kCacheExploreCompute},
-  };
-  std::uint64_t sum = 0;
-  for (const auto& k : kKinds) {
-    sum += obs::metrics().counter(computes ? k.compute : k.probe).value();
-  }
-  return sum;
-}
 
 bool write_all(int fd, const char* data, std::size_t len) {
   while (len > 0) {
@@ -207,31 +185,13 @@ json::Value Server::run_verb(const Request& req) {
   switch (req.verb) {
     case Verb::Analyze: {
       obs::metrics().counter(obs::kServeVerbAnalyze).add();
-      // Default-constructed detector options on purpose: every serve
-      // request and the stats pipeline stage share the same cache keys,
-      // so warmth transfers across clients. The token count rides along
-      // in the response and -- being a snapshot-persisted artifact kind
-      // -- gives the drain-time snapshot warm-restart value.
+      // The token count rides along in the response and -- being a
+      // snapshot-persisted artifact kind -- gives the drain-time snapshot
+      // warm-restart value. The detectors read the shared cache under
+      // default options, so warmth transfers across clients and the CLI.
       const int tokens = cache.token_count(req.code);
-      json::Value result = [&] {
-        if (req.detector == "static") {
-          return race_report_to_json(cache.static_report(req.code, {}));
-        }
-        if (req.detector == "dynamic") {
-          return race_report_to_json(cache.dynamic_report(req.code, {}));
-        }
-        // hybrid: static union dynamic (the paper's traditional-tool
-        // column). Non-executable programs keep their static verdict.
-        analysis::RaceReport merged = cache.static_report(req.code, {});
-        try {
-          const analysis::RaceReport& dyn = cache.dynamic_report(req.code, {});
-          for (const analysis::RacePair& p : dyn.pairs) merged.add_pair(p);
-        } catch (const Error& e) {
-          merged.diagnostics.push_back(
-              std::string("dynamic detector unavailable: ") + e.what());
-        }
-        return race_report_to_json(merged);
-      }();
+      json::Value result = race_report_to_json(
+          core::make_detector(req.detector)->analyze(req.code).report);
       result.as_object().set("tokens", json::Value(tokens));
       return result;
     }
@@ -260,8 +220,7 @@ json::Value Server::run_verb(const Request& req) {
 
 json::Value Server::stats_result() {
   eval::ArtifactCache& cache = eval::artifact_cache();
-  const std::uint64_t probes = cache_counter_sum(/*computes=*/false);
-  const std::uint64_t computes = cache_counter_sum(/*computes=*/true);
+  const auto [probes, computes] = eval::ArtifactCache::counter_totals();
 
   json::Object server;
   server.set("jobs", json::Value(pool_->size()));

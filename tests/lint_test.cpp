@@ -543,10 +543,10 @@ TEST(LintDetector, SurfacesDiagnosticsInVerdict) {
       drb::find_entry("DRB047-sumnoreduction-orig-yes.c");
   ASSERT_NE(entry, nullptr);
   const core::RaceVerdict v = detector->analyze(drb::drb_code(*entry));
-  EXPECT_TRUE(v.race);
-  EXPECT_FALSE(v.pairs.empty());
+  EXPECT_TRUE(v.report.race_detected);
+  EXPECT_FALSE(v.report.pairs.empty());
   bool saw_reduction = false;
-  for (const auto& line : v.diagnostics) {
+  for (const auto& line : v.report.diagnostics) {
     saw_reduction =
         saw_reduction || line.find("lint.reduction") != std::string::npos;
   }
@@ -569,9 +569,11 @@ TEST(LintDetector, BatchMatchesSerialAtAnyJobCount) {
   const auto pooled = core::make_detector(pool_spec)->analyze_batch(sources);
   ASSERT_EQ(serial.size(), pooled.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].race, pooled[i].race) << i;
-    EXPECT_EQ(serial[i].pairs, pooled[i].pairs) << i;
-    EXPECT_EQ(serial[i].diagnostics, pooled[i].diagnostics) << i;
+    EXPECT_EQ(serial[i].report.race_detected, pooled[i].report.race_detected)
+        << i;
+    EXPECT_EQ(serial[i].report.pairs, pooled[i].report.pairs) << i;
+    EXPECT_EQ(serial[i].report.diagnostics, pooled[i].report.diagnostics)
+        << i;
   }
 }
 

@@ -87,16 +87,16 @@ const char* kClean =
 TEST(CoreDetector, ClassicalDetectorsAgreeOnEasyCases) {
   for (const char* spec : {"static", "dynamic", "hybrid"}) {
     auto detector = core::make_detector(spec);
-    EXPECT_TRUE(detector->analyze(kRacy).race) << spec;
-    EXPECT_FALSE(detector->analyze(kClean).race) << spec;
+    EXPECT_TRUE(detector->analyze(kRacy).report.race_detected) << spec;
+    EXPECT_FALSE(detector->analyze(kClean).report.race_detected) << spec;
   }
 }
 
 TEST(CoreDetector, HybridMergesPairs) {
   auto hybrid = core::make_detector("hybrid");
   const core::RaceVerdict v = hybrid->analyze(kRacy);
-  EXPECT_TRUE(v.race);
-  EXPECT_FALSE(v.pairs.empty());
+  EXPECT_TRUE(v.report.race_detected);
+  EXPECT_FALSE(v.report.pairs.empty());
 }
 
 TEST(CoreDetector, LlmDetectorReturnsResponseText) {
@@ -124,7 +124,7 @@ TEST(CoreDetector, DeterministicVerdicts) {
   auto llm = core::make_detector("llm:llama2:p1");
   const auto a = llm->analyze(kRacy);
   const auto b = llm->analyze(kRacy);
-  EXPECT_EQ(a.race, b.race);
+  EXPECT_EQ(a.report.race_detected, b.report.race_detected);
   EXPECT_EQ(a.model_response, b.model_response);
 }
 

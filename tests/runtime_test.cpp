@@ -177,6 +177,63 @@ TEST(Interp, GlobalInitializerList) {
   EXPECT_EQ(r.output, "17");
 }
 
+TEST(Interp, ArraySizedByItsBraceList) {
+  auto r = run_src(
+      "int g[] = {4, 5};\n"
+      "int main() {\n"
+      "  int a[] = {1, 2, 3};\n"
+      "  int m[][2] = {{1, 2}, {3, 4}, {5, 6}};\n"
+      "  printf(\"%d %d %d \", a[0] + a[1] + a[2], m[2][1], g[1]);\n"
+      "  printf(\"%d\", m[3][0]);\n"
+      "  return a[3];\n"
+      "}");
+  EXPECT_TRUE(r.faulted);
+  EXPECT_EQ(r.fault_message, "out-of-bounds access to 'm' at index 6 (size 6)");
+  EXPECT_EQ(r.output, "6 6 5 ");
+}
+
+TEST(Interp, CharArraySizedByItsStringLiteral) {
+  auto r = run_src(
+      "int main() {\n"
+      "  char t[] = \"xy\";\n"
+      "  printf(\"%s %d %d\", t, t[0], t[2]);\n"
+      "  return t[3];\n"
+      "}");
+  EXPECT_TRUE(r.faulted);
+  EXPECT_EQ(r.fault_message, "out-of-bounds access to 't' at index 3 (size 3)");
+  EXPECT_EQ(r.output, "xy 120 0");
+}
+
+TEST(Interp, StringLiteralFillsACharArrayByCharacter) {
+  auto r = run_src(
+      "int main() {\n"
+      "  char s[4] = \"abc\";\n"
+      "  char u[3] = \"abc\";\n"
+      "  char w[6] = \"ab\";\n"
+      "  printf(\"%d %d %d %d %s|\", s[0], s[1], s[2], s[3], s);\n"
+      "  printf(\"%d %d %d|%d %d %d %d\", u[0], u[1], u[2], w[1], w[2], w[3],\n"
+      "         w[5]);\n"
+      "  return 0;\n"
+      "}");
+  EXPECT_FALSE(r.faulted) << r.fault_message;
+  EXPECT_EQ(r.output, "97 98 99 0 abc|97 98 99|98 0 0 0");
+  // A literal longer than its array faults like a long brace list.
+  auto longer = run_src("int main() { char s[2] = \"abc\"; return s[0]; }");
+  EXPECT_TRUE(longer.faulted);
+  EXPECT_EQ(longer.fault_message,
+            "out-of-bounds access to 's' at index 2 (size 2)");
+  // A region that races only when s[0] is not 'a' runs race-free.
+  const analysis::RaceReport report = detect(
+      "int main() {\n"
+      "  char s[4] = \"abc\";\n"
+      "  int x = 0;\n"
+      "#pragma omp parallel num_threads(2)\n"
+      "  { if (s[0] != 97) x = x + 1; }\n"
+      "  return x;\n"
+      "}\n");
+  EXPECT_FALSE(report.race_detected);
+}
+
 TEST(Interp, FunctionsAndRecursion) {
   auto r = run_src(
       "int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }\n"

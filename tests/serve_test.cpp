@@ -1,9 +1,12 @@
 // Serve-daemon suite: TaskPool scheduling + backpressure, the NDJSON
 // protocol (per-verb round trips, structured rejection of malformed
-// requests), admission control under saturation, deadline expiry,
-// priority ordering, cross-jobs byte identity, graceful-shutdown drain
-// (including the cache-snapshot flush), and the ArtifactCache LRU byte
-// budget with deferred reclamation.
+// requests), analyze as core::make_detector's report for every non-LLM
+// spec and the hybrid merge, a mixed workload over a socketpair and its
+// warm-cache hit rate and throughput, admission control under
+// saturation, deadline expiry, priority ordering, cross-jobs byte
+// identity, graceful-shutdown drain (including the cache-snapshot
+// flush), and the ArtifactCache LRU byte budget with deferred
+// reclamation.
 //
 // Worker-blocking idiom: `respond` callbacks run on the worker thread
 // after the verb executes, so a callback that parks on a latch pins that
@@ -12,6 +15,7 @@
 // them run. No sleeps are load-bearing; latches sequence everything.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
@@ -24,8 +28,10 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include "core/detector.hpp"
 #include "drb/corpus.hpp"
 #include "eval/artifact_cache.hpp"
 #include "serve/protocol.hpp"
@@ -291,6 +297,12 @@ TEST(ServeProtocol, MalformedRequestsGetStructuredErrors) {
       {"{\"id\":\"q\",\"verb\":\"analyze\",\"code\":\"int main(){}\","
        "\"detector\":\"psychic\"}",
        "bad_request"},
+      {"{\"id\":\"q\",\"verb\":\"analyze\",\"code\":\"int main(){}\","
+       "\"detector\":\"llm:gpt4:p1\"}",
+       "bad_request"},  // no response field for a model reply
+      {"{\"id\":\"q\",\"verb\":\"analyze\",\"code\":\"int main(){}\","
+       "\"detector\":\"explore:dfs\"}",
+       "bad_request"},
       {"{\"id\":\"q\",\"verb\":\"lint\",\"code\":\"int main(){}\","
        "\"deadline_ms\":-5}",
        "bad_request"},
@@ -397,6 +409,228 @@ TEST(ServeProtocol, RunawayRecursionIsAStructuredFaultNotACrash) {
     ASSERT_TRUE(next.at("ok").as_bool()) << h.id << ": " << out;
     EXPECT_TRUE(next.at("result").as_object().at("race").as_bool()) << h.id;
   }
+}
+
+// ------------------------------------------------ analyze = core detector
+
+std::string entry_request(const std::string& id, const std::string& detector,
+                          const std::string& entry) {
+  return "{\"id\":\"" + id + "\",\"verb\":\"analyze\",\"detector\":\"" +
+         detector + "\",\"entry\":\"" + entry + "\"}";
+}
+
+TEST(ServeParity, AnalyzeIsTheCoreDetectorsReportForEverySpec) {
+  Server server(small_server());
+  int specs = 0;
+  for (const std::string& spec : core::available_detectors()) {
+    if (spec.rfind("llm:", 0) == 0) continue;
+    ++specs;
+    const auto detector = core::make_detector(spec);
+    for (const drb::CorpusEntry& e : drb::corpus()) {
+      const std::string code = drb::drb_code(e);
+      const json::Value r =
+          parse_response(server.handle_line(entry_request("p", spec, e.name)));
+      ASSERT_TRUE(r.as_object().at("ok").as_bool()) << spec << " " << e.name;
+      json::Value expected =
+          race_report_to_json(detector->analyze(code).report);
+      expected.as_object().set(
+          "tokens", json::Value(eval::artifact_cache().token_count(code)));
+      EXPECT_EQ(r.as_object().at("result").dump(), expected.dump())
+          << spec << " " << e.name;
+    }
+  }
+  EXPECT_EQ(specs, 7);
+}
+
+TEST(HybridMerge, MirroredPairCollapses) {
+  // The static detector reports arr[i]@11 vs. arr[i]@16; the dynamic one
+  // reports the same two writes the other way round.
+  Server server(small_server());
+  const json::Value r = parse_response(server.handle_line(
+      entry_request("h", "hybrid", "DRB067-sectionsoverlap-orig-yes.c")));
+  ASSERT_TRUE(r.as_object().at("ok").as_bool());
+  const json::Object& result = r.as_object().at("result").as_object();
+  EXPECT_TRUE(result.at("race").as_bool());
+  EXPECT_EQ(result.at("pairs").as_array().size(), 1u) << r.dump();
+}
+
+TEST(HybridMerge, KeepsStaticThenDynamicDiagnostics) {
+  Server server(small_server());
+  const json::Value r = parse_response(server.handle_line(request_line(
+      "nm", "analyze", "int g;\nvoid f() { g = 1; }\n",
+      ",\"detector\":\"hybrid\"")));
+  ASSERT_TRUE(r.as_object().at("ok").as_bool());
+  std::vector<std::string> diags;
+  for (const json::Value& d :
+       r.as_object().at("result").as_object().at("diagnostics").as_array()) {
+    diags.push_back(d.as_string());
+  }
+  ASSERT_FALSE(diags.empty());
+  EXPECT_EQ(diags.front(), "static: no conflicting pair found");
+  EXPECT_NE(std::find(diags.begin(), diags.end(),
+                      "dynamic: run faulted: program has no main()"),
+            diags.end());
+  EXPECT_EQ(diags.back(), "dynamic: no happens-before violation observed");
+}
+
+TEST(HybridMerge, RaceIsEitherReportsVerdict) {
+  analysis::RacePair pair;
+  pair.first.expr_text = pair.first.var_name = "x";
+  pair.first.loc = {3, 5};
+  pair.first.op = 'w';
+  pair.second = pair.first;
+  pair.second.loc = {7, 5};
+  pair.second.op = 'r';
+  analysis::RacePair mirror;
+  mirror.first = pair.second;
+  mirror.second = pair.first;
+
+  // A race the other report states without a pair still counts.
+  analysis::RaceReport quiet;
+  analysis::RaceReport racy_without_pairs;
+  racy_without_pairs.race_detected = true;
+  racy_without_pairs.diagnostics = {"dynamic: note"};
+  quiet.diagnostics = {"static: note"};
+  quiet.merge(racy_without_pairs);
+  EXPECT_TRUE(quiet.race_detected);
+  EXPECT_TRUE(quiet.pairs.empty());
+  EXPECT_EQ(quiet.diagnostics,
+            (std::vector<std::string>{"static: note", "dynamic: note"}));
+
+  // Exact and mirrored duplicates add nothing.
+  analysis::RaceReport with_pair;
+  with_pair.add_pair(pair);
+  analysis::RaceReport twins;
+  twins.add_pair(mirror);
+  twins.pairs.push_back(pair);
+  with_pair.merge(twins);
+  EXPECT_TRUE(with_pair.race_detected);
+  ASSERT_EQ(with_pair.pairs.size(), 1u);
+  EXPECT_EQ(with_pair.pairs[0], pair);
+
+  // Neither side racy: no race.
+  analysis::RaceReport none;
+  none.merge(analysis::RaceReport{});
+  EXPECT_FALSE(none.race_detected);
+}
+
+// ------------------------------------------------- mixed serve workload
+
+/// A mixed workload: for each of the first 12 corpus programs, a static
+/// and a hybrid analyze plus a lint request, every id unique.
+std::vector<std::pair<std::string, std::string>> mixed_workload() {
+  std::vector<std::pair<std::string, std::string>> requests;  // (id, line)
+  for (std::size_t i = 0; i < 12; ++i) {
+    const std::string code = drb::drb_code(drb::corpus()[i]);
+    const std::string tag = "e" + std::to_string(i);
+    requests.emplace_back(tag + "-static",
+                          request_line(tag + "-static", "analyze", code,
+                                       ",\"detector\":\"static\""));
+    requests.emplace_back(tag + "-hybrid",
+                          request_line(tag + "-hybrid", "analyze", code,
+                                       ",\"detector\":\"hybrid\""));
+    requests.emplace_back(tag + "-lint", request_line(tag + "-lint", "lint", code));
+  }
+  return requests;
+}
+
+/// Submits every request and waits for all responses; returns how many
+/// came back ok.
+std::size_t run_workload(
+    Server& server,
+    const std::vector<std::pair<std::string, std::string>>& workload) {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t done = 0;
+  std::size_t ok = 0;
+  for (const auto& request : workload) {
+    server.submit_line(request.second, [&](std::string response) {
+      std::lock_guard<std::mutex> lock(mu);
+      ++done;
+      if (response.find("\"ok\":true") != std::string::npos) ++ok;
+      cv.notify_one();
+    });
+  }
+  std::unique_lock<std::mutex> lock(mu);
+  cv.wait(lock, [&] { return done == workload.size(); });
+  return ok;
+}
+
+TEST(ServeWire, MixedWorkloadOverASocketpairDropsNothing) {
+  const auto workload = mixed_workload();
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  Server server(small_server());
+  std::thread daemon([&] {
+    server.serve_fd(fds[0], fds[0]);
+    ::shutdown(fds[0], SHUT_WR);  // EOF for the client once drained
+  });
+  std::thread client([&] {
+    for (const auto& request : workload) {
+      const std::string line = request.second + "\n";
+      for (std::size_t off = 0; off < line.size();) {
+        const ssize_t n = ::write(fds[1], line.data() + off, line.size() - off);
+        if (n <= 0) return;
+        off += static_cast<std::size_t>(n);
+      }
+    }
+    ::shutdown(fds[1], SHUT_WR);  // EOF: the daemon drains and returns
+  });
+  std::string out;
+  char buf[4096];
+  for (ssize_t n; (n = ::read(fds[1], buf, sizeof(buf))) > 0;) {
+    out.append(buf, static_cast<std::size_t>(n));
+  }
+  client.join();
+  daemon.join();
+  ::close(fds[0]);
+  ::close(fds[1]);
+
+  std::map<std::string, int> seen;
+  for (std::size_t start = 0, end;
+       (end = out.find('\n', start)) != std::string::npos; start = end + 1) {
+    const json::Value r = parse_response(out.substr(start, end - start));
+    ++seen[r.as_object().at("id").as_string()];
+    EXPECT_TRUE(r.as_object().at("ok").as_bool()) << r.dump();
+  }
+  ASSERT_EQ(seen.size(), workload.size());
+  for (const auto& request : workload) {
+    EXPECT_EQ(seen[request.first], 1) << request.first;
+  }
+}
+
+TEST(ServeCache, WarmPassHitsMoreThanColdAndKeepsFiftyQps) {
+  const auto workload = mixed_workload();
+  Server server(small_server());
+  const auto hits_and_probes = [&] {
+    const json::Value r = parse_response(
+        server.handle_line("{\"id\":\"st\",\"verb\":\"stats\"}"));
+    const json::Object& cache =
+        r.as_object().at("result").as_object().at("cache").as_object();
+    return std::pair<std::int64_t, std::int64_t>{cache.at("hits").as_int(),
+                                                 cache.at("probes").as_int()};
+  };
+  const auto hit_rate = [](std::pair<std::int64_t, std::int64_t> from,
+                           std::pair<std::int64_t, std::int64_t> to) {
+    return static_cast<double>(to.first - from.first) /
+           static_cast<double>(to.second - from.second);
+  };
+
+  eval::artifact_cache().clear();
+  const auto start = hits_and_probes();
+  EXPECT_EQ(run_workload(server, workload), workload.size());
+  const auto cold = hits_and_probes();
+  const auto warm_start = std::chrono::steady_clock::now();
+  EXPECT_EQ(run_workload(server, workload), workload.size());
+  const double warm_seconds = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - warm_start)
+                                  .count();
+  const auto warm = hits_and_probes();
+
+  EXPECT_GT(hit_rate(cold, warm), hit_rate(start, cold));
+  EXPECT_EQ(hit_rate(cold, warm), 1.0);
+  EXPECT_GE(static_cast<double>(workload.size()) / warm_seconds, 50.0)
+      << warm_seconds << " s for " << workload.size() << " warm requests";
 }
 
 // --------------------------------------------------- admission control

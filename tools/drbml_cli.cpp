@@ -84,6 +84,7 @@
 #include "lint/lint.hpp"
 #include "obs/catalog.hpp"
 #include "runtime/interp.hpp"
+#include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "support/error.hpp"
 #include "support/parallel.hpp"
@@ -137,14 +138,31 @@ int usage() {
   return 2;
 }
 
+/// The value of the flag at args[i], consumed. A value flag with nothing
+/// after it is a usage error, not a file name.
+const std::string& flag_value(const std::vector<std::string>& args,
+                              std::size_t& i) {
+  if (i + 1 >= args.size()) throw Error(args[i] + " expects a value");
+  return args[++i];
+}
+
 /// Strict integer flag value: rejects the std::atoi garbage-becomes-0
 /// behaviour with a usage error instead.
-std::int64_t int_flag(const char* flag, const std::string& value) {
+std::int64_t int_flag(const std::vector<std::string>& args, std::size_t& i) {
+  const std::string& flag = args[i];
+  const std::string& value = flag_value(args, i);
   const std::optional<std::int64_t> parsed = parse_int(value);
   if (!parsed.has_value()) {
-    throw Error(std::string(flag) + " expects an integer, got '" + value + "'");
+    throw Error(flag + " expects an integer, got '" + value + "'");
   }
   return *parsed;
+}
+
+/// A positional argument. Anything starting with `--` that no flag
+/// matched is a usage error, not a file name.
+const std::string& operand(const std::string& arg) {
+  if (starts_with(arg, "--")) throw Error("unknown flag '" + arg + "'");
+  return arg;
 }
 
 std::string read_file(const std::string& path) {
@@ -155,17 +173,110 @@ std::string read_file(const std::string& path) {
   return ss.str();
 }
 
-void print_verdict(const core::RaceVerdict& v) {
-  for (const auto& pair : v.pairs) {
+/// One program to lint, fix or explore.
+struct Source {
+  std::string name;
+  std::string code;
+  bool is_file = false;  // fix rewrites it in place (unless --dry-run)
+  int race_label = -1;   // ground truth: 1 race, 0 no race, -1 unknown
+};
+
+/// The programs of lint, fix and explore: FILE operands, then --entry
+/// NAME (repeatable), --corpus and --synth N kernels, in that order.
+class SourceArgs {
+ public:
+  /// `seed_flag` names the synth seed: explore's own --seed seeds its
+  /// schedules.
+  explicit SourceArgs(const char* seed_flag) : seed_flag_(seed_flag) {}
+
+  /// Takes args[i] (and its value) as a source flag or a FILE operand.
+  void take(const std::vector<std::string>& args, std::size_t& i) {
+    const std::string& a = args[i];
+    if (a == "--entry") {
+      entries_.push_back(flag_value(args, i));
+    } else if (a == "--corpus") {
+      corpus_ = true;
+    } else if (a == "--synth") {
+      synth_.count = static_cast<int>(int_flag(args, i));
+    } else if (a == seed_flag_) {
+      synth_.seed = static_cast<std::uint64_t>(int_flag(args, i));
+    } else {
+      paths_.push_back(operand(a));
+    }
+  }
+
+  [[nodiscard]] const std::vector<std::string>& paths() const {
+    return paths_;
+  }
+
+  [[nodiscard]] std::vector<Source> collect() const {
+    std::vector<Source> out;
+    for (const auto& path : paths_) {
+      out.push_back({path, read_file(path), true, -1});
+    }
+    for (const auto& name : entries_) {
+      const drb::CorpusEntry* e = drb::find_entry(name);
+      if (e == nullptr) throw Error("no such entry: " + name);
+      out.push_back({e->name, drb::drb_code(*e), false, e->race ? 1 : 0});
+    }
+    if (corpus_) {
+      for (const auto& e : drb::corpus()) {
+        out.push_back({e.name, drb::drb_code(e), false, e.race ? 1 : 0});
+      }
+    }
+    if (synth_.count > 0) {
+      for (const drb::SynthEntry& e : drb::synthesize(synth_)) {
+        out.push_back({e.name, e.code, false, e.race ? 1 : 0});
+      }
+    }
+    return out;
+  }
+
+ private:
+  std::string seed_flag_;
+  std::vector<std::string> paths_;
+  std::vector<std::string> entries_;
+  bool corpus_ = false;
+  drb::SynthConfig synth_{.count = 0, .seed = 0};
+};
+
+/// One source's result, or the Error that stopped it: a parse failure
+/// fails that source, not the run.
+template <typename T>
+struct Outcome {
+  T value{};
+  std::string error;
+};
+
+/// Runs `fn` on every source's code over `jobs` workers, in input order.
+template <typename Fn>
+auto run_each(int jobs, const std::vector<Source>& sources, const Fn& fn) {
+  return support::parallel_map(jobs, sources, [&](const Source& src) {
+    Outcome<decltype(fn(src.code))> o;
+    try {
+      o.value = fn(src.code);
+    } catch (const Error& e) {
+      o.error = e.what();
+    }
+    return o;
+  });
+}
+
+void print_pairs(const std::vector<analysis::RacePair>& pairs) {
+  for (const auto& pair : pairs) {
     std::printf("  %s@%d:%d:%c vs. %s@%d:%d:%c\n",
                 pair.first.expr_text.c_str(), pair.first.loc.line,
                 pair.first.loc.col, pair.first.op,
                 pair.second.expr_text.c_str(), pair.second.loc.line,
                 pair.second.loc.col, pair.second.op);
   }
+}
+
+void print_verdict(const core::RaceVerdict& v) {
+  print_pairs(v.report.pairs);
   // Tool notes (e.g. "N additional pair(s) suppressed (max_pairs=...)")
   // must reach the user: truncation is never silent.
-  for (const auto& diag : v.diagnostics) {
+  for (const auto& diag : v.report.diagnostics) {
     std::printf("  %s\n", diag.c_str());
   }
   if (!v.model_response.empty()) {
@@ -175,60 +286,45 @@ void print_verdict(const core::RaceVerdict& v) {
 
 /// --explain, text format: the full evidence chain behind every reported
 /// and discharged pair (one indented line per rule consulted).
-void print_explanation(const core::RaceVerdict& v) {
-  for (const auto& pair : v.pairs) {
+void print_explanation(const analysis::RaceReport& r) {
+  for (const auto& pair : r.pairs) {
     std::printf("  racy %s@%d vs. %s@%d\n    %s",
                 pair.first.expr_text.c_str(), pair.first.loc.line,
                 pair.second.expr_text.c_str(), pair.second.loc.line,
                 analysis::evidence_chain_text(pair.evidence).c_str());
   }
-  for (const auto& d : v.discharged) {
+  for (const auto& d : r.discharged) {
     std::printf("  safe %s@%d vs. %s@%d\n    %s", d.first.expr_text.c_str(),
                 d.first.loc.line, d.second.expr_text.c_str(),
                 d.second.loc.line,
                 analysis::evidence_chain_text(d.evidence).c_str());
   }
-  if (v.pairs.empty() && v.discharged.empty()) {
+  if (r.pairs.empty() && r.discharged.empty()) {
     std::printf("  (no candidate pairs)\n");
   }
-}
-
-json::Object access_to_json(const analysis::RaceAccess& a) {
-  json::Object o;
-  o.set("expr", a.expr_text);
-  o.set("var", a.var_name);
-  o.set("line", a.loc.line);
-  o.set("col", a.loc.col);
-  o.set("op", std::string(1, a.op));
-  return o;
 }
 
 /// --explain, json format: one machine-readable object per file with the
 /// verdict and evidence_to_json chains for every candidate pair.
 json::Value explain_to_json(const std::string& path, const std::string& name,
-                            const core::RaceVerdict& v) {
+                            const analysis::RaceReport& r) {
+  const auto pair_json = [](const auto& p) {
+    json::Object o;
+    o.set("first", serve::access_to_json(p.first));
+    o.set("second", serve::access_to_json(p.second));
+    o.set("evidence", analysis::evidence_to_json(p.evidence));
+    return json::Value(std::move(o));
+  };
   json::Array pairs;
-  for (const auto& pair : v.pairs) {
-    json::Object o;
-    o.set("first", access_to_json(pair.first));
-    o.set("second", access_to_json(pair.second));
-    o.set("evidence", analysis::evidence_to_json(pair.evidence));
-    pairs.push_back(json::Value(std::move(o)));
-  }
+  for (const auto& pair : r.pairs) pairs.push_back(pair_json(pair));
   json::Array discharged;
-  for (const auto& d : v.discharged) {
-    json::Object o;
-    o.set("first", access_to_json(d.first));
-    o.set("second", access_to_json(d.second));
-    o.set("evidence", analysis::evidence_to_json(d.evidence));
-    discharged.push_back(json::Value(std::move(o)));
-  }
+  for (const auto& d : r.discharged) discharged.push_back(pair_json(d));
   json::Array diags;
-  for (const auto& diag : v.diagnostics) diags.emplace_back(diag);
+  for (const auto& diag : r.diagnostics) diags.emplace_back(diag);
   json::Object root;
   root.set("file", path);
   root.set("detector", name);
-  root.set("race_detected", v.race);
+  root.set("race_detected", r.race_detected);
   root.set("pairs", std::move(pairs));
   root.set("discharged", std::move(discharged));
   root.set("diagnostics", std::move(diags));
@@ -241,19 +337,19 @@ int cmd_analyze(const std::vector<std::string>& args) {
   bool explain = false;
   std::string format = "text";
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--detector" && i + 1 < args.size()) {
-      spec.spec = args[++i];
-    } else if (args[i] == "--jobs" && i + 1 < args.size()) {
-      spec.jobs = static_cast<int>(int_flag("--jobs", args[++i]));
+    if (args[i] == "--detector") {
+      spec.spec = flag_value(args, i);
+    } else if (args[i] == "--jobs") {
+      spec.jobs = static_cast<int>(int_flag(args, i));
     } else if (args[i] == "--explain") {
       explain = true;
-    } else if (args[i] == "--format" && i + 1 < args.size()) {
-      format = args[++i];
+    } else if (args[i] == "--format") {
+      format = flag_value(args, i);
       if (format != "text" && format != "json") {
         throw Error("--format expects text or json, got '" + format + "'");
       }
     } else {
-      paths.push_back(args[i]);
+      paths.push_back(operand(args[i]));
     }
   }
   if (paths.empty()) return usage();
@@ -273,20 +369,21 @@ int cmd_analyze(const std::vector<std::string>& args) {
   json::Array out;
   for (std::size_t i = 0; i < verdicts.size(); ++i) {
     const core::RaceVerdict& v = verdicts[i];
-    any_race = any_race || v.race;
+    const bool race = v.report.race_detected;
+    any_race = any_race || race;
     if (explain && format == "json") {
-      out.push_back(explain_to_json(paths[i], detector->name(), v));
+      out.push_back(explain_to_json(paths[i], detector->name(), v.report));
       continue;
     }
     if (paths.size() == 1) {
       std::printf("%s: %s\n", detector->name().c_str(),
-                  v.race ? "DATA RACE" : "no race detected");
+                  race ? "DATA RACE" : "no race detected");
     } else {
       std::printf("%s: %s: %s\n", paths[i].c_str(), detector->name().c_str(),
-                  v.race ? "DATA RACE" : "no race detected");
+                  race ? "DATA RACE" : "no race detected");
     }
     print_verdict(v);
-    if (explain) print_explanation(v);
+    if (explain) print_explanation(v.report);
   }
   if (explain && format == "json") {
     std::printf("%s\n", json::Value(std::move(out)).dump_pretty().c_str());
@@ -301,7 +398,7 @@ int cmd_graph(const std::vector<std::string>& args) {
     if (a == "--dot") {
       dot = true;
     } else {
-      path = a;
+      path = operand(a);
     }
   }
   if (path.empty()) return usage();
@@ -315,84 +412,40 @@ int cmd_lint(const std::vector<std::string>& args) {
   std::string format = "text";
   bool check = false;
   int jobs = 0;
-  int synth_count = 0;
-  std::uint64_t synth_seed = 0;
-  bool whole_corpus = false;
-  std::vector<std::string> entry_names;
-  std::vector<std::string> paths;
+  SourceArgs source_args("--seed");
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--format" && i + 1 < args.size()) {
-      format = args[++i];
+    if (args[i] == "--format") {
+      format = flag_value(args, i);
       if (format != "text" && format != "json" && format != "sarif") {
         throw Error("--format expects text, json, or sarif, got '" + format +
                     "'");
       }
     } else if (args[i] == "--check") {
       check = true;
-    } else if (args[i] == "--jobs" && i + 1 < args.size()) {
-      jobs = static_cast<int>(int_flag("--jobs", args[++i]));
-    } else if (args[i] == "--entry" && i + 1 < args.size()) {
-      entry_names.push_back(args[++i]);
-    } else if (args[i] == "--corpus") {
-      whole_corpus = true;
-    } else if (args[i] == "--synth" && i + 1 < args.size()) {
-      synth_count = static_cast<int>(int_flag("--synth", args[++i]));
-    } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      synth_seed = static_cast<std::uint64_t>(int_flag("--seed", args[++i]));
+    } else if (args[i] == "--jobs") {
+      jobs = static_cast<int>(int_flag(args, i));
     } else {
-      paths.push_back(args[i]);
+      source_args.take(args, i);
     }
   }
-
-  std::vector<std::pair<std::string, std::string>> sources;  // (name, code)
-  for (const auto& path : paths) sources.emplace_back(path, read_file(path));
-  for (const auto& name : entry_names) {
-    const drb::CorpusEntry* e = drb::find_entry(name);
-    if (e == nullptr) throw Error("no such entry: " + name);
-    sources.emplace_back(e->name, drb::drb_code(*e));
-  }
-  if (whole_corpus) {
-    for (const auto& e : drb::corpus()) {
-      sources.emplace_back(e.name, drb::drb_code(e));
-    }
-  }
-  if (synth_count > 0) {
-    drb::SynthConfig config;
-    config.count = synth_count;
-    config.seed = synth_seed;
-    for (const drb::SynthEntry& e : drb::synthesize(config)) {
-      sources.emplace_back(e.name, e.code);
-    }
-  }
+  const std::vector<Source> sources = source_args.collect();
   if (sources.empty()) return usage();
 
-  // Lint every file; a parse failure aborts that file, not the run.
-  struct Outcome {
-    lint::LintReport report;
-    std::string error;
-  };
   const lint::Linter linter;
-  const std::vector<Outcome> outcomes = support::parallel_map(
-      jobs, sources, [&](const std::pair<std::string, std::string>& src) {
-        Outcome o;
-        try {
-          o.report = linter.lint_source(src.second);
-        } catch (const Error& e) {
-          o.error = e.what();
-        }
-        return o;
-      });
+  auto outcomes = run_each(jobs, sources, [&](const std::string& code) {
+    return linter.lint_source(code);
+  });
 
   std::vector<lint::FileLint> files;
   int failed = 0;
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     if (!outcomes[i].error.empty()) {
-      std::fprintf(stderr, "%s: error: %s\n", sources[i].first.c_str(),
+      std::fprintf(stderr, "%s: error: %s\n", sources[i].name.c_str(),
                    outcomes[i].error.c_str());
       ++failed;
       continue;
     }
-    files.push_back({sources[i].first, outcomes[i].report});
+    files.push_back({sources[i].name, std::move(outcomes[i].value)});
   }
 
   int errors = 0;
@@ -438,65 +491,25 @@ int cmd_fix(const std::vector<std::string>& args) {
   bool show_diff = false;
   bool check = false;
   int min_fix_rate = 60;  // percent, --check only
-  int synth_count = 0;
-  std::uint64_t synth_seed = 0;
-  bool whole_corpus = false;
-  std::vector<std::string> entry_names;
-  std::vector<std::string> paths;
+  SourceArgs source_args("--seed");
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--strategy" && i + 1 < args.size()) {
-      spec.strategy = args[++i];
+    if (args[i] == "--strategy") {
+      spec.strategy = flag_value(args, i);
     } else if (args[i] == "--dry-run") {
       dry_run = true;
     } else if (args[i] == "--diff") {
       show_diff = true;
     } else if (args[i] == "--check") {
       check = true;
-    } else if (args[i] == "--min-fix-rate" && i + 1 < args.size()) {
-      min_fix_rate = static_cast<int>(int_flag("--min-fix-rate", args[++i]));
-    } else if (args[i] == "--jobs" && i + 1 < args.size()) {
-      spec.jobs = static_cast<int>(int_flag("--jobs", args[++i]));
-    } else if (args[i] == "--entry" && i + 1 < args.size()) {
-      entry_names.push_back(args[++i]);
-    } else if (args[i] == "--corpus") {
-      whole_corpus = true;
-    } else if (args[i] == "--synth" && i + 1 < args.size()) {
-      synth_count = static_cast<int>(int_flag("--synth", args[++i]));
-    } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      synth_seed = static_cast<std::uint64_t>(int_flag("--seed", args[++i]));
+    } else if (args[i] == "--min-fix-rate") {
+      min_fix_rate = static_cast<int>(int_flag(args, i));
+    } else if (args[i] == "--jobs") {
+      spec.jobs = static_cast<int>(int_flag(args, i));
     } else {
-      paths.push_back(args[i]);
+      source_args.take(args, i);
     }
   }
-
-  struct Source {
-    std::string name;
-    std::string code;
-    bool is_file = false;    // rewrite in place on fix (unless --dry-run)
-    int race_label = -1;     // ground truth: 1 race, 0 no race, -1 unknown
-  };
-  std::vector<Source> sources;
-  for (const auto& path : paths) {
-    sources.push_back({path, read_file(path), true, -1});
-  }
-  for (const auto& name : entry_names) {
-    const drb::CorpusEntry* e = drb::find_entry(name);
-    if (e == nullptr) throw Error("no such entry: " + name);
-    sources.push_back({e->name, drb::drb_code(*e), false, e->race ? 1 : 0});
-  }
-  if (whole_corpus) {
-    for (const auto& e : drb::corpus()) {
-      sources.push_back({e.name, drb::drb_code(e), false, e.race ? 1 : 0});
-    }
-  }
-  if (synth_count > 0) {
-    drb::SynthConfig config;
-    config.count = synth_count;
-    config.seed = synth_seed;
-    for (const drb::SynthEntry& e : drb::synthesize(config)) {
-      sources.push_back({e.name, e.code, false, e.race ? 1 : 0});
-    }
-  }
+  const std::vector<Source> sources = source_args.collect();
   if (sources.empty()) return usage();
 
   const core::RaceFixer fixer(spec);  // throws on a bad --strategy
@@ -605,47 +618,35 @@ int cmd_explore(const std::vector<std::string>& args) {
   explore::ExploreOptions opts;
   int jobs = 0;
   bool check = false;
-  int synth_count = 0;
-  std::uint64_t synth_seed = 0;
-  bool whole_corpus = false;
   std::string witness_path;
-  std::vector<std::string> entry_names;
-  std::vector<std::string> paths;
+  SourceArgs source_args("--synth-seed");
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--strategy" && i + 1 < args.size()) {
-      opts.strategy = runtime::parse_strategy(args[++i]);
-    } else if (args[i] == "--budget" && i + 1 < args.size()) {
-      opts.max_schedules = static_cast<int>(int_flag("--budget", args[++i]));
-    } else if (args[i] == "--depth" && i + 1 < args.size()) {
-      opts.pct_depth = static_cast<int>(int_flag("--depth", args[++i]));
-    } else if (args[i] == "--plateau" && i + 1 < args.size()) {
-      opts.plateau_window = static_cast<int>(int_flag("--plateau", args[++i]));
-    } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      opts.seed = static_cast<std::uint64_t>(int_flag("--seed", args[++i]));
+    if (args[i] == "--strategy") {
+      opts.strategy = runtime::parse_strategy(flag_value(args, i));
+    } else if (args[i] == "--budget") {
+      opts.max_schedules = static_cast<int>(int_flag(args, i));
+    } else if (args[i] == "--depth") {
+      opts.pct_depth = static_cast<int>(int_flag(args, i));
+    } else if (args[i] == "--plateau") {
+      opts.plateau_window = static_cast<int>(int_flag(args, i));
+    } else if (args[i] == "--seed") {
+      opts.seed = static_cast<std::uint64_t>(int_flag(args, i));
     } else if (args[i] == "--no-minimize") {
       opts.minimize = false;
-    } else if (args[i] == "--jobs" && i + 1 < args.size()) {
-      jobs = static_cast<int>(int_flag("--jobs", args[++i]));
+    } else if (args[i] == "--jobs") {
+      jobs = static_cast<int>(int_flag(args, i));
     } else if (args[i] == "--check") {
       check = true;
-    } else if (args[i] == "--replay" && i + 1 < args.size()) {
-      witness_path = args[++i];
-    } else if (args[i] == "--entry" && i + 1 < args.size()) {
-      entry_names.push_back(args[++i]);
-    } else if (args[i] == "--corpus") {
-      whole_corpus = true;
-    } else if (args[i] == "--synth" && i + 1 < args.size()) {
-      synth_count = static_cast<int>(int_flag("--synth", args[++i]));
-    } else if (args[i] == "--synth-seed" && i + 1 < args.size()) {
-      synth_seed =
-          static_cast<std::uint64_t>(int_flag("--synth-seed", args[++i]));
+    } else if (args[i] == "--replay") {
+      witness_path = flag_value(args, i);
     } else {
-      paths.push_back(args[i]);
+      source_args.take(args, i);
     }
   }
 
   // Replay mode: re-run a recorded witness against one source.
   if (!witness_path.empty()) {
+    const std::vector<std::string>& paths = source_args.paths();
     if (paths.size() != 1) {
       std::fprintf(stderr, "error: --replay WITNESS expects exactly one "
                            "source file\n");
@@ -662,13 +663,7 @@ int cmd_explore(const std::vector<std::string>& args) {
                 r.report.race_detected ? "DATA RACE" : "no race observed",
                 static_cast<unsigned long long>(w.trace.total_decisions()),
                 static_cast<unsigned long long>(r.steps));
-    for (const auto& pair : r.report.pairs) {
-      std::printf("  %s@%d:%d:%c vs. %s@%d:%d:%c\n",
-                  pair.first.expr_text.c_str(), pair.first.loc.line,
-                  pair.first.loc.col, pair.first.op,
-                  pair.second.expr_text.c_str(), pair.second.loc.line,
-                  pair.second.loc.col, pair.second.op);
-    }
+    print_pairs(r.report.pairs);
     if (r.faulted) {
       std::printf("  fault: %s\n", r.fault_message.c_str());
     }
@@ -741,75 +736,39 @@ int cmd_explore(const std::vector<std::string>& args) {
     return (pct_ok && pct_only_ok && bad_witnesses == 0) ? 0 : 1;
   }
 
-  std::vector<std::pair<std::string, std::string>> sources;  // (name, code)
-  for (const auto& path : paths) sources.emplace_back(path, read_file(path));
-  for (const auto& name : entry_names) {
-    const drb::CorpusEntry* e = drb::find_entry(name);
-    if (e == nullptr) throw Error("no such entry: " + name);
-    sources.emplace_back(e->name, drb::drb_code(*e));
-  }
-  if (whole_corpus) {
-    for (const auto& e : drb::corpus()) {
-      sources.emplace_back(e.name, drb::drb_code(e));
-    }
-  }
-  if (synth_count > 0) {
-    drb::SynthConfig config;
-    config.count = synth_count;
-    config.seed = synth_seed;
-    for (const drb::SynthEntry& e : drb::synthesize(config)) {
-      sources.emplace_back(e.name, e.code);
-    }
-  }
+  const std::vector<Source> sources = source_args.collect();
   if (sources.empty()) return usage();
 
-  struct Outcome {
-    explore::ExploreResult result;
-    std::string error;
-  };
-  const std::vector<Outcome> outcomes = support::parallel_map(
-      jobs, sources, [&](const std::pair<std::string, std::string>& src) {
-        Outcome o;
-        try {
-          o.result = explore::explore_source(src.second, opts);
-        } catch (const Error& e) {
-          o.error = e.what();
-        }
-        return o;
-      });
+  const auto outcomes = run_each(jobs, sources, [&](const std::string& code) {
+    return explore::explore_source(code, opts);
+  });
 
   bool any_race = false;
   bool any_error = false;
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const Outcome& o = outcomes[i];
-    if (!o.error.empty()) {
-      std::fprintf(stderr, "%s: error: %s\n", sources[i].first.c_str(),
-                   o.error.c_str());
+    const std::string& name = sources[i].name;
+    if (!outcomes[i].error.empty()) {
+      std::fprintf(stderr, "%s: error: %s\n", name.c_str(),
+                   outcomes[i].error.c_str());
       any_error = true;
       continue;
     }
-    const explore::ExploreResult& r = o.result;
+    const explore::ExploreResult& r = outcomes[i].value;
     if (r.race_detected) {
       any_race = true;
       std::printf(
           "%s: DATA RACE (%s schedule %d of %d, minimized %llu -> %llu "
           "decision(s))\n",
-          sources[i].first.c_str(), runtime::strategy_name(opts.strategy),
+          name.c_str(), runtime::strategy_name(opts.strategy),
           r.first_race_schedule + 1, r.schedules_run,
           static_cast<unsigned long long>(r.original_decisions),
           static_cast<unsigned long long>(r.witness_decisions));
-      for (const auto& pair : r.report.pairs) {
-        std::printf("  %s@%d:%d:%c vs. %s@%d:%d:%c\n",
-                    pair.first.expr_text.c_str(), pair.first.loc.line,
-                    pair.first.loc.col, pair.first.op,
-                    pair.second.expr_text.c_str(), pair.second.loc.line,
-                    pair.second.loc.col, pair.second.op);
-      }
+      print_pairs(r.report.pairs);
       std::printf("  witness: %s\n", r.witness.c_str());
     } else {
       std::printf("%s: no race in %d %s schedule(s)%s (%zu coverage "
                   "point(s))\n",
-                  sources[i].first.c_str(), r.schedules_run,
+                  name.c_str(), r.schedules_run,
                   runtime::strategy_name(opts.strategy),
                   r.stopped_on_plateau ? ", stopped on coverage plateau" : "",
                   r.coverage.size());
@@ -831,15 +790,16 @@ int cmd_stats(const std::vector<std::string>& args) {
   bool run_repair = true;
   bool run_explore = true;
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--jobs" && i + 1 < args.size()) {
-      eopts.jobs = static_cast<int>(int_flag("--jobs", args[++i]));
-    } else if (args[i] == "--cache" && i + 1 < args.size()) {
-      cache_path = args[++i];
+    if (args[i] == "--jobs") {
+      eopts.jobs = static_cast<int>(int_flag(args, i));
+    } else if (args[i] == "--cache") {
+      cache_path = flag_value(args, i);
     } else if (args[i] == "--no-repair") {
       run_repair = false;
     } else if (args[i] == "--no-explore") {
       run_explore = false;
     } else {
+      (void)operand(args[i]);
       return usage();
     }
   }
@@ -1018,25 +978,26 @@ int cmd_serve(const std::vector<std::string>& args) {
   opts.cache_budget = eval::env_cache_budget();
   std::string socket_path;
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--socket" && i + 1 < args.size()) {
-      socket_path = args[++i];
-    } else if (args[i] == "--jobs" && i + 1 < args.size()) {
-      opts.jobs = static_cast<int>(int_flag("--jobs", args[++i]));
-    } else if (args[i] == "--queue-limit" && i + 1 < args.size()) {
-      const std::int64_t v = int_flag("--queue-limit", args[++i]);
+    if (args[i] == "--socket") {
+      socket_path = flag_value(args, i);
+    } else if (args[i] == "--jobs") {
+      opts.jobs = static_cast<int>(int_flag(args, i));
+    } else if (args[i] == "--queue-limit") {
+      const std::int64_t v = int_flag(args, i);
       if (v < 0) throw Error("--queue-limit expects >= 0 (0 = unbounded)");
       opts.queue_limit = static_cast<std::size_t>(v);
-    } else if (args[i] == "--deadline-ms" && i + 1 < args.size()) {
-      const std::int64_t v = int_flag("--deadline-ms", args[++i]);
+    } else if (args[i] == "--deadline-ms") {
+      const std::int64_t v = int_flag(args, i);
       if (v < 0) throw Error("--deadline-ms expects >= 0 (0 = none)");
       opts.default_deadline_ms = v;
-    } else if (args[i] == "--cache-budget" && i + 1 < args.size()) {
-      const std::int64_t v = int_flag("--cache-budget", args[++i]);
+    } else if (args[i] == "--cache-budget") {
+      const std::int64_t v = int_flag(args, i);
       if (v < 0) throw Error("--cache-budget expects >= 0 bytes (0 = unlimited)");
       opts.cache_budget = static_cast<std::uint64_t>(v);
-    } else if (args[i] == "--cache" && i + 1 < args.size()) {
-      opts.cache_snapshot = args[++i];
+    } else if (args[i] == "--cache") {
+      opts.cache_snapshot = flag_value(args, i);
     } else {
+      (void)operand(args[i]);
       return usage();
     }
   }
@@ -1057,9 +1018,13 @@ int cmd_corpus(const std::vector<std::string>& args) {
   std::string pattern;
   int limit = -1;
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--pattern" && i + 1 < args.size()) pattern = args[++i];
-    if (args[i] == "--limit" && i + 1 < args.size()) {
-      limit = static_cast<int>(int_flag("--limit", args[++i]));
+    if (args[i] == "--pattern") {
+      pattern = flag_value(args, i);
+    } else if (args[i] == "--limit") {
+      limit = static_cast<int>(int_flag(args, i));
+    } else {
+      (void)operand(args[i]);
+      return usage();
     }
   }
   int shown = 0;
@@ -1086,7 +1051,12 @@ int cmd_entry(const std::vector<std::string>& args) {
 int cmd_dataset(const std::vector<std::string>& args) {
   std::filesystem::path out = "drb-ml";
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--out" && i + 1 < args.size()) out = args[++i];
+    if (args[i] == "--out") {
+      out = flag_value(args, i);
+    } else {
+      (void)operand(args[i]);
+      return usage();
+    }
   }
   std::filesystem::create_directories(out);
   for (const dataset::Entry& e : dataset::dataset()) {
@@ -1104,12 +1074,15 @@ int cmd_synth(const std::vector<std::string>& args) {
   drb::SynthConfig config;
   std::filesystem::path out = "synth";
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--count" && i + 1 < args.size()) {
-      config.count = static_cast<int>(int_flag("--count", args[++i]));
-    } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      config.seed = static_cast<std::uint64_t>(int_flag("--seed", args[++i]));
-    } else if (args[i] == "--out" && i + 1 < args.size()) {
-      out = args[++i];
+    if (args[i] == "--count") {
+      config.count = static_cast<int>(int_flag(args, i));
+    } else if (args[i] == "--seed") {
+      config.seed = static_cast<std::uint64_t>(int_flag(args, i));
+    } else if (args[i] == "--out") {
+      out = flag_value(args, i);
+    } else {
+      (void)operand(args[i]);
+      return usage();
     }
   }
   std::filesystem::create_directories(out);
