@@ -8,6 +8,7 @@
 #include "analysis/resolve.hpp"
 #include "drb/corpus.hpp"
 #include "eval/parse.hpp"
+#include "fuzz_mutate.hpp"
 #include "minic/parser.hpp"
 #include "runtime/interp.hpp"
 #include "support/error.hpp"
@@ -27,21 +28,6 @@ std::string random_bytes(Rng& rng, std::size_t max_len) {
       s.push_back(static_cast<char>(rng.between(32, 126)));
     } else {
       s.push_back(static_cast<char>(rng.between(1, 31)));
-    }
-  }
-  return s;
-}
-
-/// Mutates a valid document: deletions, duplications, byte flips.
-std::string mutate(const std::string& base, Rng& rng) {
-  std::string s = base;
-  const int edits = static_cast<int>(rng.between(1, 8));
-  for (int e = 0; e < edits && !s.empty(); ++e) {
-    const std::size_t pos = rng.below(s.size());
-    switch (rng.below(3)) {
-      case 0: s.erase(pos, 1); break;
-      case 1: s.insert(pos, 1, static_cast<char>(rng.between(32, 126))); break;
-      default: s[pos] = static_cast<char>(rng.between(32, 126)); break;
     }
   }
   return s;
