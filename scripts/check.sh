@@ -37,10 +37,11 @@
 # verifier suite with its mutated-module fuzz target. Stage 2h is the
 # hostile-input gate: programs that
 # used to kill or hang a run (INT64_MIN / -1, loops that touch no
-# memory, unbounded recursion, a `%s` that starts outside its string)
-# must come back from the CLI as a result,
-# and a serve stream of all of them must answer every request and drain
-# on EOF; it runs under --fast too. Stage 3 rebuilds under
+# memory, unbounded recursion, a `%s` that starts outside its string,
+# and nesting past the parser's bound: 50,000 parentheses, a 200,000-term
+# sum, a 100,000-deep else-if chain) must come back from the CLI as a
+# result or a parse error, and a serve stream of all of them must answer
+# every request and drain on EOF; it runs under --fast too. Stage 3 rebuilds under
 # ThreadSanitizer (-DDRBML_SANITIZE=thread) and runs the
 # `parallel`-labelled suites -- the thread pool, the memoized artifact
 # caches, the parallel experiment executor, the lint and repair
@@ -155,12 +156,13 @@ echo "== stage 2g: bytecode-VM golden + verifier gate =="
 # guarded by the repository benchmark's pct-campaign workload.
 (cd build && ctest -L vm --output-on-failure)
 
-echo "== stage 2h: hostile inputs (division, silent loops, recursion, strings) =="
+echo "== stage 2h: hostile inputs (division, silent loops, recursion, strings, nesting) =="
 # Each program goes through `drbml analyze --detector dynamic` (the
-# division also through --detector static) and must exit with a code
-# that is neither timeout's 124 nor a signal's >= 128. Then all of them
-# plus one normal request stream through `drbml serve`: exactly one
-# response per id, and the daemon exits 0 on EOF.
+# division and the deep programs also through --detector static) and
+# must exit with a code that is neither timeout's 124 nor a signal's
+# >= 128. Then all of them plus one normal request stream through
+# `drbml serve`: exactly one response per id, and the daemon exits 0 on
+# EOF.
 hostile_tmp=$(mktemp -d)
 printf '%s\n' 'int main() { long m = 0x8000000000000000; long d = -1; long q = m / d; printf("%ld\n", q); return 0; }' \
   > "$hostile_tmp/div.c"
@@ -178,6 +180,15 @@ printf '%s\n' 'int f(int n) { return f(n + 1); }' 'int main() { return f(0); }' 
   > "$hostile_tmp/recurse.c"
 printf '%s\n' 'int main() { char s[4] = "abc"; char *p = s - 2; printf("%s\n", p); return 0; }' \
   > "$hostile_tmp/cstring.c"
+# Nesting far past minic::kMaxNestingDepth: a ParseError, not a stack
+# overflow in the parser or a later recursive pass.
+{ printf 'int main() { return '; printf '(%.0s' $(seq 50000); printf '1'
+  printf ')%.0s' $(seq 50000); printf '; }\n'; } > "$hostile_tmp/deep_parens.c"
+{ printf 'int main() { int x = 1; return x'; printf ' + x%.0s' $(seq 199999)
+  printf '; }\n'; } > "$hostile_tmp/deep_sum.c"
+{ printf 'int main() { int x = 0; '
+  printf 'if (x) x = 1; else %.0s' $(seq 100000)
+  printf 'x = 2; return x; }\n'; } > "$hostile_tmp/deep_else_if.c"
 hostile_run() {  # detector file
   local rc=0
   timeout 60 build/tools/drbml analyze --detector "$1" "$2" >/dev/null 2>&1 \
@@ -199,10 +210,14 @@ hostile_ids=()
     printf '{"id":"%s","verb":"analyze","detector":"dynamic","code":"%s"}\n' \
       "$name" "$(json_code "$f")"
   done
-  hostile_run static "$hostile_tmp/div.c"
-  hostile_ids+=("div-static" "normal")
-  printf '{"id":"div-static","verb":"analyze","detector":"static","code":"%s"}\n' \
-    "$(json_code "$hostile_tmp/div.c")"
+  for f in "$hostile_tmp"/div.c "$hostile_tmp"/deep_*.c; do
+    name=$(basename "$f" .c)
+    hostile_run static "$f"
+    hostile_ids+=("$name-static")
+    printf '{"id":"%s-static","verb":"analyze","detector":"static","code":"%s"}\n' \
+      "$name" "$(json_code "$f")"
+  done
+  hostile_ids+=("normal")
   printf '{"id":"normal","verb":"analyze","detector":"static","code":"%s"}\n' \
     "$racy"
 } > "$hostile_tmp/requests.ndjson"

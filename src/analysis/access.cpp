@@ -697,10 +697,10 @@ class RegionCollector {
 /// Finds region roots in a statement tree.
 class RegionFinder {
  public:
-  RegionFinder(const Resolution& res, const ConstantMap& consts,
-               const CollectOptions& opts,
+  RegionFinder(const TranslationUnit& unit, const FunctionDecl& fn,
+               const Resolution& res, const CollectOptions& opts,
                std::vector<ParallelRegion>& out)
-      : res_(res), consts_(consts), opts_(opts), out_(out) {}
+      : unit_(unit), fn_(fn), res_(res), opts_(opts), out_(out) {}
 
   void walk(const Stmt& s) {
     if (const auto* omp = stmt_cast<OmpStmt>(&s)) {
@@ -709,8 +709,13 @@ class RegionFinder {
                            kind == OmpDirectiveKind::Simd ||
                            kind == OmpDirectiveKind::ForSimd;
       if (is_root) {
+        // The function's constants are built once, at its first region.
+        if (!consts_) {
+          consts_ = std::make_shared<const ConstantMap>(
+              ConstantMap::build(unit_, fn_));
+        }
         ParallelRegion region =
-            RegionCollector(res_, consts_, opts_).collect(*omp);
+            RegionCollector(res_, *consts_, opts_).collect(*omp);
         region.consts = consts_;
         out_.push_back(std::move(region));
         return;  // nested constructs were handled inside the collector
@@ -749,10 +754,12 @@ class RegionFinder {
   }
 
  private:
+  const TranslationUnit& unit_;
+  const FunctionDecl& fn_;
   const Resolution& res_;
-  const ConstantMap& consts_;
   const CollectOptions& opts_;
   std::vector<ParallelRegion>& out_;
+  std::shared_ptr<const ConstantMap> consts_;
 };
 
 }  // namespace
@@ -882,9 +889,7 @@ std::vector<ParallelRegion> collect_regions(const TranslationUnit& unit,
   std::vector<ParallelRegion> regions;
   for (const auto& fn : unit.functions) {
     if (!fn->body) continue;
-    ConstantMap consts = ConstantMap::build(unit, *fn);
-    RegionFinder finder(res, consts, opts, regions);
-    finder.walk(*fn->body);
+    RegionFinder(unit, *fn, res, opts, regions).walk(*fn->body);
   }
   return regions;
 }

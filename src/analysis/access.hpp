@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -112,8 +113,9 @@ struct ParallelRegion {
   /// Phase boundaries in source order (empty = single-phase region).
   std::vector<PhaseBoundary> boundaries;
   /// Constant bindings of the enclosing function (used by dependence
-  /// testing to fold loop bounds and offsets).
-  ConstantMap consts;
+  /// testing to fold loop bounds and offsets), shared by all the regions
+  /// of that function.
+  std::shared_ptr<const ConstantMap> consts;
 };
 
 /// Options controlling collection fidelity (see StaticRaceDetector).

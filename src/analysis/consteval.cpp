@@ -15,10 +15,17 @@ namespace {
 /// there may still bind a TidForm, while loops and branches poison both.
 class Scanner {
  public:
-  Scanner(std::map<const VarDecl*, std::int64_t>& values,
+  /// Binds into `values`, `tid_values` and `poisoned`, the maps of
+  /// `folder`, and folds initializers against `folder` as it stands:
+  /// read-only, before the binding they produce is inserted.
+  Scanner(const ConstantMap& folder,
+          std::map<const VarDecl*, std::int64_t>& values,
           std::map<const VarDecl*, TidForm>& tid_values,
-          std::map<const VarDecl*, bool>& poisoned)
-      : values_(values), tid_values_(tid_values), poisoned_(poisoned) {}
+          std::set<const VarDecl*>& poisoned)
+      : folder_(folder),
+        values_(values),
+        tid_values_(tid_values),
+        poisoned_(poisoned) {}
 
   void scan_stmt(const Stmt& s, bool conditional, bool tid_conditional) {
     switch (s.kind) {
@@ -145,10 +152,7 @@ class Scanner {
  private:
   void bind(const VarDecl* v, const Expr* init, bool conditional,
             bool tid_conditional) {
-    if (poisoned_[v]) {
-      poison(v);
-      return;
-    }
+    if (poisoned_.count(v) != 0) return;
     if (values_.count(v) != 0 || tid_values_.count(v) != 0) {
       // Second binding: keep the latest only if constant; simplest sound
       // choice is to poison.
@@ -156,11 +160,9 @@ class Scanner {
       return;
     }
     // Literal or foldable initializer, evaluated against current bindings.
-    ConstantMap snapshot;
-    snapshot.set_for_scan(values_, tid_values_, poisoned_);
     if (!conditional) {
-      if (auto val = snapshot.eval(*init)) {
-        values_[v] = *val;
+      if (auto val = folder_.eval(*init)) {
+        values_.emplace(v, *val);
         return;
       }
     }
@@ -168,8 +170,8 @@ class Scanner {
       // Straight-line declaration in an OpenMP body (or plain code whose
       // initializer mentions omp_get_thread_num()): bind the affine
       // thread-id form. A coefficient of zero is a per-thread constant.
-      if (auto form = snapshot.tid_eval(*init)) {
-        tid_values_[v] = *form;
+      if (auto form = folder_.tid_eval(*init)) {
+        tid_values_.emplace(v, *form);
         return;
       }
     }
@@ -177,33 +179,23 @@ class Scanner {
   }
 
   void poison(const VarDecl* v) {
-    poisoned_[v] = true;
+    poisoned_.insert(v);
     values_.erase(v);
     tid_values_.erase(v);
   }
 
+  const ConstantMap& folder_;
   std::map<const VarDecl*, std::int64_t>& values_;
   std::map<const VarDecl*, TidForm>& tid_values_;
-  std::map<const VarDecl*, bool>& poisoned_;
-
-  friend class drbml::analysis::ConstantMap;
+  std::set<const VarDecl*>& poisoned_;
 };
 
 }  // namespace
 
-void ConstantMap::set_for_scan(
-    const std::map<const minic::VarDecl*, std::int64_t>& values,
-    const std::map<const minic::VarDecl*, TidForm>& tid_values,
-    const std::map<const minic::VarDecl*, bool>& poisoned) {
-  values_ = values;
-  tid_values_ = tid_values;
-  poisoned_ = poisoned;
-}
-
 ConstantMap ConstantMap::build(const TranslationUnit& unit,
                                const FunctionDecl& fn) {
   ConstantMap cm;
-  Scanner scanner(cm.values_, cm.tid_values_, cm.poisoned_);
+  Scanner scanner(cm, cm.values_, cm.tid_values_, cm.poisoned_);
   for (const auto& g : unit.globals) {
     if (g->init && !g->is_array() && !g->type.is_pointer() &&
         !g->type.is_floating()) {
@@ -215,16 +207,14 @@ ConstantMap ConstantMap::build(const TranslationUnit& unit,
 }
 
 std::optional<std::int64_t> ConstantMap::value_of(const VarDecl* v) const {
-  auto p = poisoned_.find(v);
-  if (p != poisoned_.end() && p->second) return std::nullopt;
+  if (poisoned_.count(v) != 0) return std::nullopt;
   auto it = values_.find(v);
   if (it == values_.end()) return std::nullopt;
   return it->second;
 }
 
 std::optional<TidForm> ConstantMap::tid_form_of(const VarDecl* v) const {
-  auto p = poisoned_.find(v);
-  if (p != poisoned_.end() && p->second) return std::nullopt;
+  if (poisoned_.count(v) != 0) return std::nullopt;
   auto it = tid_values_.find(v);
   if (it == tid_values_.end()) return std::nullopt;
   return it->second;

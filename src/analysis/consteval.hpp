@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 
 #include "minic/ast.hpp"
 
@@ -53,16 +54,10 @@ class ConstantMap {
   /// to {coeff 1, constant 0}.
   [[nodiscard]] std::optional<TidForm> tid_eval(const minic::Expr& e) const;
 
-  /// Internal: seeds a map from in-progress scan state so initializers can
-  /// fold previously bound constants. Not part of the public API.
-  void set_for_scan(const std::map<const minic::VarDecl*, std::int64_t>& values,
-                    const std::map<const minic::VarDecl*, TidForm>& tid_values,
-                    const std::map<const minic::VarDecl*, bool>& poisoned);
-
  private:
   std::map<const minic::VarDecl*, std::int64_t> values_;
   std::map<const minic::VarDecl*, TidForm> tid_values_;
-  std::map<const minic::VarDecl*, bool> poisoned_;
+  std::set<const minic::VarDecl*> poisoned_;
 };
 
 }  // namespace drbml::analysis

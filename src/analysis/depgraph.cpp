@@ -90,7 +90,7 @@ DependenceGraph build_dependence_graph(minic::TranslationUnit& unit) {
         if (!a.is_write && !b.is_write) continue;
         if (i == j && !a.is_write) continue;
         const ConflictKind kind =
-            classify_conflict(a, b, region.consts, dep_opts);
+            classify_conflict(a, b, *region.consts, dep_opts);
         if (kind == ConflictKind::None) continue;
         DepEdge edge;
         edge.src = node_of[i];

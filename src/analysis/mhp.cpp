@@ -94,10 +94,11 @@ SerialRegionInfo classify_serial(const ParallelRegion& region) {
   SerialRegionInfo info;
   if (region.stmt == nullptr || region.simd_only) return info;
   const OmpDirective& dir = region.stmt->directive;
+  const ConstantMap& consts = *region.consts;
   std::string reason;
   if (const OmpClause* ifc = dir.find_clause(OmpClauseKind::If)) {
     if (ifc->expr != nullptr) {
-      if (auto v = region.consts.eval(*ifc->expr); v.has_value() && *v == 0) {
+      if (auto v = consts.eval(*ifc->expr); v.has_value() && *v == 0) {
         reason = "if clause folds to 0";
       }
     }
@@ -105,7 +106,7 @@ SerialRegionInfo classify_serial(const ParallelRegion& region) {
   if (reason.empty()) {
     if (const OmpClause* nt = dir.find_clause(OmpClauseKind::NumThreads)) {
       if (nt->expr != nullptr) {
-        if (auto v = region.consts.eval(*nt->expr); v.has_value() && *v == 1) {
+        if (auto v = consts.eval(*nt->expr); v.has_value() && *v == 1) {
           reason = "num_threads clause folds to 1";
         }
       }

@@ -128,7 +128,7 @@ bool StaticRaceDetector::judge_pair(const AccessInfo& a, const AccessInfo& b,
 
   // Rule 4: affine dependence testing over the subscripts.
   const DependVerdict dv =
-      classify_conflict_ex(a, b, region.consts, opts_.depend);
+      classify_conflict_ex(a, b, *region.consts, opts_.depend);
   ev.dep_test = dv.test;
   ev.dep_detail = dv.detail;
   const std::string rule = "dep." + dv.test;

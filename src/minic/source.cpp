@@ -1,6 +1,6 @@
 #include "minic/source.hpp"
 
-#include <cctype>
+#include <algorithm>
 
 namespace drbml::minic {
 
@@ -14,21 +14,50 @@ int StripResult::to_trimmed_line(int original_line) const noexcept {
 
 namespace {
 
-bool line_is_blank(std::string_view line) noexcept {
-  for (char c : line) {
-    if (std::isspace(static_cast<unsigned char>(c)) == 0) return false;
-  }
-  return true;
+/// <cctype>'s isspace in the "C" locale, which the program never changes.
+constexpr bool is_space(char c) noexcept {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
 }
 
-/// Replaces comments with spaces (preserving newlines inside block
-/// comments) so that line/column structure survives for the second pass.
-std::string blank_comments(std::string_view src) {
-  std::string out;
-  out.reserve(src.size());
+}  // namespace
+
+StripResult strip_comments(std::string_view source) {
+  // One pass: each comment byte is written as a space (a newline inside a
+  // block comment stays a newline), so kept code keeps its columns. At each
+  // line's end the line is cut back to its last non-space byte, or dropped
+  // (line_map 0) if nothing but space and comments is left.
+  StripResult result;
+  std::string& out = result.trimmed;
+  out.reserve(source.size());
+  const auto newlines = std::count(source.begin(), source.end(), '\n');
+  result.line_map.reserve(static_cast<std::size_t>(newlines) + 1);
+  int next_line = 1;
+  std::size_t line_start = 0;  // where the current line begins in `out`
+  std::size_t kept_end = 0;    // just past its last non-space byte
+  const auto end_line = [&] {
+    if (kept_end > line_start) {
+      out.resize(kept_end);
+      out.push_back('\n');
+      result.line_map.push_back(next_line++);
+    } else {
+      out.resize(line_start);
+      result.line_map.push_back(0);
+    }
+    line_start = kept_end = out.size();
+  };
+  const auto put = [&](char c) {
+    if (c == '\n') {
+      end_line();
+      return;
+    }
+    out.push_back(c);
+    if (!is_space(c)) kept_end = out.size();
+  };
+
   enum class State { Code, Slash, Line, Block, BlockStar, Str, StrEsc, Chr, ChrEsc };
   State st = State::Code;
-  for (char c : src) {
+  for (char c : source) {
     switch (st) {
       case State::Code:
         if (c == '/') {
@@ -36,19 +65,21 @@ std::string blank_comments(std::string_view src) {
         } else {
           if (c == '"') st = State::Str;
           if (c == '\'') st = State::Chr;
-          out.push_back(c);
+          put(c);
         }
         break;
       case State::Slash:
         if (c == '/') {
-          out += "  ";
+          put(' ');
+          put(' ');
           st = State::Line;
         } else if (c == '*') {
-          out += "  ";
+          put(' ');
+          put(' ');
           st = State::Block;
         } else {
-          out.push_back('/');
-          out.push_back(c);
+          put('/');
+          put(c);
           if (c == '"') st = State::Str;
           else if (c == '\'') st = State::Chr;
           else st = State::Code;
@@ -56,99 +87,47 @@ std::string blank_comments(std::string_view src) {
         break;
       case State::Line:
         if (c == '\n') {
-          out.push_back('\n');
+          put('\n');
           st = State::Code;
         } else {
-          out.push_back(' ');
+          put(' ');
         }
         break;
       case State::Block:
-        if (c == '*') {
-          st = State::BlockStar;
-          out.push_back(' ');
-        } else {
-          out.push_back(c == '\n' ? '\n' : ' ');
-        }
+        if (c == '*') st = State::BlockStar;
+        put(c == '\n' ? '\n' : ' ');
         break;
       case State::BlockStar:
         if (c == '/') {
-          out.push_back(' ');
           st = State::Code;
-        } else if (c == '*') {
-          out.push_back(' ');
-        } else {
-          out.push_back(c == '\n' ? '\n' : ' ');
+        } else if (c != '*') {
           st = State::Block;
         }
+        put(c == '\n' ? '\n' : ' ');
         break;
       case State::Str:
-        out.push_back(c);
+        put(c);
         if (c == '\\') st = State::StrEsc;
         else if (c == '"') st = State::Code;
         break;
       case State::StrEsc:
-        out.push_back(c);
+        put(c);
         st = State::Str;
         break;
       case State::Chr:
-        out.push_back(c);
+        put(c);
         if (c == '\\') st = State::ChrEsc;
         else if (c == '\'') st = State::Code;
         break;
       case State::ChrEsc:
-        out.push_back(c);
+        put(c);
         st = State::Chr;
         break;
     }
   }
-  if (st == State::Slash) out.push_back('/');
-  return out;
-}
-
-std::vector<std::string> split_keep_lines(std::string_view s) {
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '\n') {
-      lines.emplace_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  if (start < s.size()) lines.emplace_back(s.substr(start));
-  return lines;
-}
-
-/// Strips trailing whitespace (introduced by comment blanking).
-std::string rstrip(std::string s) {
-  while (!s.empty() &&
-         std::isspace(static_cast<unsigned char>(s.back())) != 0) {
-    s.pop_back();
-  }
-  return s;
-}
-
-}  // namespace
-
-StripResult strip_comments(std::string_view source) {
-  const std::string blanked = blank_comments(source);
-  const std::vector<std::string> orig_lines = split_keep_lines(source);
-  const std::vector<std::string> lines = split_keep_lines(blanked);
-
-  StripResult result;
-  result.line_map.assign(orig_lines.size(), 0);
-  int next_line = 1;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const bool was_blank = line_is_blank(orig_lines[i]);
-    if (line_is_blank(lines[i]) && !was_blank) {
-      continue;  // line held only a comment: drop it
-    }
-    if (line_is_blank(lines[i]) && was_blank) {
-      continue;  // originally blank lines are dropped too
-    }
-    result.trimmed += rstrip(lines[i]);
-    result.trimmed += '\n';
-    result.line_map[i] = next_line++;
-  }
+  if (st == State::Slash) put('/');
+  // A last line without its newline is a line too.
+  if (!source.empty() && source.back() != '\n') end_line();
   return result;
 }
 

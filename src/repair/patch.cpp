@@ -472,12 +472,6 @@ ApplyResult apply_patch(const std::string& source, const Patch& patch) {
 
   std::vector<TextOp> ops;
   LineMap lm;
-  auto insert_before = [&](int orig, int trimmed, std::string text) {
-    const int at = hop_before(orig);
-    ops.push_back({at, TextOp::InsertBefore, std::move(text)});
-    lm.trimmed_events.push_back({trimmed, +1});
-    lm.original_events.push_back({at, +1});
-  };
   auto insert_after = [&](int orig, int trimmed, std::string text) {
     ops.push_back({orig, TextOp::InsertAfter, std::move(text)});
     lm.trimmed_events.push_back({trimmed + 1, +1});

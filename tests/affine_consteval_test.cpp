@@ -1,7 +1,10 @@
 // Focused tests for linear-form construction and constant propagation
 // corner cases (complementing the end-to-end analysis tests).
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <new>
 #include <optional>
 #include <string>
 
@@ -11,6 +14,44 @@
 #include "analysis/consteval.hpp"
 #include "analysis/resolve.hpp"
 #include "minic/parser.hpp"
+
+// Global allocation counter for the ConstantMap scaling test, left on for
+// the whole binary (as in runtime_test). GCC flags free() on new-ed
+// pointers without seeing that this replacement new is malloc-backed, so
+// the mismatch warning is a false positive here.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+// The nothrow forms too: otherwise they come from the runtime's allocator
+// -- a sanitizer's under ASan -- and are handed back to the free() below.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace drbml::analysis {
 namespace {
@@ -214,6 +255,64 @@ TEST(ConstEval, EvalHandlesLogicAndComparisons) {
   const auto* decl =
       minic::stmt_cast<minic::DeclStmt>(fn->body->body[0].get());
   EXPECT_EQ(cm2.value_of(decl->decls[0].get()), 1);
+}
+
+// ------------------------------------------------------- scaling
+
+/// `main` with `n` chained declarations (`int v0 = 1; int v1 = v0 + 1;
+/// ...`) and a parallel region that reads the first and the last.
+std::string chained_decls(int n) {
+  std::string src = "int main() {\n  int a[8];\n  int v0 = 1;\n";
+  for (int i = 1; i < n; ++i) {
+    src += "  int v";
+    src += std::to_string(i);
+    src += " = v";
+    src += std::to_string(i - 1);
+    src += " + 1;\n";
+  }
+  src += "#pragma omp parallel for\n";
+  src += "  for (int i = 0; i < 8; i++) a[i] = v0 + v";
+  src += std::to_string(n - 1);
+  src += " + i;\n  return 0;\n}\n";
+  return src;
+}
+
+const minic::VarDecl* find_decl(const minic::FunctionDecl& fn,
+                                const std::string& name) {
+  for (const auto& st : fn.body->body) {
+    if (const auto* d = minic::stmt_cast<minic::DeclStmt>(st.get())) {
+      for (const auto& v : d->decls) {
+        if (v->name == name) return v.get();
+      }
+    }
+  }
+  return nullptr;
+}
+
+TEST(ConstEval, BuildAllocatesLinearlyInTheFunctionsBindings) {
+  // Each binding folds its initializer against the map being built, so
+  // twice the declarations cost about twice the allocations: one tree
+  // node per binding. Folding against a copy of the map per binding was
+  // quadratic, about 4x from 250 to 500 declarations.
+  const int sizes[2] = {250, 500};
+  std::uint64_t counts[2] = {};
+  for (int k = 0; k < 2; ++k) {
+    const Program p = parse_program(chained_decls(sizes[k]));
+    resolve(*p.unit);
+    const minic::FunctionDecl* fn = p.unit->find_function("main");
+    ASSERT_NE(fn, nullptr);
+    std::optional<ConstantMap> cm;
+    const std::uint64_t before = g_allocations.load();
+    cm.emplace(ConstantMap::build(*p.unit, *fn));
+    counts[k] = g_allocations.load() - before;
+    std::string last = "v";
+    last += std::to_string(sizes[k] - 1);
+    EXPECT_EQ(cm->value_of(find_decl(*fn, last)), sizes[k]) << last;
+  }
+  EXPECT_GT(counts[0], 0u);
+  EXPECT_LE(counts[1] * 2, counts[0] * 5)
+      << counts[0] << " allocations for " << sizes[0] << " declarations, "
+      << counts[1] << " for " << sizes[1];
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // pragmas, and the parse_program pipeline.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "minic/parser.hpp"
 #include "minic/printer.hpp"
 #include "support/error.hpp"
@@ -430,6 +433,139 @@ TEST(ParseProgram, RoundTripThroughPrinterReparses) {
   // The printed form must itself parse.
   Program p2 = parse_program(printed);
   EXPECT_EQ(unit_to_string(*p2.unit), printed);
+}
+
+// ------------------------------------------------------------ nesting
+
+std::string repeat(std::string_view s, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+/// A construct nested `n` deep inside main. `slack` is how many levels
+/// main's own tree takes around it: n = kMaxNestingDepth - slack is the
+/// deepest that parses. `offending` is the token one level deeper gets
+/// the error at.
+struct NestShape {
+  const char* name;
+  std::string (*program)(int n);
+  int slack;
+  const char* offending;
+};
+
+const NestShape kNestShapes[] = {
+    {"parentheses",
+     [](int n) {
+       return "int main() { return " + repeat("(", n) + "1" + repeat(")", n) +
+              "; }\n";
+     },
+     5, "("},
+    {"unary minus",
+     [](int n) { return "int main() { return " + repeat("- ", n) + "1; }\n"; },
+     5, "-"},
+    {"casts",
+     [](int n) {
+       return "int main() { return " + repeat("(int)", n) + "1; }\n";
+     },
+     5, "("},
+    {"flat sum",
+     [](int n) {
+       return "int main() { int x = 1; return x" + repeat(" + x", n - 1) +
+              "; }\n";
+     },
+     4, "+"},
+    {"comma chain",
+     [](int n) {
+       return "int main() { int x = 1; return x" + repeat(", x", n - 1) +
+              "; }\n";
+     },
+     4, ","},
+    {"assignment chain",
+     [](int n) {
+       return "int main() { int x; " + repeat("x = ", n) + "1; return x; }\n";
+     },
+     5, "="},
+    {"subscript chain",
+     [](int n) {
+       return "int a[1]; int main() { return a" + repeat("[0]", n) + "; }\n";
+     },
+     5, "["},
+    {"postfix increments",
+     [](int n) {
+       return "int main() { int x = 0; x" + repeat("++", n) +
+              "; return x; }\n";
+     },
+     5, "++"},
+    {"else-if chain",
+     [](int n) {
+       return "int main() { int x = 0; " +
+              repeat("if (x) x = 1; else ", n) + "x = 2; return x; }\n";
+     },
+     6, "="},
+    {"blocks",
+     [](int n) {
+       return "int main() { int x = 0; " + repeat("{ ", n) + "x = 1;" +
+              repeat(" }", n) + " return x; }\n";
+     },
+     6, "="},
+};
+
+TEST(Nesting, JustUnderTheBoundParses) {
+  for (const NestShape& shape : kNestShapes) {
+    const int n = kMaxNestingDepth - shape.slack;
+    try {
+      const Program p = parse_program(shape.program(n));
+      EXPECT_FALSE(unit_to_string(*p.unit).empty()) << shape.name;
+    } catch (const ParseError& e) {
+      ADD_FAILURE() << shape.name << " " << n << " deep: " << e.what();
+    }
+  }
+}
+
+TEST(Nesting, JustOverTheBoundIsAParseErrorAtTheOffendingToken) {
+  const std::string limit =
+      "nesting deeper than " + std::to_string(kMaxNestingDepth) + " levels";
+  for (const NestShape& shape : kNestShapes) {
+    const std::string src =
+        shape.program(kMaxNestingDepth - shape.slack + 1);
+    try {
+      (void)parse_program(src);
+      ADD_FAILURE() << shape.name << " parsed past the bound";
+    } catch (const ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(limit), std::string::npos) << shape.name << what;
+      EXPECT_NE(what.find(std::string("(got '") + shape.offending + "')"),
+                std::string::npos)
+          << shape.name << ": " << what;
+      // The location names that token in the one-line program.
+      ASSERT_EQ(e.line(), 1) << shape.name;
+      EXPECT_EQ(src.compare(static_cast<std::size_t>(e.col() - 1),
+                            std::string_view(shape.offending).size(),
+                            shape.offending),
+                0)
+          << shape.name << " at column " << e.col();
+    }
+  }
+}
+
+TEST(Nesting, HostileDepthsFailAtTheBoundNotTheStack) {
+  // Far past the bound: the parser stops at it instead of recursing on.
+  for (const NestShape& shape : kNestShapes) {
+    EXPECT_THROW((void)parse_program(shape.program(100'000)), ParseError)
+        << shape.name;
+  }
+}
+
+TEST(Nesting, PragmaClauseExpressionsCountFromTheirStatement) {
+  // A clause expression sits below its directive's statement: nesting
+  // inside `num_threads(...)` counts from there.
+  const auto program = [](int n) {
+    return "int main() {\n#pragma omp parallel num_threads(" +
+           repeat("(", n) + "1" + repeat(")", n) + ")\n  { }\n  return 0;\n}\n";
+  };
+  EXPECT_NO_THROW((void)parse_program(program(kMaxNestingDepth / 2)));
+  EXPECT_THROW((void)parse_program(program(kMaxNestingDepth)), ParseError);
 }
 
 }  // namespace

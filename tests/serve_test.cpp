@@ -330,30 +330,51 @@ TEST(ServeProtocol, UnparseableCodeIsAnalysisFailedNotCrash) {
 
 TEST(ServeProtocol, RunawayRecursionIsAStructuredFaultNotACrash) {
   // Programs that used to crash or hang the daemon -- unbounded recursion,
-  // loops that touch no memory, INT64_MIN / -1 -- each followed by a
-  // normal request on the same stream: each comes back with a result
-  // naming the run's fault, and the daemon is still there to answer the
-  // request after it.
+  // loops that touch no memory, INT64_MIN / -1, nesting deep enough to
+  // overflow the stack of a recursive pass -- each followed by a normal
+  // request on the same stream: each comes back with a result naming the
+  // run's fault or with a structured parse error, and the daemon is still
+  // there to answer the request after it.
   const std::string recursive =
       "int f(int n) { return f(n + 1); }\nint main() { return f(0); }\n";
   const std::string division =
       "int main() { long m = 0x8000000000000000; long d = -1; "
       "long q = m / d; printf(\"%ld\\n\", q); return 0; }\n";
+  const auto repeat = [](const std::string& s, int n) {
+    std::string out;
+    for (int i = 0; i < n; ++i) out += s;
+    return out;
+  };
+  const std::string parens = "int main() { return " + repeat("(", 50'000) +
+                             "1" + repeat(")", 50'000) + "; }\n";
+  const std::string sum = "int main() { int x = 1; return x" +
+                          repeat(" + x", 199'999) + "; }\n";
+  const std::string else_if = "int main() { int x = 0; " +
+                              repeat("if (x) x = 1; else ", 100'000) +
+                              "x = 2; return x; }\n";
+  const char* const too_deep = "nesting deeper than";
   const struct {
     std::string id;
     const char* detector;
     std::string code;
     const char* fault;  // expected in the diagnostics; null: none
+    const char* error;  // expected in the error message; null: ok
   } hostile[] = {
-      {"deep", "dynamic", recursive, "call depth limit exceeded"},
+      {"deep", "dynamic", recursive, "call depth limit exceeded", nullptr},
       {"spin", "dynamic", "int main() { while (1) {} return 0; }\n",
-       "silent loop limit exceeded"},
+       "silent loop limit exceeded", nullptr},
       {"spin-region", "dynamic",
        "int main() {\n#pragma omp parallel\n  { while (1) {} }\n"
        "  return 0;\n}\n",
-       "silent loop limit exceeded"},
-      {"div", "dynamic", division, "integer division overflow"},
-      {"div-static", "static", division, nullptr},
+       "silent loop limit exceeded", nullptr},
+      {"div", "dynamic", division, "integer division overflow", nullptr},
+      {"div-static", "static", division, nullptr, nullptr},
+      {"parens-static", "static", parens, nullptr, too_deep},
+      {"parens-dynamic", "dynamic", parens, nullptr, too_deep},
+      {"sum-static", "static", sum, nullptr, too_deep},
+      {"sum-dynamic", "dynamic", sum, nullptr, too_deep},
+      {"else-if-static", "static", else_if, nullptr, too_deep},
+      {"else-if-dynamic", "dynamic", else_if, nullptr, too_deep},
   };
   std::string requests;
   for (const auto& h : hostile) {
@@ -369,12 +390,20 @@ TEST(ServeProtocol, RunawayRecursionIsAStructuredFaultNotACrash) {
   int out_pipe[2];
   ASSERT_EQ(::pipe(in_pipe), 0);
   ASSERT_EQ(::pipe(out_pipe), 0);
-  ASSERT_EQ(::write(in_pipe[1], requests.data(), requests.size()),
-            static_cast<ssize_t>(requests.size()));
-  ::close(in_pipe[1]);
+  // The stream is larger than a pipe holds: feed it while the server reads.
+  std::thread writer([&] {
+    for (std::size_t at = 0; at < requests.size();) {
+      const ssize_t n =
+          ::write(in_pipe[1], requests.data() + at, requests.size() - at);
+      if (n <= 0) break;
+      at += static_cast<std::size_t>(n);
+    }
+    ::close(in_pipe[1]);
+  });
 
   Server server(small_server());
   EXPECT_EQ(server.serve_fd(in_pipe[0], out_pipe[1]), 2 * std::size(hostile));
+  writer.join();
   ::close(in_pipe[0]);
   ::close(out_pipe[1]);
   std::string out;
@@ -394,7 +423,16 @@ TEST(ServeProtocol, RunawayRecursionIsAStructuredFaultNotACrash) {
   ASSERT_EQ(by_id.size(), 2 * std::size(hostile)) << out;
   for (const auto& h : hostile) {
     const json::Object& got = by_id.at(h.id).as_object();
-    ASSERT_TRUE(got.at("ok").as_bool()) << h.id << ": " << out;
+    if (h.error != nullptr) {
+      ASSERT_FALSE(got.at("ok").as_bool()) << h.id << ": " << out;
+      EXPECT_EQ(error_kind(by_id.at(h.id)), "analysis_failed") << h.id;
+      EXPECT_NE(got.at("error").as_object().at("message").as_string().find(
+                    h.error),
+                std::string::npos)
+          << h.id << ": " << out;
+    } else {
+      ASSERT_TRUE(got.at("ok").as_bool()) << h.id << ": " << out;
+    }
     if (h.fault != nullptr) {
       bool fault_reported = false;
       for (const json::Value& d :
