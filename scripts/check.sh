@@ -40,8 +40,15 @@
 # memory, unbounded recursion, a `%s` that starts outside its string,
 # and nesting past the parser's bound: 50,000 parentheses, a 200,000-term
 # sum, a 100,000-deep else-if chain) must come back from the CLI as a
-# result or a parse error, and a serve stream of all of them must answer
-# every request and drain on EOF; it runs under --fast too. Stage 3 rebuilds under
+# result or a parse error, and a serve stream of all of them plus a
+# request line of 50,000 nested brackets (past json::kMaxDepth; bad_json)
+# must answer every request and drain on EOF; it runs under --fast too.
+# Stage 2i runs the repository benchmark's self-test
+# (perfbench/selftest.py): tiny runs of every workload with the
+# benchmark's own output checks -- serve-fleet's hot responses
+# byte-identical to its set-up responses, no novel request answered
+# from the cache, every PCT witness replaying -- built into the
+# gitignored .bench_build/; it runs under --fast too. Stage 3 rebuilds under
 # ThreadSanitizer (-DDRBML_SANITIZE=thread) and runs the
 # `parallel`-labelled suites -- the thread pool, the memoized artifact
 # caches, the parallel experiment executor, the lint and repair
@@ -162,7 +169,8 @@ echo "== stage 2h: hostile inputs (division, silent loops, recursion, strings, n
 # must exit with a code that is neither timeout's 124 nor a signal's
 # >= 128. Then all of them plus one normal request stream through
 # `drbml serve`: exactly one response per id, and the daemon exits 0 on
-# EOF.
+# EOF. One more line nests 50,000 brackets: it must get bad_json (with
+# no id, as it never parsed), and the normal request after it an answer.
 hostile_tmp=$(mktemp -d)
 printf '%s\n' 'int main() { long m = 0x8000000000000000; long d = -1; long q = m / d; printf("%ld\n", q); return 0; }' \
   > "$hostile_tmp/div.c"
@@ -217,6 +225,8 @@ hostile_ids=()
     printf '{"id":"%s-static","verb":"analyze","detector":"static","code":"%s"}\n' \
       "$name" "$(json_code "$f")"
   done
+  printf '{"id":"deep-json","verb":"stats","x":'
+  printf '[%.0s' $(seq 50000); printf ']%.0s' $(seq 50000); printf '}\n'
   hostile_ids+=("normal")
   printf '{"id":"normal","verb":"analyze","detector":"static","code":"%s"}\n' \
     "$racy"
@@ -229,8 +239,9 @@ if (( serve_rc != 0 )); then
   echo "hostile gate: serve exited $serve_rc on EOF" >&2; exit 1
 fi
 resp_count=$(wc -l < "$hostile_tmp/responses.ndjson")
-if [[ "$resp_count" -ne "${#hostile_ids[@]}" ]]; then
-  echo "hostile gate: expected ${#hostile_ids[@]} responses, got $resp_count" >&2
+expected=$(( ${#hostile_ids[@]} + 1 ))
+if [[ "$resp_count" -ne "$expected" ]]; then
+  echo "hostile gate: expected $expected responses, got $resp_count" >&2
   exit 1
 fi
 for id in "${hostile_ids[@]}"; do
@@ -238,8 +249,15 @@ for id in "${hostile_ids[@]}"; do
     echo "hostile gate: not exactly one response for id $id" >&2; exit 1
   fi
 done
-echo "hostile gate: ${#hostile_ids[@]}/${#hostile_ids[@]} responses, serve exit 0"
+if [[ $(grep -c '^{"id":"","ok":false,"error":{"kind":"bad_json","message":"json: nesting deeper than' \
+        "$hostile_tmp/responses.ndjson") -ne 1 ]]; then
+  echo "hostile gate: the deeply nested line did not get bad_json" >&2; exit 1
+fi
+echo "hostile gate: $expected/$expected responses, serve exit 0"
 rm -rf "$hostile_tmp"
+
+echo "== stage 2i: benchmark self-test (tiny runs with output checks) =="
+python3 perfbench/selftest.py | tail -n 1
 
 if [[ "${1:-}" == "--fast" ]]; then
   echo "== skipping the sanitizer stages (--fast) =="

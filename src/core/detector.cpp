@@ -16,7 +16,7 @@ namespace {
 
 class StaticTool final : public RaceDetector {
  public:
-  RaceVerdict analyze(const std::string& code) const override {
+  RaceVerdict analyze(const eval::Source& code) const override {
     return {.report = eval::artifact_cache().static_report(code, {})};
   }
   std::string name() const override { return "static"; }
@@ -24,7 +24,7 @@ class StaticTool final : public RaceDetector {
 
 class DynamicTool final : public RaceDetector {
  public:
-  RaceVerdict analyze(const std::string& code) const override {
+  RaceVerdict analyze(const eval::Source& code) const override {
     return {.report = eval::artifact_cache().dynamic_report(code, {})};
   }
   std::string name() const override { return "dynamic"; }
@@ -32,7 +32,7 @@ class DynamicTool final : public RaceDetector {
 
 class HybridTool final : public RaceDetector {
  public:
-  RaceVerdict analyze(const std::string& code) const override {
+  RaceVerdict analyze(const eval::Source& code) const override {
     eval::ArtifactCache& cache = eval::artifact_cache();
     RaceVerdict v{.report = cache.static_report(code, {})};
     try {
@@ -52,7 +52,7 @@ class ExploreTool final : public RaceDetector {
     opts_.strategy = strategy;
   }
 
-  RaceVerdict analyze(const std::string& code) const override {
+  RaceVerdict analyze(const eval::Source& code) const override {
     const explore::ExploreResult& result =
         eval::artifact_cache().explore_result(code, opts_);
     RaceVerdict v{.report = result.report};
@@ -73,7 +73,7 @@ class ExploreTool final : public RaceDetector {
 
 class LintTool final : public RaceDetector {
  public:
-  RaceVerdict analyze(const std::string& code) const override {
+  RaceVerdict analyze(const eval::Source& code) const override {
     const lint::LintReport& report = eval::artifact_cache().lint_report(code);
     RaceVerdict v{.report = report.race};
     // The verdict's notes are the linter's findings, not the static
@@ -97,11 +97,12 @@ class LlmTool final : public RaceDetector {
   LlmTool(llm::Persona persona, prompts::Style style)
       : model_(std::move(persona)), style_(style) {}
 
-  RaceVerdict analyze(const std::string& code) const override {
+  RaceVerdict analyze(const eval::Source& code) const override {
     // Ask for pair details with BP2; plain detection otherwise.
+    const std::string text(code.text());
     const prompts::Chat chat = style_ == prompts::Style::BP2
-                                   ? prompts::varid_chat(code)
-                                   : prompts::detection_chat(style_, code);
+                                   ? prompts::varid_chat(text)
+                                   : prompts::detection_chat(style_, text);
     const llm::Reply reply = model_.chat(chat);
     RaceVerdict v;
     v.model_response = reply.text;

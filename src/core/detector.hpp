@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "analysis/report.hpp"
+#include "eval/source.hpp"
 
 namespace drbml::core {
 
@@ -52,9 +53,12 @@ class RaceDetector {
  public:
   virtual ~RaceDetector() = default;
 
-  /// Analyzes OpenMP C source text. Must be data-race-free: analyze_batch
-  /// calls it concurrently from pool workers.
-  [[nodiscard]] virtual RaceVerdict analyze(const std::string& code) const = 0;
+  /// Analyzes OpenMP C source text. The Source carries the text's cache
+  /// key, so a caller that probes other artifacts of the same program
+  /// hashes it once; a string converts to one implicitly. Must be
+  /// data-race-free: analyze_batch calls it concurrently from pool
+  /// workers.
+  [[nodiscard]] virtual RaceVerdict analyze(const eval::Source& code) const = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
 

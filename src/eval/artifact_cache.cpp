@@ -1,6 +1,9 @@
 #include "eval/artifact_cache.hpp"
 
 #include <cinttypes>
+#include <climits>
+#include <optional>
+#include <string_view>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -95,6 +98,8 @@ std::uint64_t hash_repair_options(const repair::RepairOptions& o) {
 // comparison tolerate slack -- so each is a flat struct overhead plus
 // the variable-size payloads.
 
+std::uint64_t cost_tokens() { return 16; }
+
 std::uint64_t cost_string(const std::string& s) { return 64 + s.size(); }
 
 std::uint64_t cost_evidence(const analysis::Evidence& e) {
@@ -161,6 +166,32 @@ const std::pair<const obs::MetricDesc&, const obs::MetricDesc&>
 
 }  // namespace
 
+namespace {
+
+/// One LRU-index key per (kind, OnceMap key): token_count and ast_text
+/// share the raw code hash, so the kind must participate.
+std::uint64_t lru_id(int kind, std::uint64_t key) {
+  return hash_combine(static_cast<std::uint64_t>(kind) + 1, key);
+}
+
+}  // namespace
+
+template <typename Cost>
+void ArtifactCache::touch(Kind kind, std::uint64_t key, Cost&& cost) {
+  std::lock_guard<std::mutex> lock(lru_mu_);
+  const std::uint64_t id = lru_id(static_cast<int>(kind), key);
+  auto it = lru_index_.find(id);
+  if (it != lru_index_.end()) {
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return;
+  }
+  const std::uint64_t bytes = cost();
+  lru_.push_front(LruEntry{kind, key, bytes});
+  lru_index_.emplace(id, lru_.begin());
+  resident_bytes_ += bytes;
+  evict_to_budget_locked();
+}
+
 ArtifactCache::KindCounters ArtifactCache::counters(Kind kind) {
   static_assert(std::size(kKindMetrics) == kKindCount,
                 "one counter pair per artifact kind");
@@ -178,44 +209,45 @@ ArtifactCache::CounterTotals ArtifactCache::counter_totals() {
   return totals;
 }
 
-int ArtifactCache::token_count(const std::string& code) {
+int ArtifactCache::token_count(const Source& code) {
   static const KindCounters count = counters(Kind::Tokens);
   count.probe.add();
-  const std::uint64_t key = fnv1a64(code);
+  const std::uint64_t key = code.key();
   const int v = tokens_.get_or_compute(key, [&] {
     count.compute.add();
     obs::Span span(obs::kSpanArtifactTokens);
     llm::SimpleTokenizer tok;
-    return tok.count_tokens(code);
+    return tok.count_tokens(code.text());
   });
-  touch(Kind::Tokens, key, 16);
+  touch(Kind::Tokens, key, cost_tokens);
   return v;
 }
 
-const std::string& ArtifactCache::ast_text(const std::string& code) {
+const std::string& ArtifactCache::ast_text(const Source& code) {
   static const KindCounters count = counters(Kind::Ast);
   count.probe.add();
-  const std::uint64_t key = fnv1a64(code);
+  const std::uint64_t key = code.key();
   const std::string& v = asts_.get_or_compute(key, [&] {
     count.compute.add();
     obs::Span span(obs::kSpanArtifactAst);
-    minic::Program prog = minic::parse_program(code);
+    minic::Program prog = minic::parse_program(code.text());
     return minic::unit_to_string(*prog.unit);
   });
-  touch(Kind::Ast, key, cost_string(v));
+  touch(Kind::Ast, key, [&] { return cost_string(v); });
   return v;
 }
 
-const std::string& ArtifactCache::depgraph_text(const std::string& code) {
+const std::string& ArtifactCache::depgraph_text(const Source& code) {
   static const KindCounters count = counters(Kind::Depgraph);
   count.probe.add();
-  const std::uint64_t key = fnv1a64(code);
+  const std::uint64_t key = code.key();
   const std::string& v = depgraphs_.get_or_compute(key, [&] {
     count.compute.add();
     obs::Span span(obs::kSpanArtifactDepgraph);
-    return analysis::build_dependence_graph(code).to_text();
+    return analysis::build_dependence_graph(std::string(code.text()))
+        .to_text();
   });
-  touch(Kind::Depgraph, key, cost_string(v));
+  touch(Kind::Depgraph, key, [&] { return cost_string(v); });
   return v;
 }
 
@@ -224,86 +256,85 @@ const llm::ProgramFeatures& ArtifactCache::features(const std::string& code) {
 }
 
 const analysis::RaceReport& ArtifactCache::static_report(
-    const std::string& code, const analysis::StaticDetectorOptions& opts) {
+    const Source& code, const analysis::StaticDetectorOptions& opts) {
   static const KindCounters count = counters(Kind::Static);
   count.probe.add();
-  const std::uint64_t key =
-      hash_combine(fnv1a64(code), hash_static_options(opts));
+  const std::uint64_t key = hash_combine(code.key(), hash_static_options(opts));
   const analysis::RaceReport& v = static_reports_.get_or_compute(key, [&] {
     count.compute.add();
     obs::Span span(obs::kSpanArtifactStatic);
     analysis::StaticRaceDetector detector(opts);
-    return detector.analyze_source(code);
+    return detector.analyze_source(code.text());
   });
-  touch(Kind::Static, key, cost_report(v));
+  touch(Kind::Static, key, [&] { return cost_report(v); });
   return v;
 }
 
 const analysis::RaceReport& ArtifactCache::dynamic_report(
-    const std::string& code, const runtime::DynamicDetectorOptions& opts) {
+    const Source& code, const runtime::DynamicDetectorOptions& opts) {
   static const KindCounters count = counters(Kind::Dynamic);
   count.probe.add();
   const std::uint64_t key =
-      hash_combine(fnv1a64(code), hash_dynamic_options(opts));
+      hash_combine(code.key(), hash_dynamic_options(opts));
   const analysis::RaceReport& v = dynamic_reports_.get_or_compute(key, [&] {
     count.compute.add();
     obs::Span span(obs::kSpanArtifactDynamic);
     runtime::DynamicRaceDetector detector(opts);
-    return detector.analyze_source(code);
+    return detector.analyze_source(code.text());
   });
-  touch(Kind::Dynamic, key, cost_report(v));
+  touch(Kind::Dynamic, key, [&] { return cost_report(v); });
   return v;
 }
 
 const explore::ExploreResult& ArtifactCache::explore_result(
-    const std::string& code, const explore::ExploreOptions& opts) {
+    const Source& code, const explore::ExploreOptions& opts) {
   static const KindCounters count = counters(Kind::Explore);
   count.probe.add();
   const std::uint64_t key =
-      hash_combine(fnv1a64(code), hash_explore_options(opts));
+      hash_combine(code.key(), hash_explore_options(opts));
   const explore::ExploreResult& v = explore_results_.get_or_compute(key, [&] {
     count.compute.add();
     obs::Span span(obs::kSpanArtifactExplore);
-    return explore::explore_source(code, opts);
+    return explore::explore_source(code.text(), opts);
   });
-  touch(Kind::Explore, key, cost_explore(v));
+  touch(Kind::Explore, key, [&] { return cost_explore(v); });
   return v;
 }
 
 const repair::RepairResult& ArtifactCache::repair_result(
-    const std::string& code, const repair::RepairOptions& opts) {
+    const Source& code, const repair::RepairOptions& opts) {
   static const KindCounters count = counters(Kind::Repair);
   count.probe.add();
   const std::uint64_t key =
-      hash_combine(fnv1a64(code), hash_repair_options(opts));
+      hash_combine(code.key(), hash_repair_options(opts));
   const repair::RepairResult& v = repair_results_.get_or_compute(key, [&] {
     count.compute.add();
     obs::Span span(obs::kSpanArtifactRepair);
-    return repair::repair_source(code, opts);
+    return repair::repair_source(std::string(code.text()), opts);
   });
-  touch(Kind::Repair, key, cost_repair(v));
+  touch(Kind::Repair, key, [&] { return cost_repair(v); });
   return v;
 }
 
-const lint::LintReport& ArtifactCache::lint_report(const std::string& code) {
+const lint::LintReport& ArtifactCache::lint_report(const Source& code) {
   static const KindCounters count = counters(Kind::Lint);
   count.probe.add();
   // Default LintOptions only, so the code hash alone is a sound key.
-  const std::uint64_t key = fnv1a64(code);
+  const std::uint64_t key = code.key();
   const lint::LintReport& v = lint_reports_.get_or_compute(key, [&] {
     count.compute.add();
     obs::Span span(obs::kSpanArtifactLint);
     const lint::Linter linter;
-    return linter.lint_source(code);
+    return linter.lint_source(code.text());
   });
-  touch(Kind::Lint, key, cost_lint(v));
+  touch(Kind::Lint, key, [&] { return cost_lint(v); });
   return v;
 }
 
-const std::string& ArtifactCache::lint_text(const std::string& code) {
+const std::string& ArtifactCache::lint_text(const Source& code) {
   static const KindCounters count = counters(Kind::LintText);
   count.probe.add();
-  const std::uint64_t key = fnv1a64(code);
+  const std::uint64_t key = code.key();
   const std::string& v = lint_texts_.get_or_compute(key, [&] {
     count.compute.add();
     obs::Span span(obs::kSpanArtifactLintText);
@@ -318,14 +349,14 @@ const std::string& ArtifactCache::lint_text(const std::string& code) {
     if (out.empty()) out = "(no findings)\n";
     return out;
   });
-  touch(Kind::LintText, key, cost_string(v));
+  touch(Kind::LintText, key, [&] { return cost_string(v); });
   return v;
 }
 
-const std::string& ArtifactCache::evidence_text(const std::string& code) {
+const std::string& ArtifactCache::evidence_text(const Source& code) {
   static const KindCounters count = counters(Kind::EvidenceText);
   count.probe.add();
-  const std::uint64_t key = fnv1a64(code);
+  const std::uint64_t key = code.key();
   const std::string& v = evidence_texts_.get_or_compute(key, [&] {
     count.compute.add();
     obs::Span span(obs::kSpanArtifactEvidenceText);
@@ -356,7 +387,7 @@ const std::string& ArtifactCache::evidence_text(const std::string& code) {
     if (out.empty()) out = "(no candidate pairs)\n";
     return out;
   });
-  touch(Kind::EvidenceText, key, cost_string(v));
+  touch(Kind::EvidenceText, key, [&] { return cost_string(v); });
   return v;
 }
 
@@ -387,30 +418,6 @@ void ArtifactCache::clear() {
 }
 
 // ------------------------------------------------------- LRU byte budget
-
-namespace {
-
-/// One LRU-index key per (kind, OnceMap key): token_count and ast_text
-/// share the raw code hash, so the kind must participate.
-std::uint64_t lru_id(int kind, std::uint64_t key) {
-  return hash_combine(static_cast<std::uint64_t>(kind) + 1, key);
-}
-
-}  // namespace
-
-void ArtifactCache::touch(Kind kind, std::uint64_t key, std::uint64_t bytes) {
-  std::lock_guard<std::mutex> lock(lru_mu_);
-  const std::uint64_t id = lru_id(static_cast<int>(kind), key);
-  auto it = lru_index_.find(id);
-  if (it != lru_index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.push_front(LruEntry{kind, key, bytes});
-  lru_index_.emplace(id, lru_.begin());
-  resident_bytes_ += bytes;
-  evict_to_budget_locked();
-}
 
 void ArtifactCache::evict_to_budget_locked() {
   if (budget_ == 0) return;
@@ -533,6 +540,18 @@ void append_text_record(std::string& out, char tag, std::uint64_t key,
   out += '\n';
 }
 
+/// The count a record's last field holds: decimal digits only (no sign,
+/// no space, nothing after them), below `limit`; nullopt otherwise.
+std::optional<std::uint64_t> record_count(std::string_view field,
+                                          std::uint64_t limit) {
+  if (field.empty() || field[0] < '0' || field[0] > '9') return std::nullopt;
+  const std::optional<std::int64_t> n = parse_int(field);
+  if (!n.has_value() || static_cast<std::uint64_t>(*n) >= limit) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint64_t>(*n);
+}
+
 std::size_t reject_corrupt(const std::string& path, const char* why) {
   obs::metrics().counter(obs::kCacheCorrupt).add();
   std::fprintf(stderr, "warning: cache snapshot %s ignored (%s)\n",
@@ -615,57 +634,59 @@ std::size_t ArtifactCache::load_snapshot(const std::string& path) {
     if (field == std::string::npos || field + 1 >= line.size()) {
       return reject_corrupt(path, "malformed record");
     }
-    const std::string rest = line.substr(field + 1);
+    const std::string_view rest = std::string_view(line).substr(field + 1);
     if (tag == 'T') {
-      int count = 0;
-      if (std::sscanf(rest.c_str(), "%d", &count) != 1) {
+      const std::optional<std::uint64_t> count =
+          record_count(rest, std::uint64_t{INT_MAX} + 1);
+      if (!count.has_value()) {
         return reject_corrupt(path, "malformed token count");
       }
-      token_records.emplace_back(key, count);
+      token_records.emplace_back(key, static_cast<int>(*count));
       continue;
     }
     if (tag != 'A' && tag != 'D' && tag != 'L') {
       return reject_corrupt(path, "unknown record tag");
     }
-    std::size_t nbytes = 0;
-    if (std::sscanf(rest.c_str(), "%zu", &nbytes) != 1) {
-      return reject_corrupt(path, "malformed payload length");
+    // The payload and its newline must fit in what is left of the file;
+    // checked before any arithmetic on the length.
+    const std::optional<std::uint64_t> nbytes =
+        record_count(rest, text.size() - pos);
+    if (!nbytes.has_value() || text[pos + *nbytes] != '\n') {
+      return reject_corrupt(path, "malformed or short payload");
     }
-    if (pos + nbytes + 1 > text.size() || text[pos + nbytes] != '\n') {
-      return reject_corrupt(path, "short payload");
-    }
-    text_records.push_back({tag, key, text.substr(pos, nbytes)});
-    pos += nbytes + 1;
+    text_records.push_back({tag, key, text.substr(pos, *nbytes)});
+    pos += *nbytes + 1;
   }
 
   std::size_t loaded = 0;
   for (const auto& [key, count] : token_records) {
     if (tokens_.seed(key, count)) {
       ++loaded;
-      touch(Kind::Tokens, key, 16);
+      touch(Kind::Tokens, key, cost_tokens);
     }
   }
   for (auto& r : text_records) {
     // Seeded entries enter the LRU like any computed entry, so a byte
     // budget applies to snapshot warmth too (oldest seeds evict first).
     const std::uint64_t bytes = cost_string(r.payload);
+    const auto cost = [bytes] { return bytes; };
     switch (r.tag) {
       case 'A':
         if (asts_.seed(r.key, std::move(r.payload))) {
           ++loaded;
-          touch(Kind::Ast, r.key, bytes);
+          touch(Kind::Ast, r.key, cost);
         }
         break;
       case 'D':
         if (depgraphs_.seed(r.key, std::move(r.payload))) {
           ++loaded;
-          touch(Kind::Depgraph, r.key, bytes);
+          touch(Kind::Depgraph, r.key, cost);
         }
         break;
       default:
         if (lint_texts_.seed(r.key, std::move(r.payload))) {
           ++loaded;
-          touch(Kind::LintText, r.key, bytes);
+          touch(Kind::LintText, r.key, cost);
         }
         break;
     }

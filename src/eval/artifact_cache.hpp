@@ -8,6 +8,11 @@
 // ArtifactCache computes each artifact once per (configuration, program)
 // and shares it read-only across all experiments and worker threads.
 //
+// Every accessor that takes a program takes an eval::Source, whose key is
+// fnv1a64 of the code, hashed once by whoever made the Source; the
+// accessors combine it with their options hash and never hash the code
+// again. The keys are those of "drbml-cache v1" snapshots.
+//
 // Invariants for adding a new artifact:
 //   * the compute function must be pure in the cache key -- the key must
 //     cover the code text AND every option that can change the result
@@ -28,6 +33,7 @@
 
 #include "analysis/race.hpp"
 #include "analysis/report.hpp"
+#include "eval/source.hpp"
 #include "explore/explore.hpp"
 #include "lint/lint.hpp"
 #include "llm/features.hpp"
@@ -41,14 +47,14 @@ namespace drbml::eval {
 class ArtifactCache {
  public:
   /// Model-token count of `code` (SimpleTokenizer).
-  int token_count(const std::string& code);
+  int token_count(const Source& code);
 
   /// Pretty-printed AST of `code`. Throws Error on unparseable input
   /// (same contract as minic::parse_program).
-  const std::string& ast_text(const std::string& code);
+  const std::string& ast_text(const Source& code);
 
   /// Serialized dependence graph of `code` (DependenceGraph::to_text).
-  const std::string& depgraph_text(const std::string& code);
+  const std::string& depgraph_text(const Source& code);
 
   /// Persona feature vector (delegates to the llm-level feature cache,
   /// which is itself memoized and thread-safe).
@@ -57,14 +63,14 @@ class ArtifactCache {
   /// Static race report for `code` under `opts`. The key covers every
   /// StaticDetectorOptions field that affects the verdict.
   const analysis::RaceReport& static_report(
-      const std::string& code, const analysis::StaticDetectorOptions& opts);
+      const Source& code, const analysis::StaticDetectorOptions& opts);
 
   /// Dynamic (vector-clock) race report for `code` under `opts`. The key
   /// covers the schedule seeds and the RunOptions fields. Throws Error on
   /// unparseable or non-executable input (same contract as
   /// DynamicRaceDetector::analyze_source); failures are not cached.
   const analysis::RaceReport& dynamic_report(
-      const std::string& code, const runtime::DynamicDetectorOptions& opts);
+      const Source& code, const runtime::DynamicDetectorOptions& opts);
 
   /// Schedule-exploration outcome for `code` under `opts` (budgeted
   /// uniform/PCT schedule loop, coverage plateau cut, minimized witness).
@@ -72,30 +78,30 @@ class ArtifactCache {
   /// RunOptions (and any replay trace it points at). Throws Error on
   /// unparseable input; failures are not cached.
   const explore::ExploreResult& explore_result(
-      const std::string& code, const explore::ExploreOptions& opts);
+      const Source& code, const explore::ExploreOptions& opts);
 
   /// Linter report for `code` under the default LintOptions (all checks,
   /// default detector knobs). Throws Error on unparseable input; failures
   /// are not cached.
-  const lint::LintReport& lint_report(const std::string& code);
+  const lint::LintReport& lint_report(const Source& code);
 
   /// Verified repair outcome for `code` under `opts` (the full
   /// detect -> generate -> apply -> verify loop of repair_source). The key
   /// covers the strategy, the candidate cap, and both detector option
   /// sets. repair_source never throws, so every result is cacheable.
-  const repair::RepairResult& repair_result(const std::string& code,
+  const repair::RepairResult& repair_result(const Source& code,
                                             const repair::RepairOptions& opts);
 
   /// Linter findings rendered one per line for prompt embedding
   /// ("(no findings)" when the linter is silent). Parse failures yield a
   /// one-line note instead of throwing, so prompt assembly never aborts.
-  const std::string& lint_text(const std::string& code);
+  const std::string& lint_text(const Source& code);
 
   /// Static race evidence chains rendered one per line for prompt
   /// embedding: every reported pair ("racy ...") and every discharged
   /// pair ("safe ... discharged by <rule>") under the default detector
   /// options. Parse failures yield a one-line note instead of throwing.
-  const std::string& evidence_text(const std::string& code);
+  const std::string& evidence_text(const Source& code);
 
   /// Entries currently resident across all artifact kinds.
   [[nodiscard]] std::size_t size() const;
@@ -113,8 +119,9 @@ class ArtifactCache {
   // ------------------------------------------------------ LRU byte budget
   //
   // With a budget set (`--cache-budget` / DRBML_CACHE_BUDGET), every
-  // successful probe touches the entry in an LRU list tagged with an
-  // approximate byte cost; when the resident total exceeds the budget,
+  // successful probe touches the entry in an LRU list; an entry new to
+  // the list is tagged with an approximate byte cost, computed then and
+  // only then; when the resident total exceeds the budget,
   // least-recently-used entries are *evicted* -- removed from the index
   // so later probes recompute -- but their storage is only *reclaimed*
   // once the caller says no outstanding reference can still point at it
@@ -200,9 +207,12 @@ class ArtifactCache {
     std::shared_ptr<const void> handle;  // keeps evicted storage alive
   };
 
-  /// Marks (kind, key, bytes) as most recently used and, if the budget
-  /// is exceeded, evicts from the LRU tail.
-  void touch(Kind kind, std::uint64_t key, std::uint64_t bytes);
+  /// Marks (kind, key) as most recently used. An entry new to the LRU
+  /// list enters it at the byte cost `cost()` returns -- called only
+  /// then, since a cost walks the artifact -- and, if the budget is
+  /// exceeded, evicts from the LRU tail.
+  template <typename Cost>
+  void touch(Kind kind, std::uint64_t key, Cost&& cost);
   /// Must be called with lru_mu_ held.
   void evict_to_budget_locked();
   std::shared_ptr<const void> erase_kind(Kind kind, std::uint64_t key);

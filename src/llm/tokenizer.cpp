@@ -1,18 +1,20 @@
 #include "llm/tokenizer.hpp"
 
+#include <algorithm>
 #include <cctype>
 
 namespace drbml::llm {
 
 namespace {
+
 bool word_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
-}  // namespace
 
-std::vector<std::string> SimpleTokenizer::tokenize(
-    std::string_view text) const {
-  std::vector<std::string> tokens;
+/// The one tokenizing scan: calls emit(token) for each token of `text`,
+/// a view into `text` (or into a static operator spelling).
+template <typename Emit>
+void scan_tokens(std::string_view text, Emit&& emit) {
   std::size_t i = 0;
   constexpr std::size_t kChunk = 8;
   while (i < text.size()) {
@@ -26,20 +28,20 @@ std::vector<std::string> SimpleTokenizer::tokenize(
       while (i < text.size() && word_char(text[i])) ++i;
       // Long identifiers split into subword chunks.
       for (std::size_t p = start; p < i; p += kChunk) {
-        tokens.emplace_back(text.substr(p, std::min(kChunk, i - p)));
+        emit(text.substr(p, std::min(kChunk, i - p)));
       }
       continue;
     }
     // Two-character operators count as one token.
-    static constexpr const char* kTwo[] = {
+    static constexpr std::string_view kTwo[] = {
         "==", "!=", "<=", ">=", "&&", "||", "++", "--", "+=", "-=",
         "*=", "/=", "<<", ">>", "->",
     };
     bool matched = false;
     if (i + 1 < text.size()) {
-      for (const char* op : kTwo) {
+      for (std::string_view op : kTwo) {
         if (text[i] == op[0] && text[i + 1] == op[1]) {
-          tokens.emplace_back(op);
+          emit(op);
           i += 2;
           matched = true;
           break;
@@ -47,15 +49,25 @@ std::vector<std::string> SimpleTokenizer::tokenize(
       }
     }
     if (!matched) {
-      tokens.emplace_back(1, c);
+      emit(text.substr(i, 1));
       ++i;
     }
   }
+}
+
+}  // namespace
+
+std::vector<std::string> SimpleTokenizer::tokenize(
+    std::string_view text) const {
+  std::vector<std::string> tokens;
+  scan_tokens(text, [&](std::string_view t) { tokens.emplace_back(t); });
   return tokens;
 }
 
 int SimpleTokenizer::count_tokens(std::string_view text) const {
-  return static_cast<int>(tokenize(text).size());
+  int count = 0;
+  scan_tokens(text, [&](std::string_view) { ++count; });
+  return count;
 }
 
 void BpeTokenizer::train(const std::vector<std::string>& texts,

@@ -28,6 +28,8 @@ analysis::RaceReport DynamicRaceDetector::analyze_source(
 
   // Compile once, execute every schedule seed against the same module;
   // seeds after the first resume from its snapshot of the serial prefix.
+  // A run that forked no team took no schedule decision, so the other
+  // seeds would repeat it exactly: the first run stands for all of them.
   CompiledProgram program(source);
   RunOptions run = opts_.run;
 
@@ -54,6 +56,7 @@ analysis::RaceReport DynamicRaceDetector::analyze_source(
       merged.diagnostics.push_back("dynamic: run faulted: " +
                                    result.fault_message);
     }
+    if (!result.forked_team) break;
   }
   if (!merged.race_detected) {
     merged.diagnostics.push_back(

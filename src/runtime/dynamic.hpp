@@ -40,7 +40,8 @@ class CompiledProgram {
 struct DynamicDetectorOptions {
   /// Base run options; `seed`, `module` and `prefix` are set per run.
   RunOptions run;
-  /// Seeds for independent schedule replays; reports are unioned.
+  /// Seeds for independent schedule replays; reports are unioned. Only
+  /// the first runs when its run forks no team.
   std::vector<std::uint64_t> schedule_seeds = {1, 2, 3};
 };
 
@@ -49,7 +50,8 @@ class DynamicRaceDetector {
   explicit DynamicRaceDetector(DynamicDetectorOptions opts = {})
       : opts_(std::move(opts)) {}
 
-  /// Parses, resolves, and executes the source under each schedule seed.
+  /// Parses, resolves, and executes the source under each schedule seed,
+  /// or once when the first run forks no team.
   [[nodiscard]] analysis::RaceReport analyze_source(
       std::string_view source) const;
 

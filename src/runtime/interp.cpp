@@ -597,6 +597,7 @@ class Interp {
       result.faulted = true;
       result.fault_message = e.what();
     }
+    result.forked_team = region_counter_ != 0;
     result.report = std::move(report_);
     result.report.race_detected = !result.report.pairs.empty();
     result.output = st_.output;

@@ -157,6 +157,9 @@ struct RunResult {
   int exit_code = 0;
   bool faulted = false;        // RuntimeFault (OOB, deadlock, livelock, ...)
   std::string fault_message;
+  /// Whether the run forked a team. A run that forked none took no
+  /// schedule decision, so it runs the same way under every seed.
+  bool forked_team = false;
   /// One per instrumented access, plus each team scheduler's steps: its
   /// yield points (an in-team access outside `atomic` is one, so it
   /// counts twice) and its rounds spent blocked on a lock, a `critical`

@@ -137,26 +137,19 @@ ParseOutcome parse_request(const std::string& line) {
   return out;
 }
 
-std::string make_ok_response(const std::string& id, Verb verb,
-                             json::Value result) {
-  json::Object o;
-  o.set("id", json::Value(id));
-  o.set("ok", json::Value(true));
-  o.set("verb", json::Value(verb_name(verb)));
-  o.set("result", std::move(result));
-  return json::Value(std::move(o)).dump();
-}
-
-std::string make_error_response(const std::string& id, const std::string& kind,
-                                const std::string& message) {
-  json::Object err;
-  err.set("kind", json::Value(kind));
-  err.set("message", json::Value(message));
-  json::Object o;
-  o.set("id", json::Value(id));
-  o.set("ok", json::Value(false));
-  o.set("error", json::Value(std::move(err)));
-  return json::Value(std::move(o)).dump();
+std::string make_error_response(std::string_view id, std::string_view kind,
+                                std::string_view message) {
+  std::string out;
+  json::Writer w(out);
+  w.begin_object();
+  w.key("id").value(id);
+  w.key("ok").value(false);
+  w.key("error").begin_object();
+  w.key("kind").value(kind);
+  w.key("message").value(message);
+  w.end_object();
+  w.end_object();
+  return out;
 }
 
 json::Object access_to_json(const analysis::RaceAccess& a) {
@@ -169,63 +162,83 @@ json::Object access_to_json(const analysis::RaceAccess& a) {
   return o;
 }
 
-json::Value race_report_to_json(const analysis::RaceReport& r) {
-  json::Object o;
-  o.set("race", json::Value(r.race_detected));
-  json::Array pairs;
+namespace {
+
+void write_access(json::Writer& w, const analysis::RaceAccess& a) {
+  w.begin_object();
+  w.key("expr").value(a.expr_text);
+  w.key("var").value(a.var_name);
+  w.key("line").value(a.loc.line);
+  w.key("col").value(a.loc.col);
+  w.key("op").value(std::string_view(&a.op, 1));
+  w.end_object();
+}
+
+}  // namespace
+
+void write_analyze_result(json::Writer& w, const analysis::RaceReport& r,
+                          int tokens) {
+  w.begin_object();
+  w.key("race").value(r.race_detected);
+  w.key("pairs").begin_array();
   for (const analysis::RacePair& p : r.pairs) {
-    json::Object po;
-    po.set("first", json::Value(access_to_json(p.first)));
-    po.set("second", json::Value(access_to_json(p.second)));
-    if (!p.note.empty()) po.set("note", json::Value(p.note));
-    pairs.push_back(json::Value(std::move(po)));
+    w.begin_object();
+    w.key("first");
+    write_access(w, p.first);
+    w.key("second");
+    write_access(w, p.second);
+    if (!p.note.empty()) w.key("note").value(p.note);
+    w.end_object();
   }
-  o.set("pairs", json::Value(std::move(pairs)));
-  o.set("discharged", json::Value(static_cast<std::int64_t>(r.discharged.size())));
-  json::Array diags;
-  for (const std::string& d : r.diagnostics) diags.push_back(json::Value(d));
-  o.set("diagnostics", json::Value(std::move(diags)));
-  return json::Value(std::move(o));
+  w.end_array();
+  w.key("discharged").value(static_cast<std::int64_t>(r.discharged.size()));
+  w.key("diagnostics").begin_array();
+  for (const std::string& d : r.diagnostics) w.value(d);
+  w.end_array();
+  w.key("tokens").value(tokens);
+  w.end_object();
 }
 
-json::Value lint_report_to_json(const lint::LintReport& r) {
-  json::Object o;
-  o.set("race", json::Value(r.race.race_detected));
-  json::Array diags;
+void write_lint_result(json::Writer& w, const lint::LintReport& r,
+                       int tokens) {
+  w.begin_object();
+  w.key("race").value(r.race.race_detected);
+  w.key("diagnostics").begin_array();
   for (const lint::Diagnostic& d : r.diagnostics) {
-    json::Object dobj;
-    dobj.set("check", json::Value(d.check_id));
-    dobj.set("line", json::Value(d.loc.line));
-    dobj.set("message", json::Value(d.message));
-    if (!d.fixit.empty()) dobj.set("fixit", json::Value(d.fixit));
-    diags.push_back(json::Value(std::move(dobj)));
+    w.begin_object();
+    w.key("check").value(d.check_id);
+    w.key("line").value(d.loc.line);
+    w.key("message").value(d.message);
+    if (!d.fixit.empty()) w.key("fixit").value(d.fixit);
+    w.end_object();
   }
-  o.set("diagnostics", json::Value(std::move(diags)));
-  o.set("suppressed", json::Value(r.suppressed));
-  return json::Value(std::move(o));
+  w.end_array();
+  w.key("suppressed").value(r.suppressed);
+  w.key("tokens").value(tokens);
+  w.end_object();
 }
 
-json::Value repair_result_to_json(const repair::RepairResult& r) {
-  json::Object o;
-  o.set("status", json::Value(repair::repair_status_name(r.status)));
-  o.set("patched", json::Value(r.patched));
-  if (!r.patch_id.empty()) o.set("patch_id", json::Value(r.patch_id));
-  if (!r.description.empty()) o.set("description", json::Value(r.description));
-  if (!r.family.empty()) o.set("family", json::Value(r.family));
-  o.set("attempts", json::Value(r.attempts));
-  if (!r.message.empty()) o.set("message", json::Value(r.message));
-  return json::Value(std::move(o));
+void write_fix_result(json::Writer& w, const repair::RepairResult& r) {
+  w.begin_object();
+  w.key("status").value(repair::repair_status_name(r.status));
+  w.key("patched").value(r.patched);
+  if (!r.patch_id.empty()) w.key("patch_id").value(r.patch_id);
+  if (!r.description.empty()) w.key("description").value(r.description);
+  if (!r.family.empty()) w.key("family").value(r.family);
+  w.key("attempts").value(r.attempts);
+  if (!r.message.empty()) w.key("message").value(r.message);
+  w.end_object();
 }
 
-json::Value explore_result_to_json(const explore::ExploreResult& r) {
-  json::Object o;
-  o.set("race", json::Value(r.race_detected));
-  o.set("schedules_run", json::Value(r.schedules_run));
-  o.set("first_race_schedule", json::Value(r.first_race_schedule));
-  o.set("coverage_points",
-        json::Value(static_cast<std::int64_t>(r.coverage.size())));
-  o.set("witness", json::Value(r.witness));
-  return json::Value(std::move(o));
+void write_explore_result(json::Writer& w, const explore::ExploreResult& r) {
+  w.begin_object();
+  w.key("race").value(r.race_detected);
+  w.key("schedules_run").value(r.schedules_run);
+  w.key("first_race_schedule").value(r.first_race_schedule);
+  w.key("coverage_points")
+      .value(static_cast<std::int64_t>(r.coverage.size()));
+  w.key("witness").value(r.witness);
+  w.end_object();
 }
 
 }  // namespace drbml::serve

@@ -33,11 +33,14 @@
 // retried; `deadline_expired` means it was admitted but aged out in the
 // queue. Responses are compact (no whitespace) and field order is fixed,
 // so a given request body yields byte-identical responses at any
-// `--jobs` value.
+// `--jobs` value. A response is written in one pass by a json::Writer:
+// the envelope and the result stream into one string, with no JSON tree
+// built in between.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "analysis/report.hpp"
 #include "explore/explore.hpp"
@@ -79,23 +82,42 @@ struct ParseOutcome {
 /// error response.
 [[nodiscard]] ParseOutcome parse_request(const std::string& line);
 
-/// Renders a success response line (no trailing newline).
-[[nodiscard]] std::string make_ok_response(const std::string& id, Verb verb,
-                                           json::Value result);
+/// Renders a success response line (no trailing newline):
+/// `{"id":...,"ok":true,"verb":...,"result":R}`, where R is the one value
+/// `write_result(writer)` writes in place.
+template <typename WriteResult>
+[[nodiscard]] std::string make_ok_response(std::string_view id, Verb verb,
+                                           WriteResult&& write_result) {
+  std::string out;
+  json::Writer w(out);
+  w.begin_object();
+  w.key("id").value(id);
+  w.key("ok").value(true);
+  w.key("verb").value(verb_name(verb));
+  w.key("result");
+  write_result(w);
+  w.end_object();
+  return out;
+}
 
 /// Renders an error response line (no trailing newline).
-[[nodiscard]] std::string make_error_response(const std::string& id,
-                                              const std::string& kind,
-                                              const std::string& message);
+[[nodiscard]] std::string make_error_response(std::string_view id,
+                                              std::string_view kind,
+                                              std::string_view message);
 
-// Result serializers, shared by the server, the CLI's --explain output
-// and tests. All emit fixed field order and only work-derived values (no
-// clocks), preserving the byte-identity contract.
+// Result writers, shared by the server and tests. Each writes one object
+// with fixed field order and only work-derived values (no clocks),
+// preserving the byte-identity contract. `tokens` is the program's
+// model-token count, the last member of analyze and lint results.
+void write_analyze_result(json::Writer& w, const analysis::RaceReport& r,
+                          int tokens);
+void write_lint_result(json::Writer& w, const lint::LintReport& r, int tokens);
+void write_fix_result(json::Writer& w, const repair::RepairResult& r);
+void write_explore_result(json::Writer& w, const explore::ExploreResult& r);
+
+/// One access as a JSON object, for the CLI's `--explain --format json`
+/// tree (pretty-printed, so it cannot stream); write_analyze_result
+/// writes the same members in the same order.
 [[nodiscard]] json::Object access_to_json(const analysis::RaceAccess& a);
-[[nodiscard]] json::Value race_report_to_json(const analysis::RaceReport& r);
-[[nodiscard]] json::Value lint_report_to_json(const lint::LintReport& r);
-[[nodiscard]] json::Value repair_result_to_json(const repair::RepairResult& r);
-[[nodiscard]] json::Value explore_result_to_json(
-    const explore::ExploreResult& r);
 
 }  // namespace drbml::serve

@@ -30,6 +30,33 @@ bool write_all(int fd, const char* data, std::size_t len) {
   return true;
 }
 
+/// The serve layer's metrics, looked up once: each registry lookup takes
+/// a lock and hashes the metric's name.
+struct ServeMetrics {
+  obs::Counter& requests = obs::metrics().counter(obs::kServeRequests);
+  obs::Counter& ok = obs::metrics().counter(obs::kServeResponsesOk);
+  obs::Counter& error = obs::metrics().counter(obs::kServeResponsesError);
+  obs::Counter& rejected_malformed =
+      obs::metrics().counter(obs::kServeRejectedMalformed);
+  obs::Counter& rejected_queue_full =
+      obs::metrics().counter(obs::kServeRejectedQueueFull);
+  obs::Counter& rejected_deadline =
+      obs::metrics().counter(obs::kServeRejectedDeadline);
+  obs::Counter& verb_analyze = obs::metrics().counter(obs::kServeVerbAnalyze);
+  obs::Counter& verb_lint = obs::metrics().counter(obs::kServeVerbLint);
+  obs::Counter& verb_fix = obs::metrics().counter(obs::kServeVerbFix);
+  obs::Counter& verb_explore = obs::metrics().counter(obs::kServeVerbExplore);
+  obs::Counter& verb_stats = obs::metrics().counter(obs::kServeVerbStats);
+  obs::Histogram& queue_depth =
+      obs::metrics().histogram(obs::kServeQueueDepth);
+  obs::Histogram& latency = obs::metrics().histogram(obs::kServeRequestLatency);
+};
+
+const ServeMetrics& serve_metrics() {
+  static const ServeMetrics m;
+  return m;
+}
+
 }  // namespace
 
 Server::Server(ServerOptions opts) : opts_(std::move(opts)) {
@@ -47,15 +74,16 @@ Server::~Server() { drain(); }
 
 void Server::submit_line(const std::string& line,
                          std::function<void(std::string)> respond) {
+  const ServeMetrics& metrics = serve_metrics();
   requests_.fetch_add(1, std::memory_order_relaxed);
-  obs::metrics().counter(obs::kServeRequests).add();
+  metrics.requests.add();
 
   ParseOutcome parsed = parse_request(line);
   if (!parsed.ok) {
     rejected_malformed_.fetch_add(1, std::memory_order_relaxed);
     errors_.fetch_add(1, std::memory_order_relaxed);
-    obs::metrics().counter(obs::kServeRejectedMalformed).add();
-    obs::metrics().counter(obs::kServeResponsesError).add();
+    metrics.rejected_malformed.add();
+    metrics.error.add();
     respond(make_error_response(parsed.id, parsed.error_kind,
                                 parsed.error_message));
     return;
@@ -65,7 +93,7 @@ void Server::submit_line(const std::string& line,
   if (shutdown_requested_.load(std::memory_order_relaxed) ||
       drained_.load(std::memory_order_relaxed)) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    obs::metrics().counter(obs::kServeResponsesError).add();
+    metrics.error.add();
     respond(make_error_response(req.id, "shutting_down",
                                 "server is draining; request not admitted"));
     return;
@@ -77,17 +105,14 @@ void Server::submit_line(const std::string& line,
     // exiting.
     shutdown_requested_.store(true, std::memory_order_relaxed);
     ok_.fetch_add(1, std::memory_order_relaxed);
-    obs::metrics().counter(obs::kServeResponsesOk).add();
-    json::Object ack;
-    ack.set("draining", json::Value(true));
-    respond(make_ok_response(req.id, Verb::Shutdown,
-                             json::Value(std::move(ack))));
+    metrics.ok.add();
+    respond(make_ok_response(req.id, Verb::Shutdown, [](json::Writer& w) {
+      w.begin_object().key("draining").value(true).end_object();
+    }));
     return;
   }
 
-  obs::metrics()
-      .histogram(obs::kServeQueueDepth)
-      .observe(pool_->queue_depth());
+  metrics.queue_depth.observe(pool_->queue_depth());
   const std::uint64_t admit_ns = obs::now_wall_ns();
   const int priority = req.priority;
   // The callback is shared with the task up front, NOT moved into it:
@@ -104,14 +129,14 @@ void Server::submit_line(const std::string& line,
     // pool closed between the drain check above and here.
     const bool closing = pool_->closed();
     errors_.fetch_add(1, std::memory_order_relaxed);
-    obs::metrics().counter(obs::kServeResponsesError).add();
+    metrics.error.add();
     if (closing) {
       (*respond_shared)(
           make_error_response(parsed.id, "shutting_down",
                               "server is draining; request not admitted"));
     } else {
       rejected_queue_full_.fetch_add(1, std::memory_order_relaxed);
-      obs::metrics().counter(obs::kServeRejectedQueueFull).add();
+      metrics.rejected_queue_full.add();
       (*respond_shared)(make_error_response(
           parsed.id, "queue_full",
           "admission queue at --queue-limit; retry after responses drain"));
@@ -137,6 +162,7 @@ std::string Server::handle_line(const std::string& line) {
 
 void Server::handle_admitted(const Request& req, std::uint64_t admit_ns,
                              const std::function<void(std::string)>& respond) {
+  const ServeMetrics& metrics = serve_metrics();
   const std::int64_t deadline_ms =
       req.deadline_ms > 0 ? req.deadline_ms : opts_.default_deadline_ms;
   if (deadline_ms > 0) {
@@ -145,8 +171,8 @@ void Server::handle_admitted(const Request& req, std::uint64_t admit_ns,
     if (waited_ms > static_cast<std::uint64_t>(deadline_ms)) {
       rejected_deadline_.fetch_add(1, std::memory_order_relaxed);
       errors_.fetch_add(1, std::memory_order_relaxed);
-      obs::metrics().counter(obs::kServeRejectedDeadline).add();
-      obs::metrics().counter(obs::kServeResponsesError).add();
+      metrics.rejected_deadline.add();
+      metrics.error.add();
       respond(make_error_response(
           req.id, "deadline_expired",
           "deadline_ms elapsed while queued (waited " +
@@ -160,107 +186,98 @@ void Server::handle_admitted(const Request& req, std::uint64_t admit_ns,
     obs::Span span(obs::kSpanServeRequest, req.id);
     const std::uint64_t tick = register_active_tick();
     try {
-      response = make_ok_response(req.id, req.verb, run_verb(req));
+      response = make_ok_response(
+          req.id, req.verb, [&](json::Writer& w) { run_verb(req, w); });
       ok_.fetch_add(1, std::memory_order_relaxed);
-      obs::metrics().counter(obs::kServeResponsesOk).add();
+      metrics.ok.add();
     } catch (const Error& e) {
       response = make_error_response(req.id, "analysis_failed", e.what());
       errors_.fetch_add(1, std::memory_order_relaxed);
-      obs::metrics().counter(obs::kServeResponsesError).add();
+      metrics.error.add();
     } catch (const std::exception& e) {
       response = make_error_response(req.id, "internal", e.what());
       errors_.fetch_add(1, std::memory_order_relaxed);
-      obs::metrics().counter(obs::kServeResponsesError).add();
+      metrics.error.add();
     }
     unregister_active_tick(tick);
   }
   respond(std::move(response));
-  obs::metrics()
-      .histogram(obs::kServeRequestLatency)
-      .observe((obs::now_wall_ns() - admit_ns) / 1'000ULL);
+  metrics.latency.observe((obs::now_wall_ns() - admit_ns) / 1'000ULL);
 }
 
-json::Value Server::run_verb(const Request& req) {
+void Server::run_verb(const Request& req, json::Writer& w) {
+  const ServeMetrics& metrics = serve_metrics();
   eval::ArtifactCache& cache = eval::artifact_cache();
+  // Hashed once here; every artifact below is probed with this key.
+  const eval::Source code(req.code);
   switch (req.verb) {
     case Verb::Analyze: {
-      obs::metrics().counter(obs::kServeVerbAnalyze).add();
+      metrics.verb_analyze.add();
       // The token count rides along in the response and -- being a
       // snapshot-persisted artifact kind -- gives the drain-time snapshot
       // warm-restart value. The detectors read the shared cache under
       // default options, so warmth transfers across clients and the CLI.
-      const int tokens = cache.token_count(req.code);
-      json::Value result = race_report_to_json(
-          core::make_detector(req.detector)->analyze(req.code).report);
-      result.as_object().set("tokens", json::Value(tokens));
-      return result;
+      const int tokens = cache.token_count(code);
+      write_analyze_result(
+          w, core::make_detector(req.detector)->analyze(code).report, tokens);
+      return;
     }
     case Verb::Lint: {
-      obs::metrics().counter(obs::kServeVerbLint).add();
-      const int tokens = cache.token_count(req.code);
-      json::Value result = lint_report_to_json(cache.lint_report(req.code));
-      result.as_object().set("tokens", json::Value(tokens));
-      return result;
+      metrics.verb_lint.add();
+      const int tokens = cache.token_count(code);
+      write_lint_result(w, cache.lint_report(code), tokens);
+      return;
     }
     case Verb::Fix:
-      obs::metrics().counter(obs::kServeVerbFix).add();
+      metrics.verb_fix.add();
       // Never writes files: the patched source rides in the response.
-      return repair_result_to_json(cache.repair_result(req.code, {}));
+      write_fix_result(w, cache.repair_result(code, {}));
+      return;
     case Verb::Explore:
-      obs::metrics().counter(obs::kServeVerbExplore).add();
-      return explore_result_to_json(cache.explore_result(req.code, {}));
+      metrics.verb_explore.add();
+      write_explore_result(w, cache.explore_result(code, {}));
+      return;
     case Verb::Stats:
-      obs::metrics().counter(obs::kServeVerbStats).add();
-      return stats_result();
+      metrics.verb_stats.add();
+      write_stats(w);
+      return;
     case Verb::Shutdown:
       break;  // handled at admission
   }
   throw Error("unreachable verb");
 }
 
-json::Value Server::stats_result() {
+void Server::write_stats(json::Writer& w) {
   eval::ArtifactCache& cache = eval::artifact_cache();
   const auto [probes, computes] = eval::ArtifactCache::counter_totals();
-
-  json::Object server;
-  server.set("jobs", json::Value(pool_->size()));
-  server.set("queue_limit",
-             json::Value(static_cast<std::int64_t>(opts_.queue_limit)));
-  server.set("queue_depth",
-             json::Value(static_cast<std::int64_t>(pool_->queue_depth())));
-  server.set("executed",
-             json::Value(static_cast<std::int64_t>(pool_->executed())));
-  server.set("requests",
-             json::Value(static_cast<std::int64_t>(requests_.load())));
-  server.set("responses_ok", json::Value(static_cast<std::int64_t>(ok_.load())));
-  server.set("responses_error",
-             json::Value(static_cast<std::int64_t>(errors_.load())));
-  json::Object rejected;
-  rejected.set("queue_full", json::Value(static_cast<std::int64_t>(
-                                 rejected_queue_full_.load())));
-  rejected.set("deadline", json::Value(static_cast<std::int64_t>(
-                               rejected_deadline_.load())));
-  rejected.set("malformed", json::Value(static_cast<std::int64_t>(
-                                rejected_malformed_.load())));
-  server.set("rejected", json::Value(std::move(rejected)));
-
-  json::Object cache_obj;
-  cache_obj.set("entries", json::Value(static_cast<std::int64_t>(cache.size())));
-  cache_obj.set("resident_bytes",
-                json::Value(static_cast<std::int64_t>(cache.resident_bytes())));
-  cache_obj.set("byte_budget",
-                json::Value(static_cast<std::int64_t>(cache.byte_budget())));
-  cache_obj.set("condemned", json::Value(static_cast<std::int64_t>(
-                                 cache.condemned_count())));
-  cache_obj.set("probes", json::Value(static_cast<std::int64_t>(probes)));
-  cache_obj.set("computes", json::Value(static_cast<std::int64_t>(computes)));
-  cache_obj.set("hits",
-                json::Value(static_cast<std::int64_t>(probes - computes)));
-
-  json::Object o;
-  o.set("server", json::Value(std::move(server)));
-  o.set("cache", json::Value(std::move(cache_obj)));
-  return json::Value(std::move(o));
+  const auto count = [](std::uint64_t n) {
+    return static_cast<std::int64_t>(n);
+  };
+  w.begin_object();
+  w.key("server").begin_object();
+  w.key("jobs").value(pool_->size());
+  w.key("queue_limit").value(count(opts_.queue_limit));
+  w.key("queue_depth").value(count(pool_->queue_depth()));
+  w.key("executed").value(count(pool_->executed()));
+  w.key("requests").value(count(requests_.load()));
+  w.key("responses_ok").value(count(ok_.load()));
+  w.key("responses_error").value(count(errors_.load()));
+  w.key("rejected").begin_object();
+  w.key("queue_full").value(count(rejected_queue_full_.load()));
+  w.key("deadline").value(count(rejected_deadline_.load()));
+  w.key("malformed").value(count(rejected_malformed_.load()));
+  w.end_object();
+  w.end_object();
+  w.key("cache").begin_object();
+  w.key("entries").value(count(cache.size()));
+  w.key("resident_bytes").value(count(cache.resident_bytes()));
+  w.key("byte_budget").value(count(cache.byte_budget()));
+  w.key("condemned").value(count(cache.condemned_count()));
+  w.key("probes").value(count(probes));
+  w.key("computes").value(count(computes));
+  w.key("hits").value(count(probes - computes));
+  w.end_object();
+  w.end_object();
 }
 
 std::uint64_t Server::register_active_tick() {

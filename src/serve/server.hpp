@@ -108,8 +108,10 @@ class Server {
   struct ActiveTicket;
   void handle_admitted(const Request& req, std::uint64_t admit_ns,
                        const std::function<void(std::string)>& respond);
-  [[nodiscard]] json::Value run_verb(const Request& req);
-  [[nodiscard]] json::Value stats_result();
+  /// Runs a verb and writes its result into `w`; throws on failure, and
+  /// the caller then drops what was written.
+  void run_verb(const Request& req, json::Writer& w);
+  void write_stats(json::Writer& w);
 
   /// Registers a request's cache tick; unregistering reclaims evictions
   /// no remaining active request can reference.

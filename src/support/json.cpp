@@ -91,10 +91,14 @@ Object& Value::as_object() {
   return *object_;
 }
 
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
+void append_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t plain = 0;  // start of the run not yet appended
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + plain, i - plain);
+    plain = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -103,17 +107,74 @@ std::string escape(std::string_view s) {
       case '\t': out += "\\t"; break;
       case '\b': out += "\\b"; break;
       case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+      default: {
+        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out.append(u, sizeof(u));
+      }
     }
   }
+  out.append(s.data() + plain, s.size() - plain);
+}
+
+std::string escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  append_escaped(out, s);
   return out;
+}
+
+namespace {
+
+void append_int(std::string& out, std::int64_t i) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), i).ptr);
+}
+
+}  // namespace
+
+Writer& Writer::open(char bracket) {
+  separate();
+  out_.push_back(bracket);
+  need_comma_ = false;
+  return *this;
+}
+
+Writer& Writer::close(char bracket) {
+  out_.push_back(bracket);
+  need_comma_ = true;
+  return *this;
+}
+
+Writer& Writer::key(std::string_view k) {
+  separate();
+  out_.push_back('"');
+  append_escaped(out_, k);
+  out_ += "\":";
+  need_comma_ = false;
+  return *this;
+}
+
+Writer& Writer::value(std::string_view s) {
+  separate();
+  out_.push_back('"');
+  append_escaped(out_, s);
+  out_.push_back('"');
+  need_comma_ = true;
+  return *this;
+}
+
+Writer& Writer::value(bool b) {
+  separate();
+  out_ += b ? "true" : "false";
+  need_comma_ = true;
+  return *this;
+}
+
+Writer& Writer::value(std::int64_t i) {
+  separate();
+  append_int(out_, i);
+  need_comma_ = true;
+  return *this;
 }
 
 void Value::dump_impl(std::string& out, int indent, int depth) const {
@@ -130,7 +191,7 @@ void Value::dump_impl(std::string& out, int indent, int depth) const {
   switch (type_) {
     case Type::Null: out += "null"; break;
     case Type::Bool: out += bool_ ? "true" : "false"; break;
-    case Type::Int: out += std::to_string(int_); break;
+    case Type::Int: append_int(out, int_); break;
     case Type::Double: {
       if (std::isfinite(double_)) {
         char buf[64];
@@ -143,7 +204,7 @@ void Value::dump_impl(std::string& out, int indent, int depth) const {
     }
     case Type::String:
       out.push_back('"');
-      out += escape(string_);
+      append_escaped(out, string_);
       out.push_back('"');
       break;
     case Type::Array: {
@@ -174,7 +235,7 @@ void Value::dump_impl(std::string& out, int indent, int depth) const {
       for (const auto& [k, v] : *object_) {
         out += pad_in;
         out.push_back('"');
-        out += escape(k);
+        append_escaped(out, k);
         out.push_back('"');
         out += kv_sep;
         v.dump_impl(out, indent, depth + 1);
@@ -277,52 +338,54 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
-      char c = get();
-      if (c == '"') break;
-      if (c == '\\') {
-        char e = get();
-        switch (e) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          case 'r': out.push_back('\r'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'u': {
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = get();
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code += static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code += static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code += static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                fail("invalid \\u escape");
-              }
-            }
-            // Encode as UTF-8 (basic multilingual plane only; surrogate
-            // pairs in dataset text never occur).
-            if (code < 0x80) {
-              out.push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+      // Copy the run up to the next quote or backslash in one piece.
+      std::size_t end = pos_;
+      while (end < text_.size() && text_[end] != '"' && text_[end] != '\\') {
+        ++end;
+      }
+      out.append(text_.data() + pos_, end - pos_);
+      pos_ = end;
+      if (get() == '"') break;
+      const char e = get();  // after a backslash
+      switch (e) {
+        case '"': out.push_back('"'); break;
+        case '\\': out.push_back('\\'); break;
+        case '/': out.push_back('/'); break;
+        case 'n': out.push_back('\n'); break;
+        case 't': out.push_back('\t'); break;
+        case 'r': out.push_back('\r'); break;
+        case 'b': out.push_back('\b'); break;
+        case 'f': out.push_back('\f'); break;
+        case 'u': {
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            char h = get();
+            code <<= 4;
+            if (h >= '0' && h <= '9') {
+              code += static_cast<unsigned>(h - '0');
+            } else if (h >= 'a' && h <= 'f') {
+              code += static_cast<unsigned>(h - 'a' + 10);
+            } else if (h >= 'A' && h <= 'F') {
+              code += static_cast<unsigned>(h - 'A' + 10);
             } else {
-              out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-              out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+              fail("invalid \\u escape");
             }
-            break;
           }
-          default: fail("invalid escape");
+          // Encode as UTF-8 (basic multilingual plane only; surrogate
+          // pairs in dataset text never occur).
+          if (code < 0x80) {
+            out.push_back(static_cast<char>(code));
+          } else if (code < 0x800) {
+            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
+            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          } else {
+            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
+            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          }
+          break;
         }
-      } else {
-        out.push_back(c);
+        default: fail("invalid escape");
       }
     }
     return out;
@@ -358,48 +421,61 @@ class Parser {
     return Value(dv);
   }
 
+  /// Counts one more level of nesting for the container that starts at
+  /// the current byte; fails at that byte past kMaxDepth.
+  void enter() {
+    if (++depth_ > kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+    }
+  }
+
   Value parse_array() {
+    enter();
     expect('[');
     Array arr;
     skip_ws();
     if (peek() == ']') {
       get();
-      return Value(std::move(arr));
+    } else {
+      for (;;) {
+        arr.push_back(parse_value());
+        skip_ws();
+        char c = get();
+        if (c == ']') break;
+        if (c != ',') fail("expected ',' or ']'");
+      }
     }
-    for (;;) {
-      arr.push_back(parse_value());
-      skip_ws();
-      char c = get();
-      if (c == ']') break;
-      if (c != ',') fail("expected ',' or ']'");
-    }
+    --depth_;
     return Value(std::move(arr));
   }
 
   Value parse_object() {
+    enter();
     expect('{');
     Object obj;
     skip_ws();
     if (peek() == '}') {
       get();
-      return Value(std::move(obj));
+    } else {
+      for (;;) {
+        skip_ws();
+        std::string key = parse_string();
+        skip_ws();
+        expect(':');
+        obj.set(std::move(key), parse_value());
+        skip_ws();
+        char c = get();
+        if (c == '}') break;
+        if (c != ',') fail("expected ',' or '}'");
+      }
     }
-    for (;;) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      obj.set(std::move(key), parse_value());
-      skip_ws();
-      char c = get();
-      if (c == '}') break;
-      if (c != ',') fail("expected ',' or '}'");
-    }
+    --depth_;
     return Value(std::move(obj));
   }
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects open at pos_
 };
 
 }  // namespace

@@ -1,8 +1,10 @@
-// Minimal JSON document model, parser, and serializer.
+// Minimal JSON document model, parser, and serializers.
 //
 // Objects preserve insertion order so emitted DRB-ML files match the key
 // order of the paper's Table 1 schema. Numbers distinguish integers from
-// doubles to round-trip dataset labels exactly.
+// doubles to round-trip dataset labels exactly. Writer streams compact
+// JSON without building a Value tree; it and Value::dump escape strings
+// with one routine, append_escaped.
 #pragma once
 
 #include <cstdint>
@@ -118,10 +120,56 @@ class Value {
   std::unique_ptr<Object> object_;
 };
 
-/// Parses a JSON document. Throws JsonError on malformed input.
+/// Arrays and objects nested deeper than this fail to parse. The parser
+/// recurses once per level; without a bound, one request line of nested
+/// brackets overflowed an 8 MiB stack at about 23,000 levels in a Release
+/// build and at about 2,250 under ASan+UBSan. The deepest document the
+/// repository reads, a DRB-ML record, nests four levels deep; a serve
+/// request nests one.
+inline constexpr int kMaxDepth = 256;
+
+/// Parses a JSON document. Throws JsonError on malformed input, naming
+/// the byte offset where parsing stopped, and on nesting deeper than
+/// kMaxDepth.
 [[nodiscard]] Value parse(std::string_view text);
+
+/// Appends `s` to `out` with JSON string escapes (without quotes). Each
+/// run of bytes that needs no escape is appended in one piece.
+void append_escaped(std::string& out, std::string_view s);
 
 /// Escapes a string for embedding in JSON output (without quotes).
 [[nodiscard]] std::string escape(std::string_view s);
+
+/// Streams compact JSON -- the bytes Value::dump would write for the same
+/// document -- onto the end of a string, with no Value tree in between.
+/// The caller pairs every begin_* with its end_* and puts key() before
+/// each member's value; the writer places the commas and colons.
+class Writer {
+ public:
+  explicit Writer(std::string& out) noexcept : out_(out) {}
+
+  Writer& begin_object() { return open('{'); }
+  Writer& end_object() { return close('}'); }
+  Writer& begin_array() { return open('['); }
+  Writer& end_array() { return close(']'); }
+  Writer& key(std::string_view k);
+
+  Writer& value(std::string_view s);
+  Writer& value(const char* s) { return value(std::string_view(s)); }
+  Writer& value(bool b);
+  Writer& value(std::int64_t i);
+  Writer& value(int i) { return value(static_cast<std::int64_t>(i)); }
+
+ private:
+  /// Writes the comma that separates this value or key from the last.
+  void separate() {
+    if (need_comma_) out_.push_back(',');
+  }
+  Writer& open(char bracket);
+  Writer& close(char bracket);
+
+  std::string& out_;
+  bool need_comma_ = false;
+};
 
 }  // namespace drbml::json

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <utility>
 
 #include "minic/parser.hpp"
 #include "obs/catalog.hpp"
@@ -770,6 +771,63 @@ TEST(Parallel, CollapseCoversFullSpace) {
 }
 
 // ------------------------------------------------------------ race detection
+
+// A run that forks no team takes no schedule decision, so the detector
+// runs it once, whatever its seed list; a run that forks one runs every
+// seed.
+TEST(DynamicRace, TeamlessProgramRunsOnce) {
+  obs::Counter& runs = obs::metrics().counter(obs::kVmRuns);
+  obs::Counter& replays = obs::metrics().counter(obs::kInterpReplays);
+  const auto costs = [&](const char* src) {
+    const std::uint64_t runs_before = runs.value();
+    const std::uint64_t replays_before = replays.value();
+    (void)detect(src);
+    return std::pair{runs.value() - runs_before,
+                     replays.value() - replays_before};
+  };
+  const std::pair<std::uint64_t, std::uint64_t> once{1, 1};
+  EXPECT_EQ(costs("int main() { int x = 1; printf(\"%d\\n\", x); return 0; }"),
+            once);
+  EXPECT_EQ(costs("int main() { while (1) {} return 0; }"), once);
+  EXPECT_EQ(costs("int g;\nvoid f() { g = 1; }\n"), once);
+  const std::pair<std::uint64_t, std::uint64_t> every_seed{3, 3};
+  EXPECT_EQ(costs("int main() { int x = 0;\n#pragma omp parallel\n"
+                  "  { x = 1; }\n  return x; }"),
+            every_seed);
+  // A one-thread team is a team too.
+  EXPECT_EQ(costs("int main() { int x = 0;\n"
+                  "#pragma omp parallel num_threads(1)\n"
+                  "  { x = 1; }\n  return x; }"),
+            every_seed);
+}
+
+TEST(DynamicRace, FaultBeforeAnyTeamIsReportedOnce) {
+  for (const char* src : {"int main() { while (1) {} return 0; }",
+                          "int g;\nvoid f() { g = 1; }\n"}) {
+    const analysis::RaceReport report = detect(src);
+    int faults = 0;
+    for (const std::string& d : report.diagnostics) {
+      if (d.rfind("dynamic: run faulted: ", 0) == 0) ++faults;
+    }
+    EXPECT_EQ(faults, 1) << src;
+    EXPECT_EQ(report.diagnostics.back(),
+              "dynamic: no happens-before violation observed");
+  }
+}
+
+TEST(DynamicRace, RunReportsWhetherItForkedATeam) {
+  EXPECT_FALSE(run_src("int main() { return 0; }").forked_team);
+  EXPECT_FALSE(run_src("int main() { while (1) {} return 0; }").forked_team);
+  EXPECT_TRUE(run_src("int main() {\n#pragma omp parallel\n  { }\n"
+                      "  return 0; }")
+                  .forked_team);
+  // Forked before the fault.
+  const RunResult late = run_src(
+      "int main() {\n#pragma omp parallel\n  { }\n"
+      "  while (1) {}\n  return 0; }");
+  EXPECT_TRUE(late.faulted);
+  EXPECT_TRUE(late.forked_team);
+}
 
 TEST(DynamicRace, AntiDependenceDetected) {
   auto report = detect(

@@ -21,9 +21,12 @@
 #include <cstdio>
 #include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,10 +37,15 @@
 #include "core/detector.hpp"
 #include "drb/corpus.hpp"
 #include "eval/artifact_cache.hpp"
+#include "fuzz_mutate.hpp"
+#include "obs/catalog.hpp"
+#include "obs/obs.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "support/error.hpp"
 #include "support/json.hpp"
 #include "support/parallel.hpp"
+#include "support/rng.hpp"
 
 namespace drbml::serve {
 namespace {
@@ -334,7 +342,8 @@ TEST(ServeProtocol, RunawayRecursionIsAStructuredFaultNotACrash) {
   // overflow the stack of a recursive pass -- each followed by a normal
   // request on the same stream: each comes back with a result naming the
   // run's fault or with a structured parse error, and the daemon is still
-  // there to answer the request after it.
+  // there to answer the request after it. So does a request line nested
+  // deep enough to overflow the JSON parser's stack: it gets bad_json.
   const std::string recursive =
       "int f(int n) { return f(n + 1); }\nint main() { return f(0); }\n";
   const std::string division =
@@ -386,6 +395,11 @@ TEST(ServeProtocol, RunawayRecursionIsAStructuredFaultNotACrash) {
                              ",\"detector\":\"static\"") +
                 "\n";
   }
+  requests += "{\"id\":\"deep-json\",\"verb\":\"stats\",\"x\":" +
+              repeat("[", 50'000) + repeat("]", 50'000) + "}\n" +
+              request_line("after-deep-json", "analyze", kRacyCode,
+                           ",\"detector\":\"static\"") +
+              "\n";
   int in_pipe[2];
   int out_pipe[2];
   ASSERT_EQ(::pipe(in_pipe), 0);
@@ -402,7 +416,8 @@ TEST(ServeProtocol, RunawayRecursionIsAStructuredFaultNotACrash) {
   });
 
   Server server(small_server());
-  EXPECT_EQ(server.serve_fd(in_pipe[0], out_pipe[1]), 2 * std::size(hostile));
+  EXPECT_EQ(server.serve_fd(in_pipe[0], out_pipe[1]),
+            2 * std::size(hostile) + 2);
   writer.join();
   ::close(in_pipe[0]);
   ::close(out_pipe[1]);
@@ -420,7 +435,15 @@ TEST(ServeProtocol, RunawayRecursionIsAStructuredFaultNotACrash) {
     const json::Value r = parse_response(out.substr(start, end - start));
     by_id.emplace(r.as_object().at("id").as_string(), r);
   }
-  ASSERT_EQ(by_id.size(), 2 * std::size(hostile)) << out;
+  ASSERT_EQ(by_id.size(), 2 * std::size(hostile) + 2) << out;
+  // The deep line never parsed, so its answer carries no id.
+  const json::Object& deep = by_id.at("").as_object();
+  ASSERT_FALSE(deep.at("ok").as_bool()) << out;
+  EXPECT_EQ(error_kind(by_id.at("")), "bad_json");
+  EXPECT_NE(deep.at("error").as_object().at("message").as_string().find(
+                "nesting deeper than"),
+            std::string::npos);
+  EXPECT_TRUE(by_id.at("after-deep-json").as_object().at("ok").as_bool());
   for (const auto& h : hostile) {
     const json::Object& got = by_id.at(h.id).as_object();
     if (h.error != nullptr) {
@@ -469,11 +492,11 @@ TEST(ServeParity, AnalyzeIsTheCoreDetectorsReportForEverySpec) {
       const json::Value r =
           parse_response(server.handle_line(entry_request("p", spec, e.name)));
       ASSERT_TRUE(r.as_object().at("ok").as_bool()) << spec << " " << e.name;
-      json::Value expected =
-          race_report_to_json(detector->analyze(code).report);
-      expected.as_object().set(
-          "tokens", json::Value(eval::artifact_cache().token_count(code)));
-      EXPECT_EQ(r.as_object().at("result").dump(), expected.dump())
+      std::string expected;
+      json::Writer w(expected);
+      write_analyze_result(w, detector->analyze(code).report,
+                           eval::artifact_cache().token_count(code));
+      EXPECT_EQ(r.as_object().at("result").dump(), expected)
           << spec << " " << e.name;
     }
   }
@@ -505,10 +528,30 @@ TEST(HybridMerge, KeepsStaticThenDynamicDiagnostics) {
   }
   ASSERT_FALSE(diags.empty());
   EXPECT_EQ(diags.front(), "static: no conflicting pair found");
-  EXPECT_NE(std::find(diags.begin(), diags.end(),
-                      "dynamic: run faulted: program has no main()"),
-            diags.end());
+  // The run forks no team, so the dynamic side ran it once.
+  EXPECT_EQ(std::count(diags.begin(), diags.end(),
+                       "dynamic: run faulted: program has no main()"),
+            1);
   EXPECT_EQ(diags.back(), "dynamic: no happens-before violation observed");
+}
+
+TEST(HybridMerge, FaultBeforeAnyTeamIsReportedOnce) {
+  Server server(small_server());
+  for (const char* detector : {"dynamic", "hybrid"}) {
+    const json::Value r = parse_response(server.handle_line(request_line(
+        "spin", "analyze", "int main() { while (1) {} return 0; }\n",
+        std::string(",\"detector\":\"") + detector + "\"")));
+    ASSERT_TRUE(r.as_object().at("ok").as_bool()) << detector;
+    int faults = 0;
+    for (const json::Value& d :
+         r.as_object().at("result").as_object().at("diagnostics").as_array()) {
+      if (d.as_string().rfind("dynamic: run faulted: silent loop limit", 0) ==
+          0) {
+        ++faults;
+      }
+    }
+    EXPECT_EQ(faults, 1) << detector;
+  }
 }
 
 TEST(HybridMerge, RaceIsEitherReportsVerdict) {
@@ -881,6 +924,380 @@ TEST(ServeDeterminism, ResponsesAreByteIdenticalAcrossJobs) {
     ASSERT_TRUE(eight.count(id)) << id;
     EXPECT_EQ(response, eight.at(id)) << id;
   }
+}
+
+// ------------------------------------------------------------- fuzzing
+
+/// Valid request lines for every verb, and for analyze every non-LLM
+/// detector, by code and by corpus entry.
+std::vector<std::string> fuzz_base_requests() {
+  std::vector<std::string> out;
+  const char* const detectors[] = {"static",          "dynamic", "hybrid",
+                                   "lint",            "explore",
+                                   "explore:uniform", "explore:pct"};
+  for (const char* d : detectors) {
+    out.push_back(request_line("a", "analyze", kRacyCode,
+                               std::string(",\"detector\":\"") + d + "\""));
+    out.push_back("{\"id\":\"e\",\"verb\":\"analyze\",\"detector\":\"" +
+                  std::string(d) +
+                  "\",\"entry\":\"DRB001-antidep1-orig-yes.c\"}");
+  }
+  for (const char* verb : {"lint", "fix", "explore"}) {
+    out.push_back(request_line("v", verb, kSafeCode,
+                               ",\"priority\":2,\"deadline_ms\":60000"));
+    out.push_back(request_line("w", verb, kRacyCode));
+  }
+  out.push_back("{\"id\":\"s\",\"verb\":\"stats\"}");
+  out.push_back("{\"id\":\"z\",\"verb\":\"shutdown\"}");
+  return out;
+}
+
+/// One mutant of a valid request line. The kinds: printable byte edits;
+/// truncation anywhere (mostly inside the code string) or inside a \u
+/// escape; invalid \u and backslash escapes; integers beyond int64;
+/// duplicate keys; NUL and other control bytes; bytes >= 0x80; and
+/// nesting near, at and far beyond json::kMaxDepth.
+std::string mutate_request(const std::string& base, Rng& rng) {
+  std::string s = base;
+  // Somewhere inside the last string value (the code or entry name).
+  const auto in_string = [&] {
+    const std::size_t open = s.rfind(":\"");
+    const std::size_t first = open == std::string::npos ? 0 : open + 2;
+    return first + rng.below(s.size() - first);
+  };
+  const auto add_member = [&](const std::string& member) {
+    s.insert(s.size() - 1, "," + member);
+  };
+  switch (rng.below(10)) {
+    case 0:
+      return mutate(base, rng);
+    case 1:
+      s.resize(in_string());
+      return s;
+    case 2: {
+      static const char* const kCut[] = {"\\", "\\u", "\\u0", "\\u00",
+                                         "\\u00e"};
+      s.resize(in_string());
+      return s + kCut[rng.below(std::size(kCut))];
+    }
+    case 3: {
+      static const char* const kBad[] = {"\\u12G4", "\\uZZZZ", "\\u-123",
+                                         "\\x41",   "\\q",     "\\'",
+                                         "\\u 123"};
+      s.insert(in_string(), kBad[rng.below(std::size(kBad))]);
+      return s;
+    }
+    case 4: {
+      static const char* const kBig[] = {
+          "9223372036854775808", "-9223372036854775809",
+          "99999999999999999999999999", "1e400", "-1e400", "1.5", "-0",
+          "00012", "0x10"};
+      const char* key = rng.chance(0.5) ? "priority" : "deadline_ms";
+      add_member(std::string("\"") + key +
+                 "\":" + kBig[rng.below(std::size(kBig))]);
+      return s;
+    }
+    case 5: {
+      static const char* const kDup[] = {
+          "\"id\":\"dup\"",           "\"id\":7",
+          "\"verb\":\"lint\"",        "\"verb\":\"stats\"",
+          "\"code\":\"int main() { return 1; }\"",
+          "\"entry\":\"DRB002-antidep1-var-yes.c\"",
+          "\"detector\":\"static\"", "\"detector\":\"llm:gpt4:p1\"",
+          "\"priority\":1",           "\"code\":null"};
+      add_member(kDup[rng.below(std::size(kDup))]);
+      return s;
+    }
+    case 6: {
+      const int n = static_cast<int>(rng.between(1, 3));
+      for (int i = 0; i < n; ++i) {
+        s.insert(rng.below(s.size() + 1), 1,
+                 static_cast<char>(rng.below(0x20)));  // NUL included
+      }
+      return s;
+    }
+    case 7: {
+      const int n = static_cast<int>(rng.between(1, 4));
+      for (int i = 0; i < n; ++i) {
+        s.insert(rng.below(s.size() + 1), 1,
+                 static_cast<char>(rng.between(0x80, 0xff)));
+      }
+      return s;
+    }
+    case 8: {
+      static const int kDepths[] = {json::kMaxDepth - 1, json::kMaxDepth,
+                                    json::kMaxDepth + 1, 5'000, 60'000};
+      const auto depth =
+          static_cast<std::size_t>(kDepths[rng.below(std::size(kDepths))]);
+      const bool objects = rng.chance(0.5);
+      std::string nested;
+      for (std::size_t i = 0; i < depth; ++i) {
+        nested += objects ? "{\"k\":" : "[";
+      }
+      nested += "0";
+      if (rng.chance(0.8)) nested += std::string(depth, objects ? '}' : ']');
+      add_member("\"nested\":" + nested);
+      return s;
+    }
+    default:
+      // A member name or value replaced by a string, number or literal.
+      s = mutate(base, rng);
+      s.insert(rng.below(s.size() + 1), rng.chance(0.5) ? "null" : "\"\"");
+      return s;
+  }
+}
+
+/// Whether `line` is one structured response: an object with a string id
+/// and either ok:true with the verb and a result object, or ok:false with
+/// an error of a documented kind and a message.
+::testing::AssertionResult is_structured_response(const std::string& line) {
+  static const std::set<std::string> kKinds = {
+      "bad_json",      "bad_request",     "queue_full",
+      "deadline_expired", "shutting_down", "analysis_failed"};
+  json::Value doc;
+  try {
+    doc = json::parse(line);
+    const json::Object& o = doc.as_object();
+    (void)o.at("id").as_string();
+    if (o.at("ok").as_bool()) {
+      (void)o.at("verb").as_string();
+      (void)o.at("result").as_object();
+      return ::testing::AssertionSuccess();
+    }
+    const json::Object& error = o.at("error").as_object();
+    const std::string& kind = error.at("kind").as_string();
+    if (kKinds.count(kind) == 0) {
+      return ::testing::AssertionFailure() << "error kind '" << kind << "'";
+    }
+    if (error.at("message").as_string().empty()) {
+      return ::testing::AssertionFailure() << "empty message";
+    }
+    return ::testing::AssertionSuccess();
+  } catch (const JsonError& e) {
+    return ::testing::AssertionFailure() << e.what();
+  }
+}
+
+TEST(ServeFuzz, MutatedRequestsGetOneStructuredResponse) {
+  constexpr int kMutants = 4'000;
+  const std::vector<std::string> bases = fuzz_base_requests();
+  Rng rng = Rng::from_key("serve-fuzz");
+  ServerOptions opts;
+  opts.jobs = 1;
+  opts.queue_limit = 0;
+  // A shutdown mutant closes its server; the next mutant gets a new one.
+  std::vector<std::unique_ptr<Server>> servers;
+  servers.push_back(std::make_unique<Server>(opts));
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::vector<std::string>> responses(kMutants);
+  std::map<std::string, int> outcomes;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string line =
+        mutate_request(bases[static_cast<std::size_t>(i) % bases.size()], rng);
+    servers.back()->submit_line(line, [&, i](std::string response) {
+      std::lock_guard<std::mutex> lock(mu);
+      responses[static_cast<std::size_t>(i)].push_back(std::move(response));
+      cv.notify_all();
+    });
+    std::string response;
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return !responses[i].empty(); });
+      response = responses[i].front();
+    }
+    ASSERT_TRUE(is_structured_response(response))
+        << "mutant " << i << ": " << line.substr(0, 300) << "\nresponse: "
+        << response.substr(0, 300);
+    const json::Value r = json::parse(response);
+    const json::Object& o = r.as_object();
+    ++outcomes[o.at("ok").as_bool() ? "ok" : error_kind(r)];
+    if (o.at("ok").as_bool() && o.at("verb").as_string() == "shutdown") {
+      servers.back()->drain();
+      servers.push_back(std::make_unique<Server>(opts));
+    }
+  }
+  for (auto& server : servers) server->drain();
+  for (int i = 0; i < kMutants; ++i) {
+    EXPECT_EQ(responses[i].size(), 1u) << "mutant " << i;
+  }
+  // Every kind of outcome shows up: the mutants reach past the JSON
+  // parser into validation and analysis.
+  for (const char* kind :
+       {"ok", "bad_json", "bad_request", "analysis_failed"}) {
+    EXPECT_GT(outcomes[kind], 0) << kind;
+  }
+  EXPECT_EQ(outcomes["shutting_down"], 0);
+}
+
+/// One mutant of a snapshot's bytes: any-byte edits, truncation, a record
+/// length off by one or replaced, a key with a non-hex digit or cut short,
+/// an unknown tag, or a record duplicated.
+std::string mutate_snapshot(const std::string& base, Rng& rng) {
+  std::string s = base;
+  // The start of a random record line (a line that starts with a tag).
+  std::vector<std::size_t> records;
+  for (std::size_t at = s.find('\n'); at != std::string::npos;
+       at = s.find('\n', at + 1)) {
+    if (at + 3 < s.size() && std::string("TADL").find(s[at + 1]) !=
+                                 std::string::npos &&
+        s[at + 2] == ' ') {
+      records.push_back(at + 1);
+    }
+  }
+  const std::size_t record =
+      records.empty() ? 0 : records[rng.below(records.size())];
+  const std::size_t key = record + 2;               // 16 hex digits
+  const std::size_t field = s.find(' ', key) + 1;   // count or length
+  const std::size_t eol = s.find('\n', field);
+  switch (rng.below(7)) {
+    case 0: {
+      const int edits = static_cast<int>(rng.between(1, 4));
+      for (int e = 0; e < edits; ++e) {
+        s[rng.below(s.size())] = static_cast<char>(rng.below(256));
+      }
+      return s;
+    }
+    case 1:
+      s.resize(rng.below(s.size()));
+      return s;
+    case 2: {
+      static const char* const kLengths[] = {"0", "-1", "+5", "",
+                                             "99999999999999999999",
+                                             "18446744073709551615", "x"};
+      const long n = std::strtol(s.c_str() + field, nullptr, 10);
+      const std::string replacement =
+          rng.chance(0.5) ? std::to_string(n + (rng.chance(0.5) ? 1 : -1))
+                          : kLengths[rng.below(std::size(kLengths))];
+      return s.replace(field, eol - field, replacement);
+    }
+    case 3:
+      s[key + rng.below(16)] = "gG-x "[rng.below(5)];
+      return s;
+    case 4:
+      return s.erase(key + rng.below(16), 1 + rng.below(3));
+    case 5:
+      s[record] = "tXa\n "[rng.below(5)];
+      return s;
+    default: {
+      // The whole record (header line and payload) once more, after
+      // itself: a repeated key.
+      const std::size_t next =
+          records.empty() ? s.size()
+                          : [&] {
+                              for (std::size_t r : records) {
+                                if (r > record) return r;
+                              }
+                              return s.size();
+                            }();
+      return s.insert(next, s.substr(record, next - record));
+    }
+  }
+}
+
+TEST(ServeFuzz, MutatedSnapshotsSeedWholeOrNotAtAll) {
+  const std::string path = ::testing::TempDir() + "fuzz_snapshot.cache";
+  const std::vector<std::string> programs = {
+      kRacyCode, kSafeCode,
+      drb::drb_code(*drb::find_entry("DRB001-antidep1-orig-yes.c")),
+      "int main() { return 0; }\n"};
+  {
+    eval::ArtifactCache writer;
+    for (const std::string& code : programs) {
+      (void)writer.token_count(code);
+      (void)writer.ast_text(code);
+      (void)writer.depgraph_text(code);
+      (void)writer.lint_text(code);
+    }
+    ASSERT_TRUE(writer.save_snapshot(path));
+  }
+  std::string base;
+  {
+    std::ifstream in(path, std::ios::binary);
+    base.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_FALSE(base.empty());
+  int expected_tokens = 0;
+  {
+    eval::ArtifactCache cold;
+    expected_tokens = cold.token_count(programs[0]);
+  }
+
+  obs::Counter& corrupt = obs::metrics().counter(obs::kCacheCorrupt);
+  obs::Counter& token_computes =
+      obs::metrics().counter(obs::kCacheTokensCompute);
+  Rng rng = Rng::from_key("snapshot-fuzz");
+  int seeded = 0;
+  int rejected = 0;
+  for (int i = 0; i < 600; ++i) {
+    const std::string mutant = mutate_snapshot(base, rng);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(mutant.data(), static_cast<std::streamsize>(mutant.size()));
+    }
+    eval::ArtifactCache cache;
+    const std::uint64_t corrupt_before = corrupt.value();
+    const std::size_t loaded = cache.load_snapshot(path);
+    if (corrupt.value() != corrupt_before) {
+      ++rejected;
+      EXPECT_EQ(corrupt.value(), corrupt_before + 1) << "mutant " << i;
+      EXPECT_EQ(loaded, 0u) << "mutant " << i;
+      EXPECT_EQ(cache.size(), 0u) << "half-seeded: mutant " << i;
+      // Nothing seeded, so a probe computes afresh.
+      const std::uint64_t computes_before = token_computes.value();
+      EXPECT_EQ(cache.token_count(programs[0]), expected_tokens);
+      EXPECT_EQ(token_computes.value(), computes_before + 1)
+          << "mutant " << i;
+    } else {
+      // Accepted: every record went in (a header alone is an empty
+      // snapshot).
+      ++seeded;
+      EXPECT_EQ(cache.size(), loaded) << "mutant " << i;
+    }
+  }
+  std::remove(path.c_str());
+  // Both outcomes occur, so the mutants reach past the header check.
+  EXPECT_GT(seeded, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(ServeFuzz, SnapshotCountsAreDigitsThatFitTheFile) {
+  // A length of -1 used to wrap around the bounds check and make the
+  // record's payload the rest of the file, whose records then loaded
+  // too; a sign, a space or a suffix on a count was accepted.
+  const std::string path = ::testing::TempDir() + "counts_snapshot.cache";
+  const std::string key1 = "0000000000000001";
+  const std::string key2 = "0000000000000002";
+  const std::string bad[] = {
+      "A " + key1 + " -1\nT " + key2 + " 5\n",
+      "A " + key1 + " 18446744073709551615\nT " + key2 + " 5\n",
+      "A " + key1 + " +2\nab\n",
+      "A " + key1 + " 2 \nab\n",
+      "A " + key1 + " 3\nab\n",
+      "T " + key2 + " 5x\n",
+      "T " + key2 + " -5\n",
+      "T " + key2 + " 2147483648\n",
+  };
+  obs::Counter& corrupt = obs::metrics().counter(obs::kCacheCorrupt);
+  for (const std::string& records : bad) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << "drbml-cache v1\n" << records;
+    }
+    eval::ArtifactCache cache;
+    const std::uint64_t before = corrupt.value();
+    EXPECT_EQ(cache.load_snapshot(path), 0u) << records;
+    EXPECT_EQ(corrupt.value(), before + 1) << records;
+    EXPECT_EQ(cache.size(), 0u) << records;
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "drbml-cache v1\nA " << key1 << " 2\nab\nT " << key2
+        << " 2147483647\n";
+  }
+  eval::ArtifactCache cache;
+  EXPECT_EQ(cache.load_snapshot(path), 2u);
+  std::remove(path.c_str());
 }
 
 // -------------------------------------------------- LRU byte budget

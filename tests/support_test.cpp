@@ -1,7 +1,10 @@
 // Unit tests for the support library: JSON, RNG, strings, tables.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
+#include <string_view>
 
 #include "support/json.hpp"
 #include "support/rng.hpp"
@@ -282,6 +285,140 @@ TEST(Json, MissingKeyThrows) {
   auto v = json::parse(R"({"a":1})");
   EXPECT_THROW(v.as_object().at("b"), JsonError);
   EXPECT_EQ(v.as_object().find("b"), nullptr);
+}
+
+TEST(Json, StringsWithEscapesParseByteForByte) {
+  // Runs of plain bytes between escapes, raw bytes >= 0x80 and a raw
+  // control character are copied as they are.
+  const auto v = json::parse("\"ab\\\"cd\\\\e\\nf\\u0041g\xc3\xa9\x01h\\/\"");
+  EXPECT_EQ(v.as_string(), "ab\"cd\\e\nfAg\xc3\xa9\x01h/");
+  EXPECT_EQ(json::parse("\"\"").as_string(), "");
+  EXPECT_EQ(json::parse("\"\\\\\"").as_string(), "\\");
+}
+
+TEST(Json, MalformedStringsNameTheirOffset) {
+  const auto message = [](std::string_view text) {
+    try {
+      (void)json::parse(text);
+    } catch (const JsonError& e) {
+      return std::string(e.what());
+    }
+    return std::string("parsed");
+  };
+  EXPECT_EQ(message("\"abc"), "json: unexpected end of input at offset 4");
+  EXPECT_EQ(message("\"ab\\"), "json: unexpected end of input at offset 4");
+  EXPECT_EQ(message("\"a\\qb\""), "json: invalid escape at offset 4");
+  EXPECT_EQ(message("\"\\u12G4\""), "json: invalid \\u escape at offset 6");
+  EXPECT_EQ(message("\"\\u12"), "json: unexpected end of input at offset 5");
+}
+
+std::string nested_arrays(int depth) {
+  return std::string(static_cast<std::size_t>(depth), '[') +
+         std::string(static_cast<std::size_t>(depth), ']');
+}
+
+std::string nested_objects(int depth) {
+  std::string text;
+  for (int i = 0; i < depth; ++i) text += "{\"k\":";
+  text += "0";
+  return text + std::string(static_cast<std::size_t>(depth), '}');
+}
+
+TEST(Json, NestingUpToTheBoundParses) {
+  const json::Value arrays = json::parse(nested_arrays(json::kMaxDepth));
+  EXPECT_EQ(arrays.dump(), nested_arrays(json::kMaxDepth));
+  const json::Value objects = json::parse(nested_objects(json::kMaxDepth));
+  EXPECT_EQ(objects.dump(), nested_objects(json::kMaxDepth));
+  // Depth counts open containers, not containers seen: a long flat run
+  // of siblings stays at depth two.
+  std::string wide = "[";
+  for (int i = 0; i < 4 * json::kMaxDepth; ++i) wide += i == 0 ? "[]" : ",[]";
+  EXPECT_EQ(json::parse(wide + "]").as_array().size(),
+            static_cast<std::size_t>(4 * json::kMaxDepth));
+}
+
+TEST(Json, NestingPastTheBoundFailsAtTheOffendingBracket) {
+  const std::string want = "json: nesting deeper than " +
+                           std::to_string(json::kMaxDepth) +
+                           " levels at offset " +
+                           std::to_string(json::kMaxDepth);
+  for (const std::string& text :
+       {nested_arrays(json::kMaxDepth + 1),
+        std::string(static_cast<std::size_t>(json::kMaxDepth) + 1, '[')}) {
+    try {
+      (void)json::parse(text);
+      ADD_FAILURE() << "parsed " << text.size() << " bytes";
+    } catch (const JsonError& e) {
+      EXPECT_EQ(std::string(e.what()), want);
+    }
+  }
+  try {
+    (void)json::parse(nested_objects(json::kMaxDepth + 1));
+    ADD_FAILURE() << "parsed nested objects past the bound";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+              std::string::npos);
+  }
+}
+
+TEST(Json, HostileDepthFailsAtTheBoundNotTheStack) {
+  EXPECT_THROW(json::parse(std::string(1'000'000, '[')), JsonError);
+  std::string mixed;
+  for (int i = 0; i < 200'000; ++i) mixed += "{\"a\":[";
+  EXPECT_THROW(json::parse(mixed), JsonError);
+}
+
+TEST(Json, EscapeAppendsPlainRunsAndEscapesTheRest) {
+  EXPECT_EQ(json::escape("plain text"), "plain text");
+  const std::string_view raw(
+      "a\"b\\c\nd\re\tf\bg\fh\x01\x1f\x7f\xc3\xa9\0", 21);
+  EXPECT_EQ(json::escape(raw),
+            "a\\\"b\\\\c\\nd\\re\\tf\\bg\\fh\\u0001\\u001f\x7f\xc3\xa9"
+            "\\u0000");
+  std::string out = "prefix:";
+  json::append_escaped(out, "q\"");
+  EXPECT_EQ(out, "prefix:q\\\"");
+}
+
+TEST(Json, WriterWritesTheBytesDumpWrites) {
+  json::Object access;
+  access.set("expr", json::Value("a[i]"));
+  access.set("line", json::Value(12));
+  json::Object root;
+  root.set("id", json::Value("r\"1\n"));
+  root.set("ok", json::Value(true));
+  root.set("none", json::Value(false));
+  root.set("empty_list", json::Value(json::Array{}));
+  root.set("empty_object", json::Value(json::Object{}));
+  root.set("list", json::Value(json::Array{json::Value(access),
+                                           json::Value(-7),
+                                           json::Value(INT64_MIN)}));
+  root.set("strings", json::Value(json::Array{json::Value(""),
+                                              json::Value("\x01")}));
+
+  std::string out;
+  json::Writer w(out);
+  w.begin_object();
+  w.key("id").value("r\"1\n");
+  w.key("ok").value(true);
+  w.key("none").value(false);
+  w.key("empty_list").begin_array().end_array();
+  w.key("empty_object").begin_object().end_object();
+  w.key("list").begin_array();
+  w.begin_object().key("expr").value("a[i]").key("line").value(12).end_object();
+  w.value(-7).value(std::int64_t{INT64_MIN});
+  w.end_array();
+  w.key("strings").begin_array().value("").value(std::string("\x01"));
+  w.end_array();
+  w.end_object();
+  EXPECT_EQ(out, json::Value(root).dump());
+}
+
+TEST(Json, WriterAppendsToWhatTheStringHolds) {
+  std::string out = "[1,";
+  json::Writer w(out);
+  w.begin_array().value(2).end_array();
+  EXPECT_EQ(out, "[1,[2]");
 }
 
 // ---------------------------------------------------------------- table
