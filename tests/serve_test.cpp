@@ -1040,7 +1040,7 @@ std::string mutate_request(const std::string& base, Rng& rng) {
       return s;
     }
     default:
-      // A member name or value replaced by a string, number or literal.
+      // Byte edits, then a `null` or `""` token inserted anywhere.
       s = mutate(base, rng);
       s.insert(rng.below(s.size() + 1), rng.chance(0.5) ? "null" : "\"\"");
       return s;
