@@ -33,8 +33,12 @@
 # --jobs). Stage 2g is the bytecode-VM gate: ctest -L vm holds the
 # runtime to the committed fingerprints in
 # tests/golden/runtime_fingerprints.txt, checks that runs resumed from a
-# serial-prefix snapshot match runs from main, and runs the bytecode
-# verifier suite with its mutated-module fuzz target. Stage 2h is the
+# serial-prefix snapshot match runs from main, holds the explorer to a
+# hash of every ExploreResult field in
+# tests/golden/explore_fingerprints.txt (four configurations, so a
+# schedule skipped as a repeat must report what running it would), and
+# runs the bytecode verifier suite with its mutated-module fuzz target.
+# Stage 2h is the
 # hostile-input gate: programs that
 # used to kill or hang a run (INT64_MIN / -1, loops that touch no
 # memory, unbounded recursion, a `%s` that starts outside its string,
@@ -60,9 +64,9 @@
 # step-limit and exception unwinds on fibers, and runs it by name (it
 # has no `parallel` label). Stage 4 rebuilds under AddressSanitizer +
 # UndefinedBehaviorSanitizer (-DDRBML_SANITIZE=address) and runs the full
-# suite, every team on annotated ucontext fibers, then sched_test and
-# runtime_golden_test as whole binaries, where fibers and their stacks
-# are re-armed for team after team.
+# suite, every team on annotated ucontext fibers, then sched_test,
+# runtime_golden_test and explore_golden_test as whole binaries, where
+# fibers and their stacks are re-armed for team after team.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -149,12 +153,15 @@ echo "serve gate: 51/51 responses, warm hits=$hits"
 rm -rf "$serve_tmp"
 
 echo "== stage 2g: bytecode-VM golden + verifier gate =="
-# ctest -L vm runs two suites. The golden suite checks the runtime
+# ctest -L vm runs three suites. The golden suite checks the runtime
 # against the committed tests/golden/runtime_fingerprints.txt (corpus +
 # 200 synth kernels x {uniform, pct} x 3 seeds, plus a PCT exploration
 # each) -- the only reference the VM is held to -- and runs the same
 # programs under uniform, PCT and replay schedules both from a shared
 # serial-prefix snapshot and from main, requiring equal results. The
+# exploration golden suite checks a hash of every ExploreResult field
+# of the same programs under four explorer configurations against
+# tests/golden/explore_fingerprints.txt. The
 # verifier suite proves malformed bytecode is rejected before it runs;
 # its fuzz target,
 # VmFuzz.AcceptedMutantsOfCorpusModulesRunCleanly, changes one field of
@@ -277,9 +284,10 @@ echo "== stage 4: AddressSanitizer + UBSan build of the full suite =="
 cmake -B build-asan -S . -DDRBML_SANITIZE=address >/dev/null
 cmake --build build-asan -j
 (cd build-asan && ctest --output-on-failure -j)
-# ctest runs each test in a process of its own; these two binaries also
-# run whole, so that fiber stacks and the storage of a program's runs are
+# ctest runs each test in a process of its own; these binaries also run
+# whole, so that fiber stacks and the storage of a program's runs are
 # reused across tests as a long-lived process reuses them.
 build-asan/tests/sched_test
 build-asan/tests/runtime_golden_test
+build-asan/tests/explore_golden_test
 echo "== all checks passed =="

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "explore/minimize.hpp"
 #include "obs/catalog.hpp"
@@ -19,6 +21,17 @@ std::uint64_t schedule_seed(std::uint64_t base, int index) {
   return mix64(base + 0x9e3779b97f4a7c15ULL *
                           (static_cast<std::uint64_t>(index) + 1));
 }
+
+/// A schedule that ran and found no race, as a later schedule that
+/// repeats it (runtime::repeats_run) reports it: its options, its teams,
+/// their PCT plans, and its outcome.
+struct DistinctRun {
+  runtime::RunOptions run;
+  std::vector<runtime::TeamRecord> regions;
+  runtime::PctPlans plans;
+  bool faulted = false;
+  std::uint64_t steps = 0;
+};
 
 runtime::RunOptions schedule_run_options(const ExploreOptions& opts,
                                          int index) {
@@ -39,6 +52,8 @@ ExploreResult explore_source(std::string_view source,
                              const ExploreOptions& opts) {
   static obs::Counter& schedules_run =
       obs::metrics().counter(obs::kExploreSchedules);
+  static obs::Counter& schedules_repeated =
+      obs::metrics().counter(obs::kExploreSchedulesRepeated);
   static obs::Counter& races = obs::metrics().counter(obs::kExploreRaces);
   static obs::Counter& coverage_new =
       obs::metrics().counter(obs::kExploreCoverageNew);
@@ -68,29 +83,55 @@ ExploreResult explore_source(std::string_view source,
   int plateau = 0;
   runtime::ScheduleTrace racy_trace;
   runtime::RunOptions racy_run;
+  // The schedules run so far (a racy one ends the loop). A schedule whose
+  // run would repeat one of them takes its outcome instead of running.
+  std::vector<DistinctRun> distinct;
+  runtime::PctPlans plans;
 
   for (int i = 0; i < opts.max_schedules; ++i) {
     const runtime::RunOptions run = schedule_run_options(opts, i);
-    runtime::RunResult rr = [&] {
-      obs::Span span(obs::kSpanExploreSchedule, std::to_string(i));
-      return program.run(run);
-    }();
+    plans.reset(run);
+    const DistinctRun* repeated = nullptr;
+    for (DistinctRun& d : distinct) {
+      if (runtime::repeats_run(d.run, d.regions, d.plans, run, plans)) {
+        repeated = &d;
+        break;
+      }
+    }
     ++result.schedules_run;
     schedules_run.add();
 
     ScheduleStats stats;
     stats.seed = run.seed;
-    stats.raced = rr.report.race_detected;
-    stats.faulted = rr.faulted;
-    stats.steps = rr.steps;
-    for (std::uint64_t h : rr.coverage) {
-      if (coverage.insert(h).second) ++stats.new_coverage;
+    runtime::RunResult rr;
+    if (repeated != nullptr) {
+      // The earlier run found no race, and its coverage is in the union.
+      schedules_repeated.add();
+      stats.faulted = repeated->faulted;
+      stats.steps = repeated->steps;
+    } else {
+      rr = [&] {
+        obs::Span span(obs::kSpanExploreSchedule, std::to_string(i));
+        return program.run(run);
+      }();
+      stats.raced = rr.report.race_detected;
+      stats.faulted = rr.faulted;
+      stats.steps = rr.steps;
+      for (std::uint64_t h : rr.coverage) {
+        if (coverage.insert(h).second) ++stats.new_coverage;
+      }
+      if (!stats.raced) {
+        const std::span<const runtime::TeamRecord> regions =
+            program.regions();
+        distinct.emplace_back(run, std::vector(regions.begin(), regions.end()),
+                              std::move(plans), stats.faulted, stats.steps);
+      }
     }
     coverage_new.add(stats.new_coverage);
-    if (rr.faulted) ++result.faulted_runs;
+    if (stats.faulted) ++result.faulted_runs;
     result.schedules.push_back(stats);
 
-    if (rr.report.race_detected) {
+    if (stats.raced) {
       races.add();
       result.race_detected = true;
       result.first_race_schedule = i;
@@ -139,10 +180,11 @@ ExploreResult explore_source(std::string_view source,
                                          opts.max_minimize_replays);
       result.minimize_replays = mr.replays;
       minimize_replays.add(static_cast<std::uint64_t>(mr.replays));
-      // ddmin keeps the predicate true for the kept set at every step,
-      // but guard against a non-reproducing full trace (a bug) by only
-      // shipping traces that verifiably still race.
-      if (still_races(mr.trace)) {
+      // Ship only a trace that verifiably races. ddmin replayed the trace
+      // it returns when it accepted it; the full trace it returns when it
+      // accepted nothing is replayed here, guarding against a recorded
+      // trace that does not reproduce its race (a bug).
+      if (mr.replayed || still_races(mr.trace)) {
         minimized = std::move(mr.trace);
       }
     }

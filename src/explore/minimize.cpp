@@ -49,6 +49,7 @@ MinimizeResult minimize_trace(
   // decisions at all; ddmin alone can only get down to one item.
   if (!items.empty() && result.replays < max_replays && races({})) {
     items.clear();
+    result.replayed = true;
   }
 
   std::size_t granularity = 2;
@@ -70,6 +71,7 @@ MinimizeResult minimize_trace(
         items = std::move(candidate);
         granularity = std::max<std::size_t>(2, granularity - 1);
         reduced = true;
+        result.replayed = true;
         break;
       }
     }

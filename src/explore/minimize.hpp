@@ -17,6 +17,9 @@ namespace drbml::explore {
 struct MinimizeResult {
   runtime::ScheduleTrace trace;
   int replays = 0;  // predicate evaluations spent
+  /// Whether `still_races` was called with `trace` and returned true. When
+  /// false, `trace` is the original: ddmin accepted no candidate.
+  bool replayed = false;
 };
 
 /// ddmin over the decisions of `original`. `still_races` must replay a

@@ -372,7 +372,12 @@ const MetricDesc kAnalysisDischargedDepend{
 
 const MetricDesc kExploreSchedules{
     "explore.schedules", MetricKind::Counter, "count", kStable,
-    "Schedules executed by the exploration engine."};
+    "Schedules explored by the exploration engine (run or repeated)."};
+const MetricDesc kExploreSchedulesRepeated{
+    "explore.schedules_repeated", MetricKind::Counter, "count", kStable,
+    "Explored schedules not run because their run provably repeats an "
+    "earlier schedule's (runtime::repeats_run); their outcome is the "
+    "earlier run's."};
 const MetricDesc kExploreRaces{
     "explore.races", MetricKind::Counter, "count", kStable,
     "Explored schedules on which a race was detected."};
@@ -462,7 +467,8 @@ const std::vector<const MetricDesc*>& metric_catalog() {
       &kAnalysisCandidatePairs, &kAnalysisDischargedSerial,
       &kAnalysisDischargedPhase, &kAnalysisDischargedMhp,
       &kAnalysisDischargedLockset, &kAnalysisDischargedDepend,
-      &kExploreSchedules,    &kExploreRaces,
+      &kExploreSchedules,    &kExploreSchedulesRepeated,
+      &kExploreRaces,
       &kExploreCoverageNew,  &kExplorePlateauStops,
       &kExploreMinimizeReplays, &kExploreWitnesses,
       &kExploreSchedulesToFirstRace,

@@ -160,6 +160,7 @@ extern const MetricDesc kAnalysisDischargedDepend;
 // Schedule-exploration engine (drbml stats: schedules run, coverage
 // gained per schedule, schedules to first race).
 extern const MetricDesc kExploreSchedules;
+extern const MetricDesc kExploreSchedulesRepeated;
 extern const MetricDesc kExploreRaces;
 extern const MetricDesc kExploreCoverageNew;
 extern const MetricDesc kExplorePlateauStops;

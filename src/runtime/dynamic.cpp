@@ -1,5 +1,7 @@
 #include "runtime/dynamic.hpp"
 
+#include <utility>
+
 #include "minic/parser.hpp"
 #include "obs/catalog.hpp"
 #include "runtime/bc/compile.hpp"
@@ -28,14 +30,23 @@ analysis::RaceReport DynamicRaceDetector::analyze_source(
 
   // Compile once, execute every schedule seed against the same module;
   // seeds after the first resume from its snapshot of the serial prefix.
-  // A run that forked no team took no schedule decision, so the other
-  // seeds would repeat it exactly: the first run stands for all of them.
+  // A seed whose run would exactly repeat the last one adds nothing (a run
+  // that forked no team took no schedule decision, so every seed repeats
+  // it), and is skipped.
   CompiledProgram program(source);
   RunOptions run = opts_.run;
+  RunOptions last;
+  PctPlans last_plans;
+  PctPlans plans;
+  bool ran = false;
 
   analysis::RaceReport merged;
   for (std::uint64_t seed : opts_.schedule_seeds) {
     run.seed = seed;
+    plans.reset(run);
+    if (ran && repeats_run(last, program.regions(), last_plans, run, plans)) {
+      continue;
+    }
     const std::string seed_label = "seed=" + std::to_string(seed);
     RunResult result = [&] {
       obs::Span span(obs::kSpanInterpReplay, seed_label);
@@ -56,7 +67,9 @@ analysis::RaceReport DynamicRaceDetector::analyze_source(
       merged.diagnostics.push_back("dynamic: run faulted: " +
                                    result.fault_message);
     }
-    if (!result.forked_team) break;
+    last = run;
+    std::swap(last_plans, plans);
+    ran = true;
   }
   if (!merged.race_detected) {
     merged.diagnostics.push_back(

@@ -7,6 +7,7 @@
 // positives on data it actually observed.
 #pragma once
 
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -30,6 +31,12 @@ class CompiledProgram {
   /// module or snapshot in `opts` is replaced).
   [[nodiscard]] RunResult run(RunOptions opts);
 
+  /// The teams the last run forked, one per parallel region in dynamic
+  /// order (empty before the first run). Valid until the next run.
+  [[nodiscard]] std::span<const TeamRecord> regions() const {
+    return prefix_.regions();
+  }
+
  private:
   minic::Program prog_;
   analysis::Resolution res_;
@@ -40,8 +47,9 @@ class CompiledProgram {
 struct DynamicDetectorOptions {
   /// Base run options; `seed`, `module` and `prefix` are set per run.
   RunOptions run;
-  /// Seeds for independent schedule replays; reports are unioned. Only
-  /// the first runs when its run forks no team.
+  /// Seeds for independent schedule replays; reports are unioned. A seed
+  /// whose run would repeat the last run (repeats_run) is skipped: under
+  /// the uniform walk, every seed after a run that forked no team.
   std::vector<std::uint64_t> schedule_seeds = {1, 2, 3};
 };
 
@@ -50,8 +58,8 @@ class DynamicRaceDetector {
   explicit DynamicRaceDetector(DynamicDetectorOptions opts = {})
       : opts_(std::move(opts)) {}
 
-  /// Parses, resolves, and executes the source under each schedule seed,
-  /// or once when the first run forks no team.
+  /// Parses, resolves, and executes the source under each schedule seed
+  /// whose run would not repeat the last one.
   [[nodiscard]] analysis::RaceReport analyze_source(
       std::string_view source) const;
 

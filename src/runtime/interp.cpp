@@ -422,6 +422,8 @@ struct PrefixSnapshot::Storage {
   /// One per team nesting level, created on first use.
   std::vector<std::unique_ptr<TeamSlot>> teams;
   std::vector<std::uint64_t> coverage;  // unsorted; duplicates until dedup
+  /// The run's teams, one per region it entered (PrefixSnapshot::regions).
+  std::vector<TeamRecord> regions;
 };
 
 /// The run state as it stood when `main`'s own chunk was about to fork its
@@ -454,6 +456,15 @@ struct PrefixSnapshot::State {
 
 PrefixSnapshot::PrefixSnapshot() = default;
 PrefixSnapshot::~PrefixSnapshot() = default;
+
+std::span<const TeamRecord> PrefixSnapshot::regions() const {
+  if (storage == nullptr) return {};
+  return storage->regions;
+}
+
+bool same_prefix_options(const RunOptions& a, const RunOptions& b) {
+  return PrefixSnapshot::State::key_of(a) == PrefixSnapshot::State::key_of(b);
+}
 
 namespace {
 
@@ -569,6 +580,7 @@ class Interp {
         st_(storage.state),
         mem_(storage.state.mem),
         coverage_(storage.coverage),
+        regions_(storage.regions),
         module_(*opts.module),
         reg_arena_size_(std::min(
             kRegArenaCap,
@@ -576,6 +588,7 @@ class Interp {
                 64, 4 * static_cast<std::size_t>(module_.max_frame)))),
         prefix_key_(PrefixSnapshot::State::key_of(opts)) {
     coverage_.clear();
+    regions_.clear();
   }
 
   RunResult run() {
@@ -597,7 +610,6 @@ class Interp {
       result.faulted = true;
       result.fault_message = e.what();
     }
-    result.forked_team = region_counter_ != 0;
     result.report = std::move(report_);
     result.report.race_detected = !result.report.pairs.empty();
     result.output = st_.output;
@@ -676,7 +688,7 @@ class Interp {
   void capture_prefix(const ThreadCtx& ctx, const OmpStmt& s,
                       const bc::Chunk& ch, const Value* regs, std::size_t pc) {
     if (ctx.call_depth != 0) return;  // main called from the program
-    if (region_counter_ != 0) {
+    if (!regions_.empty()) {
       capture_chunk_ = nullptr;
       return;
     }
@@ -762,21 +774,19 @@ class Interp {
     }
   }
 
-  /// Interleaving-coverage signature: for every shared access we hash its
-  /// source site; when consecutive shared accesses come from different
-  /// logical threads we record both the ordered site pair (which
-  /// cross-thread orderings ran) and the switched-to site (where a
-  /// context switch was observed to land). The exploration engine unions
-  /// these sets across schedules to measure how much new interleaving
-  /// behaviour each schedule bought.
+  /// Interleaving-coverage signature: when consecutive shared accesses
+  /// come from different logical threads we record both the ordered pair
+  /// of their source sites (which cross-thread orderings ran) and the
+  /// switched-to site (where a context switch was observed to land). The
+  /// exploration engine unions these sets across schedules to measure how
+  /// much new interleaving behaviour each schedule bought. Every shared
+  /// access only notes its thread and site; sites are hashed at switches.
   void note_coverage(const ThreadCtx& ctx, SourceLoc loc, bool write) {
     if (!opts_.collect_coverage || ctx.team == nullptr) return;
-    const std::uint64_t site = hash_combine(
-        mix64((static_cast<std::uint64_t>(loc.line) << 24) ^
-              static_cast<std::uint64_t>(loc.col)),
-        write ? 2u : 1u);
     if (cov_last_tid_ >= 0 && cov_last_tid_ != ctx.tid) {
-      coverage_.push_back(hash_combine(cov_last_site_, site));
+      const std::uint64_t site = coverage_site(loc, write);
+      coverage_.push_back(
+          hash_combine(coverage_site(cov_last_loc_, cov_last_write_), site));
       coverage_.push_back(mix64(site ^ 0x70726565'6d707440ULL));
       if (coverage_.size() >= cov_dedup_at_) {
         dedup_coverage();
@@ -785,7 +795,15 @@ class Interp {
       }
     }
     cov_last_tid_ = ctx.tid;
-    cov_last_site_ = site;
+    cov_last_loc_ = loc;
+    cov_last_write_ = write;
+  }
+
+  /// The coverage hash of an access site: its location and operation.
+  static std::uint64_t coverage_site(SourceLoc loc, bool write) {
+    return hash_combine(mix64((static_cast<std::uint64_t>(loc.line) << 24) ^
+                              static_cast<std::uint64_t>(loc.col)),
+                        write ? 2u : 1u);
   }
 
   /// Sorts the coverage hashes and drops duplicates.
@@ -1156,13 +1174,15 @@ class Interp {
   RunState& st_;  // storage_.state
   Memory& mem_;   // st_.mem
   analysis::RaceReport report_;
-  int region_counter_ = 0;
   std::size_t team_depth_ = 0;  // teams running, enclosing the current one
   ScheduleTrace trace_;
   std::vector<std::uint64_t>& coverage_;  // storage_.coverage
+  /// One per region entered so far, its index (storage_.regions).
+  std::vector<TeamRecord>& regions_;
   std::size_t cov_dedup_at_ = kCoverageDedupMin;
   int cov_last_tid_ = -1;
-  std::uint64_t cov_last_site_ = 0;
+  SourceLoc cov_last_loc_;  // the last shared in-team access
+  bool cov_last_write_ = false;
   const bc::Module& module_;        // verified bytecode for tu_
   std::size_t reg_arena_size_ = 0;  // register-stack arena size
   const PrefixSnapshot::State::Key prefix_key_;  // from the options as given

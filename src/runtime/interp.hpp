@@ -45,6 +45,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -90,9 +91,14 @@ struct PrefixSnapshot {
   struct Storage;  // defined in interp.cpp
   /// What a run fills and the next run clears and refills: memory arenas,
   /// thread contexts with their bindings, clocks and register stacks, team
-  /// state, schedulers with their fibers, deciders. Null until the first
-  /// run.
+  /// state, schedulers with their fibers, deciders, and the record of the
+  /// run's teams. Null until the first run.
   std::unique_ptr<Storage> storage;
+
+  /// The teams the last run that used this storage forked, one per
+  /// parallel region in dynamic order (empty before the first run, and
+  /// when that run forked none). Valid until the next run.
+  [[nodiscard]] std::span<const TeamRecord> regions() const;
 };
 
 /// Cap on nested user-function calls in one logical thread, so runaway
@@ -151,15 +157,17 @@ struct RunOptions {
   PrefixSnapshot* prefix = nullptr;
 };
 
+/// Whether `a` and `b` agree on every option that shapes a run's prefix:
+/// all but the schedule fields (PrefixSnapshot).
+[[nodiscard]] bool same_prefix_options(const RunOptions& a,
+                                       const RunOptions& b);
+
 struct RunResult {
   analysis::RaceReport report;
   std::string output;
   int exit_code = 0;
   bool faulted = false;        // RuntimeFault (OOB, deadlock, livelock, ...)
   std::string fault_message;
-  /// Whether the run forked a team. A run that forked none took no
-  /// schedule decision, so it runs the same way under every seed.
-  bool forked_team = false;
   /// One per instrumented access, plus each team scheduler's steps: its
   /// yield points (an in-team access outside `atomic` is one, so it
   /// counts twice) and its rounds spent blocked on a lock, a `critical`

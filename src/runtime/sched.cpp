@@ -86,14 +86,7 @@ void CoopScheduler::switch_from(int me, bool forced) {
   if (aborting_) throw TeamAborted{};
 }
 
-void CoopScheduler::yield_point() {
-  if (aborting_) throw TeamAborted{};
-  if (++steps_ > step_limit_) {
-    abort_team("step limit exceeded (possible livelock)");
-  }
-  // Quiet stretch: the decider's last "no" holds until quiet_until_
-  // unless the token holder or the ready set changed since.
-  if (version_ == quiet_version_ && steps_ < quiet_until_) return;
+void CoopScheduler::ask_decider() {
   if (!decider_->should_preempt(steps_, t_worker_index,
                                 ready_peers(t_worker_index))) {
     quiet_version_ = version_;

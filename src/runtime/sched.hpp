@@ -141,8 +141,19 @@ class CoopScheduler {
 
   // ---- called from worker fibers ----
 
-  /// Possible preemption point.
-  void yield_point();
+  /// Possible preemption point. The abort, step-limit and quiet-stretch
+  /// tests run inline on every in-team access; the decider is asked out
+  /// of line.
+  void yield_point() {
+    if (aborting_) throw TeamAborted{};
+    if (++steps_ > step_limit_) {
+      abort_team("step limit exceeded (possible livelock)");
+    }
+    // Quiet stretch: the decider's last "no" holds until quiet_until_
+    // unless the token holder or the ready set changed since.
+    if (version_ == quiet_version_ && steps_ < quiet_until_) return;
+    ask_decider();
+  }
 
   /// Blocks until all live workers of the team arrive.
   void barrier_wait();
@@ -182,6 +193,10 @@ class CoopScheduler {
   /// Hands the token to the worker decide_next picks; the current worker
   /// resumes when it owns the token again (or on abort).
   void switch_from(int me, bool forced);
+
+  /// The rest of yield_point: asks the decider whether to preempt the
+  /// running worker, and switches or starts a quiet stretch.
+  void ask_decider();
 
   /// Records `fault` as the team's error unless one is recorded already,
   /// and unwinds the calling worker.

@@ -26,17 +26,47 @@ ScheduleStrategy parse_strategy(std::string_view name) {
               "' (expected uniform|pct)");
 }
 
+namespace {
+
+/// The seed of the `strategy` decider (Uniform or Pct) for the team of a
+/// run's `region_index`-th parallel region, from the run's seed.
+std::uint64_t region_seed(ScheduleStrategy strategy, std::uint64_t run_seed,
+                          std::size_t region_index) {
+  const std::uint64_t seed =
+      mix64(run_seed * 0x9e3779b97f4a7c15ULL + region_index + 1);
+  return strategy == ScheduleStrategy::Pct
+             ? mix64(seed ^ 0x7063742d73656564ULL)  // "pct-seed"
+             : seed;
+}
+
+/// PCT's draws for one team, which PctDecider and PctPlan both take from
+/// here: the base priorities d .. d+n-1 (n = priorities.size()) randomly
+/// permuted, then the d-1 change points (change_points.size()) uniform in
+/// [1, expected_steps], ascending. Change-point demotions use values
+/// below d, so a demoted worker ranks under every base priority.
+void draw_pct_plan(Rng& rng, int depth, std::uint64_t expected_steps,
+                   std::span<int> priorities,
+                   std::span<std::uint64_t> change_points) {
+  for (std::size_t i = 0; i < priorities.size(); ++i) {
+    priorities[i] = depth + static_cast<int>(i);
+  }
+  rng.shuffle(priorities);
+  for (std::uint64_t& c : change_points) c = rng.below(expected_steps) + 1;
+  std::sort(change_points.begin(), change_points.end());
+}
+
+}  // namespace
+
 SchedDecider& Deciders::for_region(const RunOptions& opts,
                                    std::size_t region_index) {
-  const std::uint64_t region_seed =
-      mix64(opts.seed * 0x9e3779b97f4a7c15ULL + region_index + 1);
+  const std::uint64_t seed =
+      region_seed(opts.strategy, opts.seed, region_index);
   switch (opts.strategy) {
     case ScheduleStrategy::Uniform:
-      uniform_ = UniformDecider(region_seed, opts.preempt_every);
+      uniform_ = UniformDecider(seed, opts.preempt_every);
       return uniform_;
     case ScheduleStrategy::Pct:
-      pct_.reset(mix64(region_seed ^ 0x7063742d73656564ULL), opts.pct_depth,
-                 opts.pct_expected_steps);
+      pct_.reset(seed, opts.pct_depth, opts.pct_expected_steps);
       return pct_;
     case ScheduleStrategy::Replay:
       break;
@@ -93,20 +123,9 @@ void PctDecider::reset(std::uint64_t seed, int depth,
 }
 
 void PctDecider::begin(int workers) {
-  // Distinct base priorities d .. d+n-1, randomly permuted. Change-point
-  // demotions use values below d, so a demoted worker ranks under every
-  // base priority.
   priorities_.resize(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    priorities_[static_cast<std::size_t>(i)] = depth_ + i;
-  }
-  rng_.shuffle(priorities_);
-  change_points_.clear();
-  for (int i = 0; i + 1 < depth_; ++i) {
-    change_points_.push_back(
-        static_cast<std::uint64_t>(rng_.below(expected_steps_)) + 1);
-  }
-  std::sort(change_points_.begin(), change_points_.end());
+  change_points_.resize(static_cast<std::size_t>(depth_ - 1));
+  draw_pct_plan(rng_, depth_, expected_steps_, priorities_, change_points_);
   fired_ = 0;
 }
 
@@ -194,6 +213,77 @@ int ReplayDecider::pick(const std::vector<int>& ready, int current,
     return fallback;
   }
   return fallback;
+}
+
+PctPlan PctPlan::draw(std::uint64_t run_seed, std::size_t region_index,
+                      int depth, std::uint64_t expected_steps, int workers) {
+  // PctDecider's own seed, clamps and draws.
+  Rng rng(region_seed(ScheduleStrategy::Pct, run_seed, region_index));
+  PctPlan plan;
+  plan.workers = workers;
+  plan.change_count = std::max(depth, 1) - 1;
+  draw_pct_plan(
+      rng, std::max(depth, 1), std::max<std::uint64_t>(expected_steps, 1),
+      std::span(plan.priorities).first(static_cast<std::size_t>(workers)),
+      std::span(plan.change_points)
+          .first(static_cast<std::size_t>(plan.change_count)));
+  return plan;
+}
+
+bool PctPlan::agrees_with(const PctPlan& other, std::uint64_t steps) const {
+  if (!std::equal(priorities.begin(), priorities.begin() + workers,
+                  other.priorities.begin())) {
+    return false;
+  }
+  // Both lists ascend: they agree up to `steps` when they agree entry by
+  // entry until both pass it.
+  for (int i = 0; i < change_count; ++i) {
+    const std::uint64_t mine = change_points[static_cast<std::size_t>(i)];
+    const std::uint64_t theirs =
+        other.change_points[static_cast<std::size_t>(i)];
+    if (mine > steps && theirs > steps) break;
+    if (mine != theirs) return false;
+  }
+  return true;
+}
+
+void PctPlans::reset(const RunOptions& opts) {
+  seed_ = opts.seed;
+  depth_ = opts.pct_depth;
+  expected_steps_ = opts.pct_expected_steps;
+  by_region_.clear();
+}
+
+const PctPlan& PctPlans::draw(std::size_t region_index, int workers) {
+  if (by_region_.size() <= region_index) by_region_.resize(region_index + 1);
+  PctPlan& plan = by_region_[region_index];
+  plan = PctPlan::draw(seed_, region_index, depth_, expected_steps_, workers);
+  return plan;
+}
+
+bool repeats_run(const RunOptions& a, std::span<const TeamRecord> a_regions,
+                 PctPlans& a_plans, const RunOptions& b, PctPlans& b_plans) {
+  if (!same_prefix_options(a, b) || a.strategy != b.strategy ||
+      a.pct_depth != b.pct_depth ||
+      a.pct_expected_steps != b.pct_expected_steps) {
+    return false;
+  }
+  if (a_regions.empty()) return true;  // no decision taken
+  if (a.strategy != ScheduleStrategy::Pct ||
+      a.pct_depth - 1 > PctPlan::kMaxChangePoints) {
+    return false;
+  }
+  // By induction over the regions: equal answers in regions before r give
+  // equal runs up to region r, so r's team has a_regions[r]'s size there
+  // too, and takes its steps when its answers are equal as well.
+  for (std::size_t r = 0; r < a_regions.size(); ++r) {
+    const TeamRecord& team = a_regions[r];
+    if (!a_plans.plan(r, team.workers)
+             .agrees_with(b_plans.plan(r, team.workers), team.steps)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace drbml::runtime

@@ -17,10 +17,18 @@
 // produced by the witness minimizer) still yields a well-defined
 // deterministic schedule, with a lowest-index fallback wherever the trace
 // has no instruction.
+//
+// repeats_run is the repeat rule: it says, from the options of two runs
+// and the teams the first one forked, whether the second would exactly
+// repeat the first, so that the explorer and the dynamic detector skip
+// runs whose outcome they already have (docs/INTERNALS.md, "Repeated
+// schedules").
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -41,6 +49,21 @@ enum class ScheduleStrategy { Uniform, Pct, Replay };
 /// Parses "uniform"/"pct", the strategies selectable by name (replay
 /// needs a recorded trace); throws Error otherwise.
 [[nodiscard]] ScheduleStrategy parse_strategy(std::string_view name);
+
+/// Largest team a parallel region forks: the runtime clamps a region's
+/// thread count to [1, kMaxTeamSize].
+inline constexpr int kMaxTeamSize = 16;
+
+/// What one parallel region's team amounted to in a run: its size and the
+/// steps its scheduler took (up to the abort when the team faulted). A run
+/// records one per region it entered, in dynamic region order
+/// (CompiledProgram::regions).
+struct TeamRecord {
+  int workers = 0;
+  std::uint64_t steps = 0;
+
+  friend bool operator==(const TeamRecord&, const TeamRecord&) = default;
+};
 
 class UniformDecider : public SchedDecider {
  public:
@@ -159,5 +182,79 @@ class Deciders {
   PctDecider pct_{0, 1, 1};
   ReplayDecider replay_;
 };
+
+/// The plan PctDecider draws for one team, in fixed arrays.
+struct PctPlan {
+  /// Change points a plan holds at most (PCT depth 8). repeats_run treats
+  /// runs of a greater depth as repeating nothing.
+  static constexpr int kMaxChangePoints = 7;
+
+  /// The plan of the team of `workers` workers in region `region_index` of
+  /// a PCT run with this seed, depth (at most kMaxChangePoints + 1) and
+  /// expected steps: what the run's decider draws when the team begins.
+  [[nodiscard]] static PctPlan draw(std::uint64_t run_seed,
+                                    std::size_t region_index, int depth,
+                                    std::uint64_t expected_steps,
+                                    int workers);
+
+  /// Whether a team under this plan and one under `other` (of as many
+  /// workers and change points) get the same answers from their deciders
+  /// over `steps` steps: equal priorities, and equal change points up to
+  /// `steps`, since no query of such a team comes at a later step.
+  [[nodiscard]] bool agrees_with(const PctPlan& other,
+                                 std::uint64_t steps) const;
+
+  int workers = 0;  // 0: not drawn
+  int change_count = 0;
+  std::array<int, kMaxTeamSize> priorities{};
+  std::array<std::uint64_t, kMaxChangePoints> change_points{};  // ascending
+};
+
+/// The PCT plans of one run's teams, drawn when repeats_run first asks for
+/// them and kept until the next reset, so that a run compared with many
+/// others draws each plan once.
+class PctPlans {
+ public:
+  /// Forgets every plan; later ones are drawn for a run under `opts`.
+  void reset(const RunOptions& opts);
+
+  /// The plan of the team of `workers` workers in region `region_index`.
+  /// Valid until the next call.
+  [[nodiscard]] const PctPlan& plan(std::size_t region_index, int workers) {
+    if (region_index < by_region_.size() &&
+        by_region_[region_index].workers == workers) {
+      return by_region_[region_index];
+    }
+    return draw(region_index, workers);
+  }
+
+ private:
+  const PctPlan& draw(std::size_t region_index, int workers);
+
+  std::uint64_t seed_ = 0;
+  int depth_ = 1;
+  std::uint64_t expected_steps_ = 1;
+  std::vector<PctPlan> by_region_;
+};
+
+/// The repeat rule: whether a run under `b` would exactly repeat a
+/// finished run under `a` whose regions' teams were `a_regions` -- the same
+/// decisions, steps, coverage, report, output, exit code and fault.
+/// `a_plans` and `b_plans` must have been reset with `a` and `b`; they
+/// keep the plans the rule draws.
+///
+/// The two runs must agree on the options that shape a run's prefix
+/// (PrefixSnapshot), the strategy, the PCT depth and the expected steps.
+/// Then a run that forked no team took no schedule decision and repeats
+/// under any seed. Otherwise only PCT runs repeat: for every region of
+/// `a`, `b`'s decider must draw the same priorities for a team of that
+/// size and the same change points up to the team's steps. Uniform walks
+/// and replays draw or read their picks as they go, so they never repeat
+/// a run that forked a team. Capture flags only decide what a result
+/// records, and are not compared.
+[[nodiscard]] bool repeats_run(const RunOptions& a,
+                               std::span<const TeamRecord> a_regions,
+                               PctPlans& a_plans, const RunOptions& b,
+                               PctPlans& b_plans);
 
 }  // namespace drbml::runtime

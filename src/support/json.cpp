@@ -5,16 +5,50 @@
 #include <cmath>
 #include <cstdio>
 
+#include "support/hash.hpp"
+
 namespace drbml::json {
 
-void Object::set(std::string key, Value value) {
-  for (auto& [k, v] : members_) {
-    if (k == key) {
-      v = std::move(value);
-      return;
+std::size_t Object::position(std::string_view key) const noexcept {
+  if (index_.empty()) {
+    for (std::size_t i = 0; i < members_.size(); ++i) {
+      if (members_[i].first == key) return i;
     }
+    return members_.size();
+  }
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t h = fnv1a64(key) & mask;; h = (h + 1) & mask) {
+    const std::uint32_t e = index_[h];
+    if (e == 0) return members_.size();
+    if (members_[e - 1].first == key) return e - 1;
+  }
+}
+
+void Object::index_member(std::size_t i) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t h = fnv1a64(members_[i].first) & mask;
+  while (index_[h] != 0) h = (h + 1) & mask;
+  index_[h] = static_cast<std::uint32_t>(i + 1);
+}
+
+void Object::rehash(std::size_t slots) {
+  index_.assign(slots, 0);
+  for (std::size_t i = 0; i < members_.size(); ++i) index_member(i);
+}
+
+void Object::set(std::string key, Value value) {
+  if (const std::size_t i = position(key); i < members_.size()) {
+    members_[i].second = std::move(value);
+    return;
   }
   members_.emplace_back(std::move(key), std::move(value));
+  if (index_.empty()) {
+    if (members_.size() > kScan) rehash(4 * kScan);
+  } else if (2 * members_.size() > index_.size()) {
+    rehash(2 * index_.size());  // at most half full
+  } else {
+    index_member(members_.size() - 1);
+  }
 }
 
 bool Object::contains(std::string_view key) const noexcept {
@@ -27,17 +61,13 @@ const Value& Object::at(std::string_view key) const {
 }
 
 const Value* Object::find(std::string_view key) const noexcept {
-  for (const auto& [k, v] : members_) {
-    if (k == key) return &v;
-  }
-  return nullptr;
+  const std::size_t i = position(key);
+  return i < members_.size() ? &members_[i].second : nullptr;
 }
 
 Value* Object::find(std::string_view key) noexcept {
-  for (auto& [k, v] : members_) {
-    if (k == key) return &v;
-  }
-  return nullptr;
+  const std::size_t i = position(key);
+  return i < members_.size() ? &members_[i].second : nullptr;
 }
 
 void Value::copy_from(const Value& other) {

@@ -23,12 +23,16 @@ class Value;
 using Array = std::vector<Value>;
 using Member = std::pair<std::string, Value>;
 
-/// Order-preserving object. Lookup is linear: DRB-ML objects are tiny.
+/// Order-preserving object. Lookup is linear while the object is small,
+/// as DRB-ML objects and serve requests are; past kScan members a hash
+/// index over the keys takes over, so that parsing an object of N keys
+/// costs O(N), not O(N^2) key compares.
 class Object {
  public:
   Object() = default;
 
-  /// Inserts or overwrites.
+  /// Inserts, or overwrites the value of a key already present, which
+  /// keeps its first position.
   void set(std::string key, Value value);
 
   [[nodiscard]] bool contains(std::string_view key) const noexcept;
@@ -45,11 +49,23 @@ class Object {
 
   [[nodiscard]] auto begin() const noexcept { return members_.begin(); }
   [[nodiscard]] auto end() const noexcept { return members_.end(); }
+  /// Iteration may change values, never keys (the index holds them).
   [[nodiscard]] auto begin() noexcept { return members_.begin(); }
   [[nodiscard]] auto end() noexcept { return members_.end(); }
 
  private:
+  /// Members up to which lookups scan instead of using the index.
+  static constexpr std::size_t kScan = 8;
+
+  /// The position of `key` in members_, or members_.size() when absent.
+  [[nodiscard]] std::size_t position(std::string_view key) const noexcept;
+  void index_member(std::size_t i);
+  void rehash(std::size_t slots);
+
   std::vector<Member> members_;
+  /// Open addressing over members_: position + 1, 0 for an empty slot.
+  /// Empty until the object passes kScan members.
+  std::vector<std::uint32_t> index_;
 };
 
 enum class Type { Null, Bool, Int, Double, String, Array, Object };

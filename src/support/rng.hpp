@@ -41,9 +41,10 @@ class Rng {
   /// Bernoulli trial.
   [[nodiscard]] bool chance(double p) noexcept;
 
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) noexcept {
+  /// Fisher-Yates shuffle of a vector, a span or any other indexable
+  /// range with size().
+  template <typename Range>
+  void shuffle(Range&& v) noexcept {
     for (std::size_t i = v.size(); i > 1; --i) {
       std::size_t j = below(i);
       using std::swap;

@@ -6,15 +6,22 @@
 #include <cctype>
 #include <cstdint>
 #include <iterator>
+#include <memory>
 #include <random>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "drb/corpus.hpp"
+#include "drb/synth.hpp"
 #include "explore/explore.hpp"
 #include "explore/minimize.hpp"
 #include "explore/witness.hpp"
 #include "minic/parser.hpp"
+#include "obs/catalog.hpp"
+#include "obs/obs.hpp"
+#include "runtime/dynamic.hpp"
 #include "runtime/interp.hpp"
 #include "runtime/strategy.hpp"
 #include "support/error.hpp"
@@ -583,6 +590,393 @@ TEST(Minimize, RespectsReplayBudget) {
       t, [](const runtime::ScheduleTrace&) { return false; }, budget);
   EXPECT_LE(r.replays, budget);
   EXPECT_EQ(r.trace.total_decisions(), 64u);
+}
+
+TEST(Minimize, SaysWhetherItReplayedItsTrace) {
+  runtime::ScheduleTrace t;
+  t.regions.resize(1);
+  for (int i = 0; i < 8; ++i) t.regions[0].push_back({false, 10u + i, 0});
+  const auto always = [](const runtime::ScheduleTrace&) { return true; };
+  EXPECT_TRUE(minimize_trace(t, always, 64).replayed);
+  const auto never = [](const runtime::ScheduleTrace&) { return false; };
+  const MinimizeResult none = minimize_trace(t, never, 64);
+  EXPECT_FALSE(none.replayed);
+  EXPECT_TRUE(none.trace == t);
+  // One decision is needed: ddmin accepts a smaller candidate.
+  const runtime::ScheduleDecision needle = t.regions[0][5];
+  const MinimizeResult one = minimize_trace(
+      t,
+      [&](const runtime::ScheduleTrace& c) {
+        return std::find(c.regions[0].begin(), c.regions[0].end(), needle) !=
+               c.regions[0].end();
+      },
+      64);
+  EXPECT_TRUE(one.replayed);
+  EXPECT_EQ(one.trace.total_decisions(), 1u);
+}
+
+// ------------------------------------------------------- repeated schedules
+
+/// Everything a run returns that a repeat must reproduce.
+std::string describe(const runtime::RunResult& r) {
+  std::string s = "exit=" + std::to_string(r.exit_code) +
+                  " steps=" + std::to_string(r.steps) +
+                  " faulted=" + std::to_string(r.faulted ? 1 : 0) +
+                  " fault=" + r.fault_message + " pairs=";
+  for (const auto& p : r.report.pairs) {
+    s += p.first.expr_text + "@" + std::to_string(p.first.loc.line) + ":" +
+         std::to_string(p.first.loc.col) + p.first.op + "/" +
+         p.second.expr_text + "@" + std::to_string(p.second.loc.line) +
+         ":" + std::to_string(p.second.loc.col) + p.second.op + ",";
+  }
+  s += " trace=";
+  for (const runtime::RegionTrace& region : r.trace.regions) {
+    s += "(";
+    for (const runtime::ScheduleDecision& d : region) {
+      s += std::to_string(d.step) + (d.forced ? "f" : "v") +
+           std::to_string(d.target) + ",";
+    }
+    s += ")";
+  }
+  s += " coverage=";
+  for (std::uint64_t c : r.coverage) s += std::to_string(c) + ",";
+  return s + " output=" + r.output;
+}
+
+/// The options of an explored PCT schedule, as explore_source sets them.
+runtime::RunOptions pct_schedule(std::uint64_t seed, int depth) {
+  runtime::RunOptions o;
+  o.seed = seed;
+  o.strategy = runtime::ScheduleStrategy::Pct;
+  o.pct_depth = depth;
+  o.capture_trace = true;
+  o.collect_coverage = true;
+  return o;
+}
+
+struct RepeatCheck {
+  int repeats = 0;
+  std::vector<std::string> mismatches;
+};
+
+/// Runs the schedules `explore_source` explores for `code` at `depth`,
+/// and every schedule the repeat rule calls a repeat of an earlier one as
+/// well; lists the repeats whose result differs from their match's.
+RepeatCheck check_repeats(const std::string& name, const std::string& code,
+                          int depth) {
+  RepeatCheck check;
+  ExploreOptions eopts;
+  eopts.pct_depth = depth;
+  eopts.max_schedules = 24;
+  eopts.plateau_window = 0;
+  eopts.minimize = false;
+  ExploreResult explored;
+  std::unique_ptr<runtime::CompiledProgram> program;
+  try {
+    explored = explore_source(code, eopts);
+    program = std::make_unique<runtime::CompiledProgram>(code);
+  } catch (const Error&) {
+    return check;
+  }
+  struct Ran {
+    runtime::RunOptions opts;
+    std::vector<runtime::TeamRecord> regions;
+    runtime::PctPlans plans;
+    std::string result;
+  };
+  std::vector<Ran> ran;
+  for (const ScheduleStats& stats : explored.schedules) {
+    const runtime::RunOptions opts = pct_schedule(stats.seed, depth);
+    runtime::PctPlans plans;
+    plans.reset(opts);
+    const Ran* match = nullptr;
+    for (Ran& r : ran) {
+      if (runtime::repeats_run(r.opts, r.regions, r.plans, opts, plans)) {
+        match = &r;
+        break;
+      }
+    }
+    const runtime::RunResult result = program->run(opts);
+    const std::span<const runtime::TeamRecord> regions = program->regions();
+    if (match != nullptr) {
+      ++check.repeats;
+      const std::string got = describe(result);
+      if (got != match->result ||
+          !std::equal(regions.begin(), regions.end(), match->regions.begin(),
+                      match->regions.end())) {
+        check.mismatches.push_back(name + " depth " + std::to_string(depth) +
+                                   " seed " + std::to_string(stats.seed) +
+                                   ":\n  match:  " + match->result +
+                                   "\n  repeat: " + got);
+      }
+      continue;
+    }
+    ran.push_back({opts,
+                   {regions.begin(), regions.end()},
+                   std::move(plans),
+                   describe(result)});
+  }
+  return check;
+}
+
+TEST(ExploreRepeat, SkippedSchedulesRepeatTheirMatch) {
+  std::vector<std::pair<std::string, std::string>> programs;
+  for (const drb::CorpusEntry& e : drb::corpus()) {
+    programs.emplace_back(e.name, e.body);
+  }
+  drb::SynthConfig config;
+  config.count = 200;
+  config.seed = 7;
+  for (drb::SynthEntry& e : drb::synthesize(config)) {
+    programs.emplace_back(std::move(e.name), std::move(e.code));
+  }
+  for (int depth : {1, 3}) {
+    const std::vector<RepeatCheck> checks = support::parallel_map(
+        4, programs, [&](const std::pair<std::string, std::string>& p) {
+          return check_repeats(p.first, p.second, depth);
+        });
+    int repeats = 0;
+    int mismatched = 0;
+    for (const RepeatCheck& c : checks) {
+      repeats += c.repeats;
+      for (const std::string& m : c.mismatches) {
+        if (++mismatched <= 5) ADD_FAILURE() << m;
+      }
+    }
+    EXPECT_EQ(mismatched, 0) << "depth " << depth;
+    // Not vacuous: most 4-thread teams are shorter than PCT's change-point
+    // range, and a team of 4 has only 24 priority orders.
+    EXPECT_GT(repeats, 1000) << "depth " << depth;
+  }
+}
+
+/// Two PCT runs of one team that draw the same priorities but different
+/// (single) change points: the rule compares the change points of a team
+/// that reaches them, and only those.
+TEST(ExploreRepeat, ChangePointsCountUpToTheTeamsSteps) {
+  runtime::PctPlan a;
+  a.workers = 2;
+  a.priorities = {3, 4};
+  a.change_count = 2;
+  a.change_points = {10, 50};
+  runtime::PctPlan b = a;
+  b.change_points = {10, 51};
+  EXPECT_TRUE(a.agrees_with(b, 49));
+  EXPECT_FALSE(a.agrees_with(b, 50));  // at S_r: compared
+  b.change_points = {10, 60};
+  a.change_points = {10, 51};
+  EXPECT_TRUE(a.agrees_with(b, 50));  // at S_r + 1: not compared
+  EXPECT_FALSE(a.agrees_with(b, 51));
+  b = a;
+  b.priorities = {4, 3};
+  EXPECT_FALSE(a.agrees_with(b, 0));
+
+  // The same boundary through repeats_run: find a seed whose team of 4
+  // draws seed 1's priorities and a different change point.
+  const runtime::RunOptions first = pct_schedule(1, 2);
+  const runtime::PctPlan mine = runtime::PctPlan::draw(1, 0, 2, 4096, 4);
+  std::uint64_t seed = 2;
+  runtime::PctPlan theirs;
+  for (;; ++seed) {
+    theirs = runtime::PctPlan::draw(seed, 0, 2, 4096, 4);
+    if (theirs.priorities == mine.priorities &&
+        theirs.change_points[0] != mine.change_points[0]) {
+      break;
+    }
+  }
+  const runtime::RunOptions second = pct_schedule(seed, 2);
+  const std::uint64_t low =
+      std::min(mine.change_points[0], theirs.change_points[0]);
+  runtime::PctPlans a_plans;
+  runtime::PctPlans b_plans;
+  a_plans.reset(first);
+  b_plans.reset(second);
+  const std::vector<runtime::TeamRecord> reached = {{4, low}};
+  EXPECT_FALSE(
+      runtime::repeats_run(first, reached, a_plans, second, b_plans));
+  const std::vector<runtime::TeamRecord> short_of_it = {{4, low - 1}};
+  EXPECT_TRUE(
+      runtime::repeats_run(first, short_of_it, a_plans, second, b_plans));
+  // Another team size draws another plan.
+  const std::vector<runtime::TeamRecord> three = {{3, low - 1}};
+  EXPECT_EQ(runtime::repeats_run(first, three, a_plans, second, b_plans),
+            runtime::PctPlan::draw(1, 0, 2, 4096, 3)
+                .agrees_with(runtime::PctPlan::draw(seed, 0, 2, 4096, 3),
+                             low - 1));
+}
+
+constexpr const char* kFaultingTeamSrc = R"(
+int a[8];
+int main(void) {
+  #pragma omp parallel num_threads(4)
+  {
+    int t = omp_get_thread_num();
+    a[t] = 1;
+    a[t + 4] = a[t] * 2;
+    a[t] = 10 / (3 - t);
+  }
+  return 0;
+}
+)";
+
+TEST(ExploreRepeat, TeamThatFaultsIsRecordedAndRepeats) {
+  runtime::CompiledProgram program(kFaultingTeamSrc);
+  std::vector<std::pair<runtime::RunOptions, std::string>> ran;
+  std::vector<std::vector<runtime::TeamRecord>> ran_regions;
+  std::vector<runtime::PctPlans> ran_plans;
+  int repeats = 0;
+  for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+    const runtime::RunOptions opts = pct_schedule(seed, 1);
+    runtime::PctPlans plans;
+    plans.reset(opts);
+    int match = -1;
+    for (std::size_t k = 0; k < ran.size(); ++k) {
+      if (runtime::repeats_run(ran[k].first, ran_regions[k], ran_plans[k],
+                               opts, plans)) {
+        match = static_cast<int>(k);
+        break;
+      }
+    }
+    const runtime::RunResult r = program.run(opts);
+    ASSERT_TRUE(r.faulted);
+    EXPECT_EQ(r.fault_message, "integer division by zero");
+    ASSERT_EQ(program.regions().size(), 1u);
+    EXPECT_EQ(program.regions()[0].workers, 4);
+    EXPECT_GT(program.regions()[0].steps, 0u);
+    EXPECT_LE(program.regions()[0].steps, r.steps);
+    if (match >= 0) {
+      ++repeats;
+      EXPECT_EQ(describe(r), ran[static_cast<std::size_t>(match)].second)
+          << "seed " << seed;
+      continue;
+    }
+    ran.emplace_back(opts, describe(r));
+    ran_regions.emplace_back(program.regions().begin(),
+                             program.regions().end());
+    ran_plans.push_back(std::move(plans));
+  }
+  // 48 seeds over 24 priority orders.
+  EXPECT_GE(repeats, 24);
+}
+
+TEST(ExploreRepeat, RunWithoutTeamRepeatsUnderAnySeed) {
+  constexpr const char* kSerial =
+      "int main(void) { int s = 0;\n"
+      "  for (int i = 0; i < 10; i++) s = s + i;\n"
+      "  printf(\"%d\\n\", s); return 0; }\n";
+  for (runtime::ScheduleStrategy strategy :
+       {runtime::ScheduleStrategy::Uniform, runtime::ScheduleStrategy::Pct}) {
+    runtime::CompiledProgram program(kSerial);
+    runtime::RunOptions first;
+    first.strategy = strategy;
+    first.seed = 1;
+    const std::string want = describe(program.run(first));
+    const std::vector<runtime::TeamRecord> regions(
+        program.regions().begin(), program.regions().end());
+    EXPECT_TRUE(regions.empty());
+    runtime::RunOptions later = first;
+    later.seed = 99;
+    runtime::PctPlans a_plans;
+    runtime::PctPlans b_plans;
+    a_plans.reset(first);
+    b_plans.reset(later);
+    EXPECT_TRUE(runtime::repeats_run(first, regions, a_plans, later, b_plans))
+        << runtime::strategy_name(strategy);
+    EXPECT_EQ(describe(program.run(later)), want);
+  }
+  // A team-forking program repeats under uniform only with its own seed.
+  runtime::CompiledProgram program(kSafeSrc);
+  runtime::RunOptions first;
+  (void)program.run(first);
+  const std::vector<runtime::TeamRecord> regions(program.regions().begin(),
+                                                 program.regions().end());
+  ASSERT_EQ(regions.size(), 1u);
+  runtime::RunOptions later = first;
+  later.seed = 2;
+  runtime::PctPlans a_plans;
+  runtime::PctPlans b_plans;
+  a_plans.reset(first);
+  b_plans.reset(later);
+  EXPECT_FALSE(runtime::repeats_run(first, regions, a_plans, later, b_plans));
+}
+
+TEST(ExploreRepeat, OptionsThatShapeTheRunNeverRepeat) {
+  const runtime::RunOptions base = pct_schedule(1, 3);
+  runtime::RunOptions threads = base;
+  threads.num_threads = 2;
+  runtime::RunOptions limit = base;
+  limit.step_limit = 1000;
+  runtime::RunOptions depth = base;
+  depth.pct_depth = 2;
+  runtime::RunOptions expected = base;
+  expected.pct_expected_steps = 64;
+  runtime::RunOptions uniform = base;
+  uniform.strategy = runtime::ScheduleStrategy::Uniform;
+  runtime::RunOptions preempt = base;
+  preempt.preempt_every = 3;
+  const std::vector<runtime::TeamRecord> none;
+  const std::vector<runtime::TeamRecord> team = {{4, 0}};
+  for (const runtime::RunOptions* other :
+       {&threads, &limit, &depth, &expected, &uniform, &preempt}) {
+    runtime::PctPlans a_plans;
+    runtime::PctPlans b_plans;
+    a_plans.reset(base);
+    b_plans.reset(*other);
+    // Not even the team-less run, which took no decision.
+    EXPECT_FALSE(runtime::repeats_run(base, none, a_plans, *other, b_plans));
+    EXPECT_FALSE(runtime::repeats_run(base, team, a_plans, *other, b_plans));
+  }
+  // The same options and seed always repeat; capture flags do not count.
+  runtime::RunOptions quiet = base;
+  quiet.capture_trace = false;
+  quiet.collect_coverage = false;
+  runtime::PctPlans a_plans;
+  runtime::PctPlans b_plans;
+  a_plans.reset(base);
+  b_plans.reset(quiet);
+  EXPECT_TRUE(runtime::repeats_run(base, team, a_plans, quiet, b_plans));
+  // Deeper than a plan holds: never a repeat of a run that forked a team.
+  runtime::RunOptions deep = pct_schedule(1, runtime::PctPlan::kMaxChangePoints + 2);
+  a_plans.reset(deep);
+  b_plans.reset(deep);
+  EXPECT_FALSE(runtime::repeats_run(deep, team, a_plans, deep, b_plans));
+  EXPECT_TRUE(runtime::repeats_run(deep, none, a_plans, deep, b_plans));
+}
+
+TEST(ExploreRepeat, RunsCountTheSchedulesNotRepeated) {
+  obs::MetricsRegistry& m = obs::metrics();
+  obs::Counter& runs = m.counter(obs::kVmRuns);
+  obs::Counter& schedules = m.counter(obs::kExploreSchedules);
+  obs::Counter& repeated = m.counter(obs::kExploreSchedulesRepeated);
+  obs::Counter& replays = m.counter(obs::kExploreMinimizeReplays);
+  ExploreOptions opts;
+  opts.plateau_window = 0;
+  std::uint64_t total_repeated = 0;
+  for (const drb::CorpusEntry& e : drb::corpus()) {
+    const std::uint64_t runs0 = runs.value();
+    const std::uint64_t schedules0 = schedules.value();
+    const std::uint64_t repeated0 = repeated.value();
+    const std::uint64_t replays0 = replays.value();
+    ExploreResult r;
+    try {
+      r = explore_source(e.body, opts);
+    } catch (const Error&) {
+      continue;
+    }
+    const std::uint64_t explored = schedules.value() - schedules0;
+    const std::uint64_t skipped = repeated.value() - repeated0;
+    EXPECT_EQ(explored, static_cast<std::uint64_t>(r.schedules_run));
+    // The final check replays a witness only when ddmin kept every
+    // decision, having accepted no smaller trace.
+    const std::uint64_t final_check =
+        r.race_detected && r.witness_decisions == r.original_decisions ? 1
+                                                                       : 0;
+    EXPECT_EQ(runs.value() - runs0,
+              explored - skipped + (replays.value() - replays0) + final_check)
+        << e.name;
+    total_repeated += skipped;
+  }
+  EXPECT_GT(total_repeated, 0u);
 }
 
 }  // namespace

@@ -816,17 +816,23 @@ TEST(DynamicRace, FaultBeforeAnyTeamIsReportedOnce) {
 }
 
 TEST(DynamicRace, RunReportsWhetherItForkedATeam) {
-  EXPECT_FALSE(run_src("int main() { return 0; }").forked_team);
-  EXPECT_FALSE(run_src("int main() { while (1) {} return 0; }").forked_team);
-  EXPECT_TRUE(run_src("int main() {\n#pragma omp parallel\n  { }\n"
-                      "  return 0; }")
-                  .forked_team);
+  // Whether the last run of `src` forked a team: its region list.
+  const auto forked_team = [](const char* src) {
+    CompiledProgram program(src);
+    const RunResult r = program.run({});
+    return std::pair{!program.regions().empty(), r.faulted};
+  };
+  EXPECT_FALSE(forked_team("int main() { return 0; }").first);
+  EXPECT_FALSE(forked_team("int main() { while (1) {} return 0; }").first);
+  EXPECT_TRUE(forked_team("int main() {\n#pragma omp parallel\n  { }\n"
+                          "  return 0; }")
+                  .first);
   // Forked before the fault.
-  const RunResult late = run_src(
+  const auto late = forked_team(
       "int main() {\n#pragma omp parallel\n  { }\n"
       "  while (1) {}\n  return 0; }");
-  EXPECT_TRUE(late.faulted);
-  EXPECT_TRUE(late.forked_team);
+  EXPECT_TRUE(late.second);
+  EXPECT_TRUE(late.first);
 }
 
 TEST(DynamicRace, AntiDependenceDetected) {

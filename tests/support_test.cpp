@@ -1,6 +1,7 @@
 // Unit tests for the support library: JSON, RNG, strings, tables.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -238,6 +239,52 @@ TEST(Json, SetOverwritesInPlace) {
   obj.set("k", json::Value(9));
   EXPECT_EQ(obj.size(), 1u);
   EXPECT_EQ(obj.at("k").as_int(), 9);
+}
+
+TEST(Json, RepeatedKeyKeepsFirstPositionAndTakesLastValue) {
+  EXPECT_EQ(json::parse(R"({"a":1,"b":2,"a":3})").dump(),
+            R"({"a":3,"b":2})");
+  // Past the scanned size too, where the keys are indexed.
+  std::string text = "{";
+  std::string want = "{";
+  for (int i = 0; i < 40; ++i) {
+    const std::string member = "\"k" + std::to_string(i) + "\":";
+    text += member + std::to_string(i) + ",";
+    want += member + (i == 3 ? std::string("-1") : std::to_string(i)) +
+            (i + 1 < 40 ? "," : "}");
+  }
+  text += R"("k3":7,"k3":-1})";
+  const json::Value v = json::parse(text);
+  EXPECT_EQ(v.dump(), want);
+  EXPECT_EQ(v.as_object().size(), 40u);
+  EXPECT_EQ(v.as_object().at("k3").as_int(), -1);
+  EXPECT_EQ(v.as_object().find("k40"), nullptr);
+}
+
+TEST(Json, ObjectOfManyDistinctKeysParsesInLinearTime) {
+  // A linear scan per key took minutes for this many.
+  constexpr int kKeys = 100'000;
+  std::string text = "{";
+  for (int i = 0; i < kKeys; ++i) {
+    text += (i > 0 ? ",\"key" : "\"key") + std::to_string(i) + "\":" +
+            std::to_string(i);
+  }
+  text += "}";
+  const auto start = std::chrono::steady_clock::now();
+  const json::Value v = json::parse(text);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  const json::Object& obj = v.as_object();
+  ASSERT_EQ(obj.size(), static_cast<std::size_t>(kKeys));
+  for (int i = 0; i < kKeys; i += 997) {
+    EXPECT_EQ(obj.at("key" + std::to_string(i)).as_int(), i);
+  }
+  int i = 0;
+  for (const json::Member& m : obj) {
+    EXPECT_EQ(m.first, "key" + std::to_string(i++));
+  }
+  EXPECT_LT(seconds, 5.0);
 }
 
 TEST(Json, EscapesSpecialCharacters) {
