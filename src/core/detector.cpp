@@ -4,10 +4,8 @@
 #include "eval/parse.hpp"
 #include "lint/emit.hpp"
 #include "llm/model.hpp"
-#include "obs/catalog.hpp"
 #include "prompts/prompts.hpp"
 #include "support/error.hpp"
-#include "support/parallel.hpp"
 #include "support/strings.hpp"
 
 namespace drbml::core {
@@ -157,24 +155,6 @@ prompts::Style style_by_name(const std::string& name) {
 }
 
 }  // namespace
-
-std::vector<RaceVerdict> RaceDetector::analyze_batch(
-    const std::vector<std::string>& sources) const {
-  static obs::Counter& entries = obs::metrics().counter(obs::kDetectEntries);
-  entries.add(sources.size());
-  const std::string spec = name();
-  obs::Span batch_span(obs::kSpanDetectBatch, spec);
-  return support::parallel_map(jobs_, sources, [this, &spec](const std::string& code) {
-    obs::Span span(obs::kSpanDetectEntry, spec);
-    return analyze(code);
-  });
-}
-
-std::unique_ptr<RaceDetector> make_detector(const DetectorSpec& spec) {
-  std::unique_ptr<RaceDetector> detector = make_detector(spec.spec);
-  detector->set_jobs(spec.jobs);
-  return detector;
-}
 
 std::unique_ptr<RaceDetector> make_detector(const std::string& spec) {
   if (spec == "static") return std::make_unique<StaticTool>();

@@ -56,43 +56,17 @@ class RaceDetector {
   /// Analyzes OpenMP C source text. The Source carries the text's cache
   /// key, so a caller that probes other artifacts of the same program
   /// hashes it once; a string converts to one implicitly. Must be
-  /// data-race-free: analyze_batch calls it concurrently from pool
-  /// workers.
+  /// data-race-free: the CLI calls it concurrently from parallel_map
+  /// workers, and the serve daemon from its pool's.
   [[nodiscard]] virtual RaceVerdict analyze(const eval::Source& code) const = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
-
-  /// Analyzes many programs, fanning out over a thread pool and returning
-  /// verdicts in input order (bit-identical to calling analyze in a loop).
-  /// Uses this detector's jobs() knob; 0 = auto (DRBML_JOBS env var,
-  /// else hardware concurrency), 1 = serial.
-  [[nodiscard]] std::vector<RaceVerdict> analyze_batch(
-      const std::vector<std::string>& sources) const;
-
-  /// Default worker count for analyze_batch (see DetectorSpec::jobs).
-  [[nodiscard]] int jobs() const noexcept { return jobs_; }
-  void set_jobs(int jobs) noexcept { jobs_ = jobs; }
-
- private:
-  int jobs_ = 0;
-};
-
-/// Structured detector specification: the spec string (file comment
-/// grammar) plus execution knobs.
-struct DetectorSpec {
-  std::string spec = "hybrid";
-  /// Worker threads for analyze_batch: 0 = auto, 1 = serial, N = fixed.
-  int jobs = 0;
 };
 
 /// Creates a detector by specification string (see file comment).
 /// Throws Error for unknown specifications.
 [[nodiscard]] std::unique_ptr<RaceDetector> make_detector(
     const std::string& spec);
-
-/// Creates a detector from a structured spec (jobs knob included).
-[[nodiscard]] std::unique_ptr<RaceDetector> make_detector(
-    const DetectorSpec& spec);
 
 /// Names accepted by make_detector.
 [[nodiscard]] std::vector<std::string> available_detectors();

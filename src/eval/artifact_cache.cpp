@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "analysis/depgraph.hpp"
-#include "llm/model.hpp"
 #include "llm/tokenizer.hpp"
 #include "minic/parser.hpp"
 #include "minic/printer.hpp"
@@ -249,10 +248,6 @@ const std::string& ArtifactCache::depgraph_text(const Source& code) {
   });
   touch(Kind::Depgraph, key, [&] { return cost_string(v); });
   return v;
-}
-
-const llm::ProgramFeatures& ArtifactCache::features(const std::string& code) {
-  return llm::cached_features(code);
 }
 
 const analysis::RaceReport& ArtifactCache::static_report(

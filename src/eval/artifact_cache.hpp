@@ -36,7 +36,6 @@
 #include "eval/source.hpp"
 #include "explore/explore.hpp"
 #include "lint/lint.hpp"
-#include "llm/features.hpp"
 #include "obs/obs.hpp"
 #include "repair/repair.hpp"
 #include "runtime/dynamic.hpp"
@@ -55,10 +54,6 @@ class ArtifactCache {
 
   /// Serialized dependence graph of `code` (DependenceGraph::to_text).
   const std::string& depgraph_text(const Source& code);
-
-  /// Persona feature vector (delegates to the llm-level feature cache,
-  /// which is itself memoized and thread-safe).
-  const llm::ProgramFeatures& features(const std::string& code);
 
   /// Static race report for `code` under `opts`. The key covers every
   /// StaticDetectorOptions field that affects the verdict.
@@ -170,8 +165,7 @@ class ArtifactCache {
   std::size_t load_snapshot(const std::string& path);
 
  private:
-  /// Artifact kinds that participate in the LRU budget (features() is
-  /// excluded: it delegates to the llm-level cache).
+  /// Artifact kinds that participate in the LRU budget.
   enum class Kind {
     Tokens,
     Ast,

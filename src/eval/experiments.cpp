@@ -448,12 +448,6 @@ std::vector<RepairRow> table7_rows(const repair::RepairOptions& ropts,
   return rows;
 }
 
-double ExplorationRow::races_per_schedule() const noexcept {
-  return schedules == 0 ? 0.0
-                        : static_cast<double>(detected) /
-                              static_cast<double>(schedules);
-}
-
 double ExplorationRow::avg_schedules_to_first_race() const noexcept {
   return detected == 0 ? 0.0
                        : static_cast<double>(first_race_schedules_) / detected;

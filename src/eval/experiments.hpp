@@ -195,8 +195,6 @@ struct ExplorationRow {
   std::uint64_t original_decisions = 0;  // decision count before minimization
   std::uint64_t witness_decisions = 0;   // ... and after
 
-  /// Races found per schedule of budget actually spent.
-  [[nodiscard]] double races_per_schedule() const noexcept;
   /// Mean schedules until the first racy one, over detected entries.
   [[nodiscard]] double avg_schedules_to_first_race() const noexcept;
 

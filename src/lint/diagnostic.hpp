@@ -46,13 +46,6 @@ struct LintReport {
   analysis::RaceReport race;
   /// Findings removed by `drbml-lint-suppress(check-id)` comments.
   int suppressed = 0;
-
-  [[nodiscard]] bool has_errors() const noexcept {
-    for (const auto& d : diagnostics) {
-      if (d.severity == Severity::Error) return true;
-    }
-    return false;
-  }
 };
 
 }  // namespace drbml::lint

@@ -41,7 +41,7 @@ struct LintContext {
 };
 
 /// One correctness check. Passes are stateless: `run` is const and must be
-/// data-race-free (the lint detector fans analyze_batch out over threads).
+/// data-race-free (the lint detector runs on parallel_map workers).
 class LintPass {
  public:
   virtual ~LintPass() = default;

@@ -77,9 +77,6 @@ class ChatModel {
   void set_adapter(std::shared_ptr<const Adapter> adapter) {
     adapter_ = std::move(adapter);
   }
-  [[nodiscard]] bool is_finetuned() const noexcept {
-    return adapter_ != nullptr;
-  }
 
   /// Fine-tuning side effects on structured output quality (Section 4.3).
   void set_varid_boost(double fidelity_delta, double selection_delta) {

@@ -37,9 +37,6 @@ class BpeTokenizer {
   /// Inverse of encode.
   [[nodiscard]] std::string decode(const std::vector<int>& ids) const;
 
-  [[nodiscard]] int vocab_size() const noexcept {
-    return 256 + static_cast<int>(merges_.size());
-  }
   [[nodiscard]] std::size_t merge_count() const noexcept {
     return merges_.size();
   }

@@ -56,12 +56,6 @@ const SpanDesc kSpanArtifactExplore{
     "artifact.explore", "artifact",
     "Cache-miss compute of a schedule-exploration result."};
 
-const SpanDesc kSpanDetectBatch{
-    "detect.batch", "core",
-    "RaceDetector::analyze_batch over N sources (parallel_map)."};
-const SpanDesc kSpanDetectEntry{
-    "detect.entry", "core",
-    "One detector run on one source (detail: detector spec)."};
 const SpanDesc kSpanInterpReplay{
     "interp.replay", "runtime",
     "One deterministic schedule replay (detail: seed)."};
@@ -343,10 +337,6 @@ const MetricDesc kVmPrefixStepsReused{
     "Steps of restored serial prefixes: counted in those runs' "
     "RunResult::steps but not executed again."};
 
-const MetricDesc kDetectEntries{
-    "detect.entries", MetricKind::Counter, "count", kStable,
-    "Sources analyzed through RaceDetector::analyze_batch."};
-
 const MetricDesc kAnalysisCandidatePairs{
     "analysis.candidate_pairs", MetricKind::Counter, "count", kStable,
     "Conflicting-access candidate pairs examined by the static analyzer "
@@ -463,7 +453,6 @@ const std::vector<const MetricDesc*>& metric_catalog() {
       &kVmInstructions,      &kVmRuns,
       &kVmVerifyFailures,    &kVmPrefixRestores,
       &kVmPrefixStepsReused,
-      &kDetectEntries,
       &kAnalysisCandidatePairs, &kAnalysisDischargedSerial,
       &kAnalysisDischargedPhase, &kAnalysisDischargedMhp,
       &kAnalysisDischargedLockset, &kAnalysisDischargedDepend,
@@ -489,7 +478,6 @@ const std::vector<const SpanDesc*>& span_catalog() {
       &kSpanArtifactStatic,  &kSpanArtifactDynamic, &kSpanArtifactLint,
       &kSpanArtifactRepair,  &kSpanArtifactLintText,
       &kSpanArtifactEvidenceText, &kSpanArtifactExplore,
-      &kSpanDetectBatch,     &kSpanDetectEntry,
       &kSpanInterpReplay,    &kSpanLintRun,
       &kSpanRepairEntry,     &kSpanRepairVerify,
       &kSpanExploreEntry,    &kSpanExploreSchedule,

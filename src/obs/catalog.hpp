@@ -39,9 +39,7 @@ extern const SpanDesc kSpanArtifactLintText;
 extern const SpanDesc kSpanArtifactEvidenceText;
 extern const SpanDesc kSpanArtifactExplore;
 
-// Detector / runtime / lint / repair scopes.
-extern const SpanDesc kSpanDetectBatch;
-extern const SpanDesc kSpanDetectEntry;
+// Runtime / lint / repair scopes.
 extern const SpanDesc kSpanInterpReplay;
 extern const SpanDesc kSpanLintRun;
 extern const SpanDesc kSpanRepairEntry;
@@ -144,9 +142,6 @@ extern const MetricDesc kVmRuns;
 extern const MetricDesc kVmVerifyFailures;
 extern const MetricDesc kVmPrefixRestores;
 extern const MetricDesc kVmPrefixStepsReused;
-
-// Detector facade.
-extern const MetricDesc kDetectEntries;
 
 // Static analyzer precision layer: candidate pairs examined and pairs
 // proven race-free, keyed by the discharging rule family.

@@ -107,17 +107,6 @@ Chat detection_chat(Style style, const std::string& code) {
   return {};
 }
 
-const char* modality_name(Modality m) noexcept {
-  switch (m) {
-    case Modality::Text: return "text";
-    case Modality::Ast: return "text+ast";
-    case Modality::DepGraph: return "text+depgraph";
-    case Modality::Lint: return "text+lint";
-    case Modality::Evidence: return "text+evidence";
-  }
-  return "?";
-}
-
 Chat modal_detection_chat(Style style, Modality modality,
                           const std::string& code, const std::string& aux) {
   Chat chat = detection_chat(style, code);

@@ -42,8 +42,6 @@ enum class Modality {
   Evidence,  // + the static detector's evidence chains (src/analysis)
 };
 
-[[nodiscard]] const char* modality_name(Modality m) noexcept;
-
 /// Renders the full chat for a detection query over `code`. P3 yields two
 /// user turns (the harness feeds the first reply back before the second).
 [[nodiscard]] Chat detection_chat(Style style, const std::string& code);

@@ -14,85 +14,6 @@ int resolve_jobs(int jobs) {
   return hc > 0 ? static_cast<int>(hc) : 1;
 }
 
-ThreadPool::ThreadPool(int threads) {
-  workers_.reserve(threads > 0 ? static_cast<std::size_t>(threads) : 0);
-  for (int i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
-}
-
-void ThreadPool::run(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (workers_.empty()) {
-    // Inline pool: the exact serial path, in index order.
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  fn_ = &fn;
-  batch_size_ = n;
-  next_index_ = 0;
-  in_flight_ = 0;
-  error_ = nullptr;
-  ++generation_;
-  work_cv_.notify_all();
-  done_cv_.wait(lock, [this] {
-    return next_index_ >= batch_size_ && in_flight_ == 0;
-  });
-  fn_ = nullptr;
-  if (error_ != nullptr) {
-    std::exception_ptr err = error_;
-    error_ = nullptr;
-    std::rethrow_exception(err);
-  }
-}
-
-void ThreadPool::worker_loop() {
-  std::uint64_t seen_generation = 0;
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    work_cv_.wait(lock, [&] {
-      return stop_ || (generation_ != seen_generation &&
-                       next_index_ < batch_size_);
-    });
-    if (stop_) return;
-    const std::uint64_t gen = generation_;
-    while (gen == generation_ && next_index_ < batch_size_) {
-      // After a task throws, drain the batch without running the rest:
-      // the caller rethrows, so partial results are never observed.
-      if (error_ != nullptr) {
-        next_index_ = batch_size_;
-        break;
-      }
-      const std::size_t index = next_index_++;
-      ++in_flight_;
-      lock.unlock();
-      std::exception_ptr err;
-      try {
-        (*fn_)(index);
-      } catch (...) {
-        err = std::current_exception();
-      }
-      lock.lock();
-      --in_flight_;
-      if (err != nullptr && error_ == nullptr) error_ = err;
-    }
-    seen_generation = gen;
-    if (next_index_ >= batch_size_ && in_flight_ == 0) {
-      done_cv_.notify_all();
-    }
-  }
-}
-
 TaskPool::TaskPool(int threads, std::size_t queue_limit)
     : queue_limit_(queue_limit) {
   const int n = threads > 0 ? threads : 1;
@@ -137,11 +58,6 @@ void TaskPool::close() {
 std::size_t TaskPool::queue_depth() const {
   std::lock_guard<std::mutex> lock(mu_);
   return queue_.size();
-}
-
-std::size_t TaskPool::in_flight() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return in_flight_;
 }
 
 std::uint64_t TaskPool::executed() const {

@@ -1,14 +1,15 @@
 // Deterministic parallel execution primitives.
 //
-// ThreadPool is a fixed-size worker pool; parallel_map fans a pure
-// per-item function out over the pool and returns results **in input
-// order**, regardless of completion order. With jobs <= 1 the map runs
-// inline on the caller's thread in input order -- byte-for-byte the old
-// serial path -- so parallelism can never change a result, only its
-// wall-clock cost. OnceMap is the thread-safe memoization primitive
-// underneath the artifact caches: concurrent get_or_compute calls for
-// the same key run the compute function exactly once (per success) and
-// share the result.
+// parallel_map fans a pure per-item function out over a transient
+// TaskPool and returns results **in input order**, regardless of
+// completion order; a batch in which items throw rethrows the same
+// error at any job count. With jobs <= 1 the map runs inline on the
+// caller's thread in input order -- byte-for-byte the old serial path --
+// so parallelism can never change a result, only its wall-clock cost.
+// TaskPool is also the serve daemon's execution substrate. OnceMap is
+// the thread-safe memoization primitive underneath the artifact caches:
+// concurrent get_or_compute calls for the same key run the compute
+// function exactly once (per success) and share the result.
 //
 // The executor preserves the repository's determinism contract
 // (DESIGN.md section 6.2): per-item work must already be
@@ -39,56 +40,15 @@ namespace drbml::support {
 /// Always returns >= 1.
 [[nodiscard]] int resolve_jobs(int jobs);
 
-/// A fixed pool of worker threads executing indexed batches.
-///
-/// `threads == 0` is a degenerate inline pool: run() executes the batch
-/// on the caller's thread in index order (the serial path). With
-/// `threads >= 1`, run() hands indices to the workers through a shared
-/// atomic cursor and blocks until the batch completes; the first
-/// exception thrown by any task is rethrown on the caller's thread
-/// after the batch drains. A pool is reusable across successive run()
-/// calls, including after a batch that threw.
-class ThreadPool {
- public:
-  explicit ThreadPool(int threads);
-  ~ThreadPool();
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Number of worker threads (0 for the inline pool).
-  [[nodiscard]] int size() const noexcept {
-    return static_cast<int>(workers_.size());
-  }
-
-  /// Runs fn(0) .. fn(n - 1), blocking until all calls finish.
-  void run(std::size_t n, const std::function<void(std::size_t)>& fn);
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-
-  std::mutex mu_;
-  std::condition_variable work_cv_;   // workers wait for a batch
-  std::condition_variable done_cv_;   // caller waits for completion
-  const std::function<void(std::size_t)>* fn_ = nullptr;
-  std::size_t batch_size_ = 0;
-  std::size_t next_index_ = 0;        // cursor into the current batch
-  std::size_t in_flight_ = 0;         // tasks started but not finished
-  std::uint64_t generation_ = 0;      // bumped per batch
-  bool stop_ = false;
-  std::exception_ptr error_;
-};
-
 /// Priority-ordered task submission onto a fixed worker pool, with a
-/// bounded queue for admission control (the serve daemon's execution
-/// substrate). Unlike ThreadPool's indexed batches, tasks arrive one at a
-/// time, each with a priority: workers always pick the highest-priority
-/// queued task, ties resolved FIFO by submission order. try_submit
-/// refuses -- instead of blocking -- when the queue is full or the pool
-/// is closed, which is what lets a caller answer "backpressure" instead
-/// of stalling. Deadlines are the submitter's business: a task that must
-/// expire checks its own clock when it starts running.
+/// bounded queue for admission control: the serve daemon's execution
+/// substrate, and parallel_map's. Tasks arrive one at a time, each with a
+/// priority: workers always pick the highest-priority queued task, ties
+/// resolved FIFO by submission order. try_submit refuses -- instead of
+/// blocking -- when the queue is full or the pool is closed, which is
+/// what lets a caller answer "backpressure" instead of stalling.
+/// Deadlines are the submitter's business: a task that must expire
+/// checks its own clock when it starts running.
 ///
 /// Tasks must not throw (wrap work in a catch-all that encodes failure
 /// into the task's own result channel); an escaping exception is caught
@@ -118,7 +78,6 @@ class TaskPool {
     return static_cast<int>(workers_.size());
   }
   [[nodiscard]] std::size_t queue_depth() const;
-  [[nodiscard]] std::size_t in_flight() const;
   [[nodiscard]] std::uint64_t executed() const;
   [[nodiscard]] std::uint64_t task_exceptions() const;
   [[nodiscard]] bool closed() const;
@@ -162,44 +121,50 @@ using MapResult = std::decay_t<std::invoke_result_t<Fn&, const In&>>;
 
 }  // namespace detail
 
-/// Ordered parallel map over a reusable pool: out[i] == fn(items[i]).
-/// Results land in input order regardless of completion order. fn must
-/// be safe to call concurrently from multiple threads.
-template <typename In, typename Fn>
-std::vector<detail::MapResult<Fn, In>> parallel_map(ThreadPool& pool,
-                                                    const std::vector<In>& items,
-                                                    Fn&& fn) {
-  using Out = detail::MapResult<Fn, In>;
-  if (pool.size() <= 1 || items.size() <= 1) {
-    std::vector<Out> out;
-    out.reserve(items.size());
-    for (const In& item : items) out.push_back(fn(item));
-    return out;
-  }
-  std::vector<std::optional<Out>> slots(items.size());
-  pool.run(items.size(),
-           [&](std::size_t i) { slots[i].emplace(fn(items[i])); });
-  std::vector<Out> out;
-  out.reserve(items.size());
-  for (auto& slot : slots) out.push_back(std::move(*slot));
-  return out;
-}
-
-/// Ordered parallel map with a transient pool. jobs follows
-/// resolve_jobs(); jobs <= 1 (after resolution) runs inline in input
-/// order -- exactly the serial loop it replaces.
+/// Ordered parallel map: out[i] == fn(items[i]). jobs follows
+/// resolve_jobs(); with jobs <= 1 (after resolution) or at most one item
+/// it runs inline in input order -- exactly the serial loop it replaces.
+/// Otherwise the items run on a transient TaskPool of min(jobs, items)
+/// workers, and fn must be safe to call concurrently. Every item runs;
+/// if any threw, the exception of the lowest-index item that threw is
+/// rethrown after the pool drains.
 template <typename In, typename Fn>
 std::vector<detail::MapResult<Fn, In>> parallel_map(int jobs,
                                                     const std::vector<In>& items,
                                                     Fn&& fn) {
-  const int n = resolve_jobs(jobs);
-  if (n <= 1 || items.size() <= 1) {
-    ThreadPool inline_pool(0);
-    return parallel_map(inline_pool, items, std::forward<Fn>(fn));
+  using Out = detail::MapResult<Fn, In>;
+  std::vector<Out> out;
+  out.reserve(items.size());
+  const std::size_t workers = std::min<std::size_t>(
+      static_cast<std::size_t>(resolve_jobs(jobs)), items.size());
+  if (workers <= 1) {
+    for (const In& item : items) out.push_back(fn(item));
+    return out;
   }
-  ThreadPool pool(static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(n), items.size())));
-  return parallel_map(pool, items, std::forward<Fn>(fn));
+  struct Slot {
+    std::optional<Out> value;
+    std::exception_ptr error;
+  };
+  std::vector<Slot> slots(items.size());
+  {
+    // Unbounded and never closed while submitting, so every submit is
+    // admitted; the destructor runs everything queued before it joins.
+    TaskPool pool(static_cast<int>(workers), 0);
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      pool.try_submit(0, [&, i] {
+        try {
+          slots[i].value.emplace(fn(items[i]));
+        } catch (...) {
+          slots[i].error = std::current_exception();
+        }
+      });
+    }
+  }
+  for (const Slot& slot : slots) {
+    if (slot.error != nullptr) std::rethrow_exception(slot.error);
+  }
+  for (Slot& slot : slots) out.push_back(std::move(*slot.value));
+  return out;
 }
 
 /// Thread-safe memoization map keyed by a caller-computed 64-bit hash.

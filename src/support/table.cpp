@@ -7,15 +7,7 @@
 namespace drbml {
 
 TextTable::TextTable(std::vector<std::string> header)
-    : header_(std::move(header)) {
-  aligns_.assign(header_.size(), Align::Right);
-  if (!aligns_.empty()) aligns_[0] = Align::Left;
-}
-
-void TextTable::set_align(std::size_t col, Align align) {
-  if (col >= aligns_.size()) throw Error("TextTable::set_align: bad column");
-  aligns_[col] = align;
-}
+    : header_(std::move(header)) {}
 
 void TextTable::add_row(std::vector<std::string> row) {
   if (row.size() != header_.size()) {
@@ -40,9 +32,9 @@ std::string TextTable::render() const {
     for (std::size_t c = 0; c < row.size(); ++c) {
       const std::size_t pad = widths[c] - row[c].size();
       out += ' ';
-      if (aligns_[c] == Align::Right) out.append(pad, ' ');
+      if (c > 0) out.append(pad, ' ');
       out += row[c];
-      if (aligns_[c] == Align::Left) out.append(pad, ' ');
+      if (c == 0) out.append(pad, ' ');
       out += " |";
     }
     out += '\n';

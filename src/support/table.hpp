@@ -10,17 +10,11 @@
 
 namespace drbml {
 
-/// Column alignment for TextTable.
-enum class Align { Left, Right };
-
-/// An aligned text table with a header row.
+/// An aligned text table with a header row: the first column is
+/// left-aligned and the rest right-aligned (numeric convention).
 class TextTable {
  public:
   explicit TextTable(std::vector<std::string> header);
-
-  /// Sets per-column alignment; default is Left for the first column and
-  /// Right for the rest (numeric convention).
-  void set_align(std::size_t col, Align align);
 
   void add_row(std::vector<std::string> row);
 
@@ -32,7 +26,6 @@ class TextTable {
 
  private:
   std::vector<std::string> header_;
-  std::vector<Align> aligns_;
   std::vector<std::vector<std::string>> rows_;
 };
 

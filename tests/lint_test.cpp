@@ -16,6 +16,7 @@
 #include "lint/lint.hpp"
 #include "lint/pass.hpp"
 #include "support/json.hpp"
+#include "support/parallel.hpp"
 
 namespace drbml {
 namespace {
@@ -559,14 +560,12 @@ TEST(LintDetector, BatchMatchesSerialAtAnyJobCount) {
     sources.push_back(e.trimmed_code);
     if (sources.size() == 32) break;
   }
-  core::DetectorSpec serial_spec;
-  serial_spec.spec = "lint";
-  serial_spec.jobs = 1;
-  core::DetectorSpec pool_spec;
-  pool_spec.spec = "lint";
-  pool_spec.jobs = 4;
-  const auto serial = core::make_detector(serial_spec)->analyze_batch(sources);
-  const auto pooled = core::make_detector(pool_spec)->analyze_batch(sources);
+  const auto detector = core::make_detector("lint");
+  const auto analyze = [&](const std::string& code) {
+    return detector->analyze(code);
+  };
+  const auto serial = support::parallel_map(1, sources, analyze);
+  const auto pooled = support::parallel_map(4, sources, analyze);
   ASSERT_EQ(serial.size(), pooled.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].report.race_detected, pooled[i].report.race_detected)

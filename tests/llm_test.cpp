@@ -320,8 +320,8 @@ TEST(Finetune, AdapterCheckpointRoundTrips) {
 }
 
 TEST(Finetune, CheckpointRejectsCorruptInput) {
-  EXPECT_THROW(Adapter::from_json("{}"), Error);
-  EXPECT_THROW(Adapter::from_json(
+  EXPECT_THROW((void)Adapter::from_json("{}"), Error);
+  EXPECT_THROW((void)Adapter::from_json(
                    "{\"format\":\"drbml-lora-adapter-v1\",\"rank\":2,"
                    "\"scale\":1,\"u\":[1,2]}"),
                Error);

@@ -141,15 +141,14 @@ TEST(ObsMetrics, JsonSnapshotParsesAndIsStableOnly) {
   EXPECT_FALSE(metrics.contains("stage.static.time"));
 }
 
-TEST(ObsSpan, NestsAcrossThreadPoolThreads) {
+TEST(ObsSpan, NestsAcrossWorkerThreads) {
   reset_obs();
   obs::tracer().set_enabled(true);
   {
-    obs::Span outer(obs::kSpanDetectBatch, "outer");
-    support::ThreadPool pool(4);
+    obs::Span outer(obs::kSpanExpRun, "outer");
     const std::vector<int> items{0, 1, 2, 3, 4, 5, 6, 7};
-    support::parallel_map(pool, items, [](int i) {
-      obs::Span inner(obs::kSpanDetectEntry);
+    support::parallel_map(4, items, [](int i) {
+      obs::Span inner(obs::kSpanExploreEntry);
       obs::Span innermost(obs::kSpanInterpReplay);
       return i;
     });
@@ -160,7 +159,7 @@ TEST(ObsSpan, NestsAcrossThreadPoolThreads) {
   int outer_count = 0;
   for (const obs::TraceEvent& e : events) {
     tids.insert(e.tid);
-    if (std::string(e.name) == "detect.batch") {
+    if (std::string(e.name) == "exp.run") {
       ++outer_count;
       EXPECT_EQ(e.detail, "outer");
       // The outer span encloses every inner span in time.
@@ -228,12 +227,12 @@ TEST(ObsTracer, WriteProducesLoadableFile) {
 TEST(ObsSpan, DisabledModeIsAllocationFree) {
   reset_obs();
   // Touch everything once so lazy singletons/statics are constructed.
-  obs::metrics().counter(obs::kDetectEntries).add();
+  obs::metrics().counter(obs::kLintRuns).add();
   static_cast<void>(obs::thread_id());
   const std::uint64_t before = g_allocations.load();
   for (int i = 0; i < 1000; ++i) {
-    obs::Span span(obs::kSpanDetectEntry, "some detail");
-    obs::metrics().counter(obs::kDetectEntries).add();
+    obs::Span span(obs::kSpanLintRun, "some detail");
+    obs::metrics().counter(obs::kLintRuns).add();
   }
   const std::uint64_t after = g_allocations.load();
   EXPECT_EQ(after, before);

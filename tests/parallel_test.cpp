@@ -1,7 +1,8 @@
 // Thread-safety unit tests for the parallel executor and the memoization
 // primitive (support/parallel.hpp): ordered results under adversarial
-// task durations, exception propagation out of worker threads,
-// exactly-once get-or-compute, and pool reuse across successive maps.
+// task durations, the serial path on the caller's thread, the
+// lowest-index exception out of worker threads at any job count, and
+// exactly-once get-or-compute.
 #include "support/parallel.hpp"
 
 #include <atomic>
@@ -76,48 +77,41 @@ TEST(ParallelMap, PropagatesWorkerExceptions) {
       std::runtime_error);
 }
 
-TEST(ThreadPool, ReusableAcrossSuccessiveMaps) {
-  ThreadPool pool(4);
-  std::vector<int> items(30);
+TEST(ParallelMap, RethrowsTheLowestFailingItemAtAnyJobCount) {
+  // Item 3 throws last: items 17 and 37 throw while it sleeps. Every
+  // item runs, and the error rethrown is still item 3's.
+  std::vector<int> items(50);
   std::iota(items.begin(), items.end(), 0);
-  for (int round = 0; round < 5; ++round) {
-    const std::vector<int> out =
-        parallel_map(pool, items, [round](const int& i) { return i + round; });
-    for (int i = 0; i < 30; ++i) {
-      ASSERT_EQ(out[static_cast<std::size_t>(i)], i + round);
+  for (const int jobs : {1, 2, 4, 8}) {
+    try {
+      parallel_map(jobs, items, [](const int& i) -> int {
+        if (i == 3) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          throw std::runtime_error("item 3 failed");
+        }
+        if (i == 17 || i == 37) {
+          throw std::runtime_error("item " + std::to_string(i) + " failed");
+        }
+        return i;
+      });
+      ADD_FAILURE() << "jobs " << jobs << ": nothing was rethrown";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "item 3 failed") << "jobs " << jobs;
     }
   }
 }
 
-TEST(ThreadPool, ReusableAfterBatchThatThrew) {
-  ThreadPool pool(4);
-  std::vector<int> items(20);
-  std::iota(items.begin(), items.end(), 0);
-  EXPECT_THROW(parallel_map(pool, items,
-                            [](const int& i) -> int {
-                              if (i % 7 == 3) throw std::runtime_error("boom");
-                              return i;
-                            }),
-               std::runtime_error);
-  // The pool must have fully drained; the next batch runs normally.
-  const std::vector<int> out =
-      parallel_map(pool, items, [](const int& i) { return i * 2; });
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(out[static_cast<std::size_t>(i)], i * 2);
-  }
-}
-
-TEST(ThreadPool, InlinePoolRunsOnCallerInOrder) {
-  ThreadPool pool(0);
+TEST(ParallelMap, SerialPathRunsOnCallerInOrder) {
   const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> items(8);
+  std::iota(items.begin(), items.end(), 0);
   std::vector<int> order;
-  pool.run(8, [&](std::size_t i) {
+  parallel_map(1, items, [&](const int& i) {
     EXPECT_EQ(std::this_thread::get_id(), caller);
-    order.push_back(static_cast<int>(i));
+    order.push_back(i);
+    return i;
   });
-  std::vector<int> expect(8);
-  std::iota(expect.begin(), expect.end(), 0);
-  EXPECT_EQ(order, expect);
+  EXPECT_EQ(order, items);
 }
 
 TEST(OnceMap, ComputesEachKeyExactlyOnceUnderContention) {

@@ -1,13 +1,13 @@
 // The race repair subsystem: patch engine round-trips, candidate
 // ranking, the verified fix loop's acceptance gates, annotation
-// remapping, and the memoized batch fan-out (RaceFixer / Table 7).
+// remapping, and the memoized batch fan-out (parallel_map over the
+// artifact cache / Table 7).
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "analysis/race.hpp"
-#include "core/fix.hpp"
 #include "dataset/drbml.hpp"
 #include "drb/corpus.hpp"
 #include "eval/artifact_cache.hpp"
@@ -15,6 +15,7 @@
 #include "lint/lint.hpp"
 #include "minic/parser.hpp"
 #include "repair/repair.hpp"
+#include "support/parallel.hpp"
 
 namespace drbml::repair {
 namespace {
@@ -301,7 +302,7 @@ TEST(VerifiedFixLoop, RemapsDrbAnnotationsThroughInsertions) {
   EXPECT_EQ(after.var1_line, r.line_map.to_patched_original(before.var1_line));
 }
 
-TEST(RaceFixer, BatchIsDeterministicAcrossJobCounts) {
+TEST(RepairCache, BatchIsDeterministicAcrossJobCounts) {
   std::vector<std::string> sources;
   int taken = 0;
   for (const auto& e : drb::corpus()) {
@@ -310,20 +311,13 @@ TEST(RaceFixer, BatchIsDeterministicAcrossJobCounts) {
     if (++taken == 12) break;
   }
 
-  core::FixerSpec serial;
-  serial.jobs = 1;
-  core::FixerSpec parallel;
-  parallel.jobs = 4;
+  const auto fix = [](const std::string& code) {
+    return eval::artifact_cache().repair_result(code, {});
+  };
   eval::artifact_cache().clear();
-  std::vector<RepairResult> cold;
-  for (const auto* r : core::RaceFixer(serial).fix_batch(sources)) {
-    cold.push_back(*r);
-  }
+  const std::vector<RepairResult> cold = support::parallel_map(1, sources, fix);
   eval::artifact_cache().clear();
-  std::vector<RepairResult> warm;
-  for (const auto* r : core::RaceFixer(parallel).fix_batch(sources)) {
-    warm.push_back(*r);
-  }
+  const std::vector<RepairResult> warm = support::parallel_map(4, sources, fix);
   ASSERT_EQ(cold.size(), warm.size());
   for (std::size_t i = 0; i < cold.size(); ++i) {
     EXPECT_EQ(cold[i], warm[i]) << sources[i];

@@ -318,9 +318,9 @@ TEST(Json, ThrowsOnMalformedInput) {
 
 TEST(Json, ThrowsOnTypeMismatch) {
   auto v = json::parse("[1]");
-  EXPECT_THROW(v.as_object(), JsonError);
-  EXPECT_THROW(v.as_string(), JsonError);
-  EXPECT_THROW(v.as_array()[0].as_bool(), JsonError);
+  EXPECT_THROW((void)v.as_object(), JsonError);
+  EXPECT_THROW((void)v.as_string(), JsonError);
+  EXPECT_THROW((void)v.as_array()[0].as_bool(), JsonError);
 }
 
 TEST(Json, UnicodeEscapes) {
@@ -330,7 +330,7 @@ TEST(Json, UnicodeEscapes) {
 
 TEST(Json, MissingKeyThrows) {
   auto v = json::parse(R"({"a":1})");
-  EXPECT_THROW(v.as_object().at("b"), JsonError);
+  EXPECT_THROW((void)v.as_object().at("b"), JsonError);
   EXPECT_EQ(v.as_object().find("b"), nullptr);
 }
 

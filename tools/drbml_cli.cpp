@@ -73,7 +73,6 @@
 
 #include "analysis/depgraph.hpp"
 #include "core/detector.hpp"
-#include "core/fix.hpp"
 #include "dataset/drbml.hpp"
 #include "drb/corpus.hpp"
 #include "drb/synth.hpp"
@@ -83,6 +82,7 @@
 #include "explore/witness.hpp"
 #include "lint/lint.hpp"
 #include "obs/catalog.hpp"
+#include "repair/repair.hpp"
 #include "runtime/interp.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -173,13 +173,22 @@ std::string read_file(const std::string& path) {
   return ss.str();
 }
 
-/// One program to lint, fix or explore.
+/// One program to analyze, lint, fix or explore.
 struct Source {
   std::string name;
   std::string code;
   bool is_file = false;  // fix rewrites it in place (unless --dry-run)
   int race_label = -1;   // ground truth: 1 race, 0 no race, -1 unknown
 };
+
+/// FILE operands as sources, all read before any is analyzed: an
+/// unreadable file fails the run.
+std::vector<Source> read_sources(const std::vector<std::string>& paths) {
+  std::vector<Source> out;
+  out.reserve(paths.size());
+  for (const auto& path : paths) out.push_back({path, read_file(path), true});
+  return out;
+}
 
 /// The programs of lint, fix and explore: FILE operands, then --entry
 /// NAME (repeatable), --corpus and --synth N kernels, in that order.
@@ -210,10 +219,7 @@ class SourceArgs {
   }
 
   [[nodiscard]] std::vector<Source> collect() const {
-    std::vector<Source> out;
-    for (const auto& path : paths_) {
-      out.push_back({path, read_file(path), true, -1});
-    }
+    std::vector<Source> out = read_sources(paths_);
     for (const auto& name : entries_) {
       const drb::CorpusEntry* e = drb::find_entry(name);
       if (e == nullptr) throw Error("no such entry: " + name);
@@ -248,7 +254,8 @@ struct Outcome {
   std::string error;
 };
 
-/// Runs `fn` on every source's code over `jobs` workers, in input order.
+/// Runs `fn` on every source's code over `jobs` workers, in input order:
+/// the one fan-out of analyze, lint, fix and explore.
 template <typename Fn>
 auto run_each(int jobs, const std::vector<Source>& sources, const Fn& fn) {
   return support::parallel_map(jobs, sources, [&](const Source& src) {
@@ -260,6 +267,15 @@ auto run_each(int jobs, const std::vector<Source>& sources, const Fn& fn) {
     }
     return o;
   });
+}
+
+/// True if the source failed, after printing `<name>: error: <what>` on
+/// stderr.
+template <typename T>
+bool failed(const Source& src, const Outcome<T>& o) {
+  if (o.error.empty()) return false;
+  std::fprintf(stderr, "%s: error: %s\n", src.name.c_str(), o.error.c_str());
+  return true;
 }
 
 void print_pairs(const std::vector<analysis::RacePair>& pairs) {
@@ -332,15 +348,16 @@ json::Value explain_to_json(const std::string& path, const std::string& name,
 }
 
 int cmd_analyze(const std::vector<std::string>& args) {
-  core::DetectorSpec spec;
+  std::string spec = "hybrid";
+  int jobs = 0;
   std::vector<std::string> paths;
   bool explain = false;
   std::string format = "text";
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--detector") {
-      spec.spec = flag_value(args, i);
+      spec = flag_value(args, i);
     } else if (args[i] == "--jobs") {
-      spec.jobs = static_cast<int>(int_flag(args, i));
+      jobs = static_cast<int>(int_flag(args, i));
     } else if (args[i] == "--explain") {
       explain = true;
     } else if (args[i] == "--format") {
@@ -356,19 +373,21 @@ int cmd_analyze(const std::vector<std::string>& args) {
   if (format == "json" && !explain) {
     throw Error("--format json requires --explain");
   }
-  auto detector = core::make_detector(spec);
+  const auto detector = core::make_detector(spec);
+  const std::vector<Source> sources = read_sources(paths);
+  const auto outcomes = run_each(jobs, sources, [&](const std::string& code) {
+    return detector->analyze(code);
+  });
 
-  // Fan out over the pool (trivially serial for one file); verdicts print
-  // in input order.
-  std::vector<std::string> sources;
-  sources.reserve(paths.size());
-  for (const auto& path : paths) sources.push_back(read_file(path));
-  const std::vector<core::RaceVerdict> verdicts =
-      detector->analyze_batch(sources);
   bool any_race = false;
+  bool any_error = false;
   json::Array out;
-  for (std::size_t i = 0; i < verdicts.size(); ++i) {
-    const core::RaceVerdict& v = verdicts[i];
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    if (failed(sources[i], outcomes[i])) {
+      any_error = true;
+      continue;
+    }
+    const core::RaceVerdict& v = outcomes[i].value;
     const bool race = v.report.race_detected;
     any_race = any_race || race;
     if (explain && format == "json") {
@@ -388,6 +407,7 @@ int cmd_analyze(const std::vector<std::string>& args) {
   if (explain && format == "json") {
     std::printf("%s\n", json::Value(std::move(out)).dump_pretty().c_str());
   }
+  if (any_error) return 2;
   return any_race ? 1 : 0;
 }
 
@@ -431,21 +451,19 @@ int cmd_lint(const std::vector<std::string>& args) {
   const std::vector<Source> sources = source_args.collect();
   if (sources.empty()) return usage();
 
-  const lint::Linter linter;
-  auto outcomes = run_each(jobs, sources, [&](const std::string& code) {
-    return linter.lint_source(code);
+  eval::ArtifactCache& cache = eval::artifact_cache();
+  const auto outcomes = run_each(jobs, sources, [&](const std::string& code) {
+    return &cache.lint_report(code);
   });
 
   std::vector<lint::FileLint> files;
-  int failed = 0;
+  int failures = 0;
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    if (!outcomes[i].error.empty()) {
-      std::fprintf(stderr, "%s: error: %s\n", sources[i].name.c_str(),
-                   outcomes[i].error.c_str());
-      ++failed;
+    if (failed(sources[i], outcomes[i])) {
+      ++failures;
       continue;
     }
-    files.push_back({sources[i].name, std::move(outcomes[i].value)});
+    files.push_back({sources[i].name, *outcomes[i].value});
   }
 
   int errors = 0;
@@ -467,9 +485,9 @@ int cmd_lint(const std::vector<std::string>& args) {
     std::printf(
         "linted %zu file(s): %d error(s), %d warning(s), %d suppressed; "
         "%d parse failure(s); SARIF shape %s\n",
-        files.size(), errors, warnings, suppressed, failed,
+        files.size(), errors, warnings, suppressed, failures,
         shape_ok ? "OK" : ("INVALID: " + why).c_str());
-    return (failed == 0 && shape_ok) ? 0 : 1;
+    return (failures == 0 && shape_ok) ? 0 : 1;
   }
 
   if (format == "sarif") {
@@ -481,12 +499,13 @@ int cmd_lint(const std::vector<std::string>& args) {
   } else {
     for (const auto& f : files) std::printf("%s", lint::to_text(f).c_str());
   }
-  if (failed > 0) return 2;
+  if (failures > 0) return 2;
   return errors > 0 ? 1 : 0;
 }
 
 int cmd_fix(const std::vector<std::string>& args) {
-  core::FixerSpec spec;
+  std::string strategy = "auto";
+  int jobs = 0;
   bool dry_run = false;
   bool show_diff = false;
   bool check = false;
@@ -494,7 +513,7 @@ int cmd_fix(const std::vector<std::string>& args) {
   SourceArgs source_args("--seed");
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--strategy") {
-      spec.strategy = flag_value(args, i);
+      strategy = flag_value(args, i);
     } else if (args[i] == "--dry-run") {
       dry_run = true;
     } else if (args[i] == "--diff") {
@@ -504,7 +523,7 @@ int cmd_fix(const std::vector<std::string>& args) {
     } else if (args[i] == "--min-fix-rate") {
       min_fix_rate = static_cast<int>(int_flag(args, i));
     } else if (args[i] == "--jobs") {
-      spec.jobs = static_cast<int>(int_flag(args, i));
+      jobs = static_cast<int>(int_flag(args, i));
     } else {
       source_args.take(args, i);
     }
@@ -512,21 +531,29 @@ int cmd_fix(const std::vector<std::string>& args) {
   const std::vector<Source> sources = source_args.collect();
   if (sources.empty()) return usage();
 
-  const core::RaceFixer fixer(spec);  // throws on a bad --strategy
-  std::vector<std::string> codes;
-  codes.reserve(sources.size());
-  for (const auto& s : sources) codes.push_back(s.code);
-  const std::vector<const repair::RepairResult*> results =
-      fixer.fix_batch(codes);
+  repair::RepairOptions opts;
+  const std::optional<repair::Strategy> parsed =
+      repair::parse_strategy(strategy);
+  if (!parsed) throw Error("unknown repair strategy: " + strategy);
+  opts.strategy = *parsed;
+  eval::ArtifactCache& cache = eval::artifact_cache();
+  const auto outcomes = run_each(jobs, sources, [&](const std::string& code) {
+    return &cache.repair_result(code, opts);
+  });
 
   int race_total = 0;     // labeled racy
   int race_fixed = 0;     // ... with a fix accepted
   int race_verified = 0;  // ... whose equivalence gate also ran
   int unfixed = 0;        // needed a fix and did not get one
   int check_failures = 0;
+  bool any_error = false;
   for (std::size_t i = 0; i < sources.size(); ++i) {
     const Source& src = sources[i];
-    const repair::RepairResult& r = *results[i];
+    if (failed(src, outcomes[i])) {
+      any_error = true;
+      continue;
+    }
+    const repair::RepairResult& r = *outcomes[i].value;
     const char* status = repair::repair_status_name(r.status);
     switch (r.status) {
       case repair::RepairStatus::NoRaceDetected:
@@ -591,8 +618,9 @@ int cmd_fix(const std::vector<std::string>& args) {
         "min %d%%: %s; %d check failure(s)\n",
         race_fixed, race_total, race_total == 1 ? "y" : "ies", rate,
         race_verified, min_fix_rate, rate_ok ? "OK" : "BELOW", check_failures);
-    return (rate_ok && check_failures == 0) ? 0 : 1;
+    return (rate_ok && check_failures == 0 && !any_error) ? 0 : 1;
   }
+  if (any_error) return 2;
   return unfixed > 0 ? 1 : 0;
 }
 
@@ -670,6 +698,8 @@ int cmd_explore(const std::vector<std::string>& args) {
     return r.report.race_detected ? 1 : 0;
   }
 
+  eval::ArtifactCache& cache = eval::artifact_cache();
+
   // Check mode: the exploration gate over the race-labeled corpus. PCT
   // must match or beat uniform at the same budget, and every witness must
   // replay its race bit-identically (two replays, identical results).
@@ -684,7 +714,6 @@ int cmd_explore(const std::vector<std::string>& args) {
     const eval::ExplorationRow& uniform = rows[0];
     const eval::ExplorationRow& pct = rows[1];
 
-    eval::ArtifactCache& cache = eval::artifact_cache();
     std::vector<const drb::CorpusEntry*> racy;
     for (const drb::CorpusEntry& e : drb::corpus()) {
       if (e.race) racy.push_back(&e);
@@ -740,20 +769,18 @@ int cmd_explore(const std::vector<std::string>& args) {
   if (sources.empty()) return usage();
 
   const auto outcomes = run_each(jobs, sources, [&](const std::string& code) {
-    return explore::explore_source(code, opts);
+    return &cache.explore_result(code, opts);
   });
 
   bool any_race = false;
   bool any_error = false;
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const std::string& name = sources[i].name;
-    if (!outcomes[i].error.empty()) {
-      std::fprintf(stderr, "%s: error: %s\n", name.c_str(),
-                   outcomes[i].error.c_str());
+    if (failed(sources[i], outcomes[i])) {
       any_error = true;
       continue;
     }
-    const explore::ExploreResult& r = outcomes[i].value;
+    const explore::ExploreResult& r = *outcomes[i].value;
     if (r.race_detected) {
       any_race = true;
       std::printf(
