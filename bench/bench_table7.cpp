@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   std::printf("%s", heading("Table 7 -- automated race repair, verified "
                             "fix loop").c_str());
   const int rc = bench::print_with_speedup([](const eval::ExperimentOptions& o) {
-    return bench::repair_table(eval::table7_rows({}, o));
+    return bench::repair_table(eval::table7_rows(o));
   });
   bench::print_reference(
       "\nNo paper reference: the paper stops at detection; this table\n"

@@ -27,10 +27,12 @@
 # runs the curated .clang-tidy check set over src/. Stage 2f is the
 # serve gate: the detection-as-a-service daemon must answer 50 mixed
 # analyze/lint requests over the stdio transport with zero drops and
-# zero errors, and the repeats must hit the warm shared cache (the
-# serve_test suite of stage 1 streams a larger mix over a socketpair,
-# holds the warm pass to a 50 QPS floor, and compares responses across
-# --jobs). Stage 2g is the bytecode-VM gate: ctest -L vm holds the
+# zero errors, and the repeats must hit the warm shared cache; then a
+# stream of analyze, lint, fix and explore for every corpus entry (808
+# lines) at the default queue limit must get 808 ok responses, as the
+# daemon reads a stream at its workers' pace (the serve_test suite of
+# stage 1 streams a larger mix over a socketpair, holds the warm pass
+# to a 50 QPS floor, and compares responses across --jobs). Stage 2g is the bytecode-VM gate: ctest -L vm holds the
 # runtime to the committed fingerprints in
 # tests/golden/runtime_fingerprints.txt, checks that runs resumed from a
 # serial-prefix snapshot match runs from main, holds the explorer to a
@@ -150,6 +152,25 @@ if [[ -z "$hits" || "$hits" -eq 0 ]]; then
   exit 1
 fi
 echo "serve gate: 51/51 responses, warm hits=$hits"
+# The corpus stream: analyze, lint, fix and explore of every corpus entry
+# (808 lines) piped in at the default queue limit. The daemon reads a
+# stream at its workers' pace, so every line must come back ok, none
+# refused with queue_full.
+build/tools/drbml corpus | awk '{ print $1 }' | while read -r name; do
+  for verb in analyze lint fix explore; do
+    printf '{"id":"%s-%s","verb":"%s","entry":"%s"}\n' \
+      "$verb" "$name" "$verb" "$name"
+  done
+done > "$serve_tmp/corpus.ndjson"
+build/tools/drbml serve --jobs 2 \
+  < "$serve_tmp/corpus.ndjson" > "$serve_tmp/corpus_responses.ndjson"
+corpus_ok=$(grep -c '"ok":true' "$serve_tmp/corpus_responses.ndjson" || true)
+if [[ "$corpus_ok" -ne 808 ]]; then
+  echo "serve gate: expected 808 ok responses to the corpus stream," \
+    "got $corpus_ok" >&2
+  exit 1
+fi
+echo "serve gate: corpus stream 808/808 ok"
 rm -rf "$serve_tmp"
 
 echo "== stage 2g: bytecode-VM golden + verifier gate =="

@@ -76,9 +76,8 @@ enum class Mode { Read, Write, ReadWrite };
 
 class RegionCollector {
  public:
-  RegionCollector(const Resolution& res, const ConstantMap& consts,
-                  const CollectOptions& opts)
-      : res_(res), consts_(consts), opts_(opts) {}
+  RegionCollector(const Resolution& res, const ConstantMap& consts)
+      : res_(res), consts_(consts) {}
 
   ParallelRegion collect(const OmpStmt& stmt) {
     region_.stmt = &stmt;
@@ -593,11 +592,7 @@ class RegionCollector {
               (expr_cast<Ident>(arg.get()) != nullptr ||
                (expr_cast<Unary>(arg.get()) != nullptr &&
                 static_cast<const Unary&>(*arg).op == UnaryOp::AddrOf))) {
-            // Whole object handed to an unknown function.
-            if (opts_.track_call_effects) {
-              record_call_effect(*arg, *id);
-            }
-            continue;
+            continue;  // whole object handed to an unknown function
           }
           walk_expr(*arg, Mode::Read);
         }
@@ -609,23 +604,6 @@ class RegionCollector {
       default:
         return;
     }
-  }
-
-  void record_call_effect(const Expr& arg, const Ident& id) {
-    AccessInfo info;
-    info.var = res_.canonical(id.decl);
-    info.expr = &arg;
-    info.is_write = true;
-    info.via_call = true;
-    info.loc = id.loc;
-    info.text = expr_to_string(arg);
-    info.sharing = classify(info.var, id.name);
-    info.ctx = ctx_;
-    info.dist_loops = dist_loops_;
-    info.seq_loops = seq_loops_;
-    region_.accesses.push_back(info);
-    info.is_write = false;
-    region_.accesses.push_back(std::move(info));
   }
 
   void record_access(const Expr& e, Mode mode) {
@@ -680,7 +658,6 @@ class RegionCollector {
 
   const Resolution& res_;
   const ConstantMap& consts_;
-  CollectOptions opts_;
   ParallelRegion region_;
 
   SyncContext ctx_;
@@ -698,9 +675,8 @@ class RegionCollector {
 class RegionFinder {
  public:
   RegionFinder(const TranslationUnit& unit, const FunctionDecl& fn,
-               const Resolution& res, const CollectOptions& opts,
-               std::vector<ParallelRegion>& out)
-      : unit_(unit), fn_(fn), res_(res), opts_(opts), out_(out) {}
+               const Resolution& res, std::vector<ParallelRegion>& out)
+      : unit_(unit), fn_(fn), res_(res), out_(out) {}
 
   void walk(const Stmt& s) {
     if (const auto* omp = stmt_cast<OmpStmt>(&s)) {
@@ -715,7 +691,7 @@ class RegionFinder {
               ConstantMap::build(unit_, fn_));
         }
         ParallelRegion region =
-            RegionCollector(res_, *consts_, opts_).collect(*omp);
+            RegionCollector(res_, *consts_).collect(*omp);
         region.consts = consts_;
         out_.push_back(std::move(region));
         return;  // nested constructs were handled inside the collector
@@ -757,7 +733,6 @@ class RegionFinder {
   const TranslationUnit& unit_;
   const FunctionDecl& fn_;
   const Resolution& res_;
-  const CollectOptions& opts_;
   std::vector<ParallelRegion>& out_;
   std::shared_ptr<const ConstantMap> consts_;
 };
@@ -884,12 +859,11 @@ std::optional<LoopInfo> analyze_loop(const ForStmt& loop,
 }
 
 std::vector<ParallelRegion> collect_regions(const TranslationUnit& unit,
-                                            const Resolution& res,
-                                            const CollectOptions& opts) {
+                                            const Resolution& res) {
   std::vector<ParallelRegion> regions;
   for (const auto& fn : unit.functions) {
     if (!fn->body) continue;
-    RegionFinder(unit, *fn, res, opts, regions).walk(*fn->body);
+    RegionFinder(unit, *fn, res, regions).walk(*fn->body);
   }
   return regions;
 }

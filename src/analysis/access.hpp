@@ -83,7 +83,6 @@ struct AccessInfo {
   const minic::Expr* expr = nullptr;    // the access expression node
   std::vector<const minic::Expr*> subscripts;  // outermost..innermost
   bool is_write = false;
-  bool via_call = false;  // array handed to a function call (may be R+W)
   minic::SourceLoc loc;
   std::string text;  // source spelling, e.g. "a[i+1]"
   Sharing sharing = Sharing::Shared;
@@ -118,19 +117,12 @@ struct ParallelRegion {
   std::shared_ptr<const ConstantMap> consts;
 };
 
-/// Options controlling collection fidelity (see StaticRaceDetector).
-struct CollectOptions {
-  /// Record arrays passed to user function calls as read+write accesses
-  /// with unknown subscripts. When false, call side effects are ignored
-  /// (a deliberate unsoundness shared by many static tools).
-  bool track_call_effects = false;
-};
-
 /// Collects all parallel regions in the unit. The unit must have been
-/// resolved (see resolve()).
+/// resolved (see resolve()). An array or address handed whole to a user
+/// function is not an access: call side effects are ignored, a deliberate
+/// unsoundness shared by many static tools.
 [[nodiscard]] std::vector<ParallelRegion> collect_regions(
-    const minic::TranslationUnit& unit, const Resolution& res,
-    const CollectOptions& opts = {});
+    const minic::TranslationUnit& unit, const Resolution& res);
 
 /// Extracts induction variable, bounds, and step from a canonical for loop
 /// (`for (i = lo; i < hi; i += step)` and variants). Returns std::nullopt

@@ -14,6 +14,10 @@ using namespace minic;
 
 namespace {
 
+/// Cap on recorded discharged pairs per program (the overflow is counted
+/// in RaceReport::suppressed_discharged).
+constexpr std::size_t kMaxDischargedPairs = 32;
+
 RaceAccess to_race_access(const AccessInfo& a) {
   RaceAccess r;
   r.expr_text = a.text;
@@ -25,16 +29,10 @@ RaceAccess to_race_access(const AccessInfo& a) {
 
 /// Cheap identity filters that decide whether a pair is worth judging at
 /// all. Pairs rejected here are not candidates and get no evidence.
-bool candidate_pair(const AccessInfo& a, const AccessInfo& b,
-                    const CollectOptions& collect) {
+bool candidate_pair(const AccessInfo& a, const AccessInfo& b) {
   if (a.var == nullptr || b.var == nullptr || a.var != b.var) return false;
   if (!a.is_write && !b.is_write) return false;
-  if (a.sharing != Sharing::Shared || b.sharing != Sharing::Shared) {
-    return false;
-  }
-  if (a.via_call && !collect.track_call_effects) return false;
-  if (b.via_call && !collect.track_call_effects) return false;
-  return true;
+  return a.sharing == Sharing::Shared && b.sharing == Sharing::Shared;
 }
 
 void count_discharge(const std::string& rule) {
@@ -147,12 +145,14 @@ bool StaticRaceDetector::judge_pair(const AccessInfo& a, const AccessInfo& b,
 }
 
 RaceReport StaticRaceDetector::analyze_unit(TranslationUnit& unit) const {
+  const Resolution res = resolve(unit);
+  return analyze_regions(collect_regions(unit, res));
+}
+
+RaceReport StaticRaceDetector::analyze_regions(
+    const std::vector<ParallelRegion>& regions) const {
   static obs::Counter& candidates =
       obs::metrics().counter(obs::kAnalysisCandidatePairs);
-
-  Resolution res = resolve(unit);
-  std::vector<ParallelRegion> regions =
-      collect_regions(unit, res, opts_.collect);
 
   RaceReport report;
   // Distinct pairs dropped at the caps (kept separately so the suppressed
@@ -169,7 +169,7 @@ RaceReport StaticRaceDetector::analyze_unit(TranslationUnit& unit) const {
         // j == i covers the self-conflict of a single statement executed
         // by many threads/iterations (e.g. `x = x + 1;`).
         if (j == i && !acc[i].is_write) continue;
-        if (!candidate_pair(acc[i], acc[j], opts_.collect)) continue;
+        if (!candidate_pair(acc[i], acc[j])) continue;
         candidates.add();
         // Writer first, matching DRB's pair convention; the evidence is
         // recorded in the same order as the reported accesses.
@@ -184,8 +184,7 @@ RaceReport StaticRaceDetector::analyze_unit(TranslationUnit& unit) const {
           dp.second = to_race_access(second);
           dp.evidence = std::move(ev);
           if (discharged_contains(report.discharged, dp)) continue;
-          if (static_cast<int>(report.discharged.size()) >=
-              opts_.max_discharged) {
+          if (report.discharged.size() >= kMaxDischargedPairs) {
             if (!discharged_contains(discharged_overflow, dp)) {
               discharged_overflow.push_back(std::move(dp));
             }
@@ -201,7 +200,7 @@ RaceReport StaticRaceDetector::analyze_unit(TranslationUnit& unit) const {
                     first.var->name + "'";
         pair.evidence = std::move(ev);
         if (report.contains(pair)) continue;
-        if (static_cast<int>(report.pairs.size()) >= opts_.max_pairs) {
+        if (report.pairs.size() >= kMaxReportedPairs) {
           // Never truncate silently: count the distinct pairs dropped and
           // report them below.
           overflow.add_pair(std::move(pair));
@@ -216,7 +215,7 @@ RaceReport StaticRaceDetector::analyze_unit(TranslationUnit& unit) const {
     report.diagnostics.push_back(
         "static: " + std::to_string(report.suppressed_pairs) +
         " additional pair(s) suppressed (max_pairs=" +
-        std::to_string(opts_.max_pairs) + ")");
+        std::to_string(kMaxReportedPairs) + ")");
   }
   report.suppressed_discharged =
       static_cast<int>(discharged_overflow.size());
@@ -224,7 +223,7 @@ RaceReport StaticRaceDetector::analyze_unit(TranslationUnit& unit) const {
     report.diagnostics.push_back(
         "static: " + std::to_string(report.suppressed_discharged) +
         " discharged pair(s) suppressed (max_discharged=" +
-        std::to_string(opts_.max_discharged) + ")");
+        std::to_string(kMaxDischargedPairs) + ")");
   }
   if (!report.race_detected) {
     report.diagnostics.push_back("static: no conflicting pair found");

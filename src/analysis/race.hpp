@@ -21,7 +21,6 @@
 namespace drbml::analysis {
 
 struct StaticDetectorOptions {
-  CollectOptions collect;
   DependOptions depend;
   /// Honour omp_set_lock/omp_unset_lock pairs as mutual exclusion.
   bool model_locks = true;
@@ -32,11 +31,6 @@ struct StaticDetectorOptions {
   /// Discharge regions whose clauses force serial execution (`if(0)`,
   /// `num_threads(1)`) with no nested team fork.
   bool model_serial_regions = true;
-  /// Cap on reported pairs per program (diagnostic noise control).
-  int max_pairs = 16;
-  /// Cap on recorded discharged pairs (the overflow is counted in
-  /// RaceReport::suppressed_discharged).
-  int max_discharged = 32;
 };
 
 class StaticRaceDetector {
@@ -44,8 +38,13 @@ class StaticRaceDetector {
   explicit StaticRaceDetector(StaticDetectorOptions opts = {})
       : opts_(opts) {}
 
-  /// Analyzes a resolved translation unit.
+  /// Resolves the unit in place, collects its parallel regions and
+  /// analyzes them.
   [[nodiscard]] RaceReport analyze_unit(minic::TranslationUnit& unit) const;
+
+  /// Analyzes regions already collected from a resolved unit.
+  [[nodiscard]] RaceReport analyze_regions(
+      const std::vector<ParallelRegion>& regions) const;
 
   /// Convenience: parse + resolve + analyze source text.
   [[nodiscard]] RaceReport analyze_source(std::string_view source) const;

@@ -1,6 +1,7 @@
 // Race report types shared by the static and dynamic detectors.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -49,14 +50,18 @@ struct DischargedPair {
   }
 };
 
+/// Cap on the distinct pairs one report lists, for the static detector
+/// and for a dynamic run alike (diagnostic noise control).
+inline constexpr std::size_t kMaxReportedPairs = 16;
+
 /// Output of a race detector run over one program.
 struct RaceReport {
   bool race_detected = false;
   std::vector<RacePair> pairs;
   std::vector<std::string> diagnostics;
-  /// Distinct pairs dropped because `pairs` hit the detector's max_pairs
-  /// cap (a matching "N additional pairs suppressed" diagnostic is
-  /// appended so truncation is never silent).
+  /// Distinct pairs the static detector dropped because `pairs` hit
+  /// kMaxReportedPairs (a matching "N additional pairs suppressed"
+  /// diagnostic is appended so truncation is never silent).
   int suppressed_pairs = 0;
   /// Candidate pairs proven race-free, each with its discharge evidence
   /// (capped like `pairs`; the overflow is counted, never silent).

@@ -26,17 +26,13 @@ namespace {
 
 std::uint64_t hash_static_options(const analysis::StaticDetectorOptions& o) {
   std::uint64_t bits = 0;
-  bits = bits << 1 | static_cast<std::uint64_t>(o.collect.track_call_effects);
   bits = bits << 1 | static_cast<std::uint64_t>(o.depend.conservative_nonaffine);
   bits = bits << 1 | static_cast<std::uint64_t>(o.depend.model_thread_id);
   bits = bits << 1 | static_cast<std::uint64_t>(o.depend.symbolic_bounds);
   bits = bits << 1 | static_cast<std::uint64_t>(o.model_locks);
   bits = bits << 1 | static_cast<std::uint64_t>(o.model_depend_clauses);
   bits = bits << 1 | static_cast<std::uint64_t>(o.model_ordered);
-  bits = bits << 1 | static_cast<std::uint64_t>(o.model_serial_regions);
-  return hash_combine(
-      hash_combine(bits, static_cast<std::uint64_t>(o.max_pairs)),
-      static_cast<std::uint64_t>(o.max_discharged));
+  return bits << 1 | static_cast<std::uint64_t>(o.model_serial_regions);
 }
 
 std::uint64_t hash_run_options(const runtime::RunOptions& o) {
@@ -44,7 +40,6 @@ std::uint64_t hash_run_options(const runtime::RunOptions& o) {
       static_cast<std::uint64_t>(o.num_threads),
       hash_combine(o.seed, static_cast<std::uint64_t>(o.preempt_every)));
   h = hash_combine(h, o.step_limit);
-  h = hash_combine(h, static_cast<std::uint64_t>(o.max_pairs));
   h = hash_combine(h, static_cast<std::uint64_t>(o.strategy));
   h = hash_combine(h, static_cast<std::uint64_t>(o.pct_depth));
   h = hash_combine(h, o.pct_expected_steps);
@@ -74,22 +69,10 @@ std::uint64_t hash_dynamic_options(const runtime::DynamicDetectorOptions& o) {
 std::uint64_t hash_explore_options(const explore::ExploreOptions& o) {
   std::uint64_t h = hash_run_options(o.run);
   h = hash_combine(h, static_cast<std::uint64_t>(o.strategy));
-  h = hash_combine(h, static_cast<std::uint64_t>(o.pct_depth));
-  h = hash_combine(h, o.pct_expected_steps);
   h = hash_combine(h, static_cast<std::uint64_t>(o.max_schedules));
   h = hash_combine(h, static_cast<std::uint64_t>(o.plateau_window));
   h = hash_combine(h, o.seed);
-  h = hash_combine(h, static_cast<std::uint64_t>(o.minimize));
-  return hash_combine(h, static_cast<std::uint64_t>(o.max_minimize_replays));
-}
-
-std::uint64_t hash_repair_options(const repair::RepairOptions& o) {
-  std::uint64_t h = hash_combine(static_cast<std::uint64_t>(o.strategy),
-                                 static_cast<std::uint64_t>(o.max_candidates));
-  h = hash_combine(h, hash_static_options(o.static_opts));
-  h = hash_combine(h, hash_dynamic_options(o.dynamic_opts));
-  h = hash_combine(h, static_cast<std::uint64_t>(o.explore_schedules));
-  return hash_combine(h, static_cast<std::uint64_t>(o.explore_pct_depth));
+  return hash_combine(h, static_cast<std::uint64_t>(o.minimize));
 }
 
 // Approximate resident byte costs for the LRU budget. Estimates only
@@ -297,15 +280,15 @@ const explore::ExploreResult& ArtifactCache::explore_result(
 }
 
 const repair::RepairResult& ArtifactCache::repair_result(
-    const Source& code, const repair::RepairOptions& opts) {
+    const Source& code, repair::Strategy strategy) {
   static const KindCounters count = counters(Kind::Repair);
   count.probe.add();
   const std::uint64_t key =
-      hash_combine(code.key(), hash_repair_options(opts));
+      hash_combine(code.key(), static_cast<std::uint64_t>(strategy));
   const repair::RepairResult& v = repair_results_.get_or_compute(key, [&] {
     count.compute.add();
     obs::Span span(obs::kSpanArtifactRepair);
-    return repair::repair_source(std::string(code.text()), opts);
+    return repair::repair_source(std::string(code.text()), strategy);
   });
   touch(Kind::Repair, key, [&] { return cost_repair(v); });
   return v;
@@ -314,13 +297,12 @@ const repair::RepairResult& ArtifactCache::repair_result(
 const lint::LintReport& ArtifactCache::lint_report(const Source& code) {
   static const KindCounters count = counters(Kind::Lint);
   count.probe.add();
-  // Default LintOptions only, so the code hash alone is a sound key.
+  // The linter has no options, so the code hash alone is a sound key.
   const std::uint64_t key = code.key();
   const lint::LintReport& v = lint_reports_.get_or_compute(key, [&] {
     count.compute.add();
     obs::Span span(obs::kSpanArtifactLint);
-    const lint::Linter linter;
-    return linter.lint_source(code.text());
+    return lint::lint_source(code.text());
   });
   touch(Kind::Lint, key, [&] { return cost_lint(v); });
   return v;

@@ -70,22 +70,22 @@ class ArtifactCache {
   /// Schedule-exploration outcome for `code` under `opts` (budgeted
   /// uniform/PCT schedule loop, coverage plateau cut, minimized witness).
   /// The key covers every ExploreOptions field, including the embedded
-  /// RunOptions (and any replay trace it points at). Throws Error on
-  /// unparseable input; failures are not cached.
+  /// RunOptions (its PCT depth and expected steps, and any replay trace
+  /// it points at). Throws Error on unparseable input; failures are not
+  /// cached.
   const explore::ExploreResult& explore_result(
       const Source& code, const explore::ExploreOptions& opts);
 
-  /// Linter report for `code` under the default LintOptions (all checks,
-  /// default detector knobs). Throws Error on unparseable input; failures
-  /// are not cached.
+  /// Linter report for `code` (lint::lint_source). Throws Error on
+  /// unparseable input; failures are not cached.
   const lint::LintReport& lint_report(const Source& code);
 
-  /// Verified repair outcome for `code` under `opts` (the full
+  /// Verified repair outcome for `code` under `strategy` (the full
   /// detect -> generate -> apply -> verify loop of repair_source). The key
-  /// covers the strategy, the candidate cap, and both detector option
-  /// sets. repair_source never throws, so every result is cacheable.
+  /// covers the strategy, repair's only setting. repair_source never
+  /// throws, so every result is cacheable.
   const repair::RepairResult& repair_result(const Source& code,
-                                            const repair::RepairOptions& opts);
+                                            repair::Strategy strategy);
 
   /// Linter findings rendered one per line for prompt embedding
   /// ("(no findings)" when the linter is silent). Parse failures yield a

@@ -394,8 +394,7 @@ double RepairRow::patches_per_fix() const noexcept {
   return fixed == 0 ? 0.0 : static_cast<double>(attempts_on_fixed) / fixed;
 }
 
-std::vector<RepairRow> table7_rows(const repair::RepairOptions& ropts,
-                                   const ExperimentOptions& opts) {
+std::vector<RepairRow> table7_rows(const ExperimentOptions& opts) {
   obs::Span span(obs::kSpanExpRun, "table7");
   std::vector<const drb::CorpusEntry*> racy;
   for (const drb::CorpusEntry& e : drb::corpus()) {
@@ -405,7 +404,8 @@ std::vector<RepairRow> table7_rows(const repair::RepairOptions& ropts,
   ArtifactCache& cache = artifact_cache();
   const std::vector<const repair::RepairResult*> results =
       support::parallel_map(opts.jobs, racy, [&](const drb::CorpusEntry* e) {
-        return &cache.repair_result(drb::drb_code(*e), ropts);
+        return &cache.repair_result(drb::drb_code(*e),
+                                    repair::Strategy::Auto);
       });
 
   // Fold per family in input order; std::map keeps families name-sorted.

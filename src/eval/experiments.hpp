@@ -176,7 +176,6 @@ struct RepairRow {
 /// repair results are memoized in the ArtifactCache; the fold happens in
 /// input order, so rows are bit-identical at any job count.
 [[nodiscard]] std::vector<RepairRow> table7_rows(
-    const repair::RepairOptions& ropts = {},
     const ExperimentOptions& opts = {});
 
 // ------------------------------------------------------------ exploration

@@ -17,6 +17,9 @@ namespace drbml::explore {
 
 namespace {
 
+/// Replay budget for the minimizer.
+constexpr int kMaxMinimizeReplays = 128;
+
 std::uint64_t schedule_seed(std::uint64_t base, int index) {
   return mix64(base + 0x9e3779b97f4a7c15ULL *
                           (static_cast<std::uint64_t>(index) + 1));
@@ -38,8 +41,6 @@ runtime::RunOptions schedule_run_options(const ExploreOptions& opts,
   runtime::RunOptions run = opts.run;
   run.seed = schedule_seed(opts.seed, index);
   run.strategy = opts.strategy;
-  run.pct_depth = opts.pct_depth;
-  run.pct_expected_steps = opts.pct_expected_steps;
   run.replay = nullptr;
   run.capture_trace = true;
   run.collect_coverage = true;
@@ -176,8 +177,8 @@ ExploreResult explore_source(std::string_view source,
         replay.collect_coverage = false;
         return program.run(replay).report.race_detected;
       };
-      MinimizeResult mr = minimize_trace(racy_trace, still_races,
-                                         opts.max_minimize_replays);
+      MinimizeResult mr =
+          minimize_trace(racy_trace, still_races, kMaxMinimizeReplays);
       result.minimize_replays = mr.replays;
       minimize_replays.add(static_cast<std::uint64_t>(mr.replays));
       // Ship only a trace that verifiably races. ddmin replayed the trace

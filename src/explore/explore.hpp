@@ -25,14 +25,11 @@ namespace drbml::explore {
 using Strategy = runtime::ScheduleStrategy;
 
 struct ExploreOptions {
-  /// Base run options; `seed`/`strategy`/`capture_trace`/`collect_coverage`
-  /// are set per schedule, `module`/`prefix` per source.
+  /// Base run options, PCT depth and expected steps included;
+  /// `seed`/`strategy`/`capture_trace`/`collect_coverage` are set per
+  /// schedule, `module`/`prefix` per source.
   runtime::RunOptions run;
   runtime::ScheduleStrategy strategy = runtime::ScheduleStrategy::Pct;
-  /// PCT bug depth d (d-1 priority change points per region).
-  int pct_depth = 3;
-  /// PCT estimate k of a region's step count.
-  std::uint64_t pct_expected_steps = 4096;
   /// Schedule budget per source.
   int max_schedules = 24;
   /// Adaptive budget: stop once this many consecutive schedules add no
@@ -42,8 +39,6 @@ struct ExploreOptions {
   std::uint64_t seed = 0x5eedULL;
   /// Delta-debug the first racy schedule into a minimal witness.
   bool minimize = true;
-  /// Replay budget for the minimizer.
-  int max_minimize_replays = 128;
 
   friend bool operator==(const ExploreOptions&,
                          const ExploreOptions&) = default;

@@ -38,9 +38,9 @@ struct Witness {
 [[nodiscard]] Witness decode_witness(std::string_view text);
 
 /// RunOptions that replay this witness over `base` (strategy, replay
-/// trace pointer, thread count and limits are overridden; detector knobs
-/// like max_pairs are kept from `base`). The returned options point into
-/// `w.trace`, so `w` must outlive the run.
+/// trace pointer, thread count and limits are overridden; the rest, such
+/// as `module` and `collect_coverage`, is kept from `base`). The returned
+/// options point into `w.trace`, so `w` must outlive the run.
 [[nodiscard]] runtime::RunOptions witness_run_options(
     const Witness& w, const runtime::RunOptions& base);
 

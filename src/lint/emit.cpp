@@ -2,7 +2,7 @@
 
 #include <map>
 
-#include "lint/pass.hpp"
+#include "lint/checks.hpp"
 
 namespace drbml::lint {
 
@@ -177,7 +177,7 @@ json::Value to_sarif(const std::vector<FileLint>& files) {
     json::Object props;
     if (suppressed > 0) props.set("suppressedFindings", suppressed);
     if (suppressed_pairs > 0) {
-      // Race pairs dropped at the detector's max_pairs cap; without this
+      // Race pairs dropped at analysis::kMaxReportedPairs; without this
       // a SARIF consumer reads a truncated run as a complete one.
       props.set("suppressedRacePairs", suppressed_pairs);
     }

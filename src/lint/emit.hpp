@@ -19,10 +19,11 @@
 
 namespace drbml::lint {
 
-/// A lint report tagged with the artifact name it was produced from.
+/// A lint report tagged with the artifact name it was produced from. It
+/// refers to the report, which must outlive it.
 struct FileLint {
   std::string name;  // artifact URI in SARIF, prefix in text output
-  LintReport report;
+  const LintReport& report;
 };
 
 /// One diagnostic as a single human-readable line (no related locations);

@@ -3,33 +3,17 @@
 #include <algorithm>
 #include <cctype>
 
+#include "analysis/race.hpp"
 #include "dataset/drbml.hpp"
 #include "explore/explore.hpp"
 #include "lint/lint.hpp"
 #include "minic/parser.hpp"
 #include "obs/catalog.hpp"
+#include "runtime/dynamic.hpp"
 #include "support/error.hpp"
+#include "support/strings.hpp"
 
 namespace drbml::repair {
-
-namespace {
-
-std::vector<std::string> split_lines(const std::string& s) {
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const std::size_t nl = s.find('\n', start);
-    if (nl == std::string::npos) {
-      if (start < s.size()) lines.push_back(s.substr(start));
-      break;
-    }
-    lines.push_back(s.substr(start, nl - start));
-    start = nl + 1;
-  }
-  return lines;
-}
-
-}  // namespace
 
 const char* repair_status_name(RepairStatus s) noexcept {
   switch (s) {
@@ -44,14 +28,21 @@ const char* repair_status_name(RepairStatus s) noexcept {
 
 namespace {
 
+/// Cap on candidates tried per program.
+constexpr int kMaxCandidates = 16;
+
+/// Gate 4's budget: PCT exploration schedules, and their bug depth.
+constexpr int kExploreSchedules = 6;
+constexpr int kExplorePctDepth = 3;
+
 VerifyOutcome verify_candidate_impl(const std::string& original,
-                                    const std::string& patched,
-                                    const RepairOptions& opts) {
+                                    const std::string& patched) {
   VerifyOutcome out;
+  const runtime::DynamicDetectorOptions dynamic;
 
   // Gate 1: static detector must report race-free.
   try {
-    const analysis::StaticRaceDetector sdet(opts.static_opts);
+    const analysis::StaticRaceDetector sdet;
     if (sdet.analyze_source(patched).race_detected) {
       out.gate = RejectGate::Static;
       out.reason = "static detector still reports a race";
@@ -64,7 +55,7 @@ VerifyOutcome verify_candidate_impl(const std::string& original,
   }
 
   // Reference semantics: the original program executed serially.
-  runtime::RunOptions serial = opts.dynamic_opts.run;
+  runtime::RunOptions serial = dynamic.run;
   serial.num_threads = 1;
   bool have_ref = false;
   std::string ref_output;
@@ -90,11 +81,11 @@ VerifyOutcome verify_candidate_impl(const std::string& original,
   // after the first resume from the first one's serial prefix.
   try {
     runtime::CompiledProgram program(patched);
-    runtime::RunOptions par = opts.dynamic_opts.run;
+    runtime::RunOptions par = dynamic.run;
     bool have_par = false;
     std::string par_output;
     int par_exit = 0;
-    for (const std::uint64_t seed : opts.dynamic_opts.schedule_seeds) {
+    for (const std::uint64_t seed : dynamic.schedule_seeds) {
       par.seed = seed;
       const runtime::RunResult run = program.run(par);
       if (run.faulted) {
@@ -142,28 +133,25 @@ VerifyOutcome verify_candidate_impl(const std::string& original,
   // exploration. Gate 2 replays a fixed handful of uniform seeds; PCT's
   // priority schedules reach order-dependent interleavings (e.g. races
   // hidden behind a lock-acquisition window) those replays never hit.
-  if (opts.explore_schedules > 0) {
-    try {
-      explore::ExploreOptions eopts;
-      eopts.run = opts.dynamic_opts.run;
-      eopts.strategy = runtime::ScheduleStrategy::Pct;
-      eopts.pct_depth = opts.explore_pct_depth;
-      eopts.max_schedules = opts.explore_schedules;
-      eopts.minimize = false;
-      const explore::ExploreResult er =
-          explore::explore_source(patched, eopts);
-      if (er.race_detected) {
-        out.gate = RejectGate::Explore;
-        out.reason = "PCT exploration still finds a race (schedule " +
-                     std::to_string(er.first_race_schedule + 1) + " of " +
-                     std::to_string(opts.explore_schedules) + ")";
-        return out;
-      }
-    } catch (const Error& e) {
+  try {
+    explore::ExploreOptions eopts;
+    eopts.run = dynamic.run;
+    eopts.run.pct_depth = kExplorePctDepth;
+    eopts.strategy = runtime::ScheduleStrategy::Pct;
+    eopts.max_schedules = kExploreSchedules;
+    eopts.minimize = false;
+    const explore::ExploreResult er = explore::explore_source(patched, eopts);
+    if (er.race_detected) {
       out.gate = RejectGate::Explore;
-      out.reason = std::string("schedule exploration failed: ") + e.what();
+      out.reason = "PCT exploration still finds a race (schedule " +
+                   std::to_string(er.first_race_schedule + 1) + " of " +
+                   std::to_string(kExploreSchedules) + ")";
       return out;
     }
+  } catch (const Error& e) {
+    out.gate = RejectGate::Explore;
+    out.reason = std::string("schedule exploration failed: ") + e.what();
+    return out;
   }
 
   out.accepted = true;
@@ -196,13 +184,12 @@ obs::Counter& reject_counter(RejectGate gate) {
 }  // namespace
 
 VerifyOutcome verify_candidate(const std::string& original,
-                               const std::string& patched,
-                               const RepairOptions& opts) {
+                               const std::string& patched) {
   static obs::Counter& accepted = obs::metrics().counter(obs::kRepairAccepted);
   VerifyOutcome out;
   {
     obs::Span span(obs::kSpanRepairVerify);
-    out = verify_candidate_impl(original, patched, opts);
+    out = verify_candidate_impl(original, patched);
   }
   if (out.accepted) {
     accepted.add();
@@ -212,8 +199,7 @@ VerifyOutcome verify_candidate(const std::string& original,
   return out;
 }
 
-RepairResult repair_source(const std::string& source,
-                           const RepairOptions& opts) {
+RepairResult repair_source(const std::string& source, Strategy strategy) {
   static obs::Counter& candidates_tried =
       obs::metrics().counter(obs::kRepairCandidates);
   static obs::Counter& no_candidate =
@@ -235,8 +221,7 @@ RepairResult repair_source(const std::string& source,
   // Detection: does this program need repair at all?
   analysis::RaceReport static_report;
   try {
-    const analysis::StaticRaceDetector sdet(opts.static_opts);
-    static_report = sdet.analyze_source(source);
+    static_report = analysis::StaticRaceDetector().analyze_source(source);
   } catch (const Error& e) {
     r.status = RepairStatus::Error;
     r.message = std::string("error: static analysis failed: ") + e.what();
@@ -244,8 +229,8 @@ RepairResult repair_source(const std::string& source,
   }
   bool dynamic_race = false;
   try {
-    const runtime::DynamicRaceDetector ddet(opts.dynamic_opts);
-    dynamic_race = ddet.analyze_source(source).race_detected;
+    dynamic_race =
+        runtime::DynamicRaceDetector().analyze_source(source).race_detected;
   } catch (const Error&) {
     // Non-executable programs (no main, faults) fall back to static-only.
   }
@@ -259,27 +244,26 @@ RepairResult repair_source(const std::string& source,
   lint::LintReport lint_report;
   const lint::LintReport* lint_ptr = nullptr;
   try {
-    const lint::Linter linter;
-    lint_report = linter.lint_source(source);
+    lint_report = lint::lint_source(source);
     lint_ptr = &lint_report;
   } catch (const Error&) {
   }
 
   const std::vector<Patch> candidates =
-      generate_candidates(prog, static_report, lint_ptr, opts.strategy);
+      generate_candidates(prog, static_report, lint_ptr, strategy);
   r.candidates_generated = static_cast<int>(candidates.size());
   if (candidates.empty()) {
     no_candidate.add();
     r.status = RepairStatus::NoCandidate;
     r.message = "no-candidate: no strategy applies to this race shape "
                 "(strategy " +
-                std::string(strategy_name(opts.strategy)) + ")";
+                std::string(strategy_name(strategy)) + ")";
     return r;
   }
 
   std::string last_reason;
   for (const Patch& patch : candidates) {
-    if (r.attempts >= opts.max_candidates) break;
+    if (r.attempts >= kMaxCandidates) break;
     ++r.attempts;
     candidates_tried.add();
     const ApplyResult applied = apply_patch(source, patch);
@@ -290,7 +274,7 @@ RepairResult repair_source(const std::string& source,
     }
     const std::string patched =
         remap_annotations(applied.patched, applied.line_map);
-    const VerifyOutcome verdict = verify_candidate(source, patched, opts);
+    const VerifyOutcome verdict = verify_candidate(source, patched);
     if (!verdict.accepted) {
       last_reason = patch.id + ": " + verdict.reason;
       continue;

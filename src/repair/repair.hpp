@@ -8,36 +8,25 @@
 //      original (num_threads=1 defines the intended semantics of a racy
 //      program): same stdout bytes and exit code, serially and under every
 //      parallel schedule. Gate 3 is what rejects "fixes" like privatizing
-//      an accumulator -- they silence the detectors but change the answer.
+//      an accumulator -- they silence the detectors but change the answer;
+//   4. PCT schedule exploration finds no race either.
+//
+// The detectors run in their default configuration, and the candidate
+// cap and gate 4's budget are constants of repair.cpp: the strategy is
+// the loop's only setting.
 //
 // Everything is deterministic: fixed candidate ranking, fixed schedule
-// seeds, no wall clock -- the same (source, options) always produces the
+// seeds, no wall clock -- the same (source, strategy) always produces the
 // same RepairResult, which is what makes the repair experiment cacheable
 // and bit-identical at any job count.
 #pragma once
 
 #include <string>
 
-#include "analysis/race.hpp"
 #include "repair/candidates.hpp"
 #include "repair/patch.hpp"
-#include "runtime/dynamic.hpp"
 
 namespace drbml::repair {
-
-struct RepairOptions {
-  Strategy strategy = Strategy::Auto;
-  analysis::StaticDetectorOptions static_opts;
-  runtime::DynamicDetectorOptions dynamic_opts;
-  /// Cap on candidates tried per program.
-  int max_candidates = 16;
-  /// Gate 4 budget: an accepted fix must also survive this many PCT
-  /// exploration schedules (randomized priorities probe interleavings
-  /// the fixed-seed gate-2 replays never reach). 0 disables the gate.
-  int explore_schedules = 6;
-  /// PCT bug depth for gate 4.
-  int explore_pct_depth = 3;
-};
 
 enum class RepairStatus {
   NoRaceDetected,  // neither detector fired; source returned untouched
@@ -93,16 +82,15 @@ struct VerifyOutcome {
   std::string reason;  // which gate failed, when !accepted
 };
 
-/// Runs gates 1-3 on `patched` against `original` (exposed for tests; the
+/// Runs gates 1-4 on `patched` against `original` (exposed for tests; the
 /// fix loop uses it internally). Never throws.
 [[nodiscard]] VerifyOutcome verify_candidate(const std::string& original,
-                                             const std::string& patched,
-                                             const RepairOptions& opts);
+                                             const std::string& patched);
 
 /// The full loop: detect, generate ranked candidates, apply + verify until
 /// one survives. Never throws.
-[[nodiscard]] RepairResult repair_source(const std::string& source,
-                                         const RepairOptions& opts = {});
+[[nodiscard]] RepairResult repair_source(
+    const std::string& source, Strategy strategy = Strategy::Auto);
 
 /// Rewrites DRB "Data race pair:" header annotations so their
 /// original-file line numbers track the patch's insertions/deletions

@@ -435,14 +435,11 @@ struct PrefixSnapshot::State {
     int num_threads = 0;
     int preempt_every = 0;
     std::uint64_t step_limit = 0;
-    std::size_t max_output = 0;
-    int max_pairs = 0;
 
     friend bool operator==(const Key&, const Key&) = default;
   };
   static Key key_of(const RunOptions& o) {
-    return {o.module,     o.num_threads, o.preempt_every,
-            o.step_limit, o.max_output,  o.max_pairs};
+    return {o.module, o.num_threads, o.preempt_every, o.step_limit};
   }
 
   Key key;
@@ -816,7 +813,7 @@ class Interp {
   void report_race(const AccessStamp& prev, char prev_op,
                    const std::string* cur_text, SourceLoc cur_loc,
                    char cur_op, const ObjectRecord& obj) {
-    if (static_cast<int>(report_.pairs.size()) >= opts_.max_pairs) return;
+    if (report_.pairs.size() >= analysis::kMaxReportedPairs) return;
     analysis::RaceAccess a;
     a.expr_text = *prev.text;
     a.var_name = obj.decl != nullptr ? obj.decl->name : *obj.name;

@@ -41,6 +41,8 @@
 //     and user calls may follow one another without an instrumented
 //     memory access; the one that would cross the cap faults with
 //     "silent loop limit exceeded".
+//   - A run keeps at most kMaxOutput (64 KiB) of output; a write that
+//     would cross the cap is dropped whole.
 #pragma once
 
 #include <cstdint>
@@ -121,6 +123,9 @@ inline constexpr int kMaxCallDepth = 200;
 /// string sets step_limit.
 inline constexpr std::uint64_t kMaxSilentBackEdges = 1 << 20;
 
+/// Cap on the bytes of output one run keeps (Interp::output_append).
+inline constexpr std::size_t kMaxOutput = 64 * 1024;
+
 struct RunOptions {
   int num_threads = 4;
   std::uint64_t seed = 1;
@@ -129,9 +134,6 @@ struct RunOptions {
   int preempt_every = 7;
   /// Abort (as livelock) after this many scheduler steps.
   std::uint64_t step_limit = 2'000'000;
-  std::size_t max_output = 64 * 1024;
-  /// Cap on distinct reported race pairs.
-  int max_pairs = 16;
   ScheduleStrategy strategy = ScheduleStrategy::Uniform;
   /// PCT bug depth d: d-1 priority change points per region.
   int pct_depth = 3;

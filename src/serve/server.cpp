@@ -231,7 +231,7 @@ void Server::run_verb(const Request& req, json::Writer& w) {
     case Verb::Fix:
       metrics.verb_fix.add();
       // Never writes files: the patched source rides in the response.
-      write_fix_result(w, cache.repair_result(code, {}));
+      write_fix_result(w, cache.repair_result(code, repair::Strategy::Auto));
       return;
     case Verb::Explore:
       metrics.verb_explore.add();
@@ -313,6 +313,13 @@ std::uint64_t Server::serve_fd(int in_fd, int out_fd,
     ++written;
   };
 
+  // The stream has one reader, so the only client a full queue could
+  // refuse is the one whose lines it already took: wait for room instead.
+  const auto submit = [&](const std::string& line) {
+    pool_->wait_for_room();
+    submit_line(line, respond);
+  };
+
   std::string buffer;
   char chunk[4096];
   bool eof = false;
@@ -336,15 +343,13 @@ std::uint64_t Server::serve_fd(int in_fd, int out_fd,
       if (nl == std::string::npos) break;
       const std::string line = buffer.substr(start, nl - start);
       start = nl + 1;
-      if (!line.empty()) submit_line(line, respond);
+      if (!line.empty()) submit(line);
       if (shutdown_requested()) break;
     }
     buffer.erase(0, start);
   }
   // A final unterminated line at EOF is still a request.
-  if (eof && !buffer.empty() && !shutdown_requested()) {
-    submit_line(buffer, respond);
-  }
+  if (eof && !buffer.empty() && !shutdown_requested()) submit(buffer);
   drain();
   std::lock_guard<std::mutex> lock(out_mu);
   return written;

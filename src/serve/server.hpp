@@ -5,8 +5,9 @@
 // Layering:
 //
 //   serve_fd / submit_line        transport + admission control
-//        |                          (bounded queue -> queue_full,
-//        v                           closed pool -> shutting_down)
+//        |                          (bounded queue -> queue_full, or a
+//        |                           paced reader; closed pool ->
+//        v                           shutting_down)
 //   TaskPool (support/parallel)   priority scheduling, N workers
 //        |
 //        v
@@ -19,9 +20,11 @@
 // Admission control: submit_line never blocks. A request that cannot be
 // queued is answered immediately -- `queue_full` when the bounded queue
 // is at --queue-limit (backpressure: retry later), `shutting_down` once
-// a drain began. Admitted requests whose deadline elapses while queued
-// are answered `deadline_expired` without running. Exactly one response
-// is emitted per request line, always.
+// a drain began. serve_fd instead reads a stream at its workers' pace: it
+// waits for room in the queue before it submits the next line. Admitted
+// requests whose deadline elapses while queued are answered
+// `deadline_expired` without running. Exactly one response is emitted
+// per request line, always.
 //
 // Graceful shutdown: drain() closes admission, runs everything already
 // queued, optionally saves the cache snapshot, and flushes --metrics /
@@ -85,7 +88,9 @@ class Server {
 
   /// Reads NDJSON requests from `in_fd` until EOF, a `shutdown` verb, or
   /// `*stop` becomes true (the CLI's signal flag; the read loop is
-  /// EINTR-aware so a signal interrupts a blocking read). Writes each
+  /// EINTR-aware so a signal interrupts a blocking read). Submits each
+  /// line once the admission queue has room, so a full queue slows the
+  /// reader instead of refusing the stream's own requests. Writes each
   /// response line to `out_fd` under a lock. Drains before returning.
   /// Returns the number of responses written this session.
   std::uint64_t serve_fd(int in_fd, int out_fd,

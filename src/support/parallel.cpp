@@ -45,14 +45,24 @@ bool TaskPool::try_submit(int priority, std::function<void()> fn) {
   return true;
 }
 
+void TaskPool::wait_for_room() {
+  std::unique_lock<std::mutex> lock(mu_);
+  room_cv_.wait(lock, [this] {
+    return closed_ || queue_limit_ == 0 || queue_.size() < queue_limit_;
+  });
+}
+
 void TaskPool::drain() {
   std::unique_lock<std::mutex> lock(mu_);
   idle_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
 }
 
 void TaskPool::close() {
-  std::lock_guard<std::mutex> lock(mu_);
-  closed_ = true;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    closed_ = true;
+  }
+  room_cv_.notify_all();
 }
 
 std::size_t TaskPool::queue_depth() const {
@@ -86,6 +96,7 @@ void TaskPool::worker_loop() {
     queue_.pop();
     ++in_flight_;
     lock.unlock();
+    if (queue_limit_ > 0) room_cv_.notify_all();  // only bounded pools wait
     try {
       task.fn();
     } catch (...) {

@@ -46,7 +46,8 @@ namespace drbml::support {
 /// priority: workers always pick the highest-priority queued task, ties
 /// resolved FIFO by submission order. try_submit refuses -- instead of
 /// blocking -- when the queue is full or the pool is closed, which is
-/// what lets a caller answer "backpressure" instead of stalling.
+/// what lets a caller answer "backpressure" instead of stalling; a
+/// submitter that would rather pace itself waits for room first.
 /// Deadlines are the submitter's business: a task that must expire
 /// checks its own clock when it starts running.
 ///
@@ -67,6 +68,10 @@ class TaskPool {
   /// and does not enqueue -- when the queue is at its limit or the pool
   /// is closed.
   bool try_submit(int priority, std::function<void()> fn);
+
+  /// Blocks until the queue is below its limit (at once when unbounded)
+  /// or the pool is closed: a worker taking a task makes room.
+  void wait_for_room();
 
   /// Blocks until the queue is empty and no task is running.
   void drain();
@@ -105,6 +110,7 @@ class TaskPool {
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  // workers wait for tasks
   std::condition_variable idle_cv_;  // drain() waits for quiescence
+  std::condition_variable room_cv_;  // wait_for_room() waits for a slot
   std::priority_queue<Task, std::vector<Task>, TaskOrder> queue_;
   std::size_t in_flight_ = 0;
   std::uint64_t next_seq_ = 0;

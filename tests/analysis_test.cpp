@@ -3,6 +3,10 @@
 // static race detector on canonical DRB-style patterns.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "analysis/access.hpp"
 #include "analysis/affine.hpp"
 #include "analysis/consteval.hpp"
@@ -735,28 +739,32 @@ TEST(RaceReportTest, AddPairCollapsesExactAndSymmetricDuplicates) {
   EXPECT_EQ(report.pairs.size(), 2u);
 }
 
-TEST(StaticRace, PairCapReportsSuppressedCountInsteadOfSilence) {
-  StaticDetectorOptions opts;
-  opts.max_pairs = 1;
-  auto report = detect(
-      "int main() {\n"
-      "  int i;\n"
-      "  int total = 0;\n"
-      "#pragma omp parallel for\n"
-      "  for (i = 0; i < 100; i++)\n"
-      "    total = total + i;\n"
-      "  return 0;\n"
-      "}\n",
-      opts);
-  ASSERT_TRUE(report.race_detected);
-  EXPECT_EQ(report.pairs.size(), 1u);
-  EXPECT_GT(report.suppressed_pairs, 0);
-  bool noted = false;
-  for (const auto& d : report.diagnostics) {
-    noted = noted ||
-            d.find("additional pair(s) suppressed") != std::string::npos;
+/// 17 shared scalars, each updated once inside one `omp parallel`: two
+/// racy pairs per scalar, 34 in all, past the reported-pair cap.
+std::string seventeen_scalar_kernel() {
+  std::string decls;
+  std::string updates;
+  for (int i = 0; i < 17; ++i) {
+    std::string v = "s";
+    v += std::to_string(i);
+    decls += "  int " + v + " = 0;\n";
+    updates += "    " + v + " = " + v + " + 1;\n";
   }
-  EXPECT_TRUE(noted);
+  return "int main() {\n" + decls + "#pragma omp parallel\n  {\n" +
+         updates + "  }\n  return 0;\n}\n";
+}
+
+TEST(StaticRace, PairCapReportsSuppressedCountInsteadOfSilence) {
+  const std::string code = seventeen_scalar_kernel();
+  const RaceReport report = detect(code.c_str());
+  ASSERT_TRUE(report.race_detected);
+  EXPECT_EQ(report.pairs.size(), kMaxReportedPairs);
+  EXPECT_EQ(report.suppressed_pairs, 18);
+  const std::vector<std::string>& diags = report.diagnostics;
+  EXPECT_NE(std::find(diags.begin(), diags.end(),
+                      "static: 18 additional pair(s) suppressed "
+                      "(max_pairs=16)"),
+            diags.end());
 }
 
 }  // namespace

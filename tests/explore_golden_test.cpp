@@ -95,7 +95,7 @@ const std::vector<Config>& configs() {
     pct_p0.minimize = true;
     explore::ExploreOptions pct_d1;
     pct_d1.strategy = runtime::ScheduleStrategy::Pct;
-    pct_d1.pct_depth = 1;
+    pct_d1.run.pct_depth = 1;
     pct_d1.max_schedules = 24;
     pct_d1.plateau_window = 0;
     explore::ExploreOptions uniform;

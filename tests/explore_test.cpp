@@ -462,8 +462,6 @@ TEST(Explore, WitnessStillRacesAndIsSubsequenceOfOriginal) {
     runtime::RunOptions orig = opts.run;
     orig.seed = r.first_race_seed;
     orig.strategy = strat;
-    orig.pct_depth = opts.pct_depth;
-    orig.pct_expected_steps = opts.pct_expected_steps;
     orig.capture_trace = true;
     runtime::RunResult original = run_src(kRacySrc, orig);
     ASSERT_TRUE(original.report.race_detected);
@@ -666,7 +664,7 @@ RepeatCheck check_repeats(const std::string& name, const std::string& code,
                           int depth) {
   RepeatCheck check;
   ExploreOptions eopts;
-  eopts.pct_depth = depth;
+  eopts.run.pct_depth = depth;
   eopts.max_schedules = 24;
   eopts.plateau_window = 0;
   eopts.minimize = false;

@@ -4,6 +4,7 @@
 // and the differential run over the whole corpus plus synthetic kernels.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -12,26 +13,23 @@
 #include "drb/corpus.hpp"
 #include "drb/synth.hpp"
 #include "eval/experiments.hpp"
+#include "lint/checks.hpp"
 #include "lint/emit.hpp"
 #include "lint/lint.hpp"
-#include "lint/pass.hpp"
 #include "support/json.hpp"
 #include "support/parallel.hpp"
 
 namespace drbml {
 namespace {
 
-lint::LintReport lint_code(const std::string& code,
-                           lint::LintOptions opts = {}) {
-  const lint::Linter linter(std::move(opts));
-  return linter.lint_source(code);
+lint::LintReport lint_code(const std::string& code) {
+  return lint::lint_source(code);
 }
 
-lint::LintReport lint_entry(const std::string& name,
-                            lint::LintOptions opts = {}) {
+lint::LintReport lint_entry(const std::string& name) {
   const drb::CorpusEntry* entry = drb::find_entry(name);
   EXPECT_NE(entry, nullptr) << name;
-  return lint_code(drb::drb_code(*entry), std::move(opts));
+  return lint_code(drb::drb_code(*entry));
 }
 
 /// First diagnostic with the given check id, or nullptr.
@@ -150,20 +148,21 @@ TEST(LintDatashare, ReadFirstScalarSuggestsFirstprivate) {
 
 // ------------------------------------------------------------- locks
 
+constexpr const char* kUnpairedLockCode =
+    "#include <omp.h>\n"
+    "int x = 0;\n"
+    "omp_lock_t l;\n"
+    "int main() {\n"
+    "#pragma omp parallel\n"
+    "  {\n"
+    "    omp_set_lock(&l);\n"
+    "    x = x + 1;\n"
+    "  }\n"
+    "  return 0;\n"
+    "}\n";
+
 TEST(LintLock, SetWithoutUnsetWarns) {
-  const std::string code =
-      "#include <omp.h>\n"
-      "int x = 0;\n"
-      "omp_lock_t l;\n"
-      "int main() {\n"
-      "#pragma omp parallel\n"
-      "  {\n"
-      "    omp_set_lock(&l);\n"
-      "    x = x + 1;\n"
-      "  }\n"
-      "  return 0;\n"
-      "}\n";
-  const lint::LintReport report = lint_code(code);
+  const lint::LintReport report = lint_code(kUnpairedLockCode);
   const lint::Diagnostic* d = find_check(report, "lint.lock");
   ASSERT_NE(d, nullptr);
   EXPECT_EQ(d->severity, lint::Severity::Warning);
@@ -317,12 +316,24 @@ TEST(LintCleanEntries, RaceFreePatternsProduceNoFindings) {
 
 // ------------------------------------------------------------ truncation
 
+/// 17 shared scalars, each updated once inside one `omp parallel`: two
+/// racy pairs per scalar, 34 in all, past the reported-pair cap.
+std::string seventeen_scalar_kernel() {
+  std::string decls;
+  std::string updates;
+  for (int i = 0; i < 17; ++i) {
+    std::string v = "s";
+    v += std::to_string(i);
+    decls += "  int " + v + " = 0;\n";
+    updates += "    " + v + " = " + v + " + 1;\n";
+  }
+  return "int main() {\n" + decls + "#pragma omp parallel\n  {\n" +
+         updates + "  }\n  return 0;\n}\n";
+}
+
 TEST(LintRace, PairCapSurfacesTruncationNote) {
-  lint::LintOptions opts;
-  opts.detector.max_pairs = 1;
-  const lint::LintReport report =
-      lint_entry("DRB047-sumnoreduction-orig-yes.c", std::move(opts));
-  EXPECT_GT(report.race.suppressed_pairs, 0);
+  const lint::LintReport report = lint_code(seventeen_scalar_kernel());
+  EXPECT_EQ(report.race.suppressed_pairs, 18);
   const lint::Diagnostic* trunc = nullptr;
   for (const auto& d : report.diagnostics) {
     if (d.pattern == "report-truncation") trunc = &d;
@@ -330,30 +341,35 @@ TEST(LintRace, PairCapSurfacesTruncationNote) {
   ASSERT_NE(trunc, nullptr);
   EXPECT_EQ(trunc->check_id, "lint.race");
   EXPECT_EQ(trunc->severity, lint::Severity::Note);
-  EXPECT_NE(trunc->message.find("suppressed"), std::string::npos);
+  EXPECT_EQ(trunc->message,
+            "18 additional conflicting pair(s) suppressed by the max_pairs "
+            "cap (16)");
+  const json::Value j = lint::to_json({"scalars.c", report});
+  EXPECT_EQ(jf(j, "race_suppressed_pairs").as_int(), 18);
 }
 
-// ---------------------------------------------------------- check subset
+// ---------------------------------------------------------- check table
 
-TEST(LintOptionsTest, EnabledListRestrictsPasses) {
-  lint::LintOptions opts;
-  opts.enabled = {"lint.reduction"};
-  const lint::LintReport report =
-      lint_entry("DRB047-sumnoreduction-orig-yes.c", std::move(opts));
-  ASSERT_FALSE(report.diagnostics.empty());
-  for (const auto& d : report.diagnostics) {
-    EXPECT_EQ(d.check_id, "lint.reduction");
+TEST(LintChecks, AvailableChecksMatchEmittedIds) {
+  std::set<std::string> table;
+  for (const auto& [id, description] : lint::available_checks()) {
+    EXPECT_TRUE(table.insert(id).second) << "duplicate id " << id;
+    EXPECT_FALSE(description.empty()) << id;
   }
-}
-
-TEST(LintOptionsTest, AvailableChecksMatchDefaultPasses) {
-  const auto checks = lint::available_checks();
-  const auto passes = lint::default_passes();
-  ASSERT_EQ(checks.size(), passes.size());
-  for (std::size_t i = 0; i < checks.size(); ++i) {
-    EXPECT_EQ(checks[i].first, passes[i]->id());
-    EXPECT_FALSE(checks[i].second.empty());
+  // The corpus, with an unpaired lock for lint.lock, exercises every
+  // check, and no check emits an id the table (and so the SARIF rules
+  // list) lacks.
+  std::vector<std::string> programs = {kUnpairedLockCode};
+  for (const auto& entry : drb::corpus()) {
+    programs.push_back(drb::drb_code(entry));
   }
+  std::set<std::string> emitted;
+  for (const std::string& code : programs) {
+    for (const auto& d : lint_code(code).diagnostics) {
+      emitted.insert(d.check_id);
+    }
+  }
+  EXPECT_EQ(emitted, table);
 }
 
 // ----------------------------------------------------------- suppression
@@ -410,11 +426,10 @@ TEST(LintSuppression, CommentOnlyLineCoversNextStatement) {
 }
 
 TEST(LintSuppression, SuppressedFindingAbsentFromEveryEmitter) {
-  lint::FileLint file;
-  file.name = "suppressed.c";
-  file.report = lint_code(
-      with_suppression("  // drbml-lint-suppress(lint.reduction)"));
-  ASSERT_EQ(file.report.suppressed, 1);
+  const lint::LintReport report =
+      lint_code(with_suppression("  // drbml-lint-suppress(lint.reduction)"));
+  const lint::FileLint file{"suppressed.c", report};
+  ASSERT_EQ(report.suppressed, 1);
 
   const std::string text = lint::to_text(file);
   EXPECT_EQ(text.find("lint.reduction"), std::string::npos);
@@ -438,10 +453,8 @@ TEST(LintSuppression, SuppressedFindingAbsentFromEveryEmitter) {
 // ----------------------------------------------------------------- SARIF
 
 TEST(LintSarif, RulesCoverEveryBuiltinCheck) {
-  lint::FileLint file;
-  file.name = "empty.c";
-  file.report = lint_code("int main() { return 0; }\n");
-  const json::Value sarif = lint::to_sarif({file});
+  const lint::LintReport report = lint_code("int main() { return 0; }\n");
+  const json::Value sarif = lint::to_sarif({{"empty.c", report}});
   std::string why;
   ASSERT_TRUE(lint::sarif_shape_ok(sarif, &why)) << why;
   EXPECT_EQ(jf(sarif, "version").as_string(), "2.1.0");
@@ -453,10 +466,9 @@ TEST(LintSarif, RulesCoverEveryBuiltinCheck) {
 }
 
 TEST(LintSarif, ShapeValidatorRejectsCorruptedDocuments) {
-  lint::FileLint file;
-  file.name = "race.c";
-  file.report = lint_entry("DRB047-sumnoreduction-orig-yes.c");
-  json::Value sarif = lint::to_sarif({file});
+  const lint::LintReport report =
+      lint_entry("DRB047-sumnoreduction-orig-yes.c");
+  json::Value sarif = lint::to_sarif({{"race.c", report}});
   ASSERT_TRUE(lint::sarif_shape_ok(sarif));
 
   json::Value bad = json::parse(sarif.dump());
@@ -482,10 +494,8 @@ TEST(LintSarif, RaceResultLocationMatchesDatasetLabel) {
   ASSERT_FALSE(entry->var_pairs.empty());
   const int writer_line = entry->var_pairs.front().line[0];
 
-  lint::FileLint file;
-  file.name = entry->name;
-  file.report = lint_code(entry->drb_code);
-  const json::Value sarif = lint::to_sarif({file});
+  const lint::LintReport report = lint_code(entry->drb_code);
+  const json::Value sarif = lint::to_sarif({{entry->name, report}});
   std::string why;
   ASSERT_TRUE(lint::sarif_shape_ok(sarif, &why)) << why;
 
@@ -504,14 +514,14 @@ TEST(LintSarif, RaceResultLocationMatchesDatasetLabel) {
 // ---------------------------------------------------------- differential
 
 TEST(LintDifferential, WholeCorpusLintsAndEmitsValidSarif) {
-  std::vector<lint::FileLint> files;
-  const lint::Linter linter;
+  std::vector<lint::LintReport> reports;
   for (const auto& entry : drb::corpus()) {
-    lint::FileLint file;
-    file.name = entry.name;
-    ASSERT_NO_THROW(file.report = linter.lint_source(drb::drb_code(entry)))
+    ASSERT_NO_THROW(reports.push_back(lint_code(drb::drb_code(entry))))
         << entry.name;
-    files.push_back(std::move(file));
+  }
+  std::vector<lint::FileLint> files;
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    files.push_back({drb::corpus()[i].name, reports[i]});
   }
   ASSERT_FALSE(files.empty());
   std::string why;
@@ -522,14 +532,14 @@ TEST(LintDifferential, SynthKernelsLintAndEmitValidSarif) {
   drb::SynthConfig config;
   config.count = 200;
   config.seed = 7;
+  const std::vector<drb::SynthEntry> kernels = drb::synthesize(config);
+  std::vector<lint::LintReport> reports;
+  for (const auto& kernel : kernels) {
+    ASSERT_NO_THROW(reports.push_back(lint_code(kernel.code))) << kernel.name;
+  }
   std::vector<lint::FileLint> files;
-  const lint::Linter linter;
-  for (const auto& kernel : drb::synthesize(config)) {
-    lint::FileLint file;
-    file.name = kernel.name;
-    ASSERT_NO_THROW(file.report = linter.lint_source(kernel.code))
-        << kernel.name;
-    files.push_back(std::move(file));
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    files.push_back({kernels[i].name, reports[i]});
   }
   ASSERT_EQ(files.size(), 200u);
   std::string why;

@@ -22,7 +22,7 @@ struct Parsed {
 Parsed collect(const char* src) {
   minic::Program prog = minic::parse_program(src);
   Resolution res = resolve(*prog.unit);
-  std::vector<ParallelRegion> regions = collect_regions(*prog.unit, res, {});
+  std::vector<ParallelRegion> regions = collect_regions(*prog.unit, res);
   return {std::move(prog), std::move(regions)};
 }
 
@@ -109,7 +109,7 @@ TEST(PhasePartition, SingleBarrierCorpusEntryGolden) {
   ASSERT_NE(e, nullptr);
   minic::Program prog = minic::parse_program(e->body);
   Resolution res = resolve(*prog.unit);
-  const auto regions = collect_regions(*prog.unit, res, {});
+  const auto regions = collect_regions(*prog.unit, res);
   ASSERT_FALSE(regions.empty());
   const PhasePartition part = PhasePartition::of(regions[0]);
   EXPECT_GE(part.phases, 2);

@@ -188,7 +188,7 @@ TEST(Candidates, RankingIsDeterministic) {
   minic::Program prog2 = minic::parse_program(kReductionKernel);
   const analysis::RaceReport races =
       analysis::StaticRaceDetector().analyze_source(kReductionKernel);
-  const lint::LintReport lint = lint::Linter().lint_source(kReductionKernel);
+  const lint::LintReport lint = lint::lint_source(kReductionKernel);
   const std::vector<Patch> a =
       generate_candidates(prog1, races, &lint, Strategy::Auto);
   const std::vector<Patch> b =
@@ -231,8 +231,7 @@ TEST(VerifiedFixLoop, RejectsDetectorSilencingSemanticsBreakingPatch) {
                    .analyze_source(applied.patched)
                    .race_detected);
   // ...and the verification gates still reject it.
-  const VerifyOutcome v =
-      verify_candidate(kReductionKernel, applied.patched, RepairOptions{});
+  const VerifyOutcome v = verify_candidate(kReductionKernel, applied.patched);
   EXPECT_FALSE(v.accepted);
   EXPECT_FALSE(v.reason.empty());
 }
@@ -312,7 +311,7 @@ TEST(RepairCache, BatchIsDeterministicAcrossJobCounts) {
   }
 
   const auto fix = [](const std::string& code) {
-    return eval::artifact_cache().repair_result(code, {});
+    return eval::artifact_cache().repair_result(code, Strategy::Auto);
   };
   eval::artifact_cache().clear();
   const std::vector<RepairResult> cold = support::parallel_map(1, sources, fix);
@@ -330,9 +329,9 @@ TEST(Table7, RowsReproducibleBitIdenticallyAcrossJobCounts) {
   eval::ExperimentOptions parallel;
   parallel.jobs = 4;
   eval::artifact_cache().clear();
-  const std::vector<eval::RepairRow> a = eval::table7_rows({}, serial);
+  const std::vector<eval::RepairRow> a = eval::table7_rows(serial);
   eval::artifact_cache().clear();
-  const std::vector<eval::RepairRow> b = eval::table7_rows({}, parallel);
+  const std::vector<eval::RepairRow> b = eval::table7_rows(parallel);
   ASSERT_EQ(a.size(), b.size());
   ASSERT_FALSE(a.empty());
   for (std::size_t i = 0; i < a.size(); ++i) {

@@ -2,11 +2,11 @@
 // protocol (per-verb round trips, structured rejection of malformed
 // requests), analyze as core::make_detector's report for every non-LLM
 // spec and the hybrid merge, a mixed workload over a socketpair and its
-// warm-cache hit rate and throughput, admission control under
-// saturation, deadline expiry, priority ordering, cross-jobs byte
-// identity, graceful-shutdown drain (including the cache-snapshot
-// flush), and the ArtifactCache LRU byte budget with deferred
-// reclamation.
+// warm-cache hit rate and throughput, a piped stream read at the
+// workers' pace, admission control under saturation, deadline expiry,
+// priority ordering, cross-jobs byte identity, graceful-shutdown drain
+// (including the cache-snapshot flush), and the ArtifactCache LRU byte
+// budget with deferred reclamation.
 //
 // Worker-blocking idiom: `respond` callbacks run on the worker thread
 // after the verb executes, so a callback that parks on a latch pins that
@@ -678,6 +678,60 @@ TEST(ServeWire, MixedWorkloadOverASocketpairDropsNothing) {
   for (const auto& request : workload) {
     EXPECT_EQ(seen[request.first], 1) << request.first;
   }
+}
+
+TEST(ServeWire, PipedStreamIsReadAtTheWorkersPace) {
+  // 240 lines through one worker and a two-slot queue: the reader waits
+  // for room, so none of the stream's own lines is refused queue_full.
+  std::string requests;
+  for (int i = 0; i < 240; ++i) {
+    std::string id = "p";
+    id += std::to_string(i);
+    requests += (i % 2 == 0 ? request_line(id, "analyze", kRacyCode,
+                                           ",\"detector\":\"static\"")
+                            : request_line(id, "lint", kSafeCode)) +
+                "\n";
+  }
+  int in_pipe[2];
+  int out_pipe[2];
+  ASSERT_EQ(::pipe(in_pipe), 0);
+  ASSERT_EQ(::pipe(out_pipe), 0);
+  std::thread writer([&] {
+    for (std::size_t at = 0; at < requests.size();) {
+      const ssize_t n =
+          ::write(in_pipe[1], requests.data() + at, requests.size() - at);
+      if (n <= 0) break;
+      at += static_cast<std::size_t>(n);
+    }
+    ::close(in_pipe[1]);
+  });
+  std::string out;
+  std::thread reader([&] {
+    char buf[4096];
+    for (ssize_t n; (n = ::read(out_pipe[0], buf, sizeof(buf))) > 0;) {
+      out.append(buf, static_cast<std::size_t>(n));
+    }
+  });
+
+  ServerOptions opts;
+  opts.jobs = 1;
+  opts.queue_limit = 2;
+  Server server(opts);
+  EXPECT_EQ(server.serve_fd(in_pipe[0], out_pipe[1]), 240u);
+  writer.join();
+  ::close(out_pipe[1]);
+  reader.join();
+  ::close(in_pipe[0]);
+  ::close(out_pipe[0]);
+
+  std::set<std::string> ids;
+  for (std::size_t start = 0, end;
+       (end = out.find('\n', start)) != std::string::npos; start = end + 1) {
+    const json::Value r = parse_response(out.substr(start, end - start));
+    ids.insert(r.as_object().at("id").as_string());
+    EXPECT_TRUE(r.as_object().at("ok").as_bool()) << r.dump();
+  }
+  EXPECT_EQ(ids.size(), 240u);
 }
 
 TEST(ServeCache, WarmPassHitsMoreThanColdAndKeepsFiftyQps) {

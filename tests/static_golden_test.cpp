@@ -162,8 +162,8 @@ std::string static_line(const Program& p) {
   line += " report=" + hex(fnv1a64(explain_json(report)));
   line += " strip=" + hex(strip_hash(minic::strip_comments(p.code)));
   try {
-    const lint::FileLint file{p.name, lint::Linter().lint_source(p.code)};
-    line += " lint=" + hex(fnv1a64(lint::to_json(file).dump()));
+    const lint::LintReport report = lint::lint_source(p.code);
+    line += " lint=" + hex(fnv1a64(lint::to_json({p.name, report}).dump()));
   } catch (const Error& e) {
     line += " lint-error=" + quote(e.what());
   }

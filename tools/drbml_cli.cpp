@@ -130,8 +130,9 @@ int usage() {
       "explore[:uniform|:pct] |\n"
       "                llm:<persona>[:<prompt>]\n"
       "personas: gpt35, gpt4, starchat, llama2; prompts: p1, p2, p3, bp2\n"
-      "--jobs N: worker threads for multi-file analyze (0 = auto from\n"
-      "          DRBML_JOBS or hardware; results identical at any N)\n"
+      "--jobs N: worker threads for analyze, lint, fix, explore, stats and\n"
+      "          serve (0 = auto from DRBML_JOBS or hardware; results\n"
+      "          identical at any N)\n"
       "global flags (any subcommand): --trace FILE (Chrome trace JSON),\n"
       "          --metrics FILE (deterministic metrics JSON at exit);\n"
       "          DRBML_TRACE / DRBML_METRICS env vars do the same\n");
@@ -531,14 +532,12 @@ int cmd_fix(const std::vector<std::string>& args) {
   const std::vector<Source> sources = source_args.collect();
   if (sources.empty()) return usage();
 
-  repair::RepairOptions opts;
   const std::optional<repair::Strategy> parsed =
       repair::parse_strategy(strategy);
   if (!parsed) throw Error("unknown repair strategy: " + strategy);
-  opts.strategy = *parsed;
   eval::ArtifactCache& cache = eval::artifact_cache();
   const auto outcomes = run_each(jobs, sources, [&](const std::string& code) {
-    return &cache.repair_result(code, opts);
+    return &cache.repair_result(code, *parsed);
   });
 
   int race_total = 0;     // labeled racy
@@ -654,7 +653,7 @@ int cmd_explore(const std::vector<std::string>& args) {
     } else if (args[i] == "--budget") {
       opts.max_schedules = static_cast<int>(int_flag(args, i));
     } else if (args[i] == "--depth") {
-      opts.pct_depth = static_cast<int>(int_flag(args, i));
+      opts.run.pct_depth = static_cast<int>(int_flag(args, i));
     } else if (args[i] == "--plateau") {
       opts.plateau_window = static_cast<int>(int_flag(args, i));
     } else if (args[i] == "--seed") {
@@ -919,7 +918,7 @@ int cmd_stats(const std::vector<std::string>& args) {
   }
   if (run_repair) {
     run_stage(obs::kSpanStageRepair, obs::kStageRepairTime, [&] {
-      const std::vector<eval::RepairRow> rows = eval::table7_rows({}, eopts);
+      const std::vector<eval::RepairRow> rows = eval::table7_rows(eopts);
       // The "(all)" total row is last; items = entries with a verified fix.
       return rows.empty() ? std::uint64_t{0}
                           : static_cast<std::uint64_t>(rows.back().fixed);
